@@ -1,11 +1,19 @@
+import hashlib
 import json
 
 import pytest
 
 from stopkey import formats
 from stopkey.cli import main
+from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, WORKED_JOINT
+from conftest import CORPUS, WORKED_JOINT, random_rational_pmf
+
+# sha256 of the concatenated decompose dumps in TestDecompose.test_dump_bytes_are_pinned
+DUMP_PIN = {
+    "text": "af63daf6a417addb2e4d015f69789801f105b69bd5cd711133f24acd0c8bac46",
+    "structured": "7ffc81a3587932c00ea8fee2427159d9eba7ea0e8d59a51829e1b158288bb43c",
+}
 
 
 @pytest.fixture()
@@ -56,6 +64,22 @@ class TestDecompose:
         assert main(["decompose", "--dist", dist_file, "--out", dest]) == 0
         assert capsys.readouterr().out == ""
         assert "tail:" in open(dest).read()
+
+    def test_dump_bytes_are_pinned(self, tmp_path, capsys):
+        """Both dump forms, to depth 24, for the corpus and 300 random
+        pmfs, hash to digests frozen from the original implementation."""
+        rng = RandomSource("decompose-pin")
+        sources = [CORPUS[name] for name in sorted(CORPUS)]
+        sources += [random_rational_pmf(rng.substream(i)) for i in range(300)]
+        digests = {"text": hashlib.sha256(), "structured": hashlib.sha256()}
+        path = str(tmp_path / "source.json")
+        for p in sources:
+            formats.write_document(formats.pmf_document(p), path)
+            for form, digest in digests.items():
+                argv = ["decompose", "--dist", path, "--w-max", "24", "--format", form]
+                assert main(argv) == 0
+                digest.update(capsys.readouterr().out.encode())
+        assert {form: d.hexdigest() for form, d in digests.items()} == DUMP_PIN
 
 
 class TestKeygenCommon:

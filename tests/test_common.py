@@ -122,6 +122,19 @@ class TestLiteralDifferential:
             assert keyagree_literal("bob", corpus_pmf, x, w=w) == (key, w)
             assert bob_keygen(corpus_pmf, x, w) == key
 
+    def test_bob_matches_literal_on_every_symbol_and_round(self, corpus_pmf):
+        """Every round codebook, reachable pairs and unreachable ones alike."""
+        e = KeyAgreeEngine(corpus_pmf)
+        for x in range(len(corpus_pmf)):
+            for w in range(1, 13):
+                try:
+                    want = keyagree_literal("bob", corpus_pmf, x, w=w)
+                except ProtocolError:
+                    with pytest.raises(ProtocolError):
+                        e.bob(x, w)
+                else:
+                    assert (e.bob(x, w), w) == want
+
     def test_literal_alice_accepts_exact_fraction_draw(self):
         p = CORPUS["tenths"]
         # g just under p(0) stops in the first round that touches symbol 0

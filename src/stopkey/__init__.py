@@ -5,8 +5,9 @@ The package splits along the protocol pipeline:
 - probability: exact rational pmfs, joints, entropies
 - randomsource: deterministic seeded randomness with named substreams
 - keylaws: key-string laws, the stopped-sequence property, verifiers
-- dyadic: dyadic decomposition of a pmf, sampling, codeword assignment
-- common: the zero-error protocol when both parties share the source
+- dyadic: exact fair-bit sampling from a pmf, round-weight entropy
+- common: the dyadic decomposition of a pmf into rounds with codewords,
+  and the zero-error protocol when both parties share the source
 - reconciled: hash-checked protocols for correlated (unequal) sources
 - formats: the on-disk document formats
 - harness: statistics, bound checking, experiment reports
@@ -24,7 +25,7 @@ from .common import (
     engine_for,
     exact_common_law,
 )
-from .dyadic import DyadicDecomposition, KnuthYaoSampler, decompose
+from .dyadic import KnuthYaoSampler
 from .errors import (
     FormatError,
     InvariantError,
@@ -86,9 +87,7 @@ __all__ = [
     "compose_error_length",
     "pointwise_mass_bound",
     "converse_bound",
-    "DyadicDecomposition",
     "KnuthYaoSampler",
-    "decompose",
     "KeyAgreeEngine",
     "CommonLaw",
     "engine_for",

@@ -16,8 +16,7 @@ import sys
 from typing import Any
 
 from . import formats
-from .common import alice_keygen, bob_keygen
-from .dyadic import decompose
+from .common import alice_keygen, bob_keygen, engine_for
 from .errors import StopkeyError
 from .harness import (
     ExperimentConfig,
@@ -144,7 +143,7 @@ def _source_args(args: argparse.Namespace) -> tuple[str, str]:
 
 def _cmd_decompose(args) -> int:
     p = formats.load_distribution(args.dist)
-    doc = formats.decomposition_document(decompose(p), args.w_max)
+    doc = formats.decomposition_document(engine_for(p), args.w_max)
     if args.format == "structured":
         _emit(formats.dumps(doc), args.out)
         return 0

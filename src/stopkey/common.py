@@ -10,19 +10,25 @@ about it (given w the key law is the round codebook's law, a randomly
 stopped sequence), and the expected key length is the conditional entropy
 H(X | W) >= H(X) - 2 bits.
 
-Two implementations live here on purpose. ``keyagree_literal`` is a
-plain-Fraction transliteration of the published per-round loop, kept
-slow and obvious to serve as a differential oracle. ``KeyAgreeEngine``
-is the production path: residual masses become integers over a shared
-power-of-two-scaled denominator, so the per-round sort is an integer
-sort and chunk arithmetic is shifts; it must produce bit-identical keys
-and round indexes to the literal loop when driven from the same bit
-stream, and the test suite holds it to that.
+``KeyAgreeEngine`` is the package's one dyadic decomposition. Round w
+splits off exactly half of the remaining mass, 2**-w, with the greedy
+construction: sort the residual by descending mass (ties by index), give
+each symbol the largest chunk 2**-alpha within its residual, and keep
+taking symbols while the running sum stays within 2**-w. The sum then
+lands on 2**-w exactly; this is a theorem, not a tolerance, and the
+engine asserts it. Each round's conditional is dyadic, so its symbols
+take the codewords of a full prefix-free codebook, read off the binary
+digits of the cumulative chunk mass in selection order. Residual masses
+are integers over a shared power-of-two-scaled denominator, so the sort
+is an integer sort and chunk arithmetic is shifts. The test suite holds
+the engine bit for bit to a plain-Fraction transliteration of the
+published per-round loop.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,98 +37,19 @@ from typing import Iterator, NamedTuple
 
 from .errors import InvariantError, ProtocolError, ValidationError
 from .keylaws import KeyLaw
-from .probability import Pmf, ZERO, ceil_neg_log2
-from .randomsource import LazyUniform, RandomSource, ScaledUniform
-from .dyadic import sorted_support
+from .probability import Pmf, ZERO
+from .randomsource import LazyUniform, RandomSource
 
 __all__ = [
     "KeyAgreeEngine",
     "engine_for",
     "alice_keygen",
     "bob_keygen",
-    "keyagree_literal",
     "CommonLaw",
     "exact_common_law",
 ]
 
 _MAX_ROUNDS = 20000
-
-
-def _digits(value: Fraction, length: int) -> str:
-    """First ``length`` binary digits of a dyadic fraction in [0, 1)."""
-    if length == 0:
-        return ""
-    scaled = value * (1 << length)
-    if scaled.denominator != 1:
-        raise InvariantError(f"cumulative mass {value} not aligned to 2**-{length}")
-    return f"{int(scaled):0{length}b}"
-
-
-def keyagree_literal(
-    role: str,
-    p: Pmf,
-    x: int,
-    *,
-    w: int | None = None,
-    g: Fraction | ScaledUniform | None = None,
-    rng: RandomSource | None = None,
-) -> tuple[str, int]:
-    """Direct transliteration of the per-round agreement loop.
-
-    For role "alice", ``g`` is the uniform draw on [0, p(x)); pass an
-    exact Fraction, a lazily compared draw, or a RandomSource to draw
-    from. For role "bob", ``w`` is the round index received from the
-    other party. Returns (key, round index).
-
-    Kept deliberately naive (Fractions, re-sorting every round) as the
-    oracle the optimized engine is differentially tested against.
-    """
-    if role not in ("alice", "bob"):
-        raise ValidationError(f"role must be alice or bob, not {role!r}")
-    if not 0 <= x < len(p):
-        raise ValidationError(f"symbol index {x} out of range")
-    if p.masses[x] == 0:
-        raise ValidationError(f"cannot run on zero-mass symbol {x}")
-    if role == "alice":
-        if g is None:
-            if rng is None:
-                raise ValidationError("alice needs g or a RandomSource")
-            g = rng.uniform_below(p.masses[x])
-        elif isinstance(g, Fraction) and not 0 <= g < p.masses[x]:
-            raise ValidationError(f"g = {g} outside [0, p(x) = {p.masses[x]})")
-    elif w is None or w < 1:
-        raise ValidationError("bob needs the announced round index w >= 1")
-
-    def g_at_least(threshold: Fraction) -> bool:
-        if isinstance(g, Fraction):
-            return g >= threshold
-        return g.at_least(threshold)
-
-    residual = list(p.masses)
-    for w_cur in range(1, _MAX_ROUNDS + 1):
-        q = Fraction(1, 1 << w_cur)
-        k = ZERO
-        for i in sorted_support(residual):
-            alpha = max(ceil_neg_log2(residual[i]), w_cur)
-            chunk = Fraction(1, 1 << alpha)
-            if chunk > q:
-                break
-            q -= chunk
-            residual[i] -= chunk
-            length = alpha - w_cur
-            if role == "alice" and i == x and g_at_least(residual[i]):
-                return _digits(k, length), w_cur
-            if role == "bob" and w_cur == w and i == x:
-                return _digits(k, length), w_cur
-            k += Fraction(1, 1 << length)
-        if q != 0:
-            raise InvariantError(f"round {w_cur} left budget {q} unassigned")
-        if role == "bob" and w_cur >= w:
-            raise ProtocolError(
-                f"symbol {x} has no codeword in round {w}; "
-                "(y, w) is unreachable, the parties' values must differ"
-            )
-    raise ProtocolError(f"no round selected within {_MAX_ROUNDS} rounds")
 
 
 class _Selected(NamedTuple):
@@ -191,6 +118,11 @@ class KeyAgreeEngine:
     rescaled (Q and all numerators shifted together) whenever a chunk
     2**-alpha needs more dyadic headroom. Per-round cost is the integer
     sort: O(|X| log |X|).
+
+    One engine is shared per pmf across threads (``engine_for``). Rounds
+    and stopping thresholds are built under one reentrant lock and
+    published by appending to their lists last, so a reader that finds
+    an entry already built takes no lock.
     """
 
     def __init__(self, p: Pmf):
@@ -201,8 +133,9 @@ class KeyAgreeEngine:
         self._tz = _trailing_zeros(d)
         self._nums = [m.numerator * (d // m.denominator) for m in p.masses]
         self._rounds: list[_Round] = []
-        self._absorbed_from: int | None = None  # single-symbol residual onward
         self._thresholds: dict[int, _ThresholdWalk] = {}
+        # reentrant: a threshold walk builds rounds while holding it
+        self._lock = threading.RLock()
 
     # -- round materialization ------------------------------------------------
 
@@ -221,8 +154,6 @@ class KeyAgreeEngine:
         live = [i for i, v in enumerate(nums) if v > 0]
         if len(live) == 1:
             i = live[0]
-            if self._absorbed_from is None:
-                self._absorbed_from = w
             self._rescale(w)
             self._nums[i] -= self._q >> w
             self._rounds.append(_Round(w, (i,), {i: 0}))
@@ -285,14 +216,22 @@ class KeyAgreeEngine:
     def ensure(self, w: int) -> None:
         if w > _MAX_ROUNDS:
             raise ValidationError(f"round depth {w} exceeds limit {_MAX_ROUNDS}")
-        while len(self._rounds) < w:
-            self._advance()
+        if len(self._rounds) < w:
+            with self._lock:
+                while len(self._rounds) < w:
+                    self._advance()
 
     def round(self, w: int) -> _Round:
         if w < 1:
             raise ValidationError("rounds are numbered from 1")
         self.ensure(w)
         return self._rounds[w - 1]
+
+    def residual(self) -> tuple[Fraction, ...]:
+        """Exact residual masses after the rounds built so far; after w
+        rounds they total 2**-w."""
+        with self._lock:
+            return tuple(Fraction(v, self._q) for v in self._nums)
 
     # -- protocol -------------------------------------------------------------
 
@@ -317,16 +256,16 @@ class KeyAgreeEngine:
         if walk is None:
             if self.pmf.masses[x] == 0:
                 raise ValidationError(f"cannot key on zero-mass symbol {x}")
-            walk = _ThresholdWalk(self.pmf.masses[x])
-            self._thresholds[x] = walk
+            # setdefault: racing first callers all get the stored walk
+            walk = self._thresholds.setdefault(x, _ThresholdWalk(self.pmf.masses[x]))
         return walk
 
-    def round_from_uniform(self, x: int, u: LazyUniform | ScaledUniform) -> int:
-        """The round in which a given uniform draw stops symbol x.
+    def round_from_uniform(self, x: int, u: LazyUniform) -> int:
+        """The round in which a uniform draw U on [0, 1) stops symbol x.
 
-        Accepts the raw uniform U on [0, 1) (thresholds are compared as
-        fractions of p(x)) or an explicit draw g on [0, p(x)); both
-        resolve the identical comparisons the literal loop makes.
+        Thresholds are fractions of p(x): U >= t_w is the per-round loop's
+        stopping test g >= residual_w(x) for the draw g = p(x) U on
+        [0, p(x)).
         """
         walk = self._walk(x)
         pos = 0
@@ -394,14 +333,17 @@ class _ThresholdWalk:
         self.thresholds: list[Fraction] = []
 
     def entry(self, pos: int, engine: KeyAgreeEngine, x: int) -> Fraction:
-        while pos >= len(self.thresholds):
-            self.scanned += 1
-            rnd = engine.round(self.scanned)
-            length = rnd.length_of(x)
-            if length is not None:
-                self.cum += Fraction(1, 1 << (rnd.w + length))
-                self.rounds.append(rnd.w)
-                self.thresholds.append(1 - self.cum / self.px)
+        if pos >= len(self.thresholds):
+            with engine._lock:
+                while pos >= len(self.thresholds):
+                    self.scanned += 1
+                    rnd = engine.round(self.scanned)
+                    length = rnd.length_of(x)
+                    if length is not None:
+                        self.cum += Fraction(1, 1 << (rnd.w + length))
+                        # rounds first: readers index it by a threshold position
+                        self.rounds.append(rnd.w)
+                        self.thresholds.append(1 - self.cum / self.px)
         return self.thresholds[pos]
 
 

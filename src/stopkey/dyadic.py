@@ -1,47 +1,21 @@
-"""Dyadic decomposition of arbitrary rational pmfs, and exact sampling.
+"""Exact sampling from rational pmfs, and the round-weight entropy.
 
-Any pmf can be written as a mixture of dyadic pmfs with mixture weights
-2**-w, w = 1, 2, ...: repeatedly split off exactly half of the remaining
-mass so that the removed half, renormalized, has all masses equal to
-powers of 1/2. The split is the greedy construction: sort the residual
-by descending mass, give each symbol x the largest dyadic chunk
-2**-alpha_x not exceeding its (normalized) mass, and keep taking symbols
-while the running sum stays within 1/2. The prefix sum then lands on 1/2
-*exactly*; this is a theorem, not a tolerance, and the code asserts it.
-
-Each round's conditional is dyadic, so its symbols map onto a full
-prefix-free codebook by reading off cumulative-mass digits; that map is
-the per-round key assignment used by the agreement protocols, and the
-digit convention here is bit-identical to the protocol engine's.
-
-The same binary-expansion structure drives the Knuth-Yao sampler, which
-draws from an arbitrary rational pmf using fair bits (at most H(p) + 2
-expected flips), the sampling-direction mirror of the key extraction.
+The Knuth-Yao sampler draws from an arbitrary rational pmf using fair
+bits (at most H(p) + 2 expected flips) by walking the tree defined by
+the binary expansions of the masses: the sampling-direction mirror of
+the key extraction, whose dyadic decomposition of the source into rounds
+of weight 2**-w lives in ``common.KeyAgreeEngine``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import InvariantError, ValidationError
-from .probability import (
-    Pmf,
-    SubPmf,
-    ZERO,
-    ceil_neg_log2,
-    dyadic_exponent,
-)
+from .errors import ValidationError
+from .probability import Pmf
 
 __all__ = [
-    "HalfSplit",
-    "DyadicRound",
-    "DyadicDecomposition",
-    "half_split",
-    "decompose",
-    "assign_codewords",
     "KnuthYaoSampler",
     "knuth_yao_sample",
     "ROUND_WEIGHT_ENTROPY",
@@ -58,251 +32,6 @@ def round_weight_partial_entropy(n: int) -> Fraction:
     if n < 0:
         raise ValidationError("partial sum needs n >= 0")
     return 2 - Fraction(n + 2, 1 << n)
-
-
-def sorted_support(masses: Sequence[Fraction]) -> list[int]:
-    """Positive-mass indices by descending mass, ties by ascending index.
-
-    This tie-break is shared by every construction in the package; both
-    parties of a protocol must sort identically or keys diverge.
-    """
-    return sorted(
-        (i for i, m in enumerate(masses) if m > 0),
-        key=lambda i: (-masses[i], i),
-    )
-
-
-@dataclass(frozen=True)
-class HalfSplit:
-    """One split: ``removed`` takes exactly half the input's total mass,
-    ``conditional`` is the removed half renormalized (always dyadic), and
-    ``residual`` is what remains.
-
-    ``order`` lists the selected symbols in the greedy's visit order
-    (descending input mass, ties by index). Codewords must be assigned
-    along this order, not re-sorted by conditional mass: equal
-    conditional masses can come from unequal input masses, and the
-    protocol emits digits in visit order.
-    """
-
-    removed: tuple[Fraction, ...]
-    conditional: Pmf
-    residual: SubPmf
-    order: tuple[int, ...]
-
-
-def half_split(p: SubPmf) -> HalfSplit:
-    """Split off half of a sub-pmf's mass with a dyadic conditional.
-
-    The greedy positional construction; the prefix sum of removed chunks
-    reaching exactly half the total is guaranteed and asserted. A
-    single-symbol residual is split by fiat: half its mass is removed and
-    the conditional is the point mass on that symbol.
-    """
-    total = p.total
-    if total <= 0:
-        raise ValidationError("cannot split a sub-pmf with zero total mass")
-    support = p.support()
-    removed = [ZERO] * len(p.masses)
-    order: list[int] = []
-    if len(support) == 1:
-        s = support[0]
-        removed[s] = total / 2
-        order.append(s)
-    else:
-        half = total / 2
-        budget = half
-        for i in sorted_support(p.masses):
-            alpha = ceil_neg_log2(p.masses[i] / total)
-            chunk = total * Fraction(1, 1 << alpha)
-            if chunk > budget:
-                break
-            removed[i] = chunk
-            order.append(i)
-            budget -= chunk
-            if budget == 0:
-                break
-        if budget != 0:
-            raise InvariantError(
-                f"greedy half split missed exact half: leftover {budget} of {half}"
-            )
-    conditional = Pmf(p.labels, tuple(r / (total / 2) for r in removed))
-    residual = SubPmf(
-        p.labels,
-        tuple(m - r for m, r in zip(p.masses, removed)),
-        p.deficiency + total / 2,
-    )
-    return HalfSplit(tuple(removed), conditional, residual, tuple(order))
-
-
-def assign_codewords(conditional: Pmf, order: Sequence[int]) -> dict[int, str]:
-    """Map each supported symbol of a dyadic pmf to a full-codebook codeword.
-
-    ``order`` must list the support by nonincreasing mass. Symbol i gets
-    the first -log2(mass_i) binary digits of the cumulative mass before
-    it; sortedness makes every cumulative sum a multiple of the current
-    mass, so the digits are exact and the codebook is full.
-    """
-    codes: dict[int, str] = {}
-    cum = ZERO
-    prev = None
-    for i in order:
-        m = conditional.masses[i]
-        if m <= 0:
-            raise ValidationError(f"order includes zero-mass symbol {i}")
-        if prev is not None and m > prev:
-            raise ValidationError("order must be by nonincreasing mass")
-        prev = m
-        length = dyadic_exponent(m)
-        if length is None:
-            raise ValidationError(f"conditional mass {m} is not dyadic")
-        scaled = cum * (1 << length)
-        if scaled.denominator != 1:
-            raise InvariantError(
-                f"cumulative mass {cum} not aligned to 2**-{length}"
-            )
-        codes[i] = f"{int(scaled):0{length}b}" if length else ""
-        cum += m
-    if cum != 1:
-        raise ValidationError("order must cover the full support (masses sum to 1)")
-    return codes
-
-
-@dataclass(frozen=True)
-class DyadicRound:
-    """Round w of a decomposition: prior weight 2**-w, a dyadic conditional
-    over the source alphabet, and the codeword each removed symbol earns."""
-
-    w: int
-    conditional: Pmf
-    codewords: dict[int, str]
-    order: tuple[int, ...]
-
-    @property
-    def weight(self) -> Fraction:
-        return Fraction(1, 1 << self.w)
-
-    def removed(self, index: int) -> Fraction:
-        return self.weight * self.conditional.masses[index]
-
-    @property
-    def first_codeword(self) -> str:
-        return self.codewords[self.order[0]]
-
-
-class DyadicDecomposition:
-    """Lazily materialized rounds of the dyadic decomposition of a pmf.
-
-    Rounds are extended on demand and cached; extension is serialized by
-    a lock so concurrent readers of already-materialized rounds are safe.
-    Residual states repeat for many sources (any dyadic source stabilizes
-    to a point mass; sources like (2/3, 1/3) cycle), which is detected by
-    comparing normalized residual signatures, after which further rounds
-    are synthesized from the cycle instead of re-running the greedy.
-
-    Reconstruction identity, for every symbol x and depth w:
-    sum_{v <= w} 2**-v * conditional_v(x) + residual_after(w)(x) = p(x).
-    """
-
-    def __init__(self, source: Pmf):
-        self.source = source
-        self._rounds: list[DyadicRound] = []
-        self._residuals: list[SubPmf] = [source.sub()]
-        self._lock = threading.Lock()
-        self._signatures: dict[tuple, int] = {self._signature(source.sub(), 0): 0}
-        self.cycle: tuple[int, int] | None = None  # (start_round, period)
-
-    @staticmethod
-    def _signature(residual: SubPmf, w: int) -> tuple:
-        scale = 1 << w
-        return tuple(
-            (i, residual.masses[i] * scale) for i in residual.support()
-        )
-
-    @property
-    def materialized(self) -> int:
-        return len(self._rounds)
-
-    def ensure(self, w: int) -> None:
-        if w <= len(self._rounds):
-            return
-        with self._lock:
-            while len(self._rounds) < w:
-                self._advance()
-
-    def _advance(self) -> None:
-        w = len(self._rounds) + 1
-        if self.cycle is not None:
-            start, period = self.cycle
-            template = self._rounds[start + (w - start - 1) % period]
-            rnd = DyadicRound(w, template.conditional, template.codewords, template.order)
-            prev = self._residuals[-1]
-            removed = tuple(rnd.removed(i) for i in range(len(prev.masses)))
-            residual = SubPmf(
-                prev.labels,
-                tuple(m - r for m, r in zip(prev.masses, removed)),
-                prev.deficiency + rnd.weight,
-            )
-        else:
-            split = half_split(self._residuals[-1])
-            # selection order, not conditional-mass order: ties differ
-            order = split.order
-            rnd = DyadicRound(
-                w, split.conditional, assign_codewords(split.conditional, order), order
-            )
-            residual = split.residual
-            sig = self._signature(residual, w)
-            seen = self._signatures.get(sig)
-            if seen is not None:
-                self.cycle = (seen, w - seen)
-            else:
-                self._signatures[sig] = w
-        self._rounds.append(rnd)
-        self._residuals.append(residual)
-
-    def round(self, w: int) -> DyadicRound:
-        if w < 1:
-            raise ValidationError("rounds are numbered from 1")
-        self.ensure(w)
-        return self._rounds[w - 1]
-
-    def rounds(self, upto: int) -> list[DyadicRound]:
-        self.ensure(upto)
-        return self._rounds[:upto]
-
-    def residual_after(self, w: int) -> SubPmf:
-        """Residual sub-pmf after removing rounds 1..w; total mass 2**-w."""
-        if w < 0:
-            raise ValidationError("depth must be nonnegative")
-        self.ensure(w)
-        return self._residuals[w]
-
-    def tail(self, w: int) -> Fraction:
-        return Fraction(1, 1 << w)
-
-    def reconstruction_defect(self, w: int) -> tuple[Fraction, ...]:
-        """Per-symbol defect of the reconstruction identity at depth w.
-
-        Exactly zero everywhere, for every pmf and depth; exposed so tests
-        assert it rather than trust it.
-        """
-        self.ensure(w)
-        residual = self._residuals[w]
-        defects = []
-        for i, target in enumerate(self.source.masses):
-            acc = residual.masses[i]
-            for rnd in self._rounds[:w]:
-                acc += rnd.removed(i)
-            defects.append(target - acc)
-        return tuple(defects)
-
-
-def decompose(p: Pmf, w_max: int = 0) -> DyadicDecomposition:
-    """Decomposition of ``p``, materialized through round ``w_max``."""
-    d = DyadicDecomposition(p)
-    if w_max:
-        d.ensure(w_max)
-    return d
 
 
 class KnuthYaoSampler:

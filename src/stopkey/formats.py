@@ -24,8 +24,8 @@ import json
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from .dyadic import DyadicDecomposition
-from .errors import FormatError
+from .common import KeyAgreeEngine
+from .errors import FormatError, ValidationError
 from .keylaws import KeyLaw, PointwiseVerdict, RsbsVerdict
 from .probability import JointPmf, Pmf
 from .reconciled import HashFunction, Transcript
@@ -237,25 +237,29 @@ def pointwise_verdict_document(v: PointwiseVerdict) -> dict:
 # Decomposition dumps.
 
 
-def decomposition_document(dec: DyadicDecomposition, upto: int) -> dict:
+def decomposition_document(engine: KeyAgreeEngine, upto: int) -> dict:
     """Per-round dump to depth ``upto``, diffable against any oracle."""
-    labels = dec.source.labels
+    if upto < 0:
+        raise ValidationError("depth must be nonnegative")
+    labels = engine.pmf.labels
     rounds = []
-    for rnd in dec.rounds(upto):
+    for w in range(1, upto + 1):
+        rnd = engine.round(w)
+        conditional = engine.round_conditional(w)
         rounds.append(
             {
-                "w": rnd.w,
-                "weight": format_rational(rnd.weight),
-                "conditional": [format_rational(m) for m in rnd.conditional.masses],
+                "w": w,
+                "weight": format_rational(Fraction(1, 1 << w)),
+                "conditional": [format_rational(m) for m in conditional.masses],
                 # selection order, the order the protocol emits in
-                "codewords": {labels[i]: rnd.codewords[i] for i in rnd.order},
+                "codewords": {labels[i]: rnd.codeword(i) for i in rnd.order},
             }
         )
     return {
         "alphabet": list(labels),
-        "pmf": [format_rational(m) for m in dec.source.masses],
+        "pmf": [format_rational(m) for m in engine.pmf.masses],
         "rounds": rounds,
-        "tail": format_rational(dec.tail(upto)),
+        "tail": format_rational(Fraction(1, 1 << upto)),
     }
 
 

@@ -114,28 +114,7 @@ class RandomSource:
     def lazy_uniform(self) -> LazyUniform:
         return LazyUniform(self._rng)
 
-    def uniform_below(self, bound: Fraction) -> "ScaledUniform":
-        """An exact uniform draw on [0, bound), compared lazily."""
-        if bound <= 0:
-            raise ValidationError("bound must be positive")
-        return ScaledUniform(self.lazy_uniform(), bound)
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), from the underlying stream."""
         return self._rng.randrange(n)
 
-
-class ScaledUniform:
-    """g = bound * U for a lazy uniform U; supports exact g >= t queries."""
-
-    __slots__ = ("uniform", "bound")
-
-    def __init__(self, uniform: LazyUniform, bound: Fraction):
-        self.uniform = uniform
-        self.bound = bound
-
-    def at_least(self, threshold: Fraction) -> bool:
-        return self.uniform.at_least(threshold / self.bound)
-
-    def less_than(self, threshold: Fraction) -> bool:
-        return not self.at_least(threshold)

@@ -186,6 +186,21 @@ class AlmostCommonRun:
         return _stage2_records(self.w1, self.w2)
 
 
+def _stage2_keys(eng, p_star: Pmf, xi: int, yi: int, w2: int) -> tuple[str, str]:
+    """(key_a, key_b) once Bob announces round w2 on the bucket conditional.
+
+    Each party emits its symbol's round-w2 codeword; a party whose symbol
+    has no chunk there (zero bucket mass included) falls back to the
+    round's first codeword.
+    """
+
+    def key(i: int) -> str:
+        code = eng.codeword(w2, i) if p_star.masses[i] > 0 else None
+        return eng.first_codeword(w2) if code is None else code
+
+    return key(xi), key(yi)
+
+
 def almost_common_keygen(
     j: JointPmf, x: str, y: str, m: int, h: HashFunction, rng: RandomSource
 ) -> AlmostCommonRun:
@@ -213,15 +228,9 @@ def almost_common_keygen(
         return AlmostCommonRun(x, y, w1, None, "", "", "")
     eng = engine_for(p_star)
     yi = p_star.index(y)
-    if p_star.masses[yi] > 0:
-        key_b, w2 = eng.alice(yi, rng)
-    else:
-        w2 = 1
-        key_b = eng.first_codeword(1)
-    xi = p_star.index(x)
-    key_a = eng.codeword(w2, xi) if p_star.masses[xi] > 0 else None
-    if key_a is None:
-        key_a = eng.first_codeword(w2)
+    # W is the only draw; everything after it is _stage2_keys
+    w2 = eng.alice(yi, rng)[1] if p_star.masses[yi] > 0 else 1
+    key_a, key_b = _stage2_keys(eng, p_star, p_star.index(x), yi, w2)
     ideal = key_a if x == y else ""
     return AlmostCommonRun(x, y, w1, w2, key_a, key_b, ideal)
 
@@ -318,32 +327,25 @@ def analyze_almost_common(
         eng = engine_for(p_star)
         yi = p_star.index(yl)
         xi = p_star.index(xl)
+        # Bob's round law; with no bucket mass he pins the round to 1
         if p_star.masses[yi] > 0:
-            seen = ZERO
-            for w2, q in eng.round_distribution(yi, w_max):
-                seen += q
-                key_b = eng.codeword(w2, yi)
-                key_a = eng.codeword(w2, xi) if p_star.masses[xi] > 0 else None
-                if key_a is None:
-                    key_a = eng.first_codeword(w2)
-                ideal = key_a if same else ""
-                law_add((w1, w2), ideal, mass * q)
-                if key_a == key_b == ideal:
-                    length += mass * q * len(ideal)
-                else:
-                    err += mass * q
-            if not same:
-                # Same-symbol outcomes agree in every round, so only the
-                # collision tail stays unresolved by the truncation.
-                unresolved += mass * (1 - seen)
+            rounds = eng.round_distribution(yi, w_max)
         else:
-            key_b = eng.first_codeword(1)
-            key_a = eng.codeword(1, xi) if p_star.masses[xi] > 0 else None
-            if key_a is None:
-                key_a = eng.first_codeword(1)
-            law_add((w1, 1), "", mass)
-            if not (key_a == key_b == ""):
-                err += mass
+            rounds = [(1, ONE)]
+        seen = ZERO
+        for w2, q in rounds:
+            seen += q
+            key_a, key_b = _stage2_keys(eng, p_star, xi, yi, w2)
+            ideal = key_a if same else ""
+            law_add((w1, w2), ideal, mass * q)
+            if key_a == key_b == ideal:
+                length += mass * q * len(ideal)
+            else:
+                err += mass * q
+        if not same:
+            # Same-symbol outcomes agree in every round, so only the
+            # collision tail stays unresolved by the truncation.
+            unresolved += mass * (1 - seen)
 
     laws = None
     if collect_laws:

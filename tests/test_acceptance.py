@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from stopkey import formats
 from stopkey.common import KeyAgreeEngine, engine_for, exact_common_law
-from stopkey.dyadic import KnuthYaoSampler, decompose, half_split
+from stopkey.dyadic import KnuthYaoSampler
 from stopkey.harness import ExperimentConfig, mean_interval, run_simulation, wilson_interval
 from stopkey.keylaws import (
     ErrorLengthPair,
@@ -135,19 +135,23 @@ def test_every_conditional_key_law_verifies_exactly():
 
 def test_decomposition_reconstructs_every_source_exactly_to_depth_forty():
     zero = Fraction(0)
-    half = Fraction(1, 2)
     for p in acceptance_sources():
-        dec = decompose(p, 40)
-        assert all(d == zero for d in dec.reconstruction_defect(40))
-        for rnd in dec.rounds(40):
-            for m in rnd.conditional.masses:
+        e = KeyAgreeEngine(p)
+        removed = [zero] * len(p)
+        residual_totals = [sum(p.masses, zero)]
+        for w in range(1, 41):
+            rnd = e.round(w)
+            for i in rnd.order:
+                removed[i] += Fraction(1, 1 << (w + rnd.length_of(i)))
+            for m in e.round_conditional(w).masses:
                 assert m == 0 or dyadic_exponent(m) is not None
+            residual = e.residual()  # exactly w rounds are built
+            # reconstruction identity at every depth, per symbol
+            assert all(r + c == m for r, c, m in zip(residual, removed, p.masses))
+            residual_totals.append(sum(residual, zero))
         # the split itself lands on half the mass exactly, at every depth
-        for k in range(6):
-            sub = dec.residual_after(k)
-            split = half_split(sub)
-            assert sum(split.removed, zero) == sub.total / 2
-        assert sum(half_split(p.sub()).removed, zero) == half
+        for before, after in zip(residual_totals, residual_totals[1:]):
+            assert before - after == before / 2
     verdict(
         "reconstruction identity exact per symbol through depth 40",
         True,

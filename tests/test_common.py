@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +12,6 @@ from stopkey.common import (
     bob_keygen,
     engine_for,
     exact_common_law,
-    keyagree_literal,
 )
 from stopkey.dyadic import round_weight_partial_entropy
 from stopkey.errors import ProtocolError, ValidationError
@@ -18,6 +20,7 @@ from stopkey.probability import dyadic_exponent
 from stopkey.randomsource import RandomSource
 
 from conftest import CORPUS, pmf, random_rational_pmf
+from literal_oracle import keyagree_literal, uniform_below
 
 
 class TestFrozenRounds:
@@ -101,7 +104,7 @@ class TestLiteralDifferential:
                     "alice",
                     corpus_pmf,
                     x,
-                    g=r2.uniform_below(corpus_pmf.masses[x]),
+                    g=uniform_below(r2, corpus_pmf.masses[x]),
                 )
                 assert got == want
 
@@ -113,7 +116,7 @@ class TestLiteralDifferential:
                 r1 = rng.substream("a", trial, x)
                 r2 = RandomSource("diff-random").substream("a", trial, x)
                 assert alice_keygen(p, x, r1) == keyagree_literal(
-                    "alice", p, x, g=r2.uniform_below(p.masses[x])
+                    "alice", p, x, g=uniform_below(r2, p.masses[x])
                 )
 
     def test_bob_matches_literal_on_enumerated_rounds(self, corpus_pmf):
@@ -288,3 +291,58 @@ class TestEngineCache:
         dist = dict(e.round_distribution(0, 12))
         for w in range(1, 13):
             assert e.round_weight(0, w) == dist.get(w, Fraction(0))
+
+
+def _run_threads(target, n_threads: int = 8, timeout: float = 4.0) -> list[Exception]:
+    """Run ``target`` on daemon threads with a tiny switch interval, so the
+    interpreter preempts them mid-update; returns what they raised."""
+    raised: list[Exception] = []
+
+    def run():
+        try:
+            target()
+        except Exception as exc:
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + timeout
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "threads still running"
+    return raised
+
+
+class TestThreadSafety:
+    """engine_for shares one engine per pmf across the process."""
+
+    def test_concurrent_round_building(self):
+        p = pmf(*(Fraction(i, 300 * 301 // 2) for i in range(1, 301)))
+        ref = KeyAgreeEngine(p)
+        ref.ensure(40)
+        for _ in range(3):
+            e = KeyAgreeEngine(p)
+            assert _run_threads(lambda: e.ensure(40)) == []
+            # exactly 40 rounds built, each equal to the serial build
+            assert e.residual() == ref.residual()
+            for w in range(1, 41):
+                assert e.round(w).packed == ref.round(w).packed
+                assert e.round(w).order == ref.round(w).order
+
+    def test_concurrent_threshold_walk(self):
+        p = CORPUS["tenths"]
+        ref = KeyAgreeEngine(p)
+        want = ref._walk(0)
+        want.entry(30, ref, 0)
+        for _ in range(5):
+            e = KeyAgreeEngine(p)
+            assert _run_threads(lambda: e._walk(0).entry(30, e, 0)) == []
+            walk = e._walk(0)
+            assert walk.rounds[:31] == want.rounds[:31]
+            assert walk.thresholds[:31] == want.thresholds[:31]

@@ -2,17 +2,15 @@ from fractions import Fraction
 
 import pytest
 
+from stopkey.common import KeyAgreeEngine
 from stopkey.dyadic import (
     ROUND_WEIGHT_ENTROPY,
-    DyadicDecomposition,
     KnuthYaoSampler,
-    assign_codewords,
-    decompose,
-    half_split,
     knuth_yao_sample,
     round_weight_partial_entropy,
 )
 from stopkey.errors import ValidationError
+from stopkey.formats import decomposition_document
 from stopkey.keylaws import PrefixCodebook
 from stopkey.probability import dyadic_exponent, entropy, is_dyadic
 from stopkey.randomsource import RandomSource
@@ -20,67 +18,96 @@ from stopkey.randomsource import RandomSource
 from conftest import CORPUS, pmf, random_rational_pmf
 
 
+def removed(e: KeyAgreeEngine, w: int, i: int) -> Fraction:
+    """Mass round w takes from symbol i: 2**-(w + |codeword|), or 0."""
+    length = e.round(w).length_of(i)
+    return Fraction(0) if length is None else Fraction(1, 1 << (w + length))
+
+
+def codewords(e: KeyAgreeEngine, w: int) -> dict[int, str]:
+    """Round w's codebook, in selection order."""
+    rnd = e.round(w)
+    return {i: rnd.codeword(i) for i in rnd.order}
+
+
+def residual_after(p, w: int) -> tuple[Fraction, ...]:
+    """Residual masses after exactly w rounds, from a fresh engine."""
+    e = KeyAgreeEngine(p)
+    e.ensure(w)
+    return e.residual()
+
+
 class TestHalfSplit:
+    """Each round splits off exactly half of the remaining mass."""
+
     def test_removes_exactly_half(self, corpus_pmf):
-        s = half_split(corpus_pmf.sub())
-        assert sum(s.removed, Fraction(0)) == Fraction(1, 2)
-        assert is_dyadic(s.conditional)
-        assert all(m >= 0 for m in s.residual.masses)
+        e = KeyAgreeEngine(corpus_pmf)
+        for w in range(1, 9):
+            before = sum(residual_after(corpus_pmf, w - 1), Fraction(0))
+            taken = sum((removed(e, w, i) for i in range(len(corpus_pmf))), Fraction(0))
+            assert taken == before / 2 == Fraction(1, 1 << w)
+            assert is_dyadic(e.round_conditional(w))
+            assert all(m >= 0 for m in residual_after(corpus_pmf, w))
 
     def test_randomized_pmfs(self):
         rng = RandomSource("half-split")
         for _ in range(80):
             p = random_rational_pmf(rng)
-            s = half_split(p.sub())
-            assert sum(s.removed, Fraction(0)) == Fraction(1, 2)
-            assert is_dyadic(s.conditional)
+            e = KeyAgreeEngine(p)
+            taken = [removed(e, 1, i) for i in range(len(p))]
+            assert sum(taken, Fraction(0)) == Fraction(1, 2)
+            assert is_dyadic(e.round_conditional(1))
             # conditional is the removed mass renormalized by the half
-            for r, c in zip(s.removed, s.conditional.masses):
+            for r, c in zip(taken, e.round_conditional(1).masses):
                 assert c == 2 * r
 
     def test_single_symbol_residual_split_by_fiat(self):
-        s = half_split(CORPUS["point"].sub())
-        assert s.removed == (Fraction(1, 2),)
-        assert s.conditional.masses == (Fraction(1),)
-
-    def test_zero_total_rejected(self):
-        from stopkey.probability import SubPmf
-
-        with pytest.raises(ValidationError):
-            half_split(SubPmf(("a",), (Fraction(0),), Fraction(1)))
+        e = KeyAgreeEngine(CORPUS["point"])
+        assert removed(e, 1, 0) == Fraction(1, 2)
+        assert e.round_conditional(1).masses == (Fraction(1),)
 
 
 class TestDecomposition:
     def test_reconstruction_identity_per_symbol(self, corpus_pmf):
         """Round masses plus the residual rebuild the source exactly."""
-        dec = decompose(corpus_pmf)
+        e = KeyAgreeEngine(corpus_pmf)
         for w in (1, 5, 17, 40):
-            assert dec.reconstruction_defect(w) == (Fraction(0),) * len(corpus_pmf)
+            rebuilt = [
+                r + sum((removed(e, v, i) for v in range(1, w + 1)), Fraction(0))
+                for i, r in enumerate(residual_after(corpus_pmf, w))
+            ]
+            assert tuple(rebuilt) == corpus_pmf.masses
 
     def test_reconstruction_identity_randomized(self):
         rng = RandomSource("reconstruct")
         for _ in range(25):
             p = random_rational_pmf(rng)
-            dec = decompose(p)
+            e = KeyAgreeEngine(p)
             w = 1 + rng.randrange(40)
-            assert all(d == 0 for d in dec.reconstruction_defect(w))
+            e.ensure(w)
+            for i, r in enumerate(e.residual()):
+                taken = sum((removed(e, v, i) for v in range(1, w + 1)), Fraction(0))
+                assert r + taken == p.masses[i]
 
     def test_round_weights_and_residual_mass(self, corpus_pmf):
-        dec = decompose(corpus_pmf)
-        for rnd in dec.rounds(12):
-            assert rnd.weight == Fraction(1, 1 << rnd.w)
-            assert is_dyadic(rnd.conditional)
-        assert dec.residual_after(12).total == Fraction(1, 1 << 12)
+        e = KeyAgreeEngine(corpus_pmf)
+        for w in range(1, 13):
+            assert is_dyadic(e.round_conditional(w))
+            taken = sum((removed(e, w, i) for i in range(len(corpus_pmf))), Fraction(0))
+            assert taken == Fraction(1, 1 << w)
+        assert sum(e.residual(), Fraction(0)) == Fraction(1, 1 << 12)
 
     def test_codewords_full_prefix_free_on_support(self, corpus_pmf):
         """Each round's codeword set is a full prefix-free codebook, with
         codeword lengths the negative logs of the conditional masses."""
-        dec = decompose(corpus_pmf)
-        for rnd in dec.rounds(10):
-            book = PrefixCodebook(tuple(rnd.codewords.values()))
+        e = KeyAgreeEngine(corpus_pmf)
+        for w in range(1, 11):
+            codes = codewords(e, w)
+            book = PrefixCodebook(tuple(codes.values()))
             assert book.is_full
-            for i, code in rnd.codewords.items():
-                assert len(code) == dyadic_exponent(rnd.conditional.masses[i])
+            conditional = e.round_conditional(w)
+            for i, code in codes.items():
+                assert len(code) == dyadic_exponent(conditional.masses[i])
 
     def test_geometric_weight_entropy_is_two(self):
         assert ROUND_WEIGHT_ENTROPY == 2
@@ -95,29 +122,33 @@ class TestDecomposition:
     def test_two_symbol_uniform_rounds_are_alternating_points(self):
         # a dyadic uniform pair never splits both symbols in one round:
         # round 1 takes all of symbol 0, round 2 all of symbol 1
-        rounds = decompose(CORPUS["uniform2"]).rounds(2)
-        assert rounds[0].codewords == {0: ""}
-        assert rounds[1].codewords == {1: ""}
+        e = KeyAgreeEngine(CORPUS["uniform2"])
+        assert codewords(e, 1) == {0: ""}
+        assert codewords(e, 2) == {1: ""}
 
     def test_uniform_pair_conditional_gets_single_bit_codewords(self):
-        conditional = pmf("1/2", "1/2")
-        assert assign_codewords(conditional, (0, 1)) == {0: "0", 1: "1"}
+        # round 1 of uniform3 has the conditional (1/2, 1/2, 0)
+        e = KeyAgreeEngine(CORPUS["uniform3"])
+        assert e.round_conditional(1).masses == (Fraction(1, 2), Fraction(1, 2), 0)
+        assert codewords(e, 1) == {0: "0", 1: "1"}
 
     def test_cycle_detected_for_uniform3(self):
-        dec = decompose(CORPUS["uniform3"])
-        dec.rounds(8)
-        assert dec.cycle is not None
+        p = CORPUS["uniform3"]
+        # after two rounds the residual is the source scaled by 2**-2, so
+        # the rounds repeat with period 2 from the start
+        assert residual_after(p, 2) == tuple(m / 4 for m in p.masses)
         # rounds alternate: split a,b then close out c
-        r = dec.rounds(4)
-        assert r[0].codewords == {0: "0", 1: "1"}
-        assert r[1].codewords == {2: ""}
-        assert r[2].codewords == {0: "0", 1: "1"}
-        assert r[3].codewords == {2: ""}
+        e = KeyAgreeEngine(p)
+        assert codewords(e, 1) == {0: "0", 1: "1"}
+        assert codewords(e, 2) == {2: ""}
+        for w in range(3, 9):
+            assert codewords(e, w) == codewords(e, w - 2)
 
     def test_dyadic_source_terminates_in_point_rounds(self):
         # (1/2, 1/4, 1/4): every round removes one whole symbol
-        for rnd in decompose(CORPUS["dyadic3"]).rounds(6):
-            assert list(rnd.codewords.values()) == [""]
+        e = KeyAgreeEngine(CORPUS["dyadic3"])
+        for w in range(1, 7):
+            assert list(codewords(e, w).values()) == [""]
 
 
 class TestAlgorithmTrace:
@@ -129,21 +160,24 @@ class TestAlgorithmTrace:
     (chunk 1/8), then symbol 0 (chunk 1/8)."""
 
     def test_round_one(self):
-        rnd = decompose(CORPUS["tenths"]).round(1)
-        assert rnd.removed(0) == Fraction(1, 4)
-        assert rnd.removed(1) == Fraction(1, 4)
-        assert rnd.removed(2) == 0 and rnd.removed(3) == 0
-        assert rnd.codewords == {0: "0", 1: "1"}
+        e = KeyAgreeEngine(CORPUS["tenths"])
+        assert removed(e, 1, 0) == Fraction(1, 4)
+        assert removed(e, 1, 1) == Fraction(1, 4)
+        assert removed(e, 1, 2) == 0 and removed(e, 1, 3) == 0
+        assert codewords(e, 1) == {0: "0", 1: "1"}
 
     def test_round_two(self):
-        rnd = decompose(CORPUS["tenths"]).round(2)
-        assert rnd.removed(2) == Fraction(1, 8)
-        assert rnd.removed(0) == Fraction(1, 8)
-        assert rnd.codewords == {2: "0", 0: "1"}
+        e = KeyAgreeEngine(CORPUS["tenths"])
+        assert removed(e, 2, 2) == Fraction(1, 8)
+        assert removed(e, 2, 0) == Fraction(1, 8)
+        assert codewords(e, 2) == {2: "0", 0: "1"}
+        assert residual_after(CORPUS["tenths"], 1) == (
+            Fraction(3, 20), Fraction(1, 20), Fraction(1, 5), Fraction(1, 10)
+        )
 
     def test_rounds_are_cached_values(self):
-        dec = decompose(CORPUS["tenths"])
-        assert dec.round(3) is dec.round(3)
+        e = KeyAgreeEngine(CORPUS["tenths"])
+        assert e.round(3) is e.round(3)
 
 
 class TestKnuthYao:
@@ -186,13 +220,18 @@ class TestKnuthYao:
 
 
 def test_decompose_rejects_bad_depth():
-    dec = decompose(CORPUS["thirds"])
+    e = KeyAgreeEngine(CORPUS["thirds"])
     with pytest.raises(ValidationError):
-        dec.residual_after(-1)
+        e.round(0)
+    with pytest.raises(ValidationError):
+        decomposition_document(e, -1)
 
 
 def test_lazy_extension_is_idempotent():
-    dec = decompose(CORPUS["sevenths"])
-    first = dec.rounds(6)
-    again = decompose(CORPUS["sevenths"]).rounds(6)
-    assert [r.codewords for r in first] == [r.codewords for r in again]
+    # one round at a time, or six at once, from independent engines
+    stepwise = KeyAgreeEngine(CORPUS["sevenths"])
+    first = [codewords(stepwise, w) for w in range(1, 7)]
+    at_once = KeyAgreeEngine(CORPUS["sevenths"])
+    at_once.ensure(6)
+    assert [codewords(at_once, w) for w in range(1, 7)] == first
+    assert stepwise.residual() == at_once.residual()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey.dyadic import decompose
+from stopkey.common import engine_for
 from stopkey.errors import FormatError
 from stopkey.formats import (
     decomposition_document,
@@ -199,7 +199,7 @@ class TestVerdictDocuments:
 
 class TestDecompositionDocuments:
     def test_uniform3_dump(self):
-        doc = decomposition_document(decompose(CORPUS["uniform3"]), 4)
+        doc = decomposition_document(engine_for(CORPUS["uniform3"]), 4)
         assert doc["alphabet"] == ["0", "1", "2"]
         assert doc["tail"] == "1/16"
         assert [r["w"] for r in doc["rounds"]] == [1, 2, 3, 4]
@@ -209,7 +209,7 @@ class TestDecompositionDocuments:
         assert doc["rounds"][0]["conditional"] == ["1/2", "1/2", "0"]
 
     def test_codewords_keyed_by_label(self):
-        doc = decomposition_document(decompose(CORPUS["tenths"]), 2)
+        doc = decomposition_document(engine_for(CORPUS["tenths"]), 2)
         assert doc["rounds"][1]["codewords"] == {"2": "0", "0": "1"}
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey import formats
+from stopkey import formats, harness
 from stopkey.errors import InvariantError, ValidationError
 from stopkey.harness import (
     METHODOLOGY,
@@ -393,6 +393,18 @@ class TestRunSimulation:
             == "vacuous"
         )
         assert rep.data["status"] == "ok"
+
+    def test_fairness_tests_run_once_per_report(self, monkeypatch):
+        calls = []
+
+        def counted(samples, alpha=0.01):
+            calls.append(len(samples))
+            return fairness_test(samples, alpha)
+
+        monkeypatch.setattr(harness, "fairness_test", counted)
+        rep = run_simulation(_common_cfg())
+        assert calls == [300]
+        assert rep.data["fairness"] == rep.data["eavesdropper"]["fairness"]
 
     def test_reports_are_seed_deterministic(self):
         a = run_simulation(_common_cfg()).to_json()

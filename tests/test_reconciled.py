@@ -12,6 +12,7 @@ from stopkey.errors import (
 )
 from stopkey.keylaws import verify_rsbs
 from stopkey.probability import JointPmf, Pmf, agreement_stats, entropy
+from stopkey import reconciled
 from stopkey.randomsource import RandomSource
 from stopkey.reconciled import (
     AlmostCommonRun,
@@ -189,6 +190,46 @@ class TestAlmostCommonKeygen:
             almost_common_keygen(
                 WORKED_JOINT, "0", "0", 0, SEPARATING, RandomSource("mm")
             )
+
+    def test_fallback_runs_are_enumerated_paths(self, monkeypatch):
+        # bucket 1 holds a, b, c; c has no diagonal mass, so Bob holding c
+        # pins round 1 and Alice holding c emits the round's first codeword
+        j = joint(
+            [
+                ["9/48", "2/48", "3/48", "1/48"],
+                ["2/48", "6/48", "2/48", "1/48"],
+                ["3/48", "2/48", "0", "2/48"],
+                ["1/48", "1/48", "2/48", "11/48"],
+            ],
+            "abcd",
+            "abcd",
+        )
+        h = HashFunction(("a", "b", "c", "d"), (1, 1, 1, 2), 2)
+        enumerated = set()
+        stage2_keys = reconciled._stage2_keys
+
+        def record(eng, p_star, xi, yi, w2):
+            keys = stage2_keys(eng, p_star, xi, yi, w2)
+            enumerated.add((p_star.labels[xi], p_star.labels[yi], w2) + keys)
+            return keys
+
+        monkeypatch.setattr(reconciled, "_stage2_keys", record)
+        analysis = analyze_almost_common(j, h, w_max=30)
+        monkeypatch.undo()
+        rng = RandomSource("stage2-paths")
+        fallbacks = set()
+        for ix, iy, _ in j.atoms():
+            x, y = j.x_labels[ix], j.y_labels[iy]
+            for t in range(20):
+                run = almost_common_keygen(j, x, y, 2, h, rng.substream(x, y, t))
+                if run.erred:
+                    continue
+                assert (x, y, run.w2, run.key_a, run.key_b) in enumerated
+                law = dict(analysis.transcript_laws[(run.w1, run.w2)].atoms)
+                assert law.get(run.ideal_key, 0) > 0
+                if "c" in (x, y):
+                    fallbacks.add("bob" if y == "c" else "alice")
+        assert fallbacks == {"alice", "bob"}
 
     def test_abort_run_record_rejects_nonempty_keys(self):
         with pytest.raises(InvariantError):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, Sequence
 
-from .common import engine_for
+from .common import KeyAgreeEngine, engine_for
 from .dyadic import KnuthYaoSampler
 from .errors import (
     InvariantError,
@@ -186,7 +186,7 @@ class AlmostCommonRun:
         return _stage2_records(self.w1, self.w2)
 
 
-def _stage2_keys(eng, p_star: Pmf, xi: int, yi: int, w2: int) -> tuple[str, str]:
+def _stage2_keys(eng: KeyAgreeEngine, xi: int, yi: int, w2: int) -> tuple[str, str]:
     """(key_a, key_b) once Bob announces round w2 on the bucket conditional.
 
     Each party emits its symbol's round-w2 codeword; a party whose symbol
@@ -195,7 +195,7 @@ def _stage2_keys(eng, p_star: Pmf, xi: int, yi: int, w2: int) -> tuple[str, str]
     """
 
     def key(i: int) -> str:
-        code = eng.codeword(w2, i) if p_star.masses[i] > 0 else None
+        code = eng.codeword(w2, i)
         return eng.first_codeword(w2) if code is None else code
 
     return key(xi), key(yi)
@@ -230,7 +230,7 @@ def almost_common_keygen(
     yi = p_star.index(y)
     # W is the only draw; everything after it is _stage2_keys
     w2 = eng.alice(yi, rng)[1] if p_star.masses[yi] > 0 else 1
-    key_a, key_b = _stage2_keys(eng, p_star, p_star.index(x), yi, w2)
+    key_a, key_b = _stage2_keys(eng, p_star.index(x), yi, w2)
     ideal = key_a if x == y else ""
     return AlmostCommonRun(x, y, w1, w2, key_a, key_b, ideal)
 
@@ -335,7 +335,7 @@ def analyze_almost_common(
         seen = ZERO
         for w2, q in rounds:
             seen += q
-            key_a, key_b = _stage2_keys(eng, p_star, xi, yi, w2)
+            key_a, key_b = _stage2_keys(eng, xi, yi, w2)
             ideal = key_a if same else ""
             law_add((w1, w2), ideal, mass * q)
             if key_a == key_b == ideal:

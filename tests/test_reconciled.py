@@ -208,9 +208,10 @@ class TestAlmostCommonKeygen:
         enumerated = set()
         stage2_keys = reconciled._stage2_keys
 
-        def record(eng, p_star, xi, yi, w2):
-            keys = stage2_keys(eng, p_star, xi, yi, w2)
-            enumerated.add((p_star.labels[xi], p_star.labels[yi], w2) + keys)
+        def record(eng, xi, yi, w2):
+            keys = stage2_keys(eng, xi, yi, w2)
+            labels = eng.pmf.labels
+            enumerated.add((labels[xi], labels[yi], w2) + keys)
             return keys
 
         monkeypatch.setattr(reconciled, "_stage2_keys", record)

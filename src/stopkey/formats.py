@@ -21,6 +21,7 @@ Document shapes:
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -238,9 +239,23 @@ def pointwise_verdict_document(v: PointwiseVerdict) -> dict:
 
 
 def decomposition_document(engine: KeyAgreeEngine, upto: int) -> dict:
-    """Per-round dump to depth ``upto``, diffable against any oracle."""
+    """Per-round dump to depth ``upto``, diffable against any oracle.
+
+    Round weights print as 1/2**w, so a depth whose 2**upto exceeds the
+    interpreter's int-to-str digit limit is refused before any round is
+    built.
+    """
     if upto < 0:
         raise ValidationError("depth must be nonnegative")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2**upto has fewer than upto digits, so only a deeper dump can overflow
+    if limit and upto > limit:
+        deepest = (10**limit).bit_length() - 1
+        if upto > deepest:
+            raise ValidationError(
+                f"depth {upto} exceeds {deepest}: deeper round weights have "
+                f"more than {limit} digits, the int-to-str limit"
+            )
     labels = engine.pmf.labels
     rounds = []
     for w in range(1, upto + 1):

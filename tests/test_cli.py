@@ -1,10 +1,12 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
 from stopkey import formats
 from stopkey.cli import main
+from stopkey.common import KeyAgreeEngine
 from stopkey.randomsource import RandomSource
 
 from conftest import CORPUS, WORKED_JOINT, random_rational_pmf
@@ -80,6 +82,35 @@ class TestDecompose:
                 assert main(argv) == 0
                 digest.update(capsys.readouterr().out.encode())
         assert {form: d.hexdigest() for form, d in digests.items()} == DUMP_PIN
+
+    def test_unprintable_depth_fails_before_building(self, dist_file, monkeypatch, capsys):
+        # 2**15000 has 4516 digits, past the default 4300-digit limit
+        built = []
+        raw = KeyAgreeEngine._advance
+
+        def counting(self):
+            built.append(1)
+            return raw(self)
+
+        monkeypatch.setattr(KeyAgreeEngine, "_advance", counting)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        assert main(["decompose", "--dist", dist_file, "--w-max", "15000"]) == 3
+        assert "exceeds 14284" in capsys.readouterr().err
+        assert built == []
+
+    def test_deepest_printable_depth_still_dumps(self, tmp_path, capsys):
+        # at a 640-digit limit the deepest printable weight is 2**-2126
+        path = str(tmp_path / "thirds.json")
+        formats.write_document(formats.pmf_document(CORPUS["thirds"]), path)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["decompose", "--dist", path, "--w-max", "2127"]) == 3
+            capsys.readouterr()
+            assert main(["decompose", "--dist", path, "--w-max", "2126"]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().out.endswith(f"tail: 1/{1 << 2126}\n")
 
 
 class TestKeygenCommon:

@@ -17,7 +17,7 @@ indexing; every mass-sensitive operation skips them explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +25,6 @@ from .errors import ValidationError
 
 __all__ = [
     "Pmf",
-    "SubPmf",
     "JointPmf",
     "AgreementStats",
     "entropy",
@@ -70,16 +69,26 @@ def _check_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
     return labels
 
 
+def _state_without_hash(obj) -> dict:
+    """Pickle state of a content-hashed dataclass, minus the cached hash:
+    str hashes differ between processes, so the receiver recomputes it."""
+    return {k: v for k, v in vars(obj).items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
 class Pmf:
     """A probability mass function over an ordered finite alphabet.
 
     Masses are exact rationals, each in [0, 1], summing to exactly 1.
     Zero masses are allowed and retained (the symbol stays addressable).
+    Pmfs key the engine and stage caches, so the content hash is computed
+    once, on first use, and kept in ``_hash``; equality, ``repr`` and
+    pickling leave that slot out.
     """
 
     labels: tuple[str, ...]
     masses: tuple[Fraction, ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.masses:
@@ -96,6 +105,15 @@ class Pmf:
                 f"pmf masses sum to {total}, not 1 (deficit {1 - total})"
             )
         _check_labels(self.labels, len(self.masses))
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.labels, self.masses))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_hash
 
     @classmethod
     def from_masses(cls, masses: Iterable, labels: Sequence[str] | None = None) -> "Pmf":
@@ -118,56 +136,6 @@ class Pmf:
         """Indices with positive mass, in alphabet order."""
         return tuple(i for i, m in enumerate(self.masses) if m > 0)
 
-    def sub(self) -> "SubPmf":
-        """This pmf viewed as a sub-pmf with zero deficiency."""
-        return SubPmf(self.labels, self.masses, ZERO)
-
-
-@dataclass(frozen=True)
-class SubPmf:
-    """A defective pmf: nonnegative masses plus the missing mass (deficiency).
-
-    Mass sum and deficiency must total exactly 1. Residuals of a partial
-    dyadic decomposition live here: after round w the masses total 2**-w.
-    """
-
-    labels: tuple[str, ...]
-    masses: tuple[Fraction, ...]
-    deficiency: Fraction
-
-    def __post_init__(self) -> None:
-        if not self.masses:
-            raise ValidationError("alphabet must be nonempty")
-        total = ZERO
-        for m in self.masses:
-            if not isinstance(m, Fraction):
-                raise ValidationError("SubPmf masses must be Fractions")
-            if m < 0:
-                raise ValidationError(f"negative mass {m}")
-            total += m
-        if total + self.deficiency != 1:
-            raise ValidationError(
-                f"masses ({total}) plus deficiency ({self.deficiency}) must equal 1"
-            )
-        _check_labels(self.labels, len(self.masses))
-
-    @property
-    def total(self) -> Fraction:
-        return 1 - self.deficiency
-
-    def mass(self, index: int) -> Fraction:
-        return self.masses[index]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.masses) if m > 0)
-
-    def normalized(self) -> Pmf:
-        """The conditional pmf given the surviving mass; total must be positive."""
-        t = self.total
-        if t <= 0:
-            raise ValidationError("cannot normalize a sub-pmf with zero total mass")
-        return Pmf(self.labels, tuple(m / t for m in self.masses))
-
 
 @dataclass(frozen=True)
 class JointPmf:
@@ -175,11 +143,13 @@ class JointPmf:
 
     ``masses[ix][iy]`` is P(X = x_labels[ix], Y = y_labels[iy]). The two
     alphabets may differ; equality of realizations is equality of labels.
+    As for ``Pmf``, the content hash is computed once and kept in ``_hash``.
     """
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
     masses: tuple[tuple[Fraction, ...], ...]
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nx, ny = len(self.x_labels), len(self.y_labels)
@@ -201,6 +171,15 @@ class JointPmf:
             )
         _check_labels(self.x_labels, nx)
         _check_labels(self.y_labels, ny)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.x_labels, self.y_labels, self.masses))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_hash
 
     @classmethod
     def from_rows(
@@ -302,7 +281,7 @@ def dyadic_exponent(m) -> int | None:
 
 def is_dyadic(p) -> bool:
     """True if every nonzero mass is a nonnegative power of 1/2."""
-    masses = p.masses if isinstance(p, (Pmf, SubPmf)) else tuple(as_fraction(m) for m in p)
+    masses = p.masses if isinstance(p, Pmf) else tuple(as_fraction(m) for m in p)
     return all(m == 0 or dyadic_exponent(m) is not None for m in masses)
 
 
@@ -358,7 +337,7 @@ def log2_interval(r, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
 
 
 def _mass_list(p) -> tuple[Fraction, ...]:
-    if isinstance(p, (Pmf, SubPmf)):
+    if isinstance(p, Pmf):
         return p.masses
     if isinstance(p, JointPmf):
         return p.flat_masses()

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, Sequence
@@ -36,6 +36,7 @@ from .probability import (
     ZERO,
     JointPmf,
     Pmf,
+    _state_without_hash,
     agreement_stats,
     entropy,
     entropy_interval,
@@ -62,13 +63,15 @@ class HashFunction:
 
     ``values[i]`` is the bucket of ``labels[i]``. Provenance records how
     the table was produced: derandomized tables are "fixed", uniformly
-    drawn ones "random-seeded".
+    drawn ones "random-seeded". Tables key the stage-two caches, so the
+    content hash is computed once and kept in ``_hash``.
     """
 
     labels: tuple[str, ...]
     values: tuple[int, ...]
     m: int
     provenance: str = "fixed"
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -82,6 +85,15 @@ class HashFunction:
         for v in self.values:
             if not isinstance(v, int) or not 1 <= v <= self.m:
                 raise ValidationError(f"bucket value {v!r} outside 1..{self.m}")
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.labels, self.values, self.m, self.provenance))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    __getstate__ = _state_without_hash
 
     def __call__(self, label: str) -> int:
         try:
@@ -564,6 +576,11 @@ class OneWayHashReconciler(Reconciler):
     stream. Bob outputs the sketch-consistent symbol with the highest
     posterior given his y (ties to the smallest alphabet index); M_A is
     x itself.
+
+    The conditional joint depends only on the source and the transcript,
+    so it is built once per (source, transcript) and memoized: every
+    later trial on that transcript gets the same ``JointPmf`` object, and
+    the stage-two caches keyed by it hit on identity.
     """
 
     name = "one-way-hash"
@@ -574,6 +591,7 @@ class OneWayHashReconciler(Reconciler):
         self.bits = int(bits)
         self.seed = seed
         self._tables: dict[tuple[str, ...], dict[str, int]] = {}
+        self._joints: dict[tuple[JointPmf, Transcript], JointPmf] = {}
 
     def sketch_table(self, j: JointPmf) -> dict[str, int]:
         table = self._tables.get(j.x_labels)
@@ -620,6 +638,16 @@ class OneWayHashReconciler(Reconciler):
         )
 
     def conditional_joint(self, j, transcript):
+        cj = self._joints.get((j, transcript))
+        if cj is None:
+            # only a successful build is stored; racing builders all
+            # return the first one stored
+            cj = self._joints.setdefault(
+                (j, transcript), self._build_conditional(j, transcript)
+            )
+        return cj
+
+    def _build_conditional(self, j: JointPmf, transcript: Transcript) -> JointPmf:
         if len(transcript) != 1 or transcript[0][:2] != ("alice", "sketch"):
             raise ValidationError(f"unrecognized transcript {transcript!r}")
         s = transcript[0][2]

@@ -5,6 +5,9 @@ dyadic pmfs (whose keys collapse to the empty string), the two-symbol
 cycling case, richer non-dyadic sources, and degenerate point masses.
 """
 
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -71,3 +74,29 @@ CORRELATED_3 = joint(
     ("a", "b", "c"),
     ("a", "b", "c"),
 )
+
+
+def run_threads(target, n_threads: int = 8, timeout: float = 4.0) -> list[Exception]:
+    """Run ``target`` on daemon threads with a tiny switch interval, so the
+    interpreter preempts them mid-update; returns what they raised."""
+    raised: list[Exception] = []
+
+    def run():
+        try:
+            target()
+        except Exception as exc:
+            raised.append(exc)
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + timeout
+        for t in threads:
+            t.join(max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "threads still running"
+    return raised

@@ -1,6 +1,3 @@
-import sys
-import threading
-import time
 from fractions import Fraction
 
 import pytest
@@ -19,7 +16,7 @@ from stopkey.keylaws import verify_rsbs
 from stopkey.probability import dyadic_exponent
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, pmf, random_rational_pmf
+from conftest import CORPUS, pmf, random_rational_pmf, run_threads
 from literal_oracle import keyagree_literal, uniform_below
 
 
@@ -293,32 +290,6 @@ class TestEngineCache:
             assert e.round_weight(0, w) == dist.get(w, Fraction(0))
 
 
-def _run_threads(target, n_threads: int = 8, timeout: float = 4.0) -> list[Exception]:
-    """Run ``target`` on daemon threads with a tiny switch interval, so the
-    interpreter preempts them mid-update; returns what they raised."""
-    raised: list[Exception] = []
-
-    def run():
-        try:
-            target()
-        except Exception as exc:
-            raised.append(exc)
-
-    threads = [threading.Thread(target=run, daemon=True) for _ in range(n_threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        deadline = time.monotonic() + timeout
-        for t in threads:
-            t.join(max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads), "threads still running"
-    return raised
-
-
 class TestThreadSafety:
     """engine_for shares one engine per pmf across the process."""
 
@@ -328,7 +299,7 @@ class TestThreadSafety:
         ref.ensure(40)
         for _ in range(3):
             e = KeyAgreeEngine(p)
-            assert _run_threads(lambda: e.ensure(40)) == []
+            assert run_threads(lambda: e.ensure(40)) == []
             # exactly 40 rounds built, each equal to the serial build
             assert e.residual() == ref.residual()
             for w in range(1, 41):
@@ -342,7 +313,7 @@ class TestThreadSafety:
         want.entry(30, ref, 0)
         for _ in range(5):
             e = KeyAgreeEngine(p)
-            assert _run_threads(lambda: e._walk(0).entry(30, e, 0)) == []
+            assert run_threads(lambda: e._walk(0).entry(30, e, 0)) == []
             walk = e._walk(0)
             assert walk.rounds[:31] == want.rounds[:31]
             assert walk.thresholds[:31] == want.thresholds[:31]

@@ -1,8 +1,13 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import CORPUS, diag_joint, joint, pmf, product_joint, random_rational_pmf
+from stopkey.common import engine_for
 from stopkey.errors import ValidationError
 from stopkey.probability import (
     JointPmf,
@@ -20,6 +25,7 @@ from stopkey.probability import (
     mutual_information_interval,
 )
 from stopkey.randomsource import RandomSource
+from stopkey.reconciled import HashFunction
 
 
 class TestPmf:
@@ -54,10 +60,74 @@ class TestPmf:
         with pytest.raises(ValidationError):
             p.index("zz")
 
-    def test_sub_deficiency_accounting(self):
-        s = pmf("1/2", "1/2").sub()
-        assert s.total == 1
-        assert s.normalized().masses == (Fraction(1, 2), Fraction(1, 2))
+
+class TestContentHash:
+    def test_pmf_hashes_its_masses_once(self, monkeypatch):
+        n = 1000
+        p = Pmf.from_masses(Fraction(2 * i, n * (n + 1)) for i in range(1, n + 1))
+        calls = []
+        raw = Fraction.__hash__
+
+        def counting(self):
+            calls.append(1)
+            return raw(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting)
+        assert hash(p) == hash(p)
+        assert len(calls) == n
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Pmf.from_masses(["1/3", "2/3"], ["a", "b"]),
+            lambda: joint([["1/2", "0"], ["1/4", "1/4"]], "01", "01"),
+            lambda: HashFunction(("a", "b", "c"), (1, 2, 1), 2),
+        ],
+        ids=["Pmf", "JointPmf", "HashFunction"],
+    )
+    def test_equal_content_hashes_equal_and_hides_the_cache(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert hash(a) == hash(b)
+        fresh = make()
+        assert a == fresh and fresh == a  # one cached hash, one not yet
+        assert "_hash" not in repr(a)
+        assert repr(a) == repr(fresh)
+        copy = dataclasses.replace(a)
+        assert copy == a and hash(copy) == hash(a)
+
+    def test_replace_does_not_carry_a_stale_hash(self):
+        p = Pmf.from_masses(["1/3", "2/3"], ["a", "b"])
+        hash(p)
+        q = dataclasses.replace(p, labels=("c", "d"))
+        assert hash(q) == hash(Pmf.from_masses(["1/3", "2/3"], ["c", "d"]))
+        assert q != p
+
+    def test_pickled_objects_rehash_in_another_process(self, tmp_path):
+        # str hashes are seeded per process; a cached hash must not travel
+        path = str(tmp_path / "objs.pkl")
+        make = (
+            "from stopkey.probability import Pmf, JointPmf\n"
+            "from stopkey.reconciled import HashFunction\n"
+            "objs = (Pmf.from_masses(['1/3', '2/3'], ['a', 'b']),\n"
+            "        JointPmf.from_rows([['1/2', '0'], ['1/4', '1/4']], 'ab', 'ab'),\n"
+            "        HashFunction(('a', 'b'), (1, 2), 2))\n"
+        )
+        dump = make + f"import pickle; [hash(o) for o in objs]; pickle.dump(objs, open({path!r}, 'wb'))"
+        load = make + (
+            f"import pickle; got = pickle.load(open({path!r}, 'rb'))\n"
+            "assert got == objs and [hash(o) for o in got] == [hash(o) for o in objs]\n"
+            "assert all(o in set(objs) for o in got)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for seed, code in (("1", dump), ("2", load)):
+            env["PYTHONHASHSEED"] = seed
+            subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_equal_pmfs_share_one_engine(self):
+        a = Pmf.from_masses(["1/6", "1/3", "1/2"], ["u", "v", "w"])
+        b = Pmf.from_masses(["1/6", "1/3", "1/2"], ["u", "v", "w"])
+        assert engine_for(a) is engine_for(b)
 
 
 class TestJointPmf:

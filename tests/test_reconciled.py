@@ -39,7 +39,7 @@ from stopkey.reconciled import (
     union_alphabet,
 )
 
-from conftest import CORRELATED_3, WORKED_JOINT, diag_joint, joint, pmf
+from conftest import CORRELATED_3, WORKED_JOINT, diag_joint, joint, pmf, run_threads
 
 
 SEPARATING = HashFunction(("0", "1"), (1, 2), 2)
@@ -407,8 +407,43 @@ class TestReconcilers:
 
     def test_unrecognized_transcript_rejected(self):
         r = OneWayHashReconciler(1, 0)
-        with pytest.raises(ValidationError):
-            r.conditional_joint(CORRELATED_3, (("bob", "sketch", 0),))
+        # failed builds are not memoized: each call raises again
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                r.conditional_joint(CORRELATED_3, (("bob", "sketch", 0),))
+            with pytest.raises(ValidationError, match="zero probability"):
+                r.conditional_joint(CORRELATED_3, (("alice", "sketch", 5),))
+
+    def test_sketch_conditional_joint_is_built_once_per_transcript(self, monkeypatch):
+        built = []
+        raw = JointPmf.from_atoms.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(1)
+            return raw(cls, *args, **kwargs)
+
+        monkeypatch.setattr(JointPmf, "from_atoms", classmethod(counting))
+        r = OneWayHashReconciler(1, 0)
+        rng = RandomSource("sketch-memo")
+        runs = [correlated_keygen(CORRELATED_3, r, 2, rng) for _ in range(200)]
+        transcripts = {run.stage1_transcript for run in runs}
+        realizable = [t for t, wt in r.transcript_weights(CORRELATED_3) if wt > 0]
+        assert transcripts <= set(realizable)
+        assert len(built) <= len(realizable)
+        for t in realizable:
+            assert r.conditional_joint(CORRELATED_3, t) is r.conditional_joint(
+                CORRELATED_3, t
+            )
+
+    def test_concurrent_first_calls_share_one_conditional_joint(self):
+        t = (("alice", "sketch", 1),)
+        for _ in range(5):
+            r = OneWayHashReconciler(1, 0)
+            got = []
+            assert run_threads(lambda: got.append(r.conditional_joint(CORRELATED_3, t))) == []
+            assert len(got) == 8
+            assert all(cj is got[0] for cj in got)
+            assert got[0] is r.conditional_joint(CORRELATED_3, t)
 
 
 class _DivergingReconciler(Reconciler):

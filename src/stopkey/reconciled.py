@@ -638,13 +638,12 @@ class OneWayHashReconciler(Reconciler):
         )
 
     def conditional_joint(self, j, transcript):
-        cj = self._joints.get((j, transcript))
+        key = (j, transcript)
+        cj = self._joints.get(key)
         if cj is None:
             # only a successful build is stored; racing builders all
             # return the first one stored
-            cj = self._joints.setdefault(
-                (j, transcript), self._build_conditional(j, transcript)
-            )
+            cj = self._joints.setdefault(key, self._build_conditional(j, transcript))
         return cj
 
     def _build_conditional(self, j: JointPmf, transcript: Transcript) -> JointPmf:

@@ -9,12 +9,27 @@ from stopkey.cli import main
 from stopkey.common import KeyAgreeEngine
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, WORKED_JOINT, random_rational_pmf
+from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, random_rational_pmf
 
 # sha256 of the concatenated decompose dumps in TestDecompose.test_dump_bytes_are_pinned
 DUMP_PIN = {
     "text": "af63daf6a417addb2e4d015f69789801f105b69bd5cd711133f24acd0c8bac46",
     "structured": "7ffc81a3587932c00ea8fee2427159d9eba7ea0e8d59a51829e1b158288bb43c",
+}
+
+# sha256 of each output in TestTrialOutputPins, at 300 trials on CORRELATED_3
+# (m = 2) or tenths and seed 5; every 0-error interval there already reads 0.0
+TRIAL_PINS = {
+    "keygen-almost derandomized": "3f4c0edc6c77f4e0d37ca7cf825b9b3b0df22a0a1858c1472f086ff665af75a5",
+    "keygen-almost random": "8e295d2a1041a116585a664be28f34fc78b5d8ef601e286f34c4ffc66abe1c63",
+    "keygen-correlated hashmap": "3b0f3633e2b3400992c6a9c3c24bc52e2c66f98784232d8875c3354228ddb11b",
+    "keygen-correlated constant": "b53d2f2a45d3ae62f0011855282e813bbf12defbf8b0da6fa9306db9bdd90acd",
+    "simulate common structured": "3dc3caf3cfed185666e03983dfbf3418f5eed5b2621b668b680329c46f330e27",
+    "simulate common text": "fc920328d93fd35c618bc3082f1bde5bd452a3c0ab37263896ba44f06c836d80",
+    "simulate almost structured": "f9c54dd2eafefd38c39179035b7c92f73f87497e3d37532aa9497be059f962fe",
+    "simulate almost text": "9c850378ea528489d3e417a55ec0b44e5d38d1362769ddfc5ccd5977115bd08a",
+    "simulate correlated structured": "15a3adf477030690b3a75273126ab6167ccc9280d57113b87e54953a277695cb",
+    "simulate correlated text": "2dbf57ebeafd90081f18c3172087c473da5940a6dc328458189e85b24b854503",
 }
 
 
@@ -30,6 +45,20 @@ def joint_file(tmp_path):
     path = str(tmp_path / "worked.json")
     formats.write_document(formats.joint_document(WORKED_JOINT), path)
     return path
+
+
+@pytest.fixture()
+def corr_file(tmp_path):
+    path = str(tmp_path / "corr3.json")
+    formats.write_document(formats.joint_document(CORRELATED_3), path)
+    return path
+
+
+def _output(argv, capsys) -> str:
+    main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
 
 
 @pytest.fixture()
@@ -209,6 +238,66 @@ class TestKeygenCorrelated:
             ]
         ) == 3
         assert "error:" in capsys.readouterr().err
+
+
+class TestTrialOutputPins:
+    """Run logs and reports of every protocol, frozen byte for byte."""
+
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # reports echo the source path, so it must not depend on tmp_path
+        monkeypatch.chdir(tmp_path)
+        formats.write_document(formats.pmf_document(CORPUS["tenths"]), "tenths.json")
+        formats.write_document(formats.joint_document(CORRELATED_3), "corr3.json")
+        dist_file = "tenths.json"
+        base = ["--trials", "300", "--seed", "5"]
+        structured = ["--format", "structured"]
+        joint = ["--joint", "corr3.json", "--m", "2"]
+        argvs = {
+            "keygen-almost derandomized": ["keygen-almost", *joint, *base, *structured],
+            "keygen-almost random": [
+                "keygen-almost", *joint, "--hash", "random:S", *base, *structured
+            ],
+            "keygen-correlated hashmap": [
+                "keygen-correlated", *joint, "--reconciler", "hashmap:1", *base, *structured
+            ],
+            "keygen-correlated constant": [
+                "keygen-correlated", *joint, "--reconciler", "constant", *base, *structured
+            ],
+        }
+        for form in ("structured", "text"):
+            tail = [*base, "--format", form]
+            argvs[f"simulate common {form}"] = ["simulate", "--dist", dist_file, *tail]
+            argvs[f"simulate almost {form}"] = [
+                "simulate", *joint, "--protocol", "almost", "--hash", "random:S", *tail
+            ]
+            argvs[f"simulate correlated {form}"] = [
+                "simulate", *joint, "--reconciler", "hashmap:1", *tail
+            ]
+        got = {
+            name: hashlib.sha256(_output(argv, capsys).encode()).hexdigest()
+            for name, argv in argvs.items()
+        }
+        assert got == TRIAL_PINS
+
+    @pytest.mark.parametrize(
+        "verb, options, protocol",
+        [
+            ("keygen-almost", [], "almost"),
+            ("keygen-almost", ["--hash", "random:S"], "almost"),
+            ("keygen-correlated", ["--reconciler", "identity"], "correlated"),
+            ("keygen-correlated", ["--reconciler", "hashmap:1"], "correlated"),
+            ("keygen-correlated", ["--reconciler", "constant"], "correlated"),
+        ],
+    )
+    def test_keygen_errors_match_simulate(self, verb, options, protocol, corr_file, capsys):
+        """A keygen verb plays exactly the trials simulate plays."""
+        common = ["--joint", corr_file, "--m", "1", "--trials", "300", "--seed", "5",
+                  "--format", "structured", *options]
+        log = json.loads(_output([verb, *common], capsys))
+        report = json.loads(_output(["simulate", "--protocol", protocol, *common], capsys))
+        assert log["errors"] == report["estimates"]["errors"]
+        if options in ([], ["--reconciler", "identity"]):
+            assert log["errors"] > 0
 
 
 class TestVerifyRsbs:

@@ -20,22 +20,14 @@ from .common import alice_keygen, bob_keygen, engine_for
 from .errors import StopkeyError
 from .harness import (
     ExperimentConfig,
-    Report,
+    ProtocolPlan,
+    agreed,
     bounds_dashboard,
-    parse_reconciler,
-    resolve_hash,
     run_simulation,
 )
 from .keylaws import verify_rsbs
-from .probability import JointPmf, Pmf
+from .probability import Pmf
 from .randomsource import RandomSource
-from .reconciled import (
-    HashFunction,
-    almost_common_keygen,
-    correlated_keygen,
-    sample_joint,
-    union_alphabet,
-)
 
 
 def _seed_value(text: str) -> int | str:
@@ -196,56 +188,26 @@ def _run_log_output(args, doc: dict) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _cmd_keygen_almost(args) -> int:
-    j = formats.load_joint(args.joint)
-    mode, table, hash_seed = resolve_hash(args.hash, j, args.m)
-    rng = RandomSource(args.seed)
+def _cmd_keygen_trials(args) -> int:
+    """keygen-almost and keygen-correlated: the trials simulate plays."""
+    protocol = args.verb[len("keygen-"):]
+    plan = ProtocolPlan(
+        protocol,
+        formats.load_joint(args.joint),
+        args.m,
+        args.seed,
+        hash_spec=getattr(args, "hash", None),
+        reconciler=getattr(args, "reconciler", "identity"),
+    )
     records = []
     errors = 0
-    for i in range(args.trials):
-        sub = rng.substream("trial", i)
-        if table is not None:
-            h = table
-        else:
-            h = HashFunction.random(
-                union_alphabet(j), args.m, RandomSource(hash_seed).substream("table", i)
-            )
-        x, y = sample_joint(j, sub.substream("source"))
-        run = almost_common_keygen(j, x, y, args.m, h, sub.substream("keys"))
-        errors += not run.agreed
-        records.append(
-            formats.run_record(run.transcript, run.key_a, run.key_b, run.ideal_key)
-        )
+    for run in plan.runs(args.trials):
+        errors += not agreed(run)
+        records.append(formats.run_record(*run))
     doc = {
-        "protocol": "almost",
+        "protocol": protocol,
         "m": args.m,
-        "hash_mode": mode,
-        "trials": args.trials,
-        "errors": errors,
-        "runs": records,
-    }
-    if table is not None:
-        doc["hash_table"] = formats.hash_function_document(table)
-    _run_log_output(args, doc)
-    return 0
-
-
-def _cmd_keygen_correlated(args) -> int:
-    j = formats.load_joint(args.joint)
-    rec = parse_reconciler(args.reconciler, args.seed)
-    rng = RandomSource(args.seed)
-    records = []
-    errors = 0
-    for i in range(args.trials):
-        run = correlated_keygen(j, rec, args.m, rng.substream("trial", i))
-        errors += not run.agreed
-        records.append(
-            formats.run_record(run.transcript, run.key_a, run.key_b, run.ideal_key)
-        )
-    doc = {
-        "protocol": "correlated",
-        "m": args.m,
-        "reconciler": args.reconciler,
+        **plan.header,
         "trials": args.trials,
         "errors": errors,
         "runs": records,
@@ -325,8 +287,6 @@ def _cmd_simulate(args) -> int:
         seed=args.seed,
         reconciler=args.reconciler,
         hash_spec=args.hash_spec,
-        out=args.out,
-        format=args.format,
     )
     report = run_simulation(cfg)
     text = report.to_json() if args.format == "structured" else report.render_text()
@@ -339,8 +299,8 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "decompose": _cmd_decompose,
         "keygen-common": _cmd_keygen_common,
-        "keygen-almost": _cmd_keygen_almost,
-        "keygen-correlated": _cmd_keygen_correlated,
+        "keygen-almost": _cmd_keygen_trials,
+        "keygen-correlated": _cmd_keygen_trials,
         "verify-rsbs": _cmd_verify_rsbs,
         "bounds": _cmd_bounds,
         "simulate": _cmd_simulate,

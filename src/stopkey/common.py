@@ -302,13 +302,6 @@ class KeyAgreeEngine:
                 out.append((w, Fraction(1, 1 << (w + length)) / px))
         return out
 
-    def round_key_law(self, w: int) -> KeyLaw:
-        """Conditional law of the key given W = w: the round codebook's law."""
-        rnd = self.round(w)
-        return KeyLaw.from_dict(
-            {s.code: Fraction(1, 1 << s.length) for s in rnd.selected}
-        )
-
     def round_conditional(self, w: int) -> Pmf:
         """Conditional pmf of X given W = w, over the full source alphabet."""
         rnd = self.round(w)

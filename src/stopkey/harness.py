@@ -19,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from . import formats
 from .common import engine_for, exact_common_law
@@ -71,7 +71,11 @@ def wilson_interval(successes: int, n: int, z: float = Z99) -> tuple[float, floa
     denom = 1.0 + z2 / n
     center = (ph + z2 / (2 * n)) / denom
     half = z * math.sqrt(ph * (1.0 - ph) / n + z2 / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    # the closed form puts the ends at exactly 0 and 1 when no trial (or
+    # every trial) succeeds; center - half can round to just above 0
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == n else min(1.0, center + half)
+    return lo, hi
 
 
 def mean_interval(samples: Sequence[float], z: float = Z99) -> tuple[float, float]:
@@ -376,8 +380,6 @@ class ExperimentConfig:
     seed: int | str = 0
     reconciler: str | None = None
     hash_spec: str | None = None
-    out: str | None = None
-    format: str = "text"
 
     def __post_init__(self) -> None:
         if self.protocol not in _PROTOCOLS:
@@ -390,8 +392,6 @@ class ExperimentConfig:
             raise ValidationError("w_max must be >= 1")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
-        if self.format not in ("text", "structured"):
-            raise ValidationError(f"unknown format {self.format!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -404,8 +404,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "reconciler": self.reconciler,
             "hash_spec": self.hash_spec,
-            "out": self.out,
-            "format": self.format,
         }
 
     @classmethod
@@ -567,16 +565,6 @@ def _diag_joint(p: Pmf) -> JointPmf:
     return JointPmf(p.labels, p.labels, rows)
 
 
-def _resolve_source(cfg: ExperimentConfig) -> Pmf | JointPmf:
-    if cfg.source_path is not None:
-        doc = formats.read_document(cfg.source_path)
-        if not isinstance(doc, dict):
-            raise ValidationError(f"{cfg.source_path}: expected an object document")
-    else:
-        doc = dict(cfg.source_doc)  # type: ignore[arg-type]
-    return formats.parse_source(doc)
-
-
 def parse_reconciler(spec: str, seed: int | str) -> Reconciler:
     """CLI reconciler spec: identity, constant, or hashmap:BITS."""
     if spec == "identity":
@@ -614,6 +602,89 @@ def resolve_hash(
     if spec.startswith("random:"):
         return "random", None, spec.split(":", 1)[1]
     raise ValidationError(f"unknown hash spec {spec!r}")
+
+
+class ProtocolPlan:
+    """One protocol on one source, ready to play seeded trials.
+
+    Built once per (protocol, source, m, seed, hash or reconciler spec):
+    it checks the source kind and the bucket count, resolves the spec,
+    and holds the header fields a report or run log prints for it. ``runs`` is the only place
+    a trial's substreams are derived, so reports and run logs for the
+    same seed play the same trials.
+    """
+
+    def __init__(
+        self,
+        protocol: str,
+        source: Pmf | JointPmf,
+        m: int,
+        seed: int | str,
+        *,
+        hash_spec: str | None = None,
+        reconciler: str = "identity",
+    ):
+        if protocol not in _PROTOCOLS:
+            raise ValidationError(f"unknown protocol {protocol!r}")
+        if m < 1:
+            raise ValidationError("bucket count m must be >= 1")
+        if protocol == "common":
+            if not isinstance(source, Pmf):
+                raise ValidationError("common protocol takes a single distribution")
+        elif not isinstance(source, JointPmf):
+            raise ValidationError(f"{protocol} protocol takes a joint distribution")
+        self.source = source
+        self.m = m
+        self.seed = seed
+        self.header: dict[str, Any] = {}
+        if protocol == "common":
+            self._engine = engine_for(source)
+            self._sampler = KnuthYaoSampler(source)
+            self._trial = self._common_trial
+        elif protocol == "almost":
+            mode, self.table, hash_seed = resolve_hash(hash_spec, source, m)
+            self.header["hash_mode"] = mode
+            if self.table is not None:
+                self.header["hash_table"] = formats.hash_function_document(self.table)
+            else:
+                self._tables = RandomSource(hash_seed)
+                self._alphabet = union_alphabet(source)
+            self._trial = self._almost_trial
+        else:
+            self.reconciler = parse_reconciler(reconciler, seed)
+            self.header["reconciler"] = reconciler
+            self._trial = self._correlated_trial
+
+    def runs(self, trials: int) -> Iterator[_RunRecord]:
+        """Each trial's (transcript, key_a, key_b, ideal), in trial order."""
+        if trials < 0:
+            raise ValidationError("trials must be >= 0")
+        rng = RandomSource(self.seed)
+        for i in range(trials):
+            yield self._trial(i, rng.substream("trial", i))
+
+    def _common_trial(self, i: int, sub: RandomSource) -> _RunRecord:
+        x, _ = self._sampler.sample(sub.substream("source"))
+        key_a, w = self._engine.alice(x, sub.substream("alice"))
+        return (("alice", "round", w),), key_a, self._engine.bob(x, w), key_a
+
+    def _almost_trial(self, i: int, sub: RandomSource) -> _RunRecord:
+        h = self.table
+        if h is None:
+            h = HashFunction.random(self._alphabet, self.m, self._tables.substream("table", i))
+        x, y = sample_joint(self.source, sub.substream("source"))
+        run = almost_common_keygen(self.source, x, y, self.m, h, sub.substream("keys"))
+        return run.transcript, run.key_a, run.key_b, run.ideal_key
+
+    def _correlated_trial(self, i: int, sub: RandomSource) -> _RunRecord:
+        run = correlated_keygen(self.source, self.reconciler, self.m, sub)
+        return run.transcript, run.key_a, run.key_b, run.ideal_key
+
+
+def agreed(run: _RunRecord) -> bool:
+    """Both parties output the ideal key (an empty one counts)."""
+    _, key_a, key_b, ideal = run
+    return key_a == key_b == ideal
 
 
 def _estimates_section(errors: int, lengths: Sequence[float]) -> dict:
@@ -657,58 +728,42 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
     symbols a side); Monte Carlo estimates always carry their intervals
     and are compared to every applicable bound line.
     """
-    source = _resolve_source(cfg)
-    rng = RandomSource(cfg.seed)
-    # out/format are presentation only; the report bytes must not depend
-    # on where the caller saves them
-    cfg_doc = cfg.to_dict()
-    cfg_doc.pop("out")
-    cfg_doc.pop("format")
-    data: dict[str, Any] = {
-        "config": cfg_doc,
-        "methodology": METHODOLOGY,
-    }
-    checks: list[dict] = []
-    runs: list[_RunRecord] = []
-
-    if cfg.protocol == "common":
-        if not isinstance(source, Pmf):
-            raise ValidationError("common protocol takes a single distribution")
-        report_joint = _diag_joint(source)
+    if cfg.source_path is not None:
+        source = formats.load_source(cfg.source_path)
     else:
-        if not isinstance(source, JointPmf):
-            raise ValidationError(f"{cfg.protocol} protocol takes a joint distribution")
-        report_joint = source
+        source = formats.parse_source(cfg.source_doc)  # type: ignore[arg-type]
+    plan = ProtocolPlan(
+        cfg.protocol,
+        source,
+        cfg.m,
+        cfg.seed,
+        hash_spec=cfg.hash_spec,
+        reconciler=cfg.reconciler or "identity",
+    )
+    data: dict[str, Any] = {
+        "config": cfg.to_dict(),
+        "methodology": METHODOLOGY,
+        **plan.header,
+    }
+    report_joint = _diag_joint(source) if isinstance(source, Pmf) else source
     data["bounds"] = bounds_dashboard(report_joint, cfg.m)
     conv = next(
         line["value"]
         for line in data["bounds"]["lines"]
         if line["kind"] == "converse"
     )
-
     small = (
         len(report_joint.x_labels) <= 8 and len(report_joint.y_labels) <= 8
     )
     exact: dict[str, Any] = {}
+    checks: list[dict] = []
 
-    errors = 0
-    lengths: list[float] = []
-
+    # each branch: its exact section and checks, then the bounds its
+    # measured error and measured length are held to
     if cfg.protocol == "common":
-        p = source
-        eng = engine_for(p)
-        sampler = KnuthYaoSampler(p)
-        for i in range(cfg.trials):
-            sub = rng.substream("trial", i)
-            x, _ = sampler.sample(sub.substream("source"))
-            key_a, w = eng.alice(x, sub.substream("alice"))
-            key_b = eng.bob(x, w)
-            agree = key_a == key_b
-            errors += not agree
-            lengths.append(float(len(key_a)) if agree else 0.0)
-            runs.append(((("alice", "round", w),), key_a, key_b, key_a))
+        h_x = entropy(source)
         if small:
-            law = exact_common_law(p, cfg.w_max)
+            law = exact_common_law(source, cfg.w_max)
             exact["expected_length"] = formats.format_rational(law.expected_length)
             exact["expected_length_float"] = float(law.expected_length)
             exact["tail"] = formats.format_rational(law.tail)
@@ -718,7 +773,6 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
             }
             exact.update(_law_section(per_w))
             slack = (cfg.w_max + 2) * 2.0 ** -cfg.w_max
-            h_x = entropy(p)
             checks.append(
                 _check(
                     "enumerated E|K| >= H(X) - 2 (within truncation slack)",
@@ -728,35 +782,18 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
                     vacuous=h_x - 2.0 <= 0,
                 )
             )
-            exact["huffman_baseline"] = float(huffman_expected_length(p))
+            exact["huffman_baseline"] = float(huffman_expected_length(source))
+        error_label, error_bound = "measured error = 0", 0.0
+        length_label, length_bound = "measured length >= H(X) - 2", h_x - 2.0
 
     elif cfg.protocol == "almost":
-        j = source
-        mode, table, hash_seed = resolve_hash(cfg.hash_spec, j, cfg.m)
-        data["hash_mode"] = mode
-        if table is not None:
-            data["hash_table"] = formats.hash_function_document(table)
-        for i in range(cfg.trials):
-            sub = rng.substream("trial", i)
-            if mode == "random":
-                h = HashFunction.random(
-                    union_alphabet(j), cfg.m, RandomSource(hash_seed).substream("table", i)
-                )
-            else:
-                h = table
-            x, y = sample_joint(j, sub.substream("source"))
-            run = almost_common_keygen(j, x, y, cfg.m, h, sub.substream("keys"))
-            agree = run.agreed
-            errors += not agree
-            lengths.append(float(len(run.ideal_key)) if agree else 0.0)
-            runs.append((run.transcript, run.key_a, run.key_b, run.ideal_key))
-        pair = almost_common_bounds(j, cfg.m)
+        pair = almost_common_bounds(source, cfg.m)
         data["guarantee"] = {
             "epsilon": formats.format_rational(pair.epsilon),
             "ell": pair.ell,
         }
-        if small and mode != "random":
-            analysis = analyze_almost_common(j, table, w_max=min(cfg.w_max, 30))
+        if small and plan.table is not None:
+            analysis = analyze_almost_common(source, plan.table, w_max=min(cfg.w_max, 30))
             exact["collision_error"] = formats.format_rational(analysis.collision_error)
             exact["error_enumerated"] = formats.format_rational(analysis.error_enumerated)
             exact["error_upper_float"] = float(analysis.error_upper)
@@ -780,83 +817,53 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
                     vacuous=pair.ell <= 0,
                 )
             )
-        if small and mode == "random":
-            tables = cfg.m ** len(union_alphabet(j))
-            if tables <= 4096:
-                avg = average_almost_common(j, cfg.m, w_max=min(cfg.w_max, 30))
-                exact["tables"] = avg.tables
-                exact["mean_collision_error"] = formats.format_rational(
-                    avg.collision_error
-                )
-                exact["mean_agreed_length_float"] = float(avg.agreed_length)
+        elif small and cfg.m ** len(union_alphabet(source)) <= 4096:
+            avg = average_almost_common(source, cfg.m, w_max=min(cfg.w_max, 30))
+            exact["tables"] = avg.tables
+            exact["mean_collision_error"] = formats.format_rational(avg.collision_error)
+            exact["mean_agreed_length_float"] = float(avg.agreed_length)
+        error_label, error_bound = "measured error <= (1 - p)/m", float(pair.epsilon)
+        length_label = "measured length >= p (H(X|X=Y) - log2 m - 2)"
+        length_bound = pair.ell
 
     else:  # correlated
-        j = source
-        spec = cfg.reconciler or "identity"
-        rec = parse_reconciler(spec, cfg.seed)
-        data["reconciler"] = spec
-        for i in range(cfg.trials):
-            run = correlated_keygen(j, rec, cfg.m, rng.substream("trial", i))
-            agree = run.agreed
-            errors += not agree
-            lengths.append(float(len(run.ideal_key)) if agree else 0.0)
-            runs.append((run.transcript, run.key_a, run.key_b, run.ideal_key))
+        floor = None
         if small:
-            stats = reconciler_stats(j, rec)
+            stats = reconciler_stats(source, plan.reconciler)
             floor = stats.floor(cfg.m)
             exact["reconciler_p_agree"] = formats.format_rational(stats.p_agree)
             exact["reconciler_conditional_entropy"] = stats.conditional_entropy
             exact["composition_floor"] = floor
-            laws = correlated_transcript_laws(j, rec, cfg.m, w_max=min(cfg.w_max, 20))
+            laws = correlated_transcript_laws(
+                source, plan.reconciler, cfg.m, w_max=min(cfg.w_max, 20)
+            )
             exact.update(_law_section(laws))
             data["composition_floor"] = floor
+        error_label, error_bound = "measured error <= 1/m", 1.0 / cfg.m
+        length_label = "measured length >= measured-reconciler composition floor"
+        length_bound = floor
 
     if cfg.trials > 0:
+        runs = list(plan.runs(cfg.trials))
+        errors = 0
+        lengths: list[float] = []
+        for run in runs:
+            ok = agreed(run)
+            errors += not ok
+            lengths.append(float(len(run[3])) if ok else 0.0)
         data["estimates"] = _estimates_section(errors, lengths)
         eps_iv = tuple(data["estimates"]["epsilon"]["interval"])
         ell_iv = tuple(data["estimates"]["ell"]["interval"])
-        if cfg.protocol == "common":
-            checks.append(_check("measured error = 0", eps_iv, 0.0, "le"))
-            h_x = entropy(source)
-            checks.append(
-                _check(
-                    "measured length >= H(X) - 2",
-                    ell_iv,
-                    h_x - 2.0,
-                    "ge",
-                    vacuous=h_x - 2.0 <= 0,
-                )
+        checks.append(_check(error_label, eps_iv, error_bound, "le"))
+        checks.append(
+            _check(
+                length_label,
+                ell_iv,
+                length_bound,
+                "ge",
+                vacuous=length_bound is None or length_bound <= 0,
             )
-        elif cfg.protocol == "almost":
-            pair = almost_common_bounds(source, cfg.m)
-            checks.append(
-                _check(
-                    "measured error <= (1 - p)/m", eps_iv, float(pair.epsilon), "le"
-                )
-            )
-            checks.append(
-                _check(
-                    "measured length >= p (H(X|X=Y) - log2 m - 2)",
-                    ell_iv,
-                    pair.ell,
-                    "ge",
-                    vacuous=pair.ell <= 0,
-                )
-            )
-        else:
-            checks.append(
-                _check("measured error <= 1/m", eps_iv, 1.0 / cfg.m, "le")
-            )
-            floor = data.get("composition_floor")
-            checks.append(
-                _check(
-                    "measured length >= measured-reconciler composition floor",
-                    ell_iv,
-                    floor,
-                    "ge",
-                    vacuous=floor is None or floor <= 0,
-                )
-            )
+        )
         checks.append(
             _check("measured length <= I(X;Y) + log2 3 + 1", ell_iv, conv, "le")
         )

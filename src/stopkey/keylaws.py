@@ -184,9 +184,6 @@ class StoppingRule:
                 f"stopping rule undefined on prefix {prefix!r} (not reachable)"
             ) from None
 
-    def defined_on(self, prefix: str) -> bool:
-        return prefix in self._lookup  # type: ignore[attr-defined]
-
 
 # ---------------------------------------------------------------------------
 # Subtree mass accounting shared by the verifier and the rule extractor.
@@ -420,12 +417,6 @@ class ErrorLengthPair:
 
     epsilon: IntervalLike
     ell: IntervalLike
-
-    def epsilon_interval(self) -> tuple[Fraction, Fraction]:
-        return _interval(self.epsilon)
-
-    def ell_interval(self) -> tuple[Fraction, Fraction]:
-        return _interval(self.ell)
 
 
 def compose_error_length(first: ErrorLengthPair, second: ErrorLengthPair) -> ErrorLengthPair:

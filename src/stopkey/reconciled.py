@@ -556,6 +556,7 @@ class ConstantReconciler(Reconciler):
 
     def __init__(self, value: str = "0"):
         self.value = value
+        self._joint = JointPmf.from_rows(((ONE,),), (value,), (value,))
 
     def run(self, j, x, y, rng):
         return ReconcilerResult(self.value, self.value, (), ())
@@ -566,7 +567,7 @@ class ConstantReconciler(Reconciler):
     def conditional_joint(self, j, transcript):
         if transcript != ():
             raise ValidationError("constant reconciler has an empty transcript")
-        return JointPmf.from_rows(((ONE,),), (self.value,), (self.value,))
+        return self._joint
 
 
 class OneWayHashReconciler(Reconciler):

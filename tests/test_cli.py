@@ -230,6 +230,19 @@ class TestKeygenCorrelated:
         assert len(doc["runs"]) == 4
         assert doc["runs"][0]["transcript"][0]["kind"] == "sketch"
 
+    @pytest.mark.parametrize(
+        "verb, options, message",
+        [
+            ("keygen-almost", ["--m", "0", "--hash", "random:S"], "bucket count m"),
+            ("keygen-correlated", ["--m", "0", "--trials", "0"], "bucket count m"),
+            ("keygen-almost", ["--m", "2", "--trials", "-1"], "trials must be >= 0"),
+            ("keygen-correlated", ["--m", "2", "--trials", "-1"], "trials must be >= 0"),
+        ],
+    )
+    def test_bad_counts_are_input_errors(self, verb, options, message, joint_file, capsys):
+        assert main([verb, "--joint", joint_file, *options]) == 3
+        assert message in capsys.readouterr().err
+
     def test_bad_reconciler_spec(self, joint_file, capsys):
         assert main(
             [
@@ -365,6 +378,13 @@ class TestSimulateAndReport:
         ) == 0
         out = capsys.readouterr().out
         assert out.startswith("== stopkey report ==")
+        assert "status: ok" in out
+
+    def test_zero_error_run_passes_its_error_check(self, dist_file, capsys):
+        # at 13 trials the Wilson lower end used to round to about 2e-19
+        assert main(["simulate", "--dist", dist_file, "--trials", "13"]) == 0
+        out = capsys.readouterr().out
+        assert "[pass] measured error = 0: observed [0, " in out
         assert "status: ok" in out
 
     def test_protocol_inference(self, joint_file, capsys):

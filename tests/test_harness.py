@@ -42,8 +42,9 @@ class TestIntervals:
             assert 0.0 <= lo <= k / n <= hi <= 1.0
 
     def test_wilson_endpoints(self):
-        assert wilson_interval(0, 50)[0] == 0.0
-        assert wilson_interval(50, 50)[1] == 1.0
+        for n in range(1, 20001):
+            assert wilson_interval(0, n)[0] == 0.0, n
+            assert wilson_interval(n, n)[1] == 1.0, n
 
     def test_wilson_complement_symmetry(self):
         lo, hi = wilson_interval(7, 40)
@@ -264,8 +265,6 @@ class TestConfig:
             ExperimentConfig(protocol="common", source_path="x", w_max=0)
         with pytest.raises(ValidationError):
             ExperimentConfig(protocol="common", source_path="x", trials=-1)
-        with pytest.raises(ValidationError):
-            ExperimentConfig(protocol="common", source_path="x", format="yaml")
 
     def test_round_trip(self):
         cfg = ExperimentConfig(
@@ -276,8 +275,6 @@ class TestConfig:
             trials=10,
             seed="s",
             hash_spec="random:1",
-            out="report.json",
-            format="structured",
         )
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -412,11 +409,6 @@ class TestRunSimulation:
         c = run_simulation(_common_cfg(seed=12)).to_json()
         assert a == b
         assert a != c
-
-    def test_output_destination_never_changes_the_bytes(self):
-        a = run_simulation(_common_cfg(out="x.json")).to_json()
-        b = run_simulation(_common_cfg(out="y.json", format="structured")).to_json()
-        assert a == b
 
     def test_source_kind_must_match_protocol(self):
         with pytest.raises(ValidationError, match="single distribution"):

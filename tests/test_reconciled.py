@@ -435,6 +435,22 @@ class TestReconcilers:
                 CORRELATED_3, t
             )
 
+    def test_constant_conditional_joint_is_built_once(self, monkeypatch):
+        built = []
+        raw = JointPmf.from_rows.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(1)
+            return raw(cls, *args, **kwargs)
+
+        monkeypatch.setattr(JointPmf, "from_rows", classmethod(counting))
+        r = ConstantReconciler()
+        rng = RandomSource("constant-joint")
+        for i in range(200):
+            assert correlated_keygen(CORRELATED_3, r, 2, rng.substream(i)).agreed
+        assert len(built) <= 1
+        assert r.conditional_joint(CORRELATED_3, ()) is r.conditional_joint(CORRELATED_3, ())
+
     def test_concurrent_first_calls_share_one_conditional_joint(self):
         t = (("alice", "sketch", 1),)
         for _ in range(5):

@@ -167,6 +167,23 @@ class TestAlmostCommonKeygen:
         run = almost_common_keygen(j, "1", "1", 2, h, RandomSource("eb"))
         assert run.erred
 
+    def test_collision_in_a_bucket_without_agreement_mass_aborts(self):
+        # labels 1 and 2 share bucket 2, which has no diagonal mass, so both
+        # off-diagonal outcomes pass the bucket check and then abort
+        j = joint(
+            [["1/2", "0", "0"], ["0", "0", "1/4"], ["0", "1/4", "0"]], "012", "012"
+        )
+        h = HashFunction(("0", "1", "2"), (1, 2, 2), 2)
+        for x, y in (("1", "2"), ("2", "1")):
+            run = almost_common_keygen(j, x, y, 2, h, RandomSource("eb").substream(x, y))
+            assert run.erred and run.w1 == 2
+            assert (run.key_a, run.key_b, run.ideal_key) == ("", "", "")
+        a = analyze_almost_common(j, h)
+        assert [t for t in a.transcript_laws if t[0] == 2] == [(2, None)]
+        assert a.transcript_laws[(2, None)].atoms == (("", 1),)
+        assert a.collision_error == collision_error(j, h) == Fraction(1, 2)
+        assert a.error_enumerated == 0 and a.unresolved == 0
+
     def test_collapses_to_common_scheme_on_identical_sources(self):
         p = pmf("2/5", "3/10", "1/5", "1/10")
         j = diag_joint(p)

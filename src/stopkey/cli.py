@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any
 
 from . import formats
 from .common import alice_keygen, bob_keygen, engine_for
@@ -51,8 +50,16 @@ def _add_output_args(sp: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are input errors: exit 3, not 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stopkey",
         description="secret key agreement via randomly stopped bit sequences",
     )

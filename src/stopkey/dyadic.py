@@ -26,6 +26,9 @@ __all__ = [
 #: H(W) = sum w * 2**-w = 2 exactly; see round_weight_partial_entropy.
 ROUND_WEIGHT_ENTROPY = Fraction(2)
 
+# a walk passes depth d with probability below len(p) * 2**-d
+_MAX_DEPTH = 20000
+
 
 def round_weight_partial_entropy(n: int) -> Fraction:
     """Exact partial sum sum_{w<=n} w * 2**-w = 2 - (n + 2) * 2**-n."""
@@ -45,9 +48,8 @@ class KnuthYaoSampler:
     their depth.
     """
 
-    def __init__(self, p: Pmf, max_depth: int = 20000):
+    def __init__(self, p: Pmf):
         self.pmf = p
-        self.max_depth = max_depth
         self._levels: list[tuple[int, ...]] = []
         self._lock = threading.Lock()
 
@@ -78,9 +80,9 @@ class KnuthYaoSampler:
         depth = 0
         while True:
             depth += 1
-            if depth > self.max_depth:
+            if depth > _MAX_DEPTH:
                 raise ValidationError(
-                    f"sampler exceeded depth {self.max_depth}; pmf expansion too deep"
+                    f"sampler exceeded depth {_MAX_DEPTH}; pmf expansion too deep"
                 )
             node = (node << 1) | rng.fair_bit()
             terms = self._level(depth)

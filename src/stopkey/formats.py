@@ -51,7 +51,14 @@ def parse_rational(value: Any) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:  # a numerator or denominator past the digit limit
+        raise ValidationError(
+            f"a rational has more than {sys.get_int_max_str_digits()} digits, "
+            "the int-to-str limit"
+        ) from None
 
 
 def _require(doc: Mapping, key: str, kind: type) -> Any:
@@ -86,8 +93,6 @@ def parse_pmf(doc: Mapping) -> Pmf:
     masses = tuple(parse_rational(v) for v in raw)
     try:
         return Pmf(alphabet, masses)
-    except FormatError:
-        raise
     except Exception as exc:  # normalization and label errors, deficit included
         raise FormatError(str(exc)) from None
 
@@ -112,8 +117,6 @@ def parse_joint(doc: Mapping) -> JointPmf:
         matrix.append(tuple(parse_rational(v) for v in row))
     try:
         return JointPmf(x_labels, y_labels, tuple(matrix))
-    except FormatError:
-        raise
     except Exception as exc:
         raise FormatError(str(exc)) from None
 
@@ -200,8 +203,6 @@ def parse_key_law(doc: Mapping) -> KeyLaw:
     tail = parse_rational(doc.get("tail", 0))
     try:
         return KeyLaw.from_dict(table, tail)
-    except FormatError:
-        raise
     except Exception as exc:
         raise FormatError(str(exc)) from None
 
@@ -301,8 +302,6 @@ def parse_hash_function(doc: Mapping) -> HashFunction:
     provenance = doc.get("provenance", "fixed")
     try:
         return HashFunction(labels, tuple(values), m, provenance)
-    except FormatError:
-        raise
     except Exception as exc:
         raise FormatError(str(exc)) from None
 

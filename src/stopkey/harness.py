@@ -56,21 +56,22 @@ from .reconciled import (
 )
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_ALPHA = 0.01  # family-wise level of the next-bit fairness tests
 
 _RunRecord = tuple[Transcript, str, str, str]  # transcript, key_a, key_b, ideal
 
 
-def wilson_interval(successes: int, n: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """99% Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValidationError("interval needs at least one trial")
     if not 0 <= successes <= n:
         raise ValidationError(f"{successes} successes out of {n} trials")
     ph = successes / n
-    z2 = z * z
+    z2 = Z99 * Z99
     denom = 1.0 + z2 / n
     center = (ph + z2 / (2 * n)) / denom
-    half = z * math.sqrt(ph * (1.0 - ph) / n + z2 / (4.0 * n * n)) / denom
+    half = Z99 * math.sqrt(ph * (1.0 - ph) / n + z2 / (4.0 * n * n)) / denom
     # the closed form puts the ends at exactly 0 and 1 when no trial (or
     # every trial) succeeds; center - half can round to just above 0
     lo = 0.0 if successes == 0 else max(0.0, center - half)
@@ -78,8 +79,8 @@ def wilson_interval(successes: int, n: int, z: float = Z99) -> tuple[float, floa
     return lo, hi
 
 
-def mean_interval(samples: Sequence[float], z: float = Z99) -> tuple[float, float]:
-    """Normal-approximation interval for a mean, with sample variance."""
+def mean_interval(samples: Sequence[float]) -> tuple[float, float]:
+    """99% normal-approximation interval for a mean, with sample variance."""
     n = len(samples)
     if n == 0:
         raise ValidationError("interval needs at least one sample")
@@ -87,7 +88,7 @@ def mean_interval(samples: Sequence[float], z: float = Z99) -> tuple[float, floa
     if n == 1:
         return mean, mean
     var = math.fsum((v - mean) ** 2 for v in samples) / (n - 1)
-    half = z * math.sqrt(var / n)
+    half = Z99 * math.sqrt(var / n)
     return mean - half, mean + half
 
 
@@ -175,13 +176,11 @@ def transcript_label(t: Transcript) -> str:
     return "|".join(f"{sender}:{kind}={value}" for sender, kind, value in t)
 
 
-def fairness_test(
-    samples: Sequence[tuple[Any, str]], alpha: float = 0.01
-) -> FairnessReport:
+def fairness_test(samples: Sequence[tuple[Any, str]]) -> FairnessReport:
     """Chi-square next-bit tests against 1/2, per transcript and prefix.
 
     Purely diagnostic: the exact verifier is authoritative wherever
-    enumeration is feasible. Bonferroni-adjusts alpha across all
+    enumeration is feasible. Bonferroni-adjusts alpha = 0.01 across all
     (transcript, prefix) cells; a sample set with only empty keys has no
     testable prefixes and reports vacuous.
     """
@@ -199,7 +198,7 @@ def fairness_test(
         for label, group in tallies.items()
         for prefix, counts in group.items()
     ]
-    adjusted = alpha / len(cells) if cells else alpha
+    adjusted = _ALPHA / len(cells) if cells else _ALPHA
     checks = []
     for label, prefix, (zeros, ones) in sorted(
         cells, key=lambda c: (c[0], len(c[1]), c[1])
@@ -210,7 +209,7 @@ def fairness_test(
         checks.append(
             FairnessCheck(label, prefix, zeros, ones, stat, p, p < adjusted)
         )
-    return FairnessReport(tuple(checks), alpha, adjusted, vacuous=not cells)
+    return FairnessReport(tuple(checks), _ALPHA, adjusted, vacuous=not cells)
 
 
 # ---------------------------------------------------------------------------
@@ -707,10 +706,10 @@ def _estimates_section(errors: int, lengths: Sequence[float]) -> dict:
     }
 
 
-def _law_section(laws: Mapping[Any, KeyLaw], max_depth: int = 64) -> dict:
+def _law_section(laws: Mapping[Any, KeyLaw]) -> dict:
     bad = []
     for key in laws:
-        verdict = verify_rsbs(laws[key], max_depth=max_depth)
+        verdict = verify_rsbs(laws[key])
         if not verdict.valid:
             bad.append(str(key))
     return {

@@ -15,7 +15,7 @@ are implemented (``verify_rsbs``, ``stopping_rule_of``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -24,9 +24,7 @@ from .probability import (
     JointPmf,
     ZERO,
     as_fraction,
-    log2_interval,
     mutual_information,
-    mutual_information_interval,
 )
 
 __all__ = [
@@ -47,11 +45,11 @@ __all__ = [
     "pointwise_mass_bound",
     "compose_error_length",
     "converse_bound",
-    "converse_bound_interval",
     "expected_agreed_length",
 ]
 
 _LOG2_3 = 1.584962500721156  # log2(3), double precision
+_SIMULATION_DEPTH = 4096  # deepest key simulate_stopped_key draws
 
 
 def check_bitstring(s: str) -> str:
@@ -345,7 +343,7 @@ def law_from_stopping_rule(rule: StoppingRule, max_depth: int = 64) -> KeyLaw:
     return KeyLaw.from_dict(masses, tail)
 
 
-def simulate_stopped_key(rule: StoppingRule, rng, max_depth: int = 4096) -> str:
+def simulate_stopped_key(rule: StoppingRule, rng) -> str:
     """Sample one key by the stopping dynamics with exact comparisons.
 
     At each prefix u an independent uniform G is compared exactly against
@@ -356,8 +354,10 @@ def simulate_stopped_key(rule: StoppingRule, rng, max_depth: int = 4096) -> str:
         r = rule.rho(u)
         if rng.lazy_uniform().at_least(r):
             return u
-        if len(u) >= max_depth:
-            raise ValidationError(f"stopping simulation exceeded depth {max_depth}")
+        if len(u) >= _SIMULATION_DEPTH:
+            raise ValidationError(
+                f"stopping simulation exceeded depth {_SIMULATION_DEPTH}"
+            )
         u += "1" if rng.fair_bit() else "0"
 
 
@@ -448,12 +448,6 @@ def compose_error_length(first: ErrorLengthPair, second: ErrorLengthPair) -> Err
 def converse_bound(j: JointPmf) -> float:
     """Upper bound on any achievable ell: I(X;Y) + log2(3) + 1 bits."""
     return mutual_information(j) + _LOG2_3 + 1
-
-
-def converse_bound_interval(j: JointPmf, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
-    ilo, ihi = mutual_information_interval(j, frac_bits)
-    llo, lhi = log2_interval(Fraction(3), frac_bits)
-    return ilo + llo + 1, ihi + lhi + 1
 
 
 def expected_agreed_length(

@@ -42,6 +42,7 @@ __all__ = [
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+FRAC_BITS = 40  # certified log2 brackets are about 2**-FRAC_BITS wide
 
 
 def as_fraction(value) -> Fraction:
@@ -122,9 +123,6 @@ class Pmf:
 
     def __len__(self) -> int:
         return len(self.masses)
-
-    def mass(self, index: int) -> Fraction:
-        return self.masses[index]
 
     def index(self, label: str) -> int:
         try:
@@ -210,9 +208,6 @@ class JointPmf:
             grid[xl.index(x)][yl.index(y)] += as_fraction(m)
         return cls(xl, yl, tuple(tuple(row) for row in grid))
 
-    def mass(self, ix: int, iy: int) -> Fraction:
-        return self.masses[ix][iy]
-
     def mass_by_label(self, x: str, y: str) -> Fraction:
         if x not in self.x_labels or y not in self.y_labels:
             return ZERO
@@ -285,12 +280,12 @@ def is_dyadic(p) -> bool:
     return all(m == 0 or dyadic_exponent(m) is not None for m in masses)
 
 
-def log2_interval(r, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
+def log2_interval(r) -> tuple[Fraction, Fraction]:
     """Certified bracket lo <= log2(r) <= hi with dyadic rational endpoints.
 
     Uses the classic squaring recurrence with directed integer rounding at
-    2 * frac_bits + 16 guard bits, so the bracket width is about
-    2**-frac_bits. Exact powers of two get a zero-width bracket.
+    2 * FRAC_BITS + 16 guard bits, so the bracket width is about
+    2**-FRAC_BITS. Exact powers of two get a zero-width bracket.
     """
     r = r if isinstance(r, Fraction) else as_fraction(r)
     if r <= 0:
@@ -305,7 +300,7 @@ def log2_interval(r, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
         den <<= e
     else:
         num <<= -e
-    prec = 2 * frac_bits + 16
+    prec = 2 * FRAC_BITS + 16
     one = 1 << prec
     two = 2 << prec
     scaled = num << prec
@@ -313,7 +308,7 @@ def log2_interval(r, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
     z_hi = -((-scaled) // den)
     bits_lo = 0
     bits_hi = 0
-    for _ in range(frac_bits):
+    for _ in range(FRAC_BITS):
         z_lo = (z_lo * z_lo) >> prec
         bits_lo <<= 1
         if z_lo >= two:
@@ -326,7 +321,7 @@ def log2_interval(r, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
         if z_hi >= two:
             bits_hi |= 1
             z_hi = (z_hi + 1) >> 1
-    scale = 1 << frac_bits
+    scale = 1 << FRAC_BITS
     lo = e + Fraction(bits_lo, scale)
     hi = e + Fraction(bits_hi + 1, scale)
     return lo, hi
@@ -359,17 +354,17 @@ def entropy(p) -> float:
     return math.fsum(terms)
 
 
-def entropy_interval(p, frac_bits: int = 40) -> tuple[Fraction, Fraction]:
+def entropy_interval(p) -> tuple[Fraction, Fraction]:
     """Certified rational bracket for the entropy in bits.
 
     Dyadic pmfs get a zero-width (exact) bracket. The float from
-    :func:`entropy` always lies inside the default-width bracket.
+    :func:`entropy` always lies inside the bracket.
     """
     lo = ZERO
     hi = ZERO
     for m in _mass_list(p):
         if m > 0:
-            llo, lhi = log2_interval(m, frac_bits)
+            llo, lhi = log2_interval(m)
             lo += -m * lhi
             hi += -m * llo
     return lo, hi
@@ -391,13 +386,11 @@ def mutual_information(j: JointPmf) -> float:
     return total
 
 
-def mutual_information_interval(
-    j: JointPmf, frac_bits: int = 40
-) -> tuple[Fraction, Fraction]:
+def mutual_information_interval(j: JointPmf) -> tuple[Fraction, Fraction]:
     """Certified rational bracket for I(X;Y) in bits."""
-    xlo, xhi = entropy_interval(j.marginal_x(), frac_bits)
-    ylo, yhi = entropy_interval(j.marginal_y(), frac_bits)
-    jlo, jhi = entropy_interval(j, frac_bits)
+    xlo, xhi = entropy_interval(j.marginal_x())
+    ylo, yhi = entropy_interval(j.marginal_y())
+    jlo, jhi = entropy_interval(j)
     return xlo + ylo - jhi, xhi + yhi - jlo
 
 

@@ -43,9 +43,9 @@ class LazyUniform:
         self.value_bits = 0
         self.nbits = 0
 
-    def _extend(self, k: int = 8) -> None:
-        self.value_bits = (self.value_bits << k) | self._rng.getrandbits(k)
-        self.nbits += k
+    def _extend(self) -> None:
+        self.value_bits = (self.value_bits << 8) | self._rng.getrandbits(8)
+        self.nbits += 8
 
     def at_least(self, threshold: Fraction) -> bool:
         """Decide U >= threshold exactly."""

@@ -107,13 +107,11 @@ class HashFunction:
         return tuple(l for l, v in zip(self.labels, self.values) if v == value)
 
     @classmethod
-    def fixed(cls, mapping: Mapping[str, int], m: int) -> "HashFunction":
-        return cls(tuple(mapping), tuple(mapping[l] for l in mapping), m)
-
-    @classmethod
     def random(
         cls, labels: Sequence[str], m: int, rng: RandomSource
     ) -> "HashFunction":
+        if m < 1:
+            raise ValidationError("bucket count m must be >= 1")
         values = tuple(rng.randrange(m) + 1 for _ in labels)
         return cls(tuple(labels), values, m, provenance="random-seeded")
 
@@ -198,6 +196,25 @@ class AlmostCommonRun:
         return _stage2_records(self.w1, self.w2)
 
 
+def _bucket_check(
+    j: JointPmf, h: HashFunction, x: str, y: str
+) -> tuple[int, tuple[KeyAgreeEngine, int, int] | None]:
+    """Alice's announcement w1 = h(x) and Bob's confirm-or-abort.
+
+    Bob aborts, giving (w1, None), when h(y) != w1 or when the bucket has
+    no agreement mass (only reachable with x != y). On confirmation it
+    gives (w1, (engine, xi, yi)): the bucket conditional's engine and
+    both symbols' indices in it.
+    """
+    w1 = h(x)
+    if h(y) != w1:
+        return w1, None
+    p_star = stage_conditional(j, h, w1)
+    if p_star is None:
+        return w1, None
+    return w1, (engine_for(p_star), p_star.index(x), p_star.index(y))
+
+
 def _stage2_keys(eng: KeyAgreeEngine, xi: int, yi: int, w2: int) -> tuple[str, str]:
     """(key_a, key_b) once Bob announces round w2 on the bucket conditional.
 
@@ -231,18 +248,13 @@ def almost_common_keygen(
         raise ValidationError("bucket count m must be >= 1")
     if h.m != m:
         raise ValidationError(f"hash has {h.m} buckets, expected {m}")
-    w1 = h(x)
-    if h(y) != w1:
+    w1, stage = _bucket_check(j, h, x, y)
+    if stage is None:
         return AlmostCommonRun(x, y, w1, None, "", "", "")
-    p_star = stage_conditional(j, h, w1)
-    if p_star is None:
-        # No agreement mass in the bucket; only reachable with x != y.
-        return AlmostCommonRun(x, y, w1, None, "", "", "")
-    eng = engine_for(p_star)
-    yi = p_star.index(y)
+    eng, xi, yi = stage
     # W is the only draw; everything after it is _stage2_keys
-    w2 = eng.alice(yi, rng)[1] if p_star.masses[yi] > 0 else 1
-    key_a, key_b = _stage2_keys(eng, p_star.index(x), yi, w2)
+    w2 = eng.alice(yi, rng)[1] if eng.pmf.masses[yi] > 0 else 1
+    key_a, key_b = _stage2_keys(eng, xi, yi, w2)
     ideal = key_a if x == y else ""
     return AlmostCommonRun(x, y, w1, w2, key_a, key_b, ideal)
 
@@ -264,15 +276,13 @@ def almost_common_bounds(j: JointPmf, m: int) -> ErrorLengthPair:
     return ErrorLengthPair(eps, ell)
 
 
-def almost_common_ell_interval(
-    j: JointPmf, m: int, frac_bits: int = 40
-) -> tuple[Fraction, Fraction]:
+def almost_common_ell_interval(j: JointPmf, m: int) -> tuple[Fraction, Fraction]:
     """Certified bracket on the guaranteed ell (exact for dyadic inputs)."""
     stats = agreement_stats(j)
     if stats.conditional is None:
         raise ValidationError("P(X = Y) = 0: the protocol guarantees nothing")
-    h_lo, h_hi = entropy_interval(stats.conditional, frac_bits)
-    l2_lo, l2_hi = log2_interval(Fraction(m), frac_bits)
+    h_lo, h_hi = entropy_interval(stats.conditional)
+    l2_lo, l2_hi = log2_interval(Fraction(m))
     p = stats.p
     return p * (h_lo - l2_hi - 2), p * (h_hi - l2_lo - 2)
 
@@ -290,6 +300,9 @@ class AlmostCommonAnalysis:
     bound (truncation only discards agreement mass of same-symbol
     outcomes). ``transcript_laws`` maps (w1, w2) transcripts, w2 = None
     for the abort path, to the exact conditional law of the ideal key.
+    An average over ``tables`` uniform tables carries no laws; its
+    ``collision_error`` equals (1 - p)/m exactly, since distinct symbols
+    share a bucket with probability exactly 1/m under a uniform table.
     """
 
     m: int
@@ -300,7 +313,8 @@ class AlmostCommonAnalysis:
     unresolved: Fraction
     agreed_length: Fraction
     w_max: int
-    transcript_laws: Mapping[tuple[int, int | None], KeyLaw] | None
+    transcript_laws: Mapping[tuple[int, int | None], KeyLaw] | None = None
+    tables: int = 1
 
     @property
     def error_upper(self) -> Fraction:
@@ -313,7 +327,7 @@ def analyze_almost_common(
     """Enumerate every (outcome, bucket, round) path of the protocol exactly."""
     stats = agreement_stats(j)
     bound = (1 - stats.p) / h.m
-    col = ZERO
+    col = collision_error(j, h)
     err = ZERO
     unresolved = ZERO
     length = ZERO
@@ -326,21 +340,13 @@ def analyze_almost_common(
     for ix, iy, mass in j.atoms():
         xl, yl = j.x_labels[ix], j.y_labels[iy]
         same = xl == yl
-        w1 = h(xl)
-        if h(yl) != w1:
+        w1, stage = _bucket_check(j, h, xl, yl)
+        if stage is None:
             law_add((w1, None), "", mass)
             continue
-        if not same:
-            col += mass
-        p_star = stage_conditional(j, h, w1)
-        if p_star is None:
-            law_add((w1, None), "", mass)
-            continue
-        eng = engine_for(p_star)
-        yi = p_star.index(yl)
-        xi = p_star.index(xl)
+        eng, xi, yi = stage
         # Bob's round law; with no bucket mass he pins the round to 1
-        if p_star.masses[yi] > 0:
+        if eng.pmf.masses[yi] > 0:
             rounds = eng.round_distribution(yi, w_max)
         else:
             rounds = [(1, ONE)]
@@ -372,37 +378,16 @@ def analyze_almost_common(
     )
 
 
-@dataclass(frozen=True)
-class AveragedAlmostCommon:
-    """Exact analysis averaged over every hash table (a uniform pick).
-
-    ``collision_error`` equals (1 - p)/m exactly: distinct symbols share
-    a bucket with probability exactly 1/m under a uniform table.
-    """
-
-    m: int
-    tables: int
-    p: Fraction
-    epsilon_bound: Fraction
-    collision_error: Fraction
-    error_enumerated: Fraction
-    unresolved: Fraction
-    agreed_length: Fraction
-    w_max: int
-
-    @property
-    def error_upper(self) -> Fraction:
-        return self.error_enumerated + self.unresolved
+_TABLE_LIMIT = 65536
 
 
-def average_almost_common(
-    j: JointPmf, m: int, w_max: int = 30, table_limit: int = 65536
-) -> AveragedAlmostCommon:
+def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonAnalysis:
+    """Exact analysis averaged over every hash table (a uniform pick)."""
     labels = union_alphabet(j)
     count = m ** len(labels)
-    if count > table_limit:
+    if count > _TABLE_LIMIT:
         raise ValidationError(
-            f"{count} tables exceed the enumeration limit {table_limit}"
+            f"{count} tables exceed the enumeration limit {_TABLE_LIMIT}"
         )
     col = ZERO
     err = ZERO
@@ -415,9 +400,8 @@ def average_almost_common(
         err += a.error_enumerated
         unresolved += a.unresolved
         length += a.agreed_length
-    return AveragedAlmostCommon(
+    return AlmostCommonAnalysis(
         m,
-        count,
         p,
         (1 - p) / m,
         col / count,
@@ -425,6 +409,7 @@ def average_almost_common(
         unresolved / count,
         length / count,
         w_max,
+        tables=count,
     )
 
 
@@ -554,9 +539,10 @@ class ConstantReconciler(Reconciler):
 
     name = "constant"
 
-    def __init__(self, value: str = "0"):
-        self.value = value
-        self._joint = JointPmf.from_rows(((ONE,),), (value,), (value,))
+    value = "0"
+
+    def __init__(self):
+        self._joint = JointPmf.from_rows(((ONE,),), (self.value,), (self.value,))
 
     def run(self, j, x, y, rng):
         return ReconcilerResult(self.value, self.value, (), ())

@@ -437,3 +437,25 @@ class TestSimulateAndReport:
     def test_missing_source_file(self, capsys):
         assert main(["simulate", "--dist", "/nope.json", "--trials", "1"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_usage_errors_are_input_errors(self, dist_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--dist", dist_file, "--m", "abc"])
+        assert exc.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage: stopkey simulate")
+        assert "stopkey simulate: error: argument --m: invalid int value: 'abc'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+
+    def test_unprintable_report_value_is_an_input_error(self, dist_file, capsys):
+        # at a 640-digit limit the tail 2**-2127 of a 2127-round law is unprintable
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["report", "--dist", dist_file, "--w-max", "2127"]) == 3
+            assert "more than 640 digits" in capsys.readouterr().err
+            assert main(["report", "--dist", dist_file, "--w-max", "2126"]) == 0
+        finally:
+            sys.set_int_max_str_digits(limit)

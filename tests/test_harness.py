@@ -394,9 +394,9 @@ class TestRunSimulation:
     def test_fairness_tests_run_once_per_report(self, monkeypatch):
         calls = []
 
-        def counted(samples, alpha=0.01):
+        def counted(samples):
             calls.append(len(samples))
-            return fairness_test(samples, alpha)
+            return fairness_test(samples)
 
         monkeypatch.setattr(harness, "fairness_test", counted)
         rep = run_simulation(_common_cfg())

@@ -72,6 +72,10 @@ class TestHashFunction:
         assert a.values == b.values
         assert a.provenance == "random-seeded"
 
+    def test_random_table_rejects_empty_bucket_range(self):
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            HashFunction.random("abc", 0, RandomSource("h"))
+
     def test_all_tables_enumeration(self):
         tables = list(all_hash_tables(("a", "b"), 3))
         assert len(tables) == 9

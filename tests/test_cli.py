@@ -1,12 +1,14 @@
 import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
 
 from stopkey import formats
 from stopkey.cli import main
 from stopkey.common import KeyAgreeEngine
+from stopkey.probability import Pmf
 from stopkey.randomsource import RandomSource
 
 from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, random_rational_pmf
@@ -30,6 +32,18 @@ TRIAL_PINS = {
     "simulate almost text": "9c850378ea528489d3e417a55ec0b44e5d38d1362769ddfc5ccd5977115bd08a",
     "simulate correlated structured": "15a3adf477030690b3a75273126ab6167ccc9280d57113b87e54953a277695cb",
     "simulate correlated text": "2dbf57ebeafd90081f18c3172087c473da5940a6dc328458189e85b24b854503",
+}
+
+# sha256 of each output in TestDistSourcePins: bound lines of tenths and of a
+# seeded 12-symbol pmf, and a 300-trial report on the 12-symbol pmf (seed 5),
+# where the dashboard is the only section a single distribution feeds
+DIST_PINS = {
+    "bounds tenths structured": "21bc356ecdb0725ffbd87a8e775664faf9cc9f0d9d26a9eaf9b5870c4d000fd0",
+    "bounds p12 structured": "add8ea400bab3d38efe14f7a947f9ec212db1a12bad9eea2de05acdc783b58c6",
+    "simulate p12 structured": "884139f2bcec6106d79f84769bd4e9fe9ca58ea715c0911594102f0670846196",
+    "bounds tenths text": "55ebf56f3e82c24c4b99b4b86f6ba67e5b4b54df1e53de7cfcd4d27fe6427669",
+    "bounds p12 text": "4b2772e28e129241cbbb1c98c00f34ba849bf199ce8815fe717589f5bb64b62c",
+    "simulate p12 text": "7bfe7b4884955bbdcd82f601ad4ae73177736ccc0e6ded735bfece062d5839aa",
 }
 
 
@@ -311,6 +325,38 @@ class TestTrialOutputPins:
         assert log["errors"] == report["estimates"]["errors"]
         if options in ([], ["--reconciler", "identity"]):
             assert log["errors"] > 0
+
+
+def _seeded_pmf(n: int, seed: str) -> Pmf:
+    rng = RandomSource(seed)
+    weights = [1 + rng.randrange(12) for _ in range(n)]
+    return Pmf.from_masses(Fraction(w, sum(weights)) for w in weights)
+
+
+class TestDistSourcePins:
+    """Outputs computed from a single distribution, frozen byte for byte."""
+
+    def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        formats.write_document(formats.pmf_document(CORPUS["tenths"]), "tenths.json")
+        formats.write_document(formats.pmf_document(_seeded_pmf(12, "dist-pin")), "p12.json")
+        argvs = {}
+        for form in ("structured", "text"):
+            argvs[f"bounds tenths {form}"] = [
+                "bounds", "--dist", "tenths.json", "--m", "2", "--format", form
+            ]
+            argvs[f"bounds p12 {form}"] = [
+                "bounds", "--dist", "p12.json", "--m", "3", "--format", form
+            ]
+            argvs[f"simulate p12 {form}"] = [
+                "simulate", "--dist", "p12.json", "--trials", "300", "--seed", "5",
+                "--format", form,
+            ]
+        got = {
+            name: hashlib.sha256(_output(argv, capsys).encode()).hexdigest()
+            for name, argv in argvs.items()
+        }
+        assert got == DIST_PINS
 
 
 class TestVerifyRsbs:

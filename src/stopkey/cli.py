@@ -25,7 +25,6 @@ from .harness import (
     run_simulation,
 )
 from .keylaws import verify_rsbs
-from .probability import Pmf
 from .randomsource import RandomSource
 
 
@@ -224,10 +223,7 @@ def _cmd_keygen_trials(args) -> int:
 
 
 def _cmd_verify_rsbs(args) -> int:
-    doc = formats.read_document(args.law)
-    if not isinstance(doc, dict):
-        raise StopkeyError(f"{args.law}: expected an object document")
-    law = formats.parse_key_law(doc)
+    law = formats.parse_key_law(formats.read_object(args.law))
     slack = None if args.tail_slack is None else formats.parse_rational(args.tail_slack)
     verdict = verify_rsbs(law, max_depth=args.max_depth, tail_slack=slack)
     if args.format == "structured":
@@ -248,15 +244,8 @@ def _cmd_verify_rsbs(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    kind, path = _source_args(args)
-    source = formats.load_source(path)
-    if isinstance(source, Pmf):
-        from .harness import _diag_joint
-
-        j = _diag_joint(source)
-    else:
-        j = source
-    dash = bounds_dashboard(j, args.m)
+    _, path = _source_args(args)
+    dash = bounds_dashboard(formats.load_source(path), args.m)
     if args.format == "structured":
         _emit(formats.dumps(dash), args.out)
         return 0

@@ -404,6 +404,8 @@ def exact_common_law(p: Pmf, w_max: int) -> CommonLaw:
     """Enumerate the joint law of (X, W, K) through round w_max."""
     if w_max < 1:
         raise ValidationError("w_max must be at least 1")
+    if w_max > _MAX_ROUNDS:  # refused before the loop builds any round
+        raise ValidationError(f"round depth {w_max} exceeds limit {_MAX_ROUNDS}")
     engine = engine_for(p)
     atoms = []
     expected = ZERO

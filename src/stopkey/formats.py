@@ -156,25 +156,24 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def load_distribution(path: str) -> Pmf:
+def read_object(path: str) -> dict:
+    """Read a document that must be a JSON object; every loader starts here."""
     doc = read_document(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected an object document")
-    return parse_pmf(doc)
+    return doc
+
+
+def load_distribution(path: str) -> Pmf:
+    return parse_pmf(read_object(path))
 
 
 def load_joint(path: str) -> JointPmf:
-    doc = read_document(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected an object document")
-    return parse_joint(doc)
+    return parse_joint(read_object(path))
 
 
 def load_source(path: str) -> Pmf | JointPmf:
-    doc = read_document(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected an object document")
-    return parse_source(doc)
+    return parse_source(read_object(path))
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +238,32 @@ def pointwise_verdict_document(v: PointwiseVerdict) -> dict:
 # Decomposition dumps.
 
 
+def check_printable_depth(depth: int) -> None:
+    """Refuse a depth whose round weight 1/2**depth cannot be printed.
+
+    Callers check before building any round: the weight 2**depth passes
+    the interpreter's int-to-str digit limit only past that many rounds.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 2**depth has fewer than depth digits, so only a deeper one can overflow
+    if limit and depth > limit:
+        deepest = (10**limit).bit_length() - 1
+        if depth > deepest:
+            raise ValidationError(
+                f"depth {depth} exceeds {deepest}: deeper round weights have "
+                f"more than {limit} digits, the int-to-str limit"
+            )
+
+
 def decomposition_document(engine: KeyAgreeEngine, upto: int) -> dict:
     """Per-round dump to depth ``upto``, diffable against any oracle.
 
-    Round weights print as 1/2**w, so a depth whose 2**upto exceeds the
-    interpreter's int-to-str digit limit is refused before any round is
-    built.
+    A depth whose round weight is unprintable is refused before any round
+    is built.
     """
     if upto < 0:
         raise ValidationError("depth must be nonnegative")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # 2**upto has fewer than upto digits, so only a deeper dump can overflow
-    if limit and upto > limit:
-        deepest = (10**limit).bit_length() - 1
-        if upto > deepest:
-            raise ValidationError(
-                f"depth {upto} exceeds {deepest}: deeper round weights have "
-                f"more than {limit} digits, the int-to-str limit"
-            )
+    check_printable_depth(upto)
     labels = engine.pmf.labels
     rounds = []
     for w in range(1, upto + 1):
@@ -307,10 +314,7 @@ def parse_hash_function(doc: Mapping) -> HashFunction:
 
 
 def load_hash_function(path: str) -> HashFunction:
-    doc = read_document(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: expected an object document")
-    return parse_hash_function(doc)
+    return parse_hash_function(read_object(path))
 
 
 # ---------------------------------------------------------------------------

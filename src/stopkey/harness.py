@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping
 
 from . import formats
 from .common import engine_for, exact_common_law
@@ -79,15 +80,17 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def mean_interval(samples: Sequence[float]) -> tuple[float, float]:
-    """99% normal-approximation interval for a mean, with sample variance."""
-    n = len(samples)
+def mean_interval(samples: Iterable[float]) -> tuple[float, float]:
+    """99% normal-approximation interval for a mean, with sample variance;
+    samples come as a list or a Counter (fsum rounds correctly: both agree)."""
+    samples = Counter(samples)
+    n = samples.total()
     if n == 0:
         raise ValidationError("interval needs at least one sample")
-    mean = math.fsum(samples) / n
+    mean = math.fsum(samples.elements()) / n
     if n == 1:
         return mean, mean
-    var = math.fsum((v - mean) ** 2 for v in samples) / (n - 1)
+    var = math.fsum((v - mean) ** 2 for v in samples.elements()) / (n - 1)
     half = Z99 * math.sqrt(var / n)
     return mean - half, mean + half
 
@@ -176,23 +179,24 @@ def transcript_label(t: Transcript) -> str:
     return "|".join(f"{sender}:{kind}={value}" for sender, kind, value in t)
 
 
-def fairness_test(samples: Sequence[tuple[Any, str]]) -> FairnessReport:
+def fairness_test(samples: Iterable[tuple[Any, str]]) -> FairnessReport:
     """Chi-square next-bit tests against 1/2, per transcript and prefix.
 
     Purely diagnostic: the exact verifier is authoritative wherever
     enumeration is feasible. Bonferroni-adjusts alpha = 0.01 across all
     (transcript, prefix) cells; a sample set with only empty keys has no
-    testable prefixes and reports vacuous.
+    testable prefixes and reports vacuous. Samples come as a list or a Counter.
     """
+    samples = Counter(samples)
     if not samples:
         raise ValidationError("at least one sample required")
     tallies: dict[str, dict[str, list[int]]] = {}
-    for transcript, key in samples:
+    for (transcript, key), n in samples.items():
         label = transcript if isinstance(transcript, str) else transcript_label(transcript)
         group = tallies.setdefault(label, {})
         for pos in range(len(key)):
             counts = group.setdefault(key[:pos], [0, 0])
-            counts[int(key[pos])] += 1
+            counts[int(key[pos])] += n
     cells = [
         (label, prefix, counts)
         for label, group in tallies.items()
@@ -232,13 +236,13 @@ def _line(
     return entry
 
 
-def bounds_dashboard(j: JointPmf, m: int) -> dict:
+def bounds_dashboard(j: JointPmf | Pmf, m: int) -> dict:
     """Every bound and reference line for one source, as labeled entries.
 
-    Achievable lines that come out nonpositive are flagged vacuous: the
-    guarantee only ever demands a nonnegative length. The two cited
-    lines (two-stage reference, prior scheme at epsilon = 1/m) are
-    comparisons, never asserted achievements.
+    A Pmf stands for the source Y = X. Achievable lines that come out
+    nonpositive are flagged vacuous: the guarantee only ever demands a
+    nonnegative length. The two cited lines (two-stage reference, prior
+    scheme at epsilon = 1/m) are comparisons, never asserted achievements.
     """
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
@@ -318,31 +322,34 @@ def bounds_dashboard(j: JointPmf, m: int) -> dict:
 # Eavesdropper analysis.
 
 
-def eavesdropper_view(runs: Sequence[_RunRecord]) -> dict:
+def eavesdropper_view(runs: Iterable[_RunRecord]) -> dict:
     """Summarize exactly what the public channel shows, and audit it.
 
     Asserts that no string payload equals any party's nonempty key
     (integer payloads such as round indices are not bitstrings and are
     compared as types, not spellings). Feeds the fairness diagnostics
-    with ideal keys grouped by transcript value.
+    with ideal keys grouped by transcript value. Runs come as a list or a
+    Counter, whose first-insertion order names the first offending run.
     """
+    try:
+        runs = Counter(runs)
+    except TypeError as exc:
+        raise ValidationError(f"malformed run record: {exc}") from None
     if not runs:
         raise ValidationError("empty transcript log")
     keys_seen = set()
     payload_count = 0
     labels = set()
-    samples = []
-    for entry in runs:
+    samples: Counter[tuple[Transcript, str]] = Counter()
+    for entry, n in runs.items():
         try:
             transcript, key_a, key_b, ideal = entry
         except (TypeError, ValueError):
             raise ValidationError(f"malformed run record: {entry!r}") from None
-        for key in (key_a, key_b, ideal):
-            if key:
-                keys_seen.add(key)
+        keys_seen.update(key for key in (key_a, key_b, ideal) if key)
         labels.add(transcript_label(transcript))
-        payload_count += len(transcript)
-        samples.append((transcript, ideal))
+        payload_count += n * len(transcript)
+        samples[transcript, ideal] += n
     for transcript, _, _, _ in runs:
         for sender, kind, value in transcript:
             if isinstance(value, str) and value in keys_seen:
@@ -351,7 +358,7 @@ def eavesdropper_view(runs: Sequence[_RunRecord]) -> dict:
                 )
     fairness = fairness_test(samples)
     return {
-        "runs": len(runs),
+        "runs": runs.total(),
         "messages": payload_count,
         "distinct_transcripts": len(labels),
         "leak_check": "clean",
@@ -556,14 +563,6 @@ def _check(
     return entry
 
 
-def _diag_joint(p: Pmf) -> JointPmf:
-    n = len(p.masses)
-    rows = tuple(
-        tuple(p.masses[i] if i == k else ZERO for k in range(n)) for i in range(n)
-    )
-    return JointPmf(p.labels, p.labels, rows)
-
-
 def parse_reconciler(spec: str, seed: int | str) -> Reconciler:
     """CLI reconciler spec: identity, constant, or hashmap:BITS."""
     if spec == "identity":
@@ -686,8 +685,8 @@ def agreed(run: _RunRecord) -> bool:
     return key_a == key_b == ideal
 
 
-def _estimates_section(errors: int, lengths: Sequence[float]) -> dict:
-    n = len(lengths)
+def _estimates_section(errors: int, lengths: Counter[float]) -> dict:
+    n = lengths.total()
     eps_lo, eps_hi = wilson_interval(errors, n)
     ell_lo, ell_hi = mean_interval(lengths)
     return {
@@ -699,7 +698,7 @@ def _estimates_section(errors: int, lengths: Sequence[float]) -> dict:
             "method": "wilson-99",
         },
         "ell": {
-            "estimate": math.fsum(lengths) / n,
+            "estimate": math.fsum(lengths.elements()) / n,
             "interval": [ell_lo, ell_hi],
             "method": "normal-approx-99",
         },
@@ -744,16 +743,14 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
         "methodology": METHODOLOGY,
         **plan.header,
     }
-    report_joint = _diag_joint(source) if isinstance(source, Pmf) else source
-    data["bounds"] = bounds_dashboard(report_joint, cfg.m)
+    data["bounds"] = bounds_dashboard(source, cfg.m)
     conv = next(
         line["value"]
         for line in data["bounds"]["lines"]
         if line["kind"] == "converse"
     )
-    small = (
-        len(report_joint.x_labels) <= 8 and len(report_joint.y_labels) <= 8
-    )
+    sides = (source,) if isinstance(source, Pmf) else (source.x_labels, source.y_labels)
+    small = all(len(side) <= 8 for side in sides)
     exact: dict[str, Any] = {}
     checks: list[dict] = []
 
@@ -762,6 +759,7 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
     if cfg.protocol == "common":
         h_x = entropy(source)
         if small:
+            formats.check_printable_depth(cfg.w_max)  # the law's tail is 2**-w_max
             law = exact_common_law(source, cfg.w_max)
             exact["expected_length"] = formats.format_rational(law.expected_length)
             exact["expected_length_float"] = float(law.expected_length)
@@ -843,13 +841,14 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
         length_bound = floor
 
     if cfg.trials > 0:
-        runs = list(plan.runs(cfg.trials))
+        # counted run records: memory grows with distinct records, not trials
+        runs = Counter(plan.runs(cfg.trials))
         errors = 0
-        lengths: list[float] = []
-        for run in runs:
+        lengths: Counter[float] = Counter()
+        for run, n in runs.items():
             ok = agreed(run)
-            errors += not ok
-            lengths.append(float(len(run[3])) if ok else 0.0)
+            errors += 0 if ok else n
+            lengths[float(len(run[3])) if ok else 0.0] += n
         data["estimates"] = _estimates_section(errors, lengths)
         eps_iv = tuple(data["estimates"]["epsilon"]["interval"])
         ell_iv = tuple(data["estimates"]["ell"]["interval"])

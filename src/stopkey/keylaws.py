@@ -22,6 +22,7 @@ from typing import Iterable, Mapping
 from .errors import ValidationError
 from .probability import (
     JointPmf,
+    Pmf,
     ZERO,
     as_fraction,
     mutual_information,
@@ -445,8 +446,8 @@ def compose_error_length(first: ErrorLengthPair, second: ErrorLengthPair) -> Err
     )
 
 
-def converse_bound(j: JointPmf) -> float:
-    """Upper bound on any achievable ell: I(X;Y) + log2(3) + 1 bits."""
+def converse_bound(j: JointPmf | Pmf) -> float:
+    """Upper bound on any achievable ell: I(X;Y) + log2(3) + 1 bits; a Pmf is Y = X."""
     return mutual_information(j) + _LOG2_3 + 1
 
 

@@ -370,18 +370,22 @@ def entropy_interval(p) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
-def mutual_information(j: JointPmf) -> float:
-    """I(X;Y) in bits, double precision.
+def mutual_information(j: JointPmf | Pmf) -> float:
+    """I(X;Y) in bits, double precision; a Pmf stands for the source Y = X.
 
     Each term takes one log of the exact rational ratio
     p(x,y) / (p(x) p(y)), so a factorizing joint returns exactly 0.0
     instead of the float residue an H(X) + H(Y) - H(X,Y) rearrangement
     would leave.
     """
-    px = j.marginal_x().masses
-    py = j.marginal_y().masses
+    if isinstance(j, Pmf):  # the atoms of Y = X lie on the diagonal
+        px = py = j.masses
+        atoms = ((i, i, m) for i, m in enumerate(px) if m > 0)
+    else:
+        px, py = j.marginal_x().masses, j.marginal_y().masses
+        atoms = j.atoms()
     total = 0.0
-    for ix, iy, m in j.atoms():
+    for ix, iy, m in atoms:
         total += float(m) * math.log2(m / (px[ix] * py[iy]))
     return total
 
@@ -406,8 +410,10 @@ class AgreementStats:
     conditional: Pmf | None
 
 
-def agreement_stats(j: JointPmf) -> AgreementStats:
-    """Exact P(X = Y) and p_{X|X=Y} for a joint pmf; equality is by label."""
+def agreement_stats(j: JointPmf | Pmf) -> AgreementStats:
+    """Exact P(X = Y) and p_{X|X=Y}, equality by label; a Pmf is Y = X (p = 1)."""
+    if isinstance(j, Pmf):
+        return AgreementStats(ONE, j)
     diag = []
     p = ZERO
     for ix, x in enumerate(j.x_labels):

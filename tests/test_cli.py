@@ -393,6 +393,12 @@ class TestVerifyRsbs:
         assert main(["verify-rsbs", "--law", "/nonexistent.json"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_non_object_law_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "law.json"
+        path.write_text("[]")
+        assert main(["verify-rsbs", "--law", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: expected an object document\n"
+
 
 class TestBounds:
     def test_dist_dashboard(self, dist_file, capsys):

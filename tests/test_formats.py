@@ -131,7 +131,7 @@ class TestFileIO:
     def test_non_object_documents_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        for loader in (load_distribution, load_joint, load_source):
+        for loader in (load_distribution, load_joint, load_source, load_hash_function):
             with pytest.raises(FormatError, match="object"):
                 loader(str(path))
 

@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,7 +26,9 @@ from stopkey.harness import (
     transcript_label,
     wilson_interval,
 )
+from stopkey.common import KeyAgreeEngine, exact_common_law
 from stopkey.keylaws import law_from_codebook, simulate_stopped_key, stopping_rule_of
+from stopkey.probability import JointPmf, Pmf
 from stopkey.randomsource import RandomSource
 from stopkey.reconciled import (
     ConstantReconciler,
@@ -32,7 +37,15 @@ from stopkey.reconciled import (
     OneWayHashReconciler,
 )
 
-from conftest import CORPUS, WORKED_JOINT, diag_joint, pmf, product_joint
+from conftest import (
+    CORPUS,
+    CORRELATED_3,
+    WORKED_JOINT,
+    diag_joint,
+    pmf,
+    product_joint,
+    random_rational_pmf,
+)
 
 
 class TestIntervals:
@@ -88,6 +101,16 @@ class TestIntervals:
     def test_mean_interval_validation(self):
         with pytest.raises(ValidationError):
             mean_interval([])
+        with pytest.raises(ValidationError):
+            mean_interval(Counter())
+
+    def test_mean_interval_of_counted_samples(self):
+        rng = RandomSource("mean-counter")
+        # few distinct non-integer values, each repeated, in a scrambled order
+        values = [0.1, 1 / 3, 2.7182818, 1e-9, 12.5]
+        samples = [values[rng.randrange(len(values))] for _ in range(1000)]
+        assert mean_interval(Counter(samples)) == mean_interval(samples)
+        assert mean_interval(Counter([0.3])) == mean_interval([0.3]) == (0.3, 0.3)
 
     def test_chi_square_reference_points(self):
         assert chi_square_pvalue(0.0) == 1.0
@@ -154,6 +177,16 @@ class TestFairness:
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValidationError):
             fairness_test([])
+        with pytest.raises(ValidationError):
+            fairness_test(Counter())
+
+    def test_counted_samples_match_the_list(self):
+        rng = RandomSource("fairness-counter")
+        samples = [
+            (f"t{rng.randrange(3)}", format(rng.randrange(8), "03b")[: rng.randrange(4)])
+            for _ in range(500)
+        ]
+        assert fairness_test(Counter(samples)) == fairness_test(samples)
 
 
 class TestBoundsDashboard:
@@ -203,6 +236,31 @@ class TestBoundsDashboard:
         with pytest.raises(ValidationError):
             bounds_dashboard(WORKED_JOINT, 0)
 
+    def test_pmf_is_its_own_diagonal_source(self):
+        rng = RandomSource("dashboard-diagonal")
+        sources = list(CORPUS.values())
+        sources += [random_rational_pmf(rng.substream(i), 12) for i in range(100)]
+        for p in sources:
+            for m in (1, 3):
+                # float ==, not approx: the same terms in the same order
+                assert bounds_dashboard(p, m) == bounds_dashboard(diag_joint(p), m), p
+
+    def test_wide_pmf_builds_no_joint(self, monkeypatch):
+        n = 1000
+        p = Pmf.from_masses(Fraction(2 * w, n * (n + 1)) for w in range(1, n + 1))
+        built = []
+        raw = JointPmf.__post_init__
+
+        def counting(self):
+            built.append(1)
+            raw(self)
+
+        monkeypatch.setattr(JointPmf, "__post_init__", counting)
+        d = bounds_dashboard(p, 2)
+        assert built == []
+        assert d["p_agree"] == "1"
+        assert d["mutual_information"] == d["conditional_entropy"]
+
 
 class TestEavesdropper:
     RUNS = [
@@ -247,6 +305,29 @@ class TestEavesdropper:
     def test_fairness_section_attached(self):
         doc = eavesdropper_view(self.RUNS)
         assert doc["fairness"]["tests"] >= 1
+
+    def test_unhashable_record_rejected(self):
+        with pytest.raises(ValidationError, match="malformed run record"):
+            eavesdropper_view([["only-two", "fields"]])
+
+    def test_counted_runs_match_the_list(self):
+        runs = self.RUNS * 3 + [((("alice", "round", 3),), "1", "1", "1")] + self.RUNS
+        assert eavesdropper_view(Counter(runs)) == eavesdropper_view(runs)
+        assert eavesdropper_view(Counter(runs))["runs"] == 9
+
+    def test_leak_check_names_the_first_offending_run(self):
+        # "10" is a key only in the last run; the first run already shows it
+        runs = [
+            ((("alice", "note", "10"),), "", "", ""),
+            ((("alice", "round", 1),), "01", "01", "01"),
+            ((("alice", "note", "01"),), "", "", ""),
+            ((("alice", "note", "10"),), "", "", ""),
+            ((("bob", "round", 2),), "10", "10", "10"),
+        ]
+        for log, first in ((runs, "10"), (runs[1:], "01"), (runs[3:] + runs, "10")):
+            for view in (log, Counter(log)):
+                with pytest.raises(InvariantError, match=f"alice:note='{first}'"):
+                    eavesdropper_view(view)
 
 
 class TestConfig:
@@ -395,13 +476,63 @@ class TestRunSimulation:
         calls = []
 
         def counted(samples):
-            calls.append(len(samples))
+            calls.append(Counter(samples).total())
             return fairness_test(samples)
 
         monkeypatch.setattr(harness, "fairness_test", counted)
         rep = run_simulation(_common_cfg())
         assert calls == [300]
         assert rep.data["fairness"] == rep.data["eavesdropper"]["fairness"]
+
+    @pytest.mark.parametrize(
+        "doc, extra, sizes",
+        [
+            (formats.pmf_document(CORPUS["tenths"]), {}, (500, 5000)),
+            (
+                formats.joint_document(CORRELATED_3),
+                {"protocol": "correlated", "m": 2, "reconciler": "hashmap:1"},
+                (200, 2000),
+            ),
+        ],
+        ids=["common", "correlated"],
+    )
+    def test_peak_memory_does_not_grow_with_trials(self, doc, extra, sizes):
+        def cfg(trials):
+            base = {"protocol": "common", "source_doc": doc, "seed": 7, **extra}
+            return ExperimentConfig(trials=trials, **base)
+
+        run_simulation(cfg(sizes[-1]))  # warm the engine and stage caches
+        peaks = []
+        for trials in sizes:
+            tracemalloc.start()
+            try:
+                run_simulation(cfg(trials))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # a stored list of 10x more runs would add about 390 B per trial
+        assert peaks[1] - peaks[0] < 100_000, peaks
+
+    def test_deep_w_max_is_refused_before_any_round(self, monkeypatch):
+        built = []
+        raw = KeyAgreeEngine._advance
+
+        def counting(self):
+            built.append(1)
+            return raw(self)
+
+        monkeypatch.setattr(KeyAgreeEngine, "_advance", counting)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+        fresh = pmf("3/29", "5/29", "7/29", "14/29")
+        with pytest.raises(ValidationError, match="exceeds 14284"):
+            run_simulation(
+                ExperimentConfig(
+                    protocol="common", source_doc=formats.pmf_document(fresh), w_max=15000
+                )
+            )
+        with pytest.raises(ValidationError, match="exceeds limit 20000"):
+            exact_common_law(fresh, 20001)
+        assert built == []
 
     def test_reports_are_seed_deterministic(self):
         a = run_simulation(_common_cfg()).to_json()

@@ -241,8 +241,8 @@ def pointwise_verdict_document(v: PointwiseVerdict) -> dict:
 def check_printable_depth(depth: int) -> None:
     """Refuse a depth whose round weight 1/2**depth cannot be printed.
 
-    Callers check before building any round: the weight 2**depth passes
-    the interpreter's int-to-str digit limit only past that many rounds.
+    Callers check before building any round, so a depth past the
+    interpreter's int-to-str digit limit fails at once, not after it.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     # 2**depth has fewer than depth digits, so only a deeper one can overflow

@@ -34,6 +34,15 @@ TRIAL_PINS = {
     "simulate correlated text": "2dbf57ebeafd90081f18c3172087c473da5940a6dc328458189e85b24b854503",
 }
 
+# sha256 of each text run log in TestTrialOutputPins.test_text_run_logs_are_pinned,
+# same runs as the structured keygen pins above
+RUN_LOG_TEXT_PINS = {
+    "keygen-almost derandomized": "9fcb3397d27587273f89da08dc66eef2aa2be791a971b4e480d60f8009e959d0",
+    "keygen-almost random": "4dd26cb6c38ee05440f94c0385a416dfadaa68cff5bda103e38331541b9b9c40",
+    "keygen-correlated hashmap": "068824df327d07995d620a1a68fca1806df579082883f30ad20880addcaf123a",
+    "keygen-correlated constant": "8b4c0e94a14d9fb1dd49fe7e8960c77ce1e1a72cb89d0aa2c5976fcc4df3afe9",
+}
+
 # sha256 of each output in TestDistSourcePins: bound lines of tenths and of a
 # seeded 12-symbol pmf, and a 300-trial report on the 12-symbol pmf (seed 5),
 # where the dashboard is the only section a single distribution feeds
@@ -305,6 +314,26 @@ class TestTrialOutputPins:
             for name, argv in argvs.items()
         }
         assert got == TRIAL_PINS
+
+    def test_text_run_logs_are_pinned(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        formats.write_document(formats.joint_document(CORRELATED_3), "corr3.json")
+        common = ["--joint", "corr3.json", "--m", "2", "--trials", "300", "--seed", "5"]
+        argvs = {
+            "keygen-almost derandomized": ["keygen-almost", *common],
+            "keygen-almost random": ["keygen-almost", *common, "--hash", "random:S"],
+            "keygen-correlated hashmap": [
+                "keygen-correlated", *common, "--reconciler", "hashmap:1"
+            ],
+            "keygen-correlated constant": [
+                "keygen-correlated", *common, "--reconciler", "constant"
+            ],
+        }
+        got = {
+            name: hashlib.sha256(_output(argv, capsys).encode()).hexdigest()
+            for name, argv in argvs.items()
+        }
+        assert got == RUN_LOG_TEXT_PINS
 
     @pytest.mark.parametrize(
         "verb, options, protocol",

@@ -21,8 +21,10 @@ from .harness import (
     ExperimentConfig,
     ProtocolPlan,
     agreed,
+    bound_line_text,
     bounds_dashboard,
     run_simulation,
+    transcript_label,
 )
 from .keylaws import verify_rsbs
 from .randomsource import RandomSource
@@ -158,6 +160,8 @@ def _cmd_keygen_common(args) -> int:
     p = formats.load_distribution(args.dist)
     x = p.index(args.x)
     if args.role == "alice":
+        if args.w is not None:
+            raise StopkeyError("--w is for --role bob only")
         key, w = alice_keygen(p, x, RandomSource(args.seed).substream("keygen-common"))
     else:
         if args.w is None:
@@ -171,29 +175,6 @@ def _cmd_keygen_common(args) -> int:
     return 0
 
 
-def _run_log_output(args, doc: dict) -> None:
-    if args.format == "structured":
-        _emit(formats.dumps(doc), args.out)
-        return
-    lines = []
-    for i, rec in enumerate(doc["runs"]):
-        t = "|".join(
-            "{sender}:{kind}={value}".format(**r) for r in rec["transcript"]
-        )
-        keys = rec["keys"]
-        lines.append(
-            f"trial={i} transcript={t or '(none)'} "
-            f"alice={keys['alice']!r} bob={keys['bob']!r} ideal={keys['ideal']!r}"
-        )
-    lines.append(
-        "trials={trials} errors={errors} error_rate={rate:.6g}".format(
-            trials=doc["trials"], errors=doc["errors"],
-            rate=doc["errors"] / doc["trials"] if doc["trials"] else 0.0,
-        )
-    )
-    _emit("\n".join(lines) + "\n", args.out)
-
-
 def _cmd_keygen_trials(args) -> int:
     """keygen-almost and keygen-correlated: the trials simulate plays."""
     protocol = args.verb[len("keygen-"):]
@@ -205,20 +186,27 @@ def _cmd_keygen_trials(args) -> int:
         hash_spec=getattr(args, "hash", None),
         reconciler=getattr(args, "reconciler", "identity"),
     )
-    records = []
-    errors = 0
-    for run in plan.runs(args.trials):
-        errors += not agreed(run)
-        records.append(formats.run_record(*run))
-    doc = {
-        "protocol": protocol,
-        "m": args.m,
-        **plan.header,
-        "trials": args.trials,
-        "errors": errors,
-        "runs": records,
-    }
-    _run_log_output(args, doc)
+    runs = list(plan.runs(args.trials))
+    errors = sum(not agreed(run) for run in runs)
+    if args.format == "structured":
+        doc = {
+            "protocol": protocol,
+            "m": args.m,
+            **plan.header,
+            "trials": args.trials,
+            "errors": errors,
+            "runs": [formats.run_record(*run) for run in runs],
+        }
+        _emit(formats.dumps(doc), args.out)
+        return 0
+    lines = [
+        f"trial={i} transcript={transcript_label(t)} "
+        f"alice={a!r} bob={b!r} ideal={ideal!r}"
+        for i, (t, a, b, ideal) in enumerate(runs)
+    ]
+    rate = errors / args.trials if args.trials else 0.0
+    lines.append(f"trials={args.trials} errors={errors} error_rate={rate:.6g}")
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -257,11 +245,7 @@ def _cmd_bounds(args) -> int:
             f"H(X|X=Y) = {dash['conditional_entropy']:.10g}"
             f"  kappa = {dash['kappa']:.10g}"
         )
-    for line in dash["lines"]:
-        tag = " [vacuous]" if line.get("vacuous") else ""
-        value = line["value"]
-        shown = "n/a" if value is None else f"{value:.10g}"
-        lines.append(f"({line['kind']}) {line['label']} = {shown}{tag}")
+    lines.extend(bound_line_text(line) for line in dash["lines"])
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

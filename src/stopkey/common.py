@@ -283,13 +283,6 @@ class KeyAgreeEngine:
             raise InvariantError(f"stopping round {w} has no codeword for {x}")
         return code, w
 
-    def round_weight(self, x: int, w: int) -> Fraction:
-        """Exact P(W = w | X = x) = removed_w(x) / p(x)."""
-        length = self.round(w).length_of(x)
-        if length is None:
-            return ZERO
-        return Fraction(1, 1 << (w + length)) / self.pmf.masses[x]
-
     def round_distribution(self, x: int, w_max: int) -> list[tuple[int, Fraction]]:
         """(w, P(W = w | X = x)) for rounds 1..w_max with positive weight."""
         px = self.pmf.masses[x]

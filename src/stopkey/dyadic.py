@@ -17,7 +17,6 @@ from .probability import Pmf
 
 __all__ = [
     "KnuthYaoSampler",
-    "knuth_yao_sample",
     "ROUND_WEIGHT_ENTROPY",
     "round_weight_partial_entropy",
 ]
@@ -89,12 +88,3 @@ class KnuthYaoSampler:
             if node < len(terms):
                 return terms[node], depth
             node -= len(terms)
-
-
-def knuth_yao_sample(p: Pmf, rng) -> tuple[int, int]:
-    """One-shot exact draw from ``p``; returns (symbol index, bits used).
-
-    Builds a fresh sampler; loops should construct a KnuthYaoSampler once
-    and reuse it.
-    """
-    return KnuthYaoSampler(p).sample(rng)

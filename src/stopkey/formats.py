@@ -16,6 +16,8 @@ Document shapes:
                   "conditional", "codewords"}, ...]}
   transcript     [{"sender": "alice", "kind": "hash", "value": 1}, ...]
   run log        {"runs": [{"transcript": [...], "keys": {...}}, ...]}
+
+Transcripts and run logs are output formats; nothing reads them back.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .common import KeyAgreeEngine
 from .errors import FormatError, ValidationError
-from .keylaws import KeyLaw, PointwiseVerdict, RsbsVerdict
+from .keylaws import KeyLaw, RsbsVerdict
 from .probability import JointPmf, Pmf
 from .reconciled import HashFunction, Transcript
 
@@ -224,16 +226,6 @@ def rsbs_verdict_document(v: RsbsVerdict) -> dict:
     }
 
 
-def pointwise_verdict_document(v: PointwiseVerdict) -> dict:
-    return {
-        "valid": v.valid,
-        "violations": [
-            {"key": k, "mass": format_rational(m), "bound": format_rational(b)}
-            for k, m, b in v.violations
-        ],
-    }
-
-
 # ---------------------------------------------------------------------------
 # Decomposition dumps.
 
@@ -325,41 +317,8 @@ def transcript_document(t: Transcript) -> list[dict]:
     return [{"sender": s, "kind": k, "value": v} for s, k, v in t]
 
 
-def parse_transcript(doc: Iterable) -> Transcript:
-    records = []
-    for entry in doc:
-        if not isinstance(entry, Mapping):
-            raise FormatError(f"transcript record {entry!r} must be an object")
-        sender = _require(entry, "sender", str)
-        kind = _require(entry, "kind", str)
-        if "value" not in entry:
-            raise FormatError("transcript record missing 'value'")
-        value = entry["value"]
-        if not isinstance(value, (str, int)) or isinstance(value, bool):
-            raise FormatError(f"transcript value {value!r} must be int or string")
-        records.append((sender, kind, value))
-    return tuple(records)
-
-
 def run_record(transcript: Transcript, key_a: str, key_b: str, ideal: str) -> dict:
     return {
         "transcript": transcript_document(transcript),
         "keys": {"alice": key_a, "bob": key_b, "ideal": ideal},
     }
-
-
-def parse_run_log(doc: Mapping) -> list[tuple[Transcript, str, str, str]]:
-    runs = _require(doc, "runs", list)
-    out = []
-    for entry in runs:
-        if not isinstance(entry, Mapping):
-            raise FormatError("run record must be an object")
-        transcript = parse_transcript(_require(entry, "transcript", list))
-        keys = _require(entry, "keys", dict)
-        try:
-            out.append(
-                (transcript, keys["alice"], keys["bob"], keys["ideal"])
-            )
-        except KeyError as exc:
-            raise FormatError(f"run record missing key slot {exc}") from None
-    return out

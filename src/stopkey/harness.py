@@ -398,6 +398,14 @@ class ExperimentConfig:
             raise ValidationError("w_max must be >= 1")
         if self.trials < 0:
             raise ValidationError("trials must be >= 0")
+        if self.hash_spec is not None and self.protocol != "almost":
+            raise ValidationError(
+                f"a hash spec applies only to the almost protocol, not {self.protocol!r}"
+            )
+        if self.reconciler is not None and self.protocol != "correlated":
+            raise ValidationError(
+                f"a reconciler applies only to the correlated protocol, not {self.protocol!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -411,10 +419,6 @@ class ExperimentConfig:
             "reconciler": self.reconciler,
             "hash_spec": self.hash_spec,
         }
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "ExperimentConfig":
-        return cls(**{k: doc.get(k) for k in cls.__dataclass_fields__ if k in doc})
 
 
 METHODOLOGY = (
@@ -463,10 +467,7 @@ class Report:
                 )
             )
             for line in dash.get("lines", ()):
-                tag = " [vacuous]" if line.get("vacuous") else ""
-                out.append(
-                    f"  ({line['kind']}) {line['label']} = {_fmt(line['value'])}{tag}"
-                )
+                out.append(f"  {bound_line_text(line)}")
         est = d.get("estimates")
         if est:
             out.append("-- estimates --")
@@ -517,6 +518,12 @@ class Report:
             )
         out.append(f"status: {d.get('status')}")
         return "\n".join(out) + "\n"
+
+
+def bound_line_text(line: Mapping) -> str:
+    """One dashboard line as text: ``(kind) label = value``, tagged if vacuous."""
+    tag = " [vacuous]" if line.get("vacuous") else ""
+    return f"({line['kind']}) {line['label']} = {_fmt(line['value'])}{tag}"
 
 
 def _fmt(value: Any) -> str:

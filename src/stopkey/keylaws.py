@@ -46,7 +46,6 @@ __all__ = [
     "pointwise_mass_bound",
     "compose_error_length",
     "converse_bound",
-    "expected_agreed_length",
 ]
 
 _LOG2_3 = 1.584962500721156  # log2(3), double precision
@@ -236,8 +235,10 @@ def verify_rsbs(
     rationals. Zero tolerance by default, which requires tail == 0; a law
     truncated at some depth can instead pass ``tail_slack`` (usually its
     own tail) to accept per-prefix imbalance up to that slack, since the
-    unenumerated mass could sit on either side.
+    unenumerated mass could sit on either side. A negative slack is refused.
     """
+    if tail_slack is not None and tail_slack < 0:
+        raise ValidationError(f"tail_slack must be >= 0, got {tail_slack}")
     if law.tail > 0 and tail_slack is None:
         raise ValidationError(
             "law has positive tail; exact verification needs tail == 0 "
@@ -449,20 +450,3 @@ def compose_error_length(first: ErrorLengthPair, second: ErrorLengthPair) -> Err
 def converse_bound(j: JointPmf | Pmf) -> float:
     """Upper bound on any achievable ell: I(X;Y) + log2(3) + 1 bits; a Pmf is Y = X."""
     return mutual_information(j) + _LOG2_3 + 1
-
-
-def expected_agreed_length(
-    atoms: Iterable[tuple[str, str, str, object]],
-) -> Fraction:
-    """Exact E[|K| ; both parties output the ideal key K].
-
-    ``atoms`` enumerates (ideal_key, alice_key, bob_key, probability).
-    Only fully agreeing atoms contribute; probabilities need not sum to 1
-    (a truncation tail simply contributes nothing, making this a lower
-    bound on the untruncated value).
-    """
-    total = ZERO
-    for ideal, alice, bob, prob in atoms:
-        if ideal == alice == bob:
-            total += len(ideal) * as_fraction(prob)
-    return total

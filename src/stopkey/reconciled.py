@@ -24,12 +24,7 @@ from typing import Any, Iterator, Mapping, Sequence
 
 from .common import KeyAgreeEngine, engine_for
 from .dyadic import KnuthYaoSampler
-from .errors import (
-    InvariantError,
-    ProtocolError,
-    ReconcilerContractError,
-    ValidationError,
-)
+from .errors import InvariantError, ReconcilerContractError, ValidationError
 from .keylaws import ErrorLengthPair, KeyLaw
 from .probability import (
     ONE,
@@ -102,9 +97,6 @@ class HashFunction:
             raise ValidationError(
                 f"label {label!r} outside the hash domain"
             ) from None
-
-    def bucket(self, value: int) -> tuple[str, ...]:
-        return tuple(l for l, v in zip(self.labels, self.values) if v == value)
 
     @classmethod
     def random(
@@ -413,34 +405,19 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
     )
 
 
-def derandomize_hash(
-    j: JointPmf, m: int, candidates: Sequence[HashFunction] | None = None
-) -> tuple[HashFunction, Fraction]:
+def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:
     """Pick a fixed hash table meeting the (1 - p)/m collision bound.
 
-    With no candidates: exhaustive search when the table space is small,
-    otherwise a greedy pass assigning one label at a time to the bucket
-    minimizing the collision mass against the labels already placed.
-    The average over uniform tables is exactly (1 - p)/m, so both the
-    minimum and the greedy table (average over uniform completions,
-    label by label) meet the bound unconditionally. With candidates:
-    evaluates the supplied family and returns its best table only if
-    that table meets the bound; a family with no qualifying table
-    raises, it is never silently accepted.
+    Exhaustive search when the table space is small, otherwise a greedy
+    pass assigning one label at a time to the bucket minimizing the
+    collision mass against the labels already placed. The average over
+    uniform tables is exactly (1 - p)/m, so both the minimum and the
+    greedy table (average over uniform completions, label by label) meet
+    the bound unconditionally.
     """
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
     bound = (1 - agreement_stats(j).p) / m
-    if candidates is not None:
-        if not candidates:
-            raise ValidationError("empty candidate family")
-        best = min(candidates, key=lambda h: (collision_error(j, h), h.values))
-        err = collision_error(j, best)
-        if err > bound:
-            raise ProtocolError(
-                f"no candidate meets the collision bound: best {err} > {bound}"
-            )
-        return best, err
 
     labels = union_alphabet(j)
     if m ** len(labels) <= 4096:

@@ -178,6 +178,12 @@ class TestKeygenCommon:
         ) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_alice_refuses_w(self, dist_file, capsys):
+        assert main(
+            ["keygen-common", "--dist", dist_file, "--role", "alice", "--x", "2", "--w", "5"]
+        ) == 3
+        assert "--w is for --role bob only" in capsys.readouterr().err
+
     def test_alice_is_seed_deterministic(self, dist_file, capsys):
         args = [
             "keygen-common", "--dist", dist_file, "--role", "alice",
@@ -418,6 +424,13 @@ class TestVerifyRsbs:
         assert "tail" in capsys.readouterr().err
         assert main(["verify-rsbs", "--law", path, "--tail-slack", "1/2"]) == 0
 
+    def test_negative_tail_slack_is_an_input_error(self, law_files, capsys):
+        good, _ = law_files
+        assert main(["verify-rsbs", "--law", good, "--tail-slack=-1/2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tail_slack must be >= 0" in captured.err
+
     def test_missing_file(self, capsys):
         assert main(["verify-rsbs", "--law", "/nonexistent.json"]) == 3
         assert "error:" in capsys.readouterr().err
@@ -495,6 +508,27 @@ class TestSimulateAndReport:
             ]
         ) == 0
         assert json.loads(capsys.readouterr().out)["config"]["protocol"] == "almost"
+
+    @pytest.mark.parametrize(
+        "source, options",
+        [
+            ("joint", ["--protocol", "correlated", "--reconciler", "identity",
+                       "--hash", "fixed:nope.json"]),
+            ("dist", ["--reconciler", "hashmap:3", "--hash", "random:1"]),
+            ("dist", ["--hash", "random:1"]),
+            ("joint", ["--protocol", "almost", "--reconciler", "identity"]),
+        ],
+    )
+    @pytest.mark.parametrize("verb", ["simulate", "report"])
+    def test_unused_options_are_input_errors(
+        self, verb, source, options, dist_file, joint_file, capsys
+    ):
+        path = dist_file if source == "dist" else joint_file
+        argv = [verb, f"--{source}", path, "--m", "2", "--trials", "10", *options]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "applies only" in captured.err
 
     def test_report_defaults_to_bounds_only(self, dist_file, capsys):
         assert main(

@@ -282,13 +282,6 @@ class TestEngineCache:
         b = engine_for(CORPUS["sevenths"])
         assert a is b
 
-    def test_round_weight_matches_distribution(self):
-        p = CORPUS["sevenths"]
-        e = engine_for(p)
-        dist = dict(e.round_distribution(0, 12))
-        for w in range(1, 13):
-            assert e.round_weight(0, w) == dist.get(w, Fraction(0))
-
 
 class TestThreadSafety:
     """engine_for shares one engine per pmf across the process."""

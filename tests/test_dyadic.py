@@ -6,7 +6,6 @@ from stopkey.common import KeyAgreeEngine
 from stopkey.dyadic import (
     ROUND_WEIGHT_ENTROPY,
     KnuthYaoSampler,
-    knuth_yao_sample,
     round_weight_partial_entropy,
 )
 from stopkey.errors import ValidationError
@@ -182,7 +181,7 @@ class TestAlgorithmTrace:
 
 class TestKnuthYao:
     def test_point_mass_costs_zero_bits(self):
-        sym, bits = knuth_yao_sample(CORPUS["point"], RandomSource(0))
+        sym, bits = KnuthYaoSampler(CORPUS["point"]).sample(RandomSource(0))
         assert (sym, bits) == (0, 0)
 
     def test_uniform2_costs_one_bit_always(self):

@@ -21,18 +21,13 @@ from stopkey.formats import (
     parse_key_law,
     parse_pmf,
     parse_rational,
-    parse_run_log,
     parse_source,
-    parse_transcript,
     pmf_document,
-    pointwise_verdict_document,
     read_document,
     rsbs_verdict_document,
-    run_record,
-    transcript_document,
     write_document,
 )
-from stopkey.keylaws import KeyLaw, pointwise_mass_bound, verify_rsbs
+from stopkey.keylaws import KeyLaw, verify_rsbs
 from stopkey.probability import JointPmf, Pmf
 from stopkey.reconciled import HashFunction
 
@@ -190,12 +185,6 @@ class TestVerdictDocuments:
         assert first["prefix"] == ""
         assert {first["p_zero"], first["p_one"]} == {"3/4", "1/4"}
 
-    def test_pointwise_verdict(self):
-        law = KeyLaw.from_dict({"0": Fraction(3, 4), "1": Fraction(1, 4)})
-        doc = pointwise_verdict_document(pointwise_mass_bound(law))
-        assert doc["valid"] is False
-        assert doc["violations"] == [{"key": "0", "mass": "3/4", "bound": "1/2"}]
-
 
 class TestDecompositionDocuments:
     def test_uniform3_dump(self):
@@ -237,36 +226,3 @@ class TestHashDocuments:
         h = HashFunction(("x", "y"), (2, 1), 2)
         write_document(hash_function_document(h), path)
         assert load_hash_function(path) == h
-
-
-class TestTranscriptDocuments:
-    TRANSCRIPT = (("alice", "hash", 1), ("bob", "round", 3), ("bob", "error", "e"))
-
-    def test_round_trip(self):
-        doc = transcript_document(self.TRANSCRIPT)
-        assert parse_transcript(doc) == self.TRANSCRIPT
-
-    def test_record_shape_enforced(self):
-        with pytest.raises(FormatError, match="object"):
-            parse_transcript(["nope"])
-        with pytest.raises(FormatError, match="value"):
-            parse_transcript([{"sender": "alice", "kind": "hash"}])
-        with pytest.raises(FormatError, match="int or string"):
-            parse_transcript([{"sender": "a", "kind": "k", "value": True}])
-        with pytest.raises(FormatError, match="int or string"):
-            parse_transcript([{"sender": "a", "kind": "k", "value": 1.5}])
-
-    def test_run_log_round_trip(self):
-        doc = {
-            "runs": [
-                run_record(self.TRANSCRIPT, "01", "01", "01"),
-                run_record((), "", "", ""),
-            ]
-        }
-        runs = parse_run_log(doc)
-        assert runs == [(self.TRANSCRIPT, "01", "01", "01"), ((), "", "", "")]
-
-    def test_run_log_missing_slot(self):
-        doc = {"runs": [{"transcript": [], "keys": {"alice": "0", "bob": "0"}}]}
-        with pytest.raises(FormatError, match="slot"):
-            parse_run_log(doc)

@@ -347,23 +347,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             ExperimentConfig(protocol="common", source_path="x", trials=-1)
 
-    def test_round_trip(self):
-        cfg = ExperimentConfig(
-            protocol="almost",
-            source_doc={"alphabet": ["a"], "pmf": ["1"]},
-            m=3,
-            w_max=12,
-            trials=10,
-            seed="s",
-            hash_spec="random:1",
-        )
-        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    @pytest.mark.parametrize(
+        "protocol, option",
+        [
+            ("common", {"hash_spec": "random:1"}),
+            ("correlated", {"hash_spec": "fixed:nope.json"}),
+            ("common", {"reconciler": "hashmap:3"}),
+            ("almost", {"reconciler": "identity"}),
+        ],
+    )
+    def test_options_the_protocol_does_not_use(self, protocol, option):
+        with pytest.raises(ValidationError, match="applies only"):
+            ExperimentConfig(protocol=protocol, source_path="x", **option)
 
-    def test_from_dict_ignores_unknown_keys(self):
-        cfg = ExperimentConfig.from_dict(
-            {"protocol": "common", "source_path": "x", "extra": 1}
-        )
-        assert cfg.protocol == "common"
 
 
 class TestCheckLogic:

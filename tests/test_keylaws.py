@@ -12,7 +12,6 @@ from stopkey.keylaws import (
     compose_error_length,
     concat_laws,
     converse_bound,
-    expected_agreed_length,
     law_from_codebook,
     law_from_stopping_rule,
     pointwise_mass_bound,
@@ -105,6 +104,11 @@ class TestVerifyRsbs:
     def test_tail_mass_tolerated_within_slack(self):
         law = KeyLaw.from_dict({"0": HALF, "10": QUARTER}, tail=QUARTER)
         assert verify_rsbs(law, tail_slack=QUARTER).valid
+
+    def test_negative_slack_rejected(self):
+        law = KeyLaw.from_dict({"0": HALF, "1": HALF})
+        with pytest.raises(ValidationError, match="tail_slack"):
+            verify_rsbs(law, tail_slack=-HALF)
 
     def test_depth_guard(self):
         law = KeyLaw.from_dict({"0" * 70: Fraction(1)})
@@ -246,15 +250,3 @@ class TestErrorLengthPairs:
 def test_converse_bound_is_mutual_information_plus_constant():
     b = converse_bound(WORKED_JOINT)
     assert b == pytest.approx(mutual_information(WORKED_JOINT) + 1.584962500721156 + 1)
-
-
-def test_expected_agreed_length_counts_only_full_agreement():
-    atoms = [
-        ("01", "01", "01", Fraction(1, 2)),   # agree, contributes 2 * 1/2
-        ("01", "01", "00", Fraction(1, 4)),   # bob differs
-        ("1", "0", "0", Fraction(1, 4)),      # parties agree with each other only
-    ]
-    assert expected_agreed_length(atoms) == 1
-
-    disagree = [("0", "1", "0", Fraction(1))]
-    assert expected_agreed_length(disagree) == 0

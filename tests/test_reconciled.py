@@ -6,7 +6,6 @@ import pytest
 from stopkey.common import exact_common_law
 from stopkey.errors import (
     InvariantError,
-    ProtocolError,
     ReconcilerContractError,
     ValidationError,
 )
@@ -50,7 +49,6 @@ class TestHashFunction:
     def test_lookup_and_bucket(self):
         h = HashFunction(("a", "b", "c"), (1, 2, 1), 2)
         assert h("a") == 1 and h("b") == 2
-        assert h.bucket(1) == ("a", "c")
 
     def test_unknown_label_rejected(self):
         with pytest.raises(ValidationError):
@@ -315,19 +313,6 @@ class TestDerandomize:
         assert err == 0
         assert h("0") != h("1")
         assert h.provenance == "fixed"
-
-    def test_candidate_family_picks_its_best(self):
-        h, err = derandomize_hash(WORKED_JOINT, 2, [ALL_SAME, SEPARATING])
-        assert h.values == SEPARATING.values
-        assert err == 0
-
-    def test_candidate_family_without_a_qualifying_table(self):
-        with pytest.raises(ProtocolError, match="bound"):
-            derandomize_hash(WORKED_JOINT, 2, [ALL_SAME])
-
-    def test_empty_candidate_family(self):
-        with pytest.raises(ValidationError):
-            derandomize_hash(WORKED_JOINT, 2, [])
 
     def test_greedy_handles_large_alphabets(self):
         # 13 labels at m = 2 is past the exhaustive cutoff; the greedy

@@ -19,7 +19,6 @@ from .common import alice_keygen, bob_keygen, engine_for
 from .errors import StopkeyError
 from .harness import (
     ExperimentConfig,
-    ProtocolPlan,
     agreed,
     bound_line_text,
     bounds_dashboard,
@@ -82,19 +81,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("keygen-almost", help="hash-check protocol trials")
     sp.add_argument("--joint", required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--hash", help="fixed:FILE or random:SEED (default: derandomized)")
+    sp.add_argument(
+        "--hash", dest="hash_spec", help="fixed:FILE or random:SEED (default: derandomized)"
+    )
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=_seed_value, default=0)
+    sp.set_defaults(reconciler=None)
     _add_output_args(sp)
 
     sp = sub.add_parser("keygen-correlated", help="two-stage pipeline trials")
     sp.add_argument("--joint", required=True)
     sp.add_argument(
-        "--reconciler", default="identity", help="identity, constant, or hashmap:BITS"
+        "--reconciler", help="identity, constant, or hashmap:BITS (default: identity)"
     )
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=_seed_value, default=0)
+    sp.set_defaults(hash_spec=None)
     _add_output_args(sp)
 
     sp = sub.add_parser("verify-rsbs", help="check a key-law file")
@@ -131,6 +134,21 @@ def _build_parser() -> argparse.ArgumentParser:
         _add_output_args(sp)
 
     return parser
+
+
+def _config(args, protocol: str, path: str, **extra) -> ExperimentConfig:
+    """The run simulate, report or a keygen verb describes; the config
+    checks every option."""
+    return ExperimentConfig(
+        protocol=protocol,
+        source_path=path,
+        m=args.m,
+        trials=args.trials,
+        seed=args.seed,
+        reconciler=args.reconciler,
+        hash_spec=args.hash_spec,
+        **extra,
+    )
 
 
 def _source_args(args: argparse.Namespace) -> tuple[str, str]:
@@ -177,23 +195,16 @@ def _cmd_keygen_common(args) -> int:
 
 def _cmd_keygen_trials(args) -> int:
     """keygen-almost and keygen-correlated: the trials simulate plays."""
-    protocol = args.verb[len("keygen-"):]
-    plan = ProtocolPlan(
-        protocol,
-        formats.load_joint(args.joint),
-        args.m,
-        args.seed,
-        hash_spec=getattr(args, "hash", None),
-        reconciler=getattr(args, "reconciler", "identity"),
-    )
-    runs = list(plan.runs(args.trials))
+    cfg = _config(args, args.verb[len("keygen-"):], args.joint)
+    plan = cfg.plan()
+    runs = list(plan.runs())
     errors = sum(not agreed(run) for run in runs)
     if args.format == "structured":
         doc = {
-            "protocol": protocol,
-            "m": args.m,
+            "protocol": cfg.protocol,
+            "m": cfg.m,
             **plan.header,
-            "trials": args.trials,
+            "trials": cfg.trials,
             "errors": errors,
             "runs": [formats.run_record(*run) for run in runs],
         }
@@ -204,8 +215,8 @@ def _cmd_keygen_trials(args) -> int:
         f"alice={a!r} bob={b!r} ideal={ideal!r}"
         for i, (t, a, b, ideal) in enumerate(runs)
     ]
-    rate = errors / args.trials if args.trials else 0.0
-    lines.append(f"trials={args.trials} errors={errors} error_rate={rate:.6g}")
+    rate = errors / cfg.trials if cfg.trials else 0.0
+    lines.append(f"trials={cfg.trials} errors={errors} error_rate={rate:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -258,17 +269,7 @@ def _cmd_simulate(args) -> int:
             protocol = "common"
         else:
             protocol = "correlated" if args.reconciler else "almost"
-    cfg = ExperimentConfig(
-        protocol=protocol,
-        source_path=path,
-        m=args.m,
-        w_max=args.w_max,
-        trials=args.trials,
-        seed=args.seed,
-        reconciler=args.reconciler,
-        hash_spec=args.hash_spec,
-    )
-    report = run_simulation(cfg)
+    report = run_simulation(_config(args, protocol, path, w_max=args.w_max))
     text = report.to_json() if args.format == "structured" else report.render_text()
     _emit(text, args.out)
     return 2 if report.violated else 0

@@ -170,10 +170,6 @@ def load_distribution(path: str) -> Pmf:
     return parse_pmf(read_object(path))
 
 
-def load_joint(path: str) -> JointPmf:
-    return parse_joint(read_object(path))
-
-
 def load_source(path: str) -> Pmf | JointPmf:
     return parse_source(read_object(path))
 

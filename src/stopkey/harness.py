@@ -131,61 +131,21 @@ def huffman_expected_length(p: Pmf) -> Fraction:
 # Fairness diagnostics.
 
 
-@dataclass(frozen=True)
-class FairnessCheck:
-    transcript: str
-    prefix: str
-    zeros: int
-    ones: int
-    statistic: float
-    p_value: float
-    flagged: bool
-
-
-@dataclass(frozen=True)
-class FairnessReport:
-    checks: tuple[FairnessCheck, ...]
-    alpha: float
-    adjusted_alpha: float
-    vacuous: bool
-
-    @property
-    def flags(self) -> tuple[FairnessCheck, ...]:
-        return tuple(c for c in self.checks if c.flagged)
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "adjusted_alpha": self.adjusted_alpha,
-            "tests": len(self.checks),
-            "flags": [
-                {
-                    "transcript": c.transcript,
-                    "prefix": c.prefix,
-                    "zeros": c.zeros,
-                    "ones": c.ones,
-                    "statistic": c.statistic,
-                    "p_value": c.p_value,
-                }
-                for c in self.flags
-            ],
-            "vacuous": self.vacuous,
-        }
-
-
 def transcript_label(t: Transcript) -> str:
     if not t:
         return "(none)"
     return "|".join(f"{sender}:{kind}={value}" for sender, kind, value in t)
 
 
-def fairness_test(samples: Iterable[tuple[Any, str]]) -> FairnessReport:
+def fairness_test(samples: Iterable[tuple[Any, str]]) -> dict:
     """Chi-square next-bit tests against 1/2, per transcript and prefix.
 
     Purely diagnostic: the exact verifier is authoritative wherever
     enumeration is feasible. Bonferroni-adjusts alpha = 0.01 across all
     (transcript, prefix) cells; a sample set with only empty keys has no
-    testable prefixes and reports vacuous. Samples come as a list or a Counter.
+    testable prefixes and reports vacuous. Samples come as a list or a
+    Counter. Returns the report's fairness section: the levels, the number
+    of tests, and one entry per flagged cell.
     """
     samples = Counter(samples)
     if not samples:
@@ -197,23 +157,32 @@ def fairness_test(samples: Iterable[tuple[Any, str]]) -> FairnessReport:
         for pos in range(len(key)):
             counts = group.setdefault(key[:pos], [0, 0])
             counts[int(key[pos])] += n
-    cells = [
-        (label, prefix, counts)
-        for label, group in tallies.items()
-        for prefix, counts in group.items()
-    ]
-    adjusted = _ALPHA / len(cells) if cells else _ALPHA
-    checks = []
-    for label, prefix, (zeros, ones) in sorted(
-        cells, key=lambda c: (c[0], len(c[1]), c[1])
-    ):
-        n = zeros + ones
-        stat = (zeros - ones) ** 2 / n
-        p = chi_square_pvalue(stat)
-        checks.append(
-            FairnessCheck(label, prefix, zeros, ones, stat, p, p < adjusted)
-        )
-    return FairnessReport(tuple(checks), _ALPHA, adjusted, vacuous=not cells)
+    tests = sum(len(group) for group in tallies.values())
+    adjusted = _ALPHA / tests if tests else _ALPHA
+    flags = []
+    for label in sorted(tallies):
+        group = sorted(tallies[label].items(), key=lambda c: (len(c[0]), c[0]))
+        for prefix, (zeros, ones) in group:
+            stat = (zeros - ones) ** 2 / (zeros + ones)
+            p = chi_square_pvalue(stat)
+            if p < adjusted:
+                flags.append(
+                    {
+                        "transcript": label,
+                        "prefix": prefix,
+                        "zeros": zeros,
+                        "ones": ones,
+                        "statistic": stat,
+                        "p_value": p,
+                    }
+                )
+    return {
+        "alpha": _ALPHA,
+        "adjusted_alpha": adjusted,
+        "tests": tests,
+        "flags": flags,
+        "vacuous": not tests,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +325,12 @@ def eavesdropper_view(runs: Iterable[_RunRecord]) -> dict:
                 raise InvariantError(
                     f"public payload {sender}:{kind}={value!r} equals a party's key"
                 )
-    fairness = fairness_test(samples)
     return {
         "runs": runs.total(),
         "messages": payload_count,
         "distinct_transcripts": len(labels),
         "leak_check": "clean",
-        "fairness": fairness.to_dict(),
+        "fairness": fairness_test(samples),
     }
 
 
@@ -419,6 +387,14 @@ class ExperimentConfig:
             "reconciler": self.reconciler,
             "hash_spec": self.hash_spec,
         }
+
+    def plan(self) -> ProtocolPlan:
+        """Load the source, by path or by document, and build its plan."""
+        if self.source_path is not None:
+            source = formats.load_source(self.source_path)
+        else:
+            source = formats.parse_source(self.source_doc)  # type: ignore[arg-type]
+        return ProtocolPlan(self, source)
 
 
 METHODOLOGY = (
@@ -610,44 +586,29 @@ def resolve_hash(
 
 
 class ProtocolPlan:
-    """One protocol on one source, ready to play seeded trials.
+    """A configured protocol on its loaded source, ready to play seeded trials.
 
-    Built once per (protocol, source, m, seed, hash or reconciler spec):
-    it checks the source kind and the bucket count, resolves the spec,
-    and holds the header fields a report or run log prints for it. ``runs`` is the only place
-    a trial's substreams are derived, so reports and run logs for the
-    same seed play the same trials.
+    The config checked every option; the plan checks the source kind,
+    resolves the spec and holds the header a report or run log prints.
+    ``runs`` is the only place a trial's substreams are derived, so reports
+    and run logs for the same seed play the same trials.
     """
 
-    def __init__(
-        self,
-        protocol: str,
-        source: Pmf | JointPmf,
-        m: int,
-        seed: int | str,
-        *,
-        hash_spec: str | None = None,
-        reconciler: str = "identity",
-    ):
-        if protocol not in _PROTOCOLS:
-            raise ValidationError(f"unknown protocol {protocol!r}")
-        if m < 1:
-            raise ValidationError("bucket count m must be >= 1")
-        if protocol == "common":
+    def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
+        if cfg.protocol == "common":
             if not isinstance(source, Pmf):
                 raise ValidationError("common protocol takes a single distribution")
         elif not isinstance(source, JointPmf):
-            raise ValidationError(f"{protocol} protocol takes a joint distribution")
+            raise ValidationError(f"{cfg.protocol} protocol takes a joint distribution")
+        self.cfg = cfg
         self.source = source
-        self.m = m
-        self.seed = seed
         self.header: dict[str, Any] = {}
-        if protocol == "common":
+        if cfg.protocol == "common":
             self._engine = engine_for(source)
             self._sampler = KnuthYaoSampler(source)
             self._trial = self._common_trial
-        elif protocol == "almost":
-            mode, self.table, hash_seed = resolve_hash(hash_spec, source, m)
+        elif cfg.protocol == "almost":
+            mode, self.table, hash_seed = resolve_hash(cfg.hash_spec, source, cfg.m)
             self.header["hash_mode"] = mode
             if self.table is not None:
                 self.header["hash_table"] = formats.hash_function_document(self.table)
@@ -656,16 +617,15 @@ class ProtocolPlan:
                 self._alphabet = union_alphabet(source)
             self._trial = self._almost_trial
         else:
-            self.reconciler = parse_reconciler(reconciler, seed)
-            self.header["reconciler"] = reconciler
+            spec = "identity" if cfg.reconciler is None else cfg.reconciler
+            self.reconciler = parse_reconciler(spec, cfg.seed)
+            self.header["reconciler"] = spec
             self._trial = self._correlated_trial
 
-    def runs(self, trials: int) -> Iterator[_RunRecord]:
-        """Each trial's (transcript, key_a, key_b, ideal), in trial order."""
-        if trials < 0:
-            raise ValidationError("trials must be >= 0")
-        rng = RandomSource(self.seed)
-        for i in range(trials):
+    def runs(self) -> Iterator[_RunRecord]:
+        """Each of the config's trials as (transcript, key_a, key_b, ideal), in order."""
+        rng = RandomSource(self.cfg.seed)
+        for i in range(self.cfg.trials):
             yield self._trial(i, rng.substream("trial", i))
 
     def _common_trial(self, i: int, sub: RandomSource) -> _RunRecord:
@@ -674,15 +634,15 @@ class ProtocolPlan:
         return (("alice", "round", w),), key_a, self._engine.bob(x, w), key_a
 
     def _almost_trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        h = self.table
+        h, m = self.table, self.cfg.m
         if h is None:
-            h = HashFunction.random(self._alphabet, self.m, self._tables.substream("table", i))
+            h = HashFunction.random(self._alphabet, m, self._tables.substream("table", i))
         x, y = sample_joint(self.source, sub.substream("source"))
-        run = almost_common_keygen(self.source, x, y, self.m, h, sub.substream("keys"))
+        run = almost_common_keygen(self.source, x, y, m, h, sub.substream("keys"))
         return run.transcript, run.key_a, run.key_b, run.ideal_key
 
     def _correlated_trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        run = correlated_keygen(self.source, self.reconciler, self.m, sub)
+        run = correlated_keygen(self.source, self.reconciler, self.cfg.m, sub)
         return run.transcript, run.key_a, run.key_b, run.ideal_key
 
 
@@ -733,18 +693,8 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
     symbols a side); Monte Carlo estimates always carry their intervals
     and are compared to every applicable bound line.
     """
-    if cfg.source_path is not None:
-        source = formats.load_source(cfg.source_path)
-    else:
-        source = formats.parse_source(cfg.source_doc)  # type: ignore[arg-type]
-    plan = ProtocolPlan(
-        cfg.protocol,
-        source,
-        cfg.m,
-        cfg.seed,
-        hash_spec=cfg.hash_spec,
-        reconciler=cfg.reconciler or "identity",
-    )
+    plan = cfg.plan()
+    source = plan.source
     data: dict[str, Any] = {
         "config": cfg.to_dict(),
         "methodology": METHODOLOGY,
@@ -849,7 +799,7 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
 
     if cfg.trials > 0:
         # counted run records: memory grows with distinct records, not trials
-        runs = Counter(plan.runs(cfg.trials))
+        runs = Counter(plan.runs())
         errors = 0
         lengths: Counter[float] = Counter()
         for run, n in runs.items():

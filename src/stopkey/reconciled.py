@@ -334,7 +334,8 @@ def analyze_almost_common(
         same = xl == yl
         w1, stage = _bucket_check(j, h, xl, yl)
         if stage is None:
-            law_add((w1, None), "", mass)
+            if collect_laws:
+                law_add((w1, None), "", mass)
             continue
         eng, xi, yi = stage
         # Bob's round law; with no bucket mass he pins the round to 1
@@ -347,7 +348,8 @@ def analyze_almost_common(
             seen += q
             key_a, key_b = _stage2_keys(eng, xi, yi, w2)
             ideal = key_a if same else ""
-            law_add((w1, w2), ideal, mass * q)
+            if collect_laws:
+                law_add((w1, w2), ideal, mass * q)
             if key_a == key_b == ideal:
                 length += mass * q * len(ideal)
             else:
@@ -439,12 +441,14 @@ def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:
 
     placed: dict[str, int] = {}
     for u in labels:
-        cost = [ZERO] * m
+        # the placed labels fill at most len(placed) buckets, so a zero-cost
+        # bucket is among the first len(placed) + 1 and no later one can win
+        cost = [ZERO] * min(m, len(placed) + 1)
         for t, v in placed.items():
             w = pair_mass(u, t)
             if w:
                 cost[v - 1] += w
-        placed[u] = min(range(m), key=lambda b: (cost[b], b)) + 1
+        placed[u] = min(range(len(cost)), key=lambda b: (cost[b], b)) + 1
     h = HashFunction(labels, tuple(placed[u] for u in labels), m)
     err = collision_error(j, h)
     if err > bound:

@@ -281,6 +281,14 @@ class TestKeygenCorrelated:
         ) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["keygen-almost", "keygen-correlated"])
+    def test_single_distribution_is_an_input_error(self, verb, dist_file, capsys):
+        assert main([verb, "--joint", dist_file, "--m", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        protocol = verb[len("keygen-"):]
+        assert captured.err == f"error: {protocol} protocol takes a joint distribution\n"
+
 
 class TestTrialOutputPins:
     """Run logs and reports of every protocol, frozen byte for byte."""

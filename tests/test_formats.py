@@ -14,7 +14,6 @@ from stopkey.formats import (
     key_law_document,
     load_distribution,
     load_hash_function,
-    load_joint,
     load_source,
     parse_hash_function,
     parse_joint,
@@ -115,7 +114,7 @@ class TestFileIO:
     def test_joint_file_round_trip(self, tmp_path):
         path = str(tmp_path / "joint.json")
         write_document(joint_document(WORKED_JOINT), path)
-        assert load_joint(path) == WORKED_JOINT
+        assert load_source(path) == WORKED_JOINT
 
     def test_invalid_json_reports_the_path(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -126,7 +125,7 @@ class TestFileIO:
     def test_non_object_documents_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
-        for loader in (load_distribution, load_joint, load_source, load_hash_function):
+        for loader in (load_distribution, load_source, load_hash_function):
             with pytest.raises(FormatError, match="object"):
                 loader(str(path))
 

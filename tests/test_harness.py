@@ -12,6 +12,7 @@ from stopkey.harness import (
     METHODOLOGY,
     Z99,
     ExperimentConfig,
+    ProtocolPlan,
     Report,
     _check,
     bounds_dashboard,
@@ -136,22 +137,22 @@ class TestFairness:
     def test_biased_first_bit_is_flagged(self):
         samples = [("t", "0")] * 200
         rep = fairness_test(samples)
-        assert not rep.vacuous
-        assert len(rep.flags) == 1
-        flag = rep.flags[0]
-        assert flag.prefix == ""
-        assert flag.zeros == 200 and flag.ones == 0
+        assert not rep["vacuous"]
+        assert len(rep["flags"]) == 1
+        flag = rep["flags"][0]
+        assert flag["prefix"] == ""
+        assert flag["zeros"] == 200 and flag["ones"] == 0
 
     def test_empty_keys_are_vacuous(self):
         rep = fairness_test([("t", "")] * 50)
-        assert rep.vacuous
-        assert rep.checks == ()
-        assert rep.to_dict()["vacuous"] is True
+        assert rep["vacuous"]
+        assert rep["tests"] == 0 and rep["flags"] == []
+        assert rep["vacuous"] is True
 
     def test_balanced_bits_pass(self):
         samples = [("t", "0")] * 100 + [("t", "1")] * 100
         rep = fairness_test(samples)
-        assert not rep.flags
+        assert not rep["flags"]
 
     def test_sampled_stopped_keys_pass(self):
         law = law_from_codebook(("0", "10", "110", "111"))
@@ -159,20 +160,20 @@ class TestFairness:
         rng = RandomSource("fairness-sim")
         samples = [((), simulate_stopped_key(rule, rng)) for _ in range(20000)]
         rep = fairness_test(samples)
-        assert not rep.flags
+        assert not rep["flags"]
 
     def test_bonferroni_adjustment(self):
         samples = [("a", "00"), ("a", "01"), ("b", "1")]
         rep = fairness_test(samples)
         # cells: (a, ""), (a, "0"), (b, "")
-        assert len(rep.checks) == 3
-        assert rep.adjusted_alpha == pytest.approx(0.01 / 3)
+        assert rep["tests"] == 3
+        assert rep["adjusted_alpha"] == pytest.approx(0.01 / 3)
 
     def test_grouping_by_transcript_value(self):
         # same prefix, different transcripts: tested separately
         samples = [(("x",), "0")] * 30 + [(("y",), "1")] * 30
         rep = fairness_test([(transcript_label(()), k) for _, k in samples[:30]])
-        assert len(rep.checks) == 1
+        assert rep["tests"] == 1
 
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValidationError):
@@ -360,6 +361,49 @@ class TestConfig:
         with pytest.raises(ValidationError, match="applies only"):
             ExperimentConfig(protocol=protocol, source_path="x", **option)
 
+
+class TestPlan:
+    @pytest.mark.parametrize(
+        "protocol, source",
+        [
+            ("common", WORKED_JOINT),
+            ("almost", CORPUS["tenths"]),
+            ("correlated", CORPUS["tenths"]),
+        ],
+    )
+    def test_wrong_source_kind_names_the_protocol(self, protocol, source):
+        doc = (
+            formats.pmf_document(source)
+            if isinstance(source, Pmf)
+            else formats.joint_document(source)
+        )
+        cfg = ExperimentConfig(protocol=protocol, source_doc=doc)
+        with pytest.raises(ValidationError, match=f"^{protocol} protocol takes"):
+            ProtocolPlan(cfg, source)
+        with pytest.raises(ValidationError, match=f"^{protocol} protocol takes"):
+            cfg.plan()
+
+    def test_plan_plays_the_configured_trials(self):
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=formats.joint_document(CORRELATED_3),
+            m=2,
+            trials=7,
+            seed=3,
+        )
+        plan = cfg.plan()
+        assert plan.header == {"reconciler": "identity"}
+        assert len(list(plan.runs())) == 7
+        assert list(plan.runs()) == list(cfg.plan().runs())
+
+    def test_an_empty_reconciler_spec_is_not_the_default(self):
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=formats.joint_document(CORRELATED_3),
+            reconciler="",
+        )
+        with pytest.raises(ValidationError, match="unknown reconciler"):
+            cfg.plan()
 
 
 class TestCheckLogic:

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +14,7 @@ from stopkey.errors import (
     ReconcilerContractError,
     ValidationError,
 )
+from stopkey.formats import joint_document
 from stopkey.keylaws import verify_rsbs
 from stopkey.probability import JointPmf, Pmf, agreement_stats, entropy
 from stopkey import reconciled
@@ -331,6 +337,65 @@ class TestDerandomize:
     def test_bucket_count_validated(self):
         with pytest.raises(ValidationError):
             derandomize_hash(WORKED_JOINT, 0)
+
+    @staticmethod
+    def _greedy_reference(j, m):
+        # the greedy rule scored over all m buckets
+        labels = union_alphabet(j)
+        placed = {}
+        for u in labels:
+            cost = [Fraction(0)] * m
+            for t, v in placed.items():
+                cost[v - 1] += j.mass_by_label(u, t) + j.mass_by_label(t, u)
+            placed[u] = min(range(m), key=lambda b: (cost[b], b)) + 1
+        return tuple(placed[u] for u in labels)
+
+    def test_greedy_matches_the_full_scan(self):
+        rng = RandomSource("greedy-reference")
+        for _ in range(60):
+            n = 2 + rng.randrange(8)
+            m = next(m for m in range(2, 4097) if m**n > 4096) + rng.randrange(3)
+            labels = [f"s{i}" for i in range(n)]
+            y_labels = labels + ["extra"] * rng.randrange(2)
+            rows = [
+                [1 + rng.randrange(4) if x == y else rng.randrange(3) * rng.randrange(2)
+                 for y in y_labels]
+                for x in labels
+            ]
+            total = sum(map(sum, rows))
+            j = joint([[Fraction(c, total) for c in row] for row in rows], labels, y_labels)
+            h, err = derandomize_hash(j, m)
+            assert h.values == self._greedy_reference(j, m)
+            assert err == collision_error(j, h) <= (1 - agreement_stats(j).p) / m
+
+    def test_greedy_cost_does_not_grow_with_m(self):
+        # run in a child capped at 2 GB of address space, so a pass that
+        # scored all 10**9 buckets fails there instead of filling memory
+        code = (
+            "import json, sys, time\n"
+            "from stopkey import formats\n"
+            "from stopkey.reconciled import derandomize_hash\n"
+            "j = formats.parse_joint(json.loads(sys.argv[1]))\n"
+            "start = time.perf_counter()\n"
+            "h, err = derandomize_hash(j, 10**9)\n"
+            "print(json.dumps([time.perf_counter() - start, h.m, h.values, str(err)]))\n"
+        )
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = os.path.dirname(os.path.dirname(reconciled.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(joint_document(CORRELATED_3))],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert child.returncode == 0, child.stderr
+        seconds, m, values, err = json.loads(child.stdout)
+        small, small_err = derandomize_hash(CORRELATED_3, 1000)
+        assert seconds < 1.0
+        assert m == 10**9
+        assert tuple(values) == small.values and Fraction(err) == small_err
 
 
 class TestReconcilers:

@@ -243,6 +243,16 @@ def check_printable_depth(depth: int) -> None:
             )
 
 
+def check_printable_int(value: int) -> int:
+    """``value``, refused when it has more digits than str() may print."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and abs(value) >= 10**limit:
+        raise ValidationError(
+            f"an integer has more than {limit} digits, the int-to-str limit"
+        )
+    return value
+
+
 def decomposition_document(engine: KeyAgreeEngine, upto: int) -> dict:
     """Per-round dump to depth ``upto``, diffable against any oracle.
 

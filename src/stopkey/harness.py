@@ -37,6 +37,7 @@ from .probability import (
 )
 from .randomsource import RandomSource
 from .reconciled import (
+    SUBSET_LIMIT,
     ConstantReconciler,
     HashFunction,
     IdentityReconciler,
@@ -53,6 +54,7 @@ from .reconciled import (
     derandomize_hash,
     reconciler_stats,
     sample_joint,
+    subset_count,
     union_alphabet,
 )
 
@@ -771,9 +773,9 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
                     vacuous=pair.ell <= 0,
                 )
             )
-        elif small and cfg.m ** len(union_alphabet(source)) <= 4096:
+        elif small and subset_count(len(union_alphabet(source)), cfg.m) <= SUBSET_LIMIT:
             avg = average_almost_common(source, cfg.m, w_max=min(cfg.w_max, 30))
-            exact["tables"] = avg.tables
+            exact["tables"] = formats.check_printable_int(avg.tables)  # m^|X|
             exact["mean_collision_error"] = formats.format_rational(avg.collision_error)
             exact["mean_agreed_length_float"] = float(avg.agreed_length)
         error_label, error_bound = "measured error <= (1 - p)/m", float(pair.epsilon)

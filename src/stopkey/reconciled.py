@@ -292,9 +292,14 @@ class AlmostCommonAnalysis:
     bound (truncation only discards agreement mass of same-symbol
     outcomes). ``transcript_laws`` maps (w1, w2) transcripts, w2 = None
     for the abort path, to the exact conditional law of the ideal key.
-    An average over ``tables`` uniform tables carries no laws; its
-    ``collision_error`` equals (1 - p)/m exactly, since distinct symbols
-    share a bucket with probability exactly 1/m under a uniform table.
+
+    An average over ``tables`` = m^|X| uniform tables carries no laws. It
+    is formed over bucket contents: each set S of two or more labels is
+    weighted by the probability that a uniform table puts exactly S in
+    x's bucket, and contributes the analysis of the table holding S in
+    one bucket and every other label alone. Its ``collision_error``
+    equals (1 - p)/m exactly, since distinct symbols share a bucket with
+    probability exactly 1/m under a uniform table.
     """
 
     m: int
@@ -372,38 +377,62 @@ def analyze_almost_common(
     )
 
 
-_TABLE_LIMIT = 65536
+# bucket contents averaged over, at most; 16 labels fit at any m
+SUBSET_LIMIT = 65536
+
+
+def subset_count(n: int, m: int) -> int:
+    """Bucket contents ``average_almost_common`` analyzes for n labels, m buckets.
+
+    Every S with |S| >= 2 at m >= 2; only S = X at m = 1, the one table.
+    """
+    return 1 if m == 1 else (1 << n) - n - 1
 
 
 def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonAnalysis:
-    """Exact analysis averaged over every hash table (a uniform pick)."""
+    """Exact analysis averaged over every hash table (a uniform pick).
+
+    An outcome's contribution depends only on the set S of labels sharing
+    x's bucket, which a uniform table makes exactly S with probability
+    m^-(|S| - 1) (1 - 1/m)^(|X| - |S|). So the average sums, over each S
+    with |S| >= 2, that weight times the analysis of the table putting S
+    in one bucket and every other label in a bucket of its own; a
+    singleton bucket has a point-mass conditional and adds nothing. That
+    is 2^|X| - |X| - 1 analyses whatever m is, standing for m^|X| tables.
+    """
+    if m < 1:
+        raise ValidationError("bucket count m must be >= 1")
     labels = union_alphabet(j)
-    count = m ** len(labels)
-    if count > _TABLE_LIMIT:
+    n = len(labels)
+    count = subset_count(n, m)
+    if count > SUBSET_LIMIT:
         raise ValidationError(
-            f"{count} tables exceed the enumeration limit {_TABLE_LIMIT}"
+            f"{count} bucket contents exceed the enumeration limit {SUBSET_LIMIT}"
         )
     col = ZERO
     err = ZERO
     unresolved = ZERO
     length = ZERO
     p = agreement_stats(j).p
-    for h in all_hash_tables(labels, m):
-        a = analyze_almost_common(j, h, w_max=w_max, collect_laws=False)
-        col += a.collision_error
-        err += a.error_enumerated
-        unresolved += a.unresolved
-        length += a.agreed_length
+    bound = (1 - p) / m
+    miss = 1 - Fraction(1, m)
+    for size in range(2 if m > 1 else n, n + 1):
+        weight = miss ** (n - size) / m ** (size - 1)
+        for members in itertools.combinations(range(n), size):
+            values = [1] * n
+            rest = (i for i in range(n) if i not in members)
+            for bucket, i in enumerate(rest, start=2):
+                values[i] = bucket
+            h = HashFunction(labels, tuple(values), n - size + 1)
+            a = analyze_almost_common(j, h, w_max=w_max, collect_laws=False)
+            col += weight * a.collision_error
+            err += weight * a.error_enumerated
+            unresolved += weight * a.unresolved
+            length += weight * a.agreed_length
+    if col != bound:
+        raise InvariantError(f"averaged collision error {col} is not (1 - p)/m = {bound}")
     return AlmostCommonAnalysis(
-        m,
-        p,
-        (1 - p) / m,
-        col / count,
-        err / count,
-        unresolved / count,
-        length / count,
-        w_max,
-        tables=count,
+        m, p, bound, col, err, unresolved, length, w_max, tables=m**n
     )
 
 
@@ -436,8 +465,16 @@ def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:
             )
         return best, best_err
 
+    # label -> row and column, built once, so each pair lookup is O(1)
+    rows = {label: j.masses[i] for i, label in enumerate(j.x_labels)}
+    cols = {label: i for i, label in enumerate(j.y_labels)}
+
+    def mass(x: str, y: str) -> Fraction:
+        row, col = rows.get(x), cols.get(y)
+        return ZERO if row is None or col is None else row[col]
+
     def pair_mass(u: str, t: str) -> Fraction:
-        return j.mass_by_label(u, t) + j.mass_by_label(t, u)
+        return mass(u, t) + mass(t, u)
 
     placed: dict[str, int] = {}
     for u in labels:

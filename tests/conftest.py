@@ -75,6 +75,17 @@ CORRELATED_3 = joint(
     ("a", "b", "c"),
 )
 
+FOUR_SYMBOL = joint(
+    [
+        ["7/20", "1/20", "0", "0"],
+        ["0", "3/10", "0", "0"],
+        ["0", "0", "1/5", "0"],
+        ["0", "1/40", "0", "3/40"],
+    ],
+    "0123",
+    "0123",
+)
+
 
 def run_threads(target, n_threads: int = 8, timeout: float = 4.0) -> list[Exception]:
     """Run ``target`` on daemon threads with a tiny switch interval, so the

@@ -46,7 +46,7 @@ from stopkey.reconciled import (
     union_alphabet,
 )
 
-from conftest import CORPUS, CORRELATED_3, diag_joint, joint, pmf, random_rational_pmf
+from conftest import CORPUS, CORRELATED_3, FOUR_SYMBOL, diag_joint, joint, pmf, random_rational_pmf
 from test_keylaws import random_dyadic_rule_law, random_full_codebook
 
 TAIL_SLACK_30 = 30 * 2.0**-30
@@ -176,18 +176,6 @@ def test_five_hundred_random_codebooks_and_concatenations_verify():
         True,
         "exact half-stopping and P(K = k) <= 2^-|k| pointwise",
     )
-
-
-FOUR_SYMBOL = joint(
-    [
-        ["7/20", "1/20", "0", "0"],
-        ["0", "3/10", "0", "0"],
-        ["0", "0", "1/5", "0"],
-        ["0", "1/40", "0", "3/40"],
-    ],
-    "0123",
-    "0123",
-)
 
 
 def test_hash_table_averaging_meets_the_guarantee_exactly():

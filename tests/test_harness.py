@@ -43,6 +43,7 @@ from conftest import (
     CORRELATED_3,
     WORKED_JOINT,
     diag_joint,
+    joint,
     pmf,
     product_joint,
     random_rational_pmf,
@@ -630,6 +631,39 @@ class TestRunSimulation:
         exact = rep.data["exact"]
         assert exact["tables"] == 4
         assert exact["mean_collision_error"] == "1/8"
+
+    FIVE_LABELS = joint(
+        [
+            ["8/40", "1/40", "0", "0", "0"],
+            ["0", "8/40", "1/40", "0", "0"],
+            ["0", "0", "8/40", "1/40", "0"],
+            ["0", "0", "0", "6/40", "1/40"],
+            ["1/40", "0", "0", "0", "5/40"],
+        ],
+        "abcde",
+        "abcde",
+    )
+
+    def _average_report(self, m):
+        cfg = ExperimentConfig(
+            protocol="almost",
+            source_doc=formats.joint_document(self.FIVE_LABELS),
+            m=m,
+            trials=0,
+            seed=1,
+            hash_spec="random:1",
+        )
+        return run_simulation(cfg)
+
+    def test_averaged_section_is_gated_by_bucket_contents(self):
+        # 10**5 tables, 26 bucket contents: the section is attached
+        exact = self._average_report(10).data["exact"]
+        assert exact["tables"] == 10**5
+        assert exact["mean_collision_error"] == "1/80"
+
+    def test_unprintable_table_count_is_an_input_error(self):
+        with pytest.raises(ValidationError, match="int-to-str"):
+            self._average_report(10**900)
 
     def test_correlated_pipeline_report(self):
         cfg = ExperimentConfig(

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -44,7 +46,16 @@ from stopkey.reconciled import (
     union_alphabet,
 )
 
-from conftest import CORRELATED_3, WORKED_JOINT, diag_joint, joint, pmf, run_threads
+from conftest import (
+    CORRELATED_3,
+    FOUR_SYMBOL,
+    WORKED_JOINT,
+    diag_joint,
+    joint,
+    pmf,
+    run_threads,
+)
+from table_oracle import average_over_tables
 
 
 SEPARATING = HashFunction(("0", "1"), (1, 2), 2)
@@ -128,6 +139,66 @@ class TestCollisionAccounting:
         j = diag_joint(Pmf.from_masses([Fraction(1, 17)] * 17))
         with pytest.raises(ValidationError, match="limit"):
             average_almost_common(j, 2)
+
+    def test_average_does_not_grow_with_m(self):
+        # 10**48 tables stand behind 247 bucket contents
+        labels = "abcdefgh"
+        rows = [["1/10" if x == y else "0" for y in labels] for x in labels]
+        rows[0][1] = rows[3][5] = "1/10"
+        j = joint(rows, labels, labels)
+        av = average_almost_common(j, 10**6)
+        assert av.tables == 10**48
+        assert av.collision_error == (1 - agreement_stats(j).p) / 10**6
+
+    def test_wrong_bucket_share_raises(self, monkeypatch):
+        analyze = reconciled.analyze_almost_common
+
+        def doubled(*args, **kwargs):
+            a = analyze(*args, **kwargs)
+            return replace(a, collision_error=2 * a.collision_error)
+
+        monkeypatch.setattr(reconciled, "analyze_almost_common", doubled)
+        with pytest.raises(InvariantError, match="collision"):
+            average_almost_common(WORKED_JOINT, 2)
+
+
+def _seeded_small_joint(rng: RandomSource):
+    # 2 to 4 labels a side; a third of the 2- and 3-label joints swap one
+    # y label for one outside x, so the union alphabet has a Y-only label
+    n = 2 + rng.randrange(3)
+    x_labels = [f"s{i}" for i in range(n)]
+    y_labels = x_labels[1:] + ["t"] if n < 4 and rng.randrange(3) == 0 else x_labels
+    rows = [
+        [1 + rng.randrange(6) if x == y else rng.randrange(3) * rng.randrange(2)
+         for y in y_labels]
+        for x in x_labels
+    ]
+    total = sum(map(sum, rows))
+    return joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
+
+
+class TestAverageOverBucketContents:
+    """The sum over bucket contents equals the literal m^|X|-table average."""
+
+    @staticmethod
+    def _sums(j, m):
+        a = average_almost_common(j, m)
+        return a.collision_error, a.error_enumerated, a.unresolved, a.agreed_length
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_acceptance_joints(self, m):
+        for j in (WORKED_JOINT, CORRELATED_3, FOUR_SYMBOL):
+            assert self._sums(j, m) == average_over_tables(j, m)
+
+    def test_seeded_joints(self):
+        rng = RandomSource("bucket-contents")
+        differing = 0
+        for _ in range(40):
+            j = _seeded_small_joint(rng)
+            differing += j.x_labels != j.y_labels
+            for m in (1, 2, 3):
+                assert self._sums(j, m) == average_over_tables(j, m)
+        assert differing >= 5
 
 
 class TestStageConditional:
@@ -367,6 +438,31 @@ class TestDerandomize:
             h, err = derandomize_hash(j, m)
             assert h.values == self._greedy_reference(j, m)
             assert err == collision_error(j, h) <= (1 - agreement_stats(j).p) / m
+
+    def test_greedy_table_of_a_wide_joint_is_pinned(self):
+        # 300 x labels, 5 y-only labels: far past the exhaustive cutoff.
+        # The sha256 pins the bucket of every label as the greedy pass
+        # picked it when it still looked each pair up by label.
+        rng = RandomSource("greedy-300")
+        labels = [f"s{i}" for i in range(300)]
+        y_labels = labels[:295] + [f"t{i}" for i in range(5)]
+        weights = {}
+        for x in labels:
+            if x in y_labels:
+                weights[x, x] = 4 + rng.randrange(8)
+            for _ in range(2):
+                weights[x, y_labels[rng.randrange(300)]] = 1 + rng.randrange(3)
+        total = sum(weights.values())
+        atoms = [(x, y, Fraction(c, total)) for (x, y), c in weights.items()]
+        j = JointPmf.from_atoms(atoms, labels, y_labels)
+        pins = {
+            2: ("e281504e992235bac2e5e4d1254a1df924b64acdca0522f534d50f1e27824204", Fraction(256, 3431)),
+            3: ("4a246f02ced545e32212489752d42b1aa00ddf660a3288bd1f408cbf99b527a0", Fraction(50, 3431)),
+        }
+        for m, (digest, pinned_err) in pins.items():
+            h, err = derandomize_hash(j, m)
+            assert hashlib.sha256("".join(map(str, h.values)).encode()).hexdigest() == digest
+            assert err == pinned_err <= (1 - agreement_stats(j).p) / m
 
     def test_greedy_cost_does_not_grow_with_m(self):
         # run in a child capped at 2 GB of address space, so a pass that

@@ -37,7 +37,6 @@ from .probability import (
 )
 from .randomsource import RandomSource
 from .reconciled import (
-    SUBSET_LIMIT,
     ConstantReconciler,
     HashFunction,
     IdentityReconciler,
@@ -54,7 +53,6 @@ from .reconciled import (
     derandomize_hash,
     reconciler_stats,
     sample_joint,
-    subset_count,
     union_alphabet,
 )
 
@@ -773,7 +771,7 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
                     vacuous=pair.ell <= 0,
                 )
             )
-        elif small and subset_count(len(union_alphabet(source)), cfg.m) <= SUBSET_LIMIT:
+        elif small:
             avg = average_almost_common(source, cfg.m, w_max=min(cfg.w_max, 30))
             exact["tables"] = formats.check_printable_int(avg.tables)  # m^|X|
             exact["mean_collision_error"] = formats.format_rational(avg.collision_error)

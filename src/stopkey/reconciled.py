@@ -44,6 +44,8 @@ ERROR_SYMBOL = "e"
 # A transcript is an ordered tuple of (sender, kind, value) records.
 Record = tuple[str, str, Any]
 Transcript = tuple[Record, ...]
+# the (M_A, M_B, mass) atoms of one stage-one transcript
+Atoms = tuple[tuple[Any, Any, Fraction], ...]
 
 
 def union_alphabet(j: JointPmf) -> tuple[str, ...]:
@@ -381,14 +383,6 @@ def analyze_almost_common(
 SUBSET_LIMIT = 65536
 
 
-def subset_count(n: int, m: int) -> int:
-    """Bucket contents ``average_almost_common`` analyzes for n labels, m buckets.
-
-    Every S with |S| >= 2 at m >= 2; only S = X at m = 1, the one table.
-    """
-    return 1 if m == 1 else (1 << n) - n - 1
-
-
 def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonAnalysis:
     """Exact analysis averaged over every hash table (a uniform pick).
 
@@ -404,7 +398,8 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
         raise ValidationError("bucket count m must be >= 1")
     labels = union_alphabet(j)
     n = len(labels)
-    count = subset_count(n, m)
+    # every S with |S| >= 2 at m >= 2; only S = X at m = 1, the one table
+    count = 1 if m == 1 else (1 << n) - n - 1
     if count > SUBSET_LIMIT:
         raise ValidationError(
             f"{count} bucket contents exceed the enumeration limit {SUBSET_LIMIT}"
@@ -510,29 +505,65 @@ class ReconcilerResult:
 class Reconciler(ABC):
     """Stage-one interface: drive (x, y) to a highly correlated pair.
 
-    Implementations must be stateless across runs (pure given the joint,
-    the outcome, and the stream) and must expose their transcript
-    distribution exactly, so stage two can condition on the realized
-    transcript.
+    Stage one is public discussion: ``run`` is a deterministic map of the
+    outcome, and any public randomness it uses is fixed when the
+    reconciler is built, as the sketch seed is. So its exact law is the
+    source law pushed through ``run``, and stage two conditions on the
+    transcripts the sampler realizes. Implementations must be stateless
+    across runs.
     """
 
     name = "reconciler"
 
-    @abstractmethod
-    def run(
-        self, j: JointPmf, x: str, y: str, rng: RandomSource
-    ) -> ReconcilerResult:
-        """Produce (M_A, M_B) and both transcript views for one outcome."""
+    def __init__(self) -> None:
+        self._laws: dict[JointPmf, dict[Transcript, Atoms]] = {}
 
     @abstractmethod
-    def transcript_weights(
-        self, j: JointPmf
-    ) -> tuple[tuple[Transcript, Fraction], ...]:
-        """Every realizable transcript with its exact probability."""
+    def run(self, j: JointPmf, x: str, y: str) -> ReconcilerResult:
+        """Produce (M_A, M_B) and both transcript views for one outcome."""
 
     @abstractmethod
     def conditional_joint(self, j: JointPmf, transcript: Transcript) -> JointPmf:
         """Exact law of (M_A, M_B) given the transcript."""
+
+    def pushforward(self, j: JointPmf) -> dict[Transcript, Atoms]:
+        """(M_A, M_B, mass) atoms of each realizable transcript, in sorted order.
+
+        Every positive-mass cell of the source goes through ``run`` once;
+        the result is memoized per source.
+        """
+        law = self._laws.get(j)
+        if law is None:
+            groups: dict[Transcript, list[tuple[Any, Any, Fraction]]] = {}
+            for ix, iy, mass in j.atoms():
+                res = _stage_one(self, j, j.x_labels[ix], j.y_labels[iy])
+                groups.setdefault(res.transcript_a, []).append((res.m_a, res.m_b, mass))
+            law = self._laws.setdefault(j, {t: tuple(groups[t]) for t in sorted(groups)})
+        return law
+
+    def transcript_weights(
+        self, j: JointPmf
+    ) -> tuple[tuple[Transcript, Fraction], ...]:
+        """Every realizable transcript with its exact probability."""
+        return tuple(
+            (t, sum((mass for _, _, mass in atoms), ZERO))
+            for t, atoms in self.pushforward(j).items()
+        )
+
+
+def _stage_one(r: Reconciler, j: JointPmf, x: str, y: str) -> ReconcilerResult:
+    """Run stage one on (x, y); diverging transcript views are fatal.
+
+    The sampler and the pushforward both call it, so the exact law is
+    never derived from a reconciler the sampler would refuse.
+    """
+    res = r.run(j, x, y)
+    if res.transcript_a != res.transcript_b:
+        raise ReconcilerContractError(
+            f"reconciler {r.name!r} produced diverging transcripts: "
+            f"{res.transcript_a!r} for Alice, {res.transcript_b!r} for Bob"
+        )
+    return res
 
 
 class IdentityReconciler(Reconciler):
@@ -540,11 +571,8 @@ class IdentityReconciler(Reconciler):
 
     name = "identity"
 
-    def run(self, j, x, y, rng):
+    def run(self, j, x, y):
         return ReconcilerResult(x, y, (), ())
-
-    def transcript_weights(self, j):
-        return (((), ONE),)
 
     def conditional_joint(self, j, transcript):
         if transcript != ():
@@ -560,13 +588,11 @@ class ConstantReconciler(Reconciler):
     value = "0"
 
     def __init__(self):
+        super().__init__()
         self._joint = JointPmf.from_rows(((ONE,),), (self.value,), (self.value,))
 
-    def run(self, j, x, y, rng):
+    def run(self, j, x, y):
         return ReconcilerResult(self.value, self.value, (), ())
-
-    def transcript_weights(self, j):
-        return (((), ONE),)
 
     def conditional_joint(self, j, transcript):
         if transcript != ():
@@ -593,6 +619,7 @@ class OneWayHashReconciler(Reconciler):
     def __init__(self, bits: int, seed: int | str = 0):
         if bits < 1:
             raise ValidationError("sketch width must be at least 1 bit")
+        super().__init__()
         self.bits = int(bits)
         self.seed = seed
         self._tables: dict[tuple[str, ...], dict[str, int]] = {}
@@ -610,37 +637,26 @@ class OneWayHashReconciler(Reconciler):
         return table
 
     def _decode(self, j: JointPmf, yl: str, sketch: int, table) -> str:
+        try:
+            iy = j.y_labels.index(yl)
+        except ValueError:
+            raise ValidationError(f"label {yl!r} outside the joint's y alphabet") from None
         best = None
-        best_mass = None
-        for xl in j.x_labels:
-            if table[xl] != sketch:
-                continue
-            mass = j.mass_by_label(xl, yl)
-            if mass == 0:
-                continue
-            if best_mass is None or mass > best_mass:
-                best, best_mass = xl, mass
+        best_mass = ZERO
+        for xl, row in zip(j.x_labels, j.masses):
+            if table[xl] == sketch and row[iy] > best_mass:
+                best, best_mass = xl, row[iy]
         if best is None:
             raise InvariantError("no sketch-consistent symbol has posterior mass")
         return best
 
-    def run(self, j, x, y, rng):
+    def run(self, j, x, y):
         table = self.sketch_table(j)
+        if x not in table:
+            raise ValidationError(f"label {x!r} outside the joint's x alphabet")
         s = table[x]
         t: Transcript = (("alice", "sketch", s),)
         return ReconcilerResult(x, self._decode(j, y, s, table), t, t)
-
-    def transcript_weights(self, j):
-        table = self.sketch_table(j)
-        px = j.marginal_x()
-        weights: dict[int, Fraction] = {}
-        for i, xl in enumerate(j.x_labels):
-            if px.masses[i] > 0:
-                s = table[xl]
-                weights[s] = weights.get(s, ZERO) + px.masses[i]
-        return tuple(
-            ((("alice", "sketch", s),), w) for s, w in sorted(weights.items())
-        )
 
     def conditional_joint(self, j, transcript):
         key = (j, transcript)
@@ -652,34 +668,26 @@ class OneWayHashReconciler(Reconciler):
         return cj
 
     def _build_conditional(self, j: JointPmf, transcript: Transcript) -> JointPmf:
-        if len(transcript) != 1 or transcript[0][:2] != ("alice", "sketch"):
-            raise ValidationError(f"unrecognized transcript {transcript!r}")
-        s = transcript[0][2]
-        table = self.sketch_table(j)
-        atoms = []
-        total = ZERO
-        for ix, iy, mass in j.atoms():
-            xl, yl = j.x_labels[ix], j.y_labels[iy]
-            if table[xl] != s:
-                continue
-            atoms.append((xl, self._decode(j, yl, s, table), mass))
-            total += mass
-        if total == 0:
+        atoms = self.pushforward(j).get(transcript)
+        if atoms is None:
             raise ValidationError(f"transcript {transcript!r} has zero probability")
+        total = sum((mass for _, _, mass in atoms), ZERO)
         scaled = [(a, b, mass / total) for a, b, mass in atoms]
         return JointPmf.from_atoms(scaled, j.x_labels, j.x_labels)
 
 
 @lru_cache(maxsize=64)
-def _atom_sampler(j: JointPmf) -> KnuthYaoSampler:
-    return KnuthYaoSampler(Pmf.from_masses(j.flat_masses()))
+def _atom_sampler(j: JointPmf) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], ...]]:
+    """A sampler over the positive-mass cells, and the (x, y) label pair of each."""
+    atoms = tuple(j.atoms())
+    cells = tuple((j.x_labels[ix], j.y_labels[iy]) for ix, iy, _ in atoms)
+    return KnuthYaoSampler(Pmf.from_masses(mass for _, _, mass in atoms)), cells
 
 
 def sample_joint(j: JointPmf, rng: RandomSource) -> tuple[str, str]:
     """Draw one source outcome exactly, at near-entropy fair-bit cost."""
-    idx, _ = _atom_sampler(j).sample(rng)
-    ix, iy = divmod(idx, len(j.y_labels))
-    return j.x_labels[ix], j.y_labels[iy]
+    sampler, cells = _atom_sampler(j)
+    return cells[sampler.sample(rng)[0]]
 
 
 @lru_cache(maxsize=512)
@@ -737,12 +745,7 @@ def correlated_keygen(
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
     x, y = sample_joint(j, rng.substream("source"))
-    res = r.run(j, x, y, rng.substream("stage1"))
-    if res.transcript_a != res.transcript_b:
-        raise ReconcilerContractError(
-            f"reconciler {r.name!r} produced diverging transcripts: "
-            f"{res.transcript_a!r} for Alice, {res.transcript_b!r} for Bob"
-        )
+    res = _stage_one(r, j, x, y)
     cj = r.conditional_joint(j, res.transcript_a)
     h = _stage2_hash(cj, m)
     run2 = almost_common_keygen(cj, res.m_a, res.m_b, m, h, rng.substream("stage2"))
@@ -781,8 +784,6 @@ def reconciler_stats(j: JointPmf, r: Reconciler) -> ReconcilerStats:
     terms = []
     p_agree = ZERO
     for t, wt in r.transcript_weights(j):
-        if wt == 0:
-            continue
         stats = agreement_stats(r.conditional_joint(j, t))
         if stats.p == 0:
             continue
@@ -812,9 +813,7 @@ def correlated_transcript_laws(
     records; each law is exact for round indices up to w_max.
     """
     out: dict[Transcript, KeyLaw] = {}
-    for t, wt in r.transcript_weights(j):
-        if wt == 0:
-            continue
+    for t in r.pushforward(j):
         cj = r.conditional_joint(j, t)
         h = _stage2_hash(cj, m)
         analysis = analyze_almost_common(cj, h, w_max=w_max, collect_laws=True)

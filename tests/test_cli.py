@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -117,7 +118,7 @@ class TestDecompose:
         dest = str(tmp_path / "dump.txt")
         assert main(["decompose", "--dist", dist_file, "--out", dest]) == 0
         assert capsys.readouterr().out == ""
-        assert "tail:" in open(dest).read()
+        assert "tail:" in Path(dest).read_text()
 
     def test_dump_bytes_are_pinned(self, tmp_path, capsys):
         """Both dump forms, to depth 24, for the corpus and 300 random
@@ -555,7 +556,7 @@ class TestSimulateAndReport:
         ]
         assert main(base + ["--out", a]) == 0
         assert main(base + ["--out", b]) == 0
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_missing_source_file(self, capsys):
         assert main(["simulate", "--dist", "/nope.json", "--trials", "1"]) == 3

@@ -397,6 +397,28 @@ class TestPlan:
         assert len(list(plan.runs())) == 7
         assert list(plan.runs()) == list(cfg.plan().runs())
 
+    def test_a_two_stage_trial_derives_three_substreams(self, monkeypatch):
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=formats.joint_document(CORRELATED_3),
+            m=2,
+            trials=20,
+            reconciler="hashmap:1",
+        )
+        plan = cfg.plan()
+        warm = list(plan.runs())  # builds the sketch table and the stage caches
+        derived = []
+        raw = RandomSource.substream
+
+        def counting(self, *labels):
+            derived.append(labels)
+            return raw(self, *labels)
+
+        monkeypatch.setattr(RandomSource, "substream", counting)
+        assert list(plan.runs()) == warm
+        # the trial stream, then "source" and "stage2" within it
+        assert len(derived) == 3 * 20
+
     def test_an_empty_reconciler_spec_is_not_the_default(self):
         cfg = ExperimentConfig(
             protocol="correlated",

@@ -55,7 +55,9 @@ from conftest import (
     pmf,
     run_threads,
 )
+from grid_sampler_oracle import sample_full_grid
 from table_oracle import average_over_tables
+import sketch_oracle
 
 
 SEPARATING = HashFunction(("0", "1"), (1, 2), 2)
@@ -199,6 +201,14 @@ class TestAverageOverBucketContents:
             for m in (1, 2, 3):
                 assert self._sums(j, m) == average_over_tables(j, m)
         assert differing >= 5
+
+    def test_reports_stay_inside_the_subset_limit(self):
+        # reports attach the average for at most 8 labels a side, so a
+        # union of at most 16 labels must fit at any m
+        assert (1 << 16) - 16 - 1 <= reconciled.SUBSET_LIMIT
+        j = diag_joint(Pmf.from_masses([Fraction(1, 17)] * 17))
+        with pytest.raises(ValidationError, match="enumeration limit"):
+            average_almost_common(j, 2)
 
 
 class TestStageConditional:
@@ -496,7 +506,7 @@ class TestDerandomize:
 
 class TestReconcilers:
     def test_identity_keeps_the_raw_pair(self):
-        res = IdentityReconciler().run(WORKED_JOINT, "1", "0", RandomSource("i"))
+        res = IdentityReconciler().run(WORKED_JOINT, "1", "0")
         assert (res.m_a, res.m_b) == ("1", "0")
         assert res.transcript_a == res.transcript_b == ()
         assert IdentityReconciler().conditional_joint(WORKED_JOINT, ()) is WORKED_JOINT
@@ -564,7 +574,7 @@ class TestReconcilers:
         n = 4000
         for i in range(n):
             x, y = sample_joint(CORRELATED_3, rng.substream("src", i))
-            res = r.run(CORRELATED_3, x, y, rng.substream("rec", i))
+            res = r.run(CORRELATED_3, x, y)
             assert res.m_a == x
             assert res.transcript_a == res.transcript_b
             agreed += res.m_a == res.m_b
@@ -629,14 +639,85 @@ class TestReconcilers:
             assert got[0] is r.conditional_joint(CORRELATED_3, t)
 
 
+def _pushforward_joint(r, j, t, x_labels, y_labels):
+    atoms = r.pushforward(j)[t]
+    total = sum(mass for _, _, mass in atoms)
+    scaled = [(a, b, mass / total) for a, b, mass in atoms]
+    return JointPmf.from_atoms(scaled, x_labels, y_labels)
+
+
+class TestStageOneLaw:
+    """Each reconciler's exact law is the source law pushed through ``run``."""
+
+    def test_sketch_law_matches_the_hand_written_one(self):
+        rng = RandomSource("sketch-law")
+        differing = 0
+        for k in range(40):
+            j = _seeded_small_joint(rng)
+            differing += j.x_labels != j.y_labels
+            for bits in (1, 2, 3):
+                r = OneWayHashReconciler(bits, seed=f"law-{k}")
+                weights = r.transcript_weights(j)
+                assert weights == sketch_oracle.transcript_weights(r, j)
+                for t, _ in weights:
+                    assert r.conditional_joint(j, t) == sketch_oracle.conditional_joint(r, j, t)
+        assert differing >= 5
+
+    def test_identity_and_constant_joints_are_their_pushforwards(self):
+        rng = RandomSource("fixed-law")
+        sources = [WORKED_JOINT, CORRELATED_3, FOUR_SYMBOL]
+        sources += [_seeded_small_joint(rng) for _ in range(10)]
+        for j in sources:
+            identity, constant = IdentityReconciler(), ConstantReconciler()
+            for r in (identity, constant):
+                assert r.transcript_weights(j) == (((), Fraction(1)),)
+            assert identity.conditional_joint(j, ()) == _pushforward_joint(
+                identity, j, (), j.x_labels, j.y_labels
+            )
+            assert constant.conditional_joint(j, ()) == _pushforward_joint(
+                constant, j, (), ("0",), ("0",)
+            )
+
+    def test_pushforward_runs_each_cell_once_per_source(self, monkeypatch):
+        r = OneWayHashReconciler(1, 0)
+        calls = []
+        raw = OneWayHashReconciler.run
+
+        def counting(self, j, x, y):
+            calls.append((x, y))
+            return raw(self, j, x, y)
+
+        monkeypatch.setattr(OneWayHashReconciler, "run", counting)
+        for t, _ in r.transcript_weights(CORRELATED_3):
+            r.conditional_joint(CORRELATED_3, t)
+        reconciler_stats(CORRELATED_3, r)
+        assert sorted(calls) == sorted(
+            (CORRELATED_3.x_labels[ix], CORRELATED_3.y_labels[iy])
+            for ix, iy, _ in CORRELATED_3.atoms()
+        )
+
+    def test_decode_reads_the_column_once(self, monkeypatch):
+        def refuse(self, x, y):
+            raise AssertionError("mass_by_label called")
+
+        monkeypatch.setattr(JointPmf, "mass_by_label", refuse)
+        r = OneWayHashReconciler(1, 0)
+        assert r.run(CORRELATED_3, "b", "c").m_b == "c"
+        assert len(r.pushforward(CORRELATED_3)) == 2
+
+    def test_foreign_labels_are_input_errors(self):
+        r = OneWayHashReconciler(1, 0)
+        with pytest.raises(ValidationError, match="outside the joint's y alphabet"):
+            r.run(CORRELATED_3, "a", "z")
+        with pytest.raises(ValidationError, match="outside the joint's x alphabet"):
+            r.run(CORRELATED_3, "z", "a")
+
+
 class _DivergingReconciler(Reconciler):
     name = "diverging"
 
-    def run(self, j, x, y, rng):
+    def run(self, j, x, y):
         return ReconcilerResult(x, y, (("alice", "note", 1),), ())
-
-    def transcript_weights(self, j):
-        return (((), Fraction(1)),)
 
     def conditional_joint(self, j, transcript):
         return j
@@ -679,6 +760,13 @@ class TestCorrelatedPipeline:
                 WORKED_JOINT, _DivergingReconciler(), 2, RandomSource("div")
             )
 
+    def test_exact_path_refuses_diverging_transcripts(self):
+        r = _DivergingReconciler()
+        with pytest.raises(ReconcilerContractError, match="diverging"):
+            r.transcript_weights(WORKED_JOINT)
+        with pytest.raises(ReconcilerContractError, match="diverging"):
+            reconciler_stats(WORKED_JOINT, r)
+
     def test_bucket_count_validated(self):
         with pytest.raises(ValidationError):
             correlated_keygen(
@@ -696,6 +784,29 @@ class TestCorrelatedPipeline:
         for (xl, yl), c in counts.items():
             m = float(WORKED_JOINT.mass_by_label(xl, yl))
             assert abs(c / n - m) < 4 * math.sqrt(m * (1 - m) / n)
+
+    def test_sampler_spans_only_positive_cells(self):
+        j = joint([["1/2", "0", "0"], ["0", "0", "1/4"], ["0", "1/4", "0"]], "abc", "abc")
+        sampler, cells = reconciled._atom_sampler(j)
+        assert len(sampler.pmf) == len(cells) == 3
+        assert cells == (("a", "a"), ("b", "c"), ("c", "b"))
+
+    def test_sampling_matches_the_full_grid(self):
+        # same draw from the same fair bits, and the same bits left over
+        rng = RandomSource("grid")
+        for k in range(40):
+            nx, ny = 2 + rng.randrange(5), 2 + rng.randrange(5)
+            rows = [
+                [rng.randrange(2) * (1 + rng.randrange(9)) for _ in range(ny)]
+                for _ in range(nx)
+            ]
+            rows[0][0] += 1
+            total = sum(map(sum, rows))
+            j = JointPmf.from_rows([[Fraction(c, total) for c in row] for row in rows])
+            for d in range(100):
+                a, b = RandomSource(f"grid-{k}-{d}"), RandomSource(f"grid-{k}-{d}")
+                assert sample_joint(j, a) == sample_full_grid(j, b)
+                assert a.bits(2) == b.bits(2)
 
 
 class TestTranscriptLaws:

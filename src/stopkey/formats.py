@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 from .common import KeyAgreeEngine
 from .errors import FormatError, ValidationError
 from .keylaws import KeyLaw, RsbsVerdict
-from .probability import JointPmf, Pmf
+from .probability import JointPmf, Pmf, canonical
 from .reconciled import HashFunction, Transcript
 
 
@@ -45,11 +45,34 @@ def parse_rational(value: Any) -> Fraction:
             f"float {value!r} rejected: write rationals as strings ('1/3', '0.25')"
         )
     if isinstance(value, str):
+        if "/" not in value:  # "n/d": int refuses each part past the limit
+            _check_decimal_size(value)
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"not a rational: {value!r} ({exc})") from None
     raise FormatError(f"not a rational: {value!r}")
+
+
+def _check_decimal_size(text: str) -> None:
+    """Refuse a decimal whose digits or exponent pass the int-to-str limit.
+
+    ``Fraction`` scales a decimal by 10**exponent and by 10**(fraction
+    digits) before any limit applies, so "1e-99999999" would build a
+    hundred-million-digit integer.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    mantissa, _, exponent = text.lower().partition("e")
+    digits = sum(c.isdecimal() for c in mantissa)
+    power = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    too_long = len(power) > len(str(limit))
+    if digits > limit or too_long or (power.isdecimal() and int(power) > limit):
+        raise FormatError(
+            f"a decimal has more than {limit} digits or an exponent past {limit}, "
+            "the int-to-str limit"
+        )
 
 
 def format_rational(value: Fraction) -> str:
@@ -94,7 +117,7 @@ def parse_pmf(doc: Mapping) -> Pmf:
         )
     masses = tuple(parse_rational(v) for v in raw)
     try:
-        return Pmf(alphabet, masses)
+        return canonical(Pmf(alphabet, masses))
     except Exception as exc:  # normalization and label errors, deficit included
         raise FormatError(str(exc)) from None
 
@@ -118,7 +141,7 @@ def parse_joint(doc: Mapping) -> JointPmf:
             raise FormatError("joint rows must match y_labels in length")
         matrix.append(tuple(parse_rational(v) for v in row))
     try:
-        return JointPmf(x_labels, y_labels, tuple(matrix))
+        return canonical(JointPmf(x_labels, y_labels, tuple(matrix)))
     except Exception as exc:
         raise FormatError(str(exc)) from None
 
@@ -141,10 +164,12 @@ def parse_source(doc: Mapping) -> Pmf | JointPmf:
 
 
 def read_document(path: str) -> Any:
+    # ValueError covers bad JSON, bad UTF-8 and an integer past the
+    # int-to-str limit; RecursionError, nesting too deep to decode
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid document: {exc}") from None
 
 
@@ -176,13 +201,6 @@ def load_source(path: str) -> Pmf | JointPmf:
 
 # ---------------------------------------------------------------------------
 # Key laws and verifier verdicts.
-
-
-def key_law_document(law: KeyLaw) -> dict:
-    return {
-        "atoms": [[k, format_rational(m)] for k, m in law.atoms],
-        "tail": format_rational(law.tail),
-    }
 
 
 def parse_key_law(doc: Mapping) -> KeyLaw:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -30,14 +31,13 @@ __all__ = [
     "entropy",
     "entropy_interval",
     "mutual_information",
-    "mutual_information_interval",
     "agreement_stats",
     "ceil_neg_log2",
     "floor_log2",
-    "is_dyadic",
     "dyadic_exponent",
     "log2_interval",
     "as_fraction",
+    "canonical",
 ]
 
 ZERO = Fraction(0)
@@ -234,6 +234,18 @@ class JointPmf:
         return tuple(m for row in self.masses for m in row)
 
 
+@lru_cache(maxsize=256)
+def canonical(obj):
+    """The first live object equal to ``obj``: ``obj`` itself, or an equal
+    one met earlier and still among the last 256 interned.
+
+    Pmfs and joints key the engine, sampler and stage caches by content.
+    An equal but distinct key makes every hit compare the two mass tables
+    cell by cell; interned keys hit on identity instead.
+    """
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Exact log2 brackets.
 
@@ -272,12 +284,6 @@ def dyadic_exponent(m) -> int | None:
         return None
     d = m.denominator
     return d.bit_length() - 1 if d & (d - 1) == 0 else None
-
-
-def is_dyadic(p) -> bool:
-    """True if every nonzero mass is a nonnegative power of 1/2."""
-    masses = p.masses if isinstance(p, Pmf) else tuple(as_fraction(m) for m in p)
-    return all(m == 0 or dyadic_exponent(m) is not None for m in masses)
 
 
 def log2_interval(r) -> tuple[Fraction, Fraction]:
@@ -388,14 +394,6 @@ def mutual_information(j: JointPmf | Pmf) -> float:
     for ix, iy, m in atoms:
         total += float(m) * math.log2(m / (px[ix] * py[iy]))
     return total
-
-
-def mutual_information_interval(j: JointPmf) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket for I(X;Y) in bits."""
-    xlo, xhi = entropy_interval(j.marginal_x())
-    ylo, yhi = entropy_interval(j.marginal_y())
-    jlo, jhi = entropy_interval(j)
-    return xlo + ylo - jhi, xhi + yhi - jlo
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,19 @@ a time so it can be compared against exact rational thresholds with no
 rounding. A comparison extends the expansion only until the interval of
 still-possible values clears the threshold, which takes 2 extra bits on
 average per query.
+
+A source is seeded on its first draw, not when it is derived: deriving a
+substream only records its path, so a stream nothing reads costs no
+sha256 and no Mersenne Twister seeding. A common trial thus seeds 2
+generators (its ``source`` and ``alice`` streams), never the trial's own
+parent stream. The bytes of every stream are those of eager seeding.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import threading
 from fractions import Fraction
 
 from .errors import StopkeyError, ValidationError
@@ -49,11 +56,12 @@ class LazyUniform:
 
     def at_least(self, threshold: Fraction) -> bool:
         """Decide U >= threshold exactly."""
-        if threshold <= 0:
-            return True
-        if threshold >= 1:
-            return False
         tn, td = threshold.numerator, threshold.denominator
+        # td > 0, so these are threshold <= 0 and threshold >= 1
+        if tn <= 0:
+            return True
+        if tn >= td:
+            return False
         while True:
             scaled = tn << self.nbits
             lo = self.value_bits * td
@@ -83,38 +91,56 @@ def _seed_int(material: bytes) -> int:
     return int.from_bytes(hashlib.sha256(material).digest(), "big")
 
 
+# taken only to publish a source's generator, on its first draw
+_SEEDING = threading.Lock()
+
+
 class RandomSource:
     """Deterministic stream of fair bits and exact uniform draws.
 
     The same seed always yields the same stream. ``substream`` derives an
     independent child source from (seed path, label); harnesses key
     children by trial index so results do not depend on worker scheduling.
+    The generator is built from (seed, path) on the first draw, and
+    published once: threads racing on a fresh source share one stream.
     """
+
+    __slots__ = ("seed", "path", "_rng")
 
     def __init__(self, seed: int | str, _path: tuple[str, ...] = ()):
         if not isinstance(seed, (int, str)):
             raise ValidationError("seed must be an int or str")
         self.seed = seed
         self.path = _path
-        material = repr((seed, _path)).encode()
-        self._rng = random.Random(_seed_int(material))
+        self._rng: random.Random | None = None
+
+    def _seeded(self) -> random.Random:
+        """The generator, built on first use. Draws read it as
+        ``self._rng or self._seeded()``: a built Random is truthy, so only
+        a fresh source's first draw calls here and takes the lock."""
+        with _SEEDING:
+            rng = self._rng
+            if rng is None:
+                material = repr((self.seed, self.path)).encode()
+                rng = self._rng = random.Random(_seed_int(material))
+        return rng
 
     def substream(self, *labels: int | str) -> "RandomSource":
-        return RandomSource(self.seed, self.path + tuple(str(x) for x in labels))
+        return RandomSource(self.seed, self.path + tuple(map(str, labels)))
 
     def fair_bit(self) -> int:
-        return self._rng.getrandbits(1)
+        return (self._rng or self._seeded()).getrandbits(1)
 
     def bits(self, k: int) -> int:
         """k fair bits as an integer, most significant bit first."""
         if k <= 0:
             raise ValidationError("bit count must be positive")
-        return self._rng.getrandbits(k)
+        return (self._rng or self._seeded()).getrandbits(k)
 
     def lazy_uniform(self) -> LazyUniform:
-        return LazyUniform(self._rng)
+        return LazyUniform(self._rng or self._seeded())
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), from the underlying stream."""
-        return self._rng.randrange(n)
+        return (self._rng or self._seeded()).randrange(n)
 

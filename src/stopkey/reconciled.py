@@ -33,6 +33,7 @@ from .probability import (
     Pmf,
     _state_without_hash,
     agreement_stats,
+    canonical,
     entropy,
     entropy_interval,
     log2_interval,
@@ -142,7 +143,9 @@ def stage_conditional(j: JointPmf, h: HashFunction, w1: int) -> Pmf | None:
     total = sum(masses, ZERO)
     if total == 0:
         return None
-    return Pmf(labels, tuple(mv / total for mv in masses))
+    # interned: an equal conditional from another table or joint then
+    # keys engine_for by identity, not by comparing masses every trial
+    return canonical(Pmf(labels, tuple(mv / total for mv in masses)))
 
 
 def _stage2_records(w1: int, w2: int | None) -> Transcript:
@@ -268,17 +271,6 @@ def almost_common_bounds(j: JointPmf, m: int) -> ErrorLengthPair:
     eps = (1 - stats.p) / m
     ell = float(stats.p) * (entropy(stats.conditional) - math.log2(m) - 2.0)
     return ErrorLengthPair(eps, ell)
-
-
-def almost_common_ell_interval(j: JointPmf, m: int) -> tuple[Fraction, Fraction]:
-    """Certified bracket on the guaranteed ell (exact for dyadic inputs)."""
-    stats = agreement_stats(j)
-    if stats.conditional is None:
-        raise ValidationError("P(X = Y) = 0: the protocol guarantees nothing")
-    h_lo, h_hi = entropy_interval(stats.conditional)
-    l2_lo, l2_hi = log2_interval(Fraction(m))
-    p = stats.p
-    return p * (h_lo - l2_hi - 2), p * (h_hi - l2_lo - 2)
 
 
 @dataclass(frozen=True)
@@ -611,7 +603,9 @@ class OneWayHashReconciler(Reconciler):
     The conditional joint depends only on the source and the transcript,
     so it is built once per (source, transcript) and memoized: every
     later trial on that transcript gets the same ``JointPmf`` object, and
-    the stage-two caches keyed by it hit on identity.
+    the stage-two caches keyed by it hit on identity. The built joint is
+    interned, so a reconciler built later on an equal source (the next
+    report in the same process) gets that same object too.
     """
 
     name = "one-way-hash"
@@ -673,7 +667,7 @@ class OneWayHashReconciler(Reconciler):
             raise ValidationError(f"transcript {transcript!r} has zero probability")
         total = sum((mass for _, _, mass in atoms), ZERO)
         scaled = [(a, b, mass / total) for a, b, mass in atoms]
-        return JointPmf.from_atoms(scaled, j.x_labels, j.x_labels)
+        return canonical(JointPmf.from_atoms(scaled, j.x_labels, j.x_labels))
 
 
 @lru_cache(maxsize=64)

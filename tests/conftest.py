@@ -5,6 +5,7 @@ dyadic pmfs (whose keys collapse to the empty string), the two-symbol
 cycling case, richer non-dyadic sources, and degenerate point masses.
 """
 
+import random
 import sys
 import threading
 import time
@@ -85,6 +86,20 @@ FOUR_SYMBOL = joint(
     "0123",
     "0123",
 )
+
+
+def count_seeding(monkeypatch) -> list:
+    """Record every generator a RandomSource builds from now on: its
+    construction arguments, one entry per ``random.Random`` seeded."""
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("stopkey.randomsource.random.Random", Counting)
+    return built
 
 
 def run_threads(target, n_threads: int = 8, timeout: float = 4.0) -> list[Exception]:

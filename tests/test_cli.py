@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -583,3 +585,30 @@ class TestSimulateAndReport:
             assert main(["report", "--dist", dist_file, "--w-max", "2126"]) == 0
         finally:
             sys.set_int_max_str_digits(limit)
+
+
+class TestHostileDocuments:
+    """Documents that once escaped as tracebacks (exit 1) are input errors."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"alphabet": ["a", "b"], "pmf": ' + "[" * 100000 + "]" * 100000 + "}",
+            '{"alphabet": ["a", "b"], "pmf": ["1e-99999999", "1"]}',
+            '{"alphabet": ["a", "b"], "pmf": [' + "1" * 5000 + ", 1]}",
+        ],
+        ids=["deep-nesting", "decimal-exponent", "huge-integer"],
+    )
+    def test_exit_3_without_a_traceback(self, body, tmp_path):
+        path = tmp_path / "hostile.json"
+        path.write_text(body)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stopkey.cli", "keygen-common", "--dist", str(path),
+             "--x", "a", "--role", "alice", "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr

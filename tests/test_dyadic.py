@@ -11,10 +11,15 @@ from stopkey.dyadic import (
 from stopkey.errors import ValidationError
 from stopkey.formats import decomposition_document
 from stopkey.keylaws import PrefixCodebook
-from stopkey.probability import dyadic_exponent, entropy, is_dyadic
+from stopkey.probability import dyadic_exponent, entropy
 from stopkey.randomsource import RandomSource
 
 from conftest import CORPUS, pmf, random_rational_pmf
+
+
+def is_dyadic(p) -> bool:
+    """Every nonzero mass is a nonnegative power of 1/2."""
+    return all(m == 0 or dyadic_exponent(m) is not None for m in p.masses)
 
 
 def removed(e: KeyAgreeEngine, w: int, i: int) -> Fraction:

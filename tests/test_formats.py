@@ -1,8 +1,10 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
+from stopkey import formats
 from stopkey.common import engine_for
 from stopkey.errors import FormatError
 from stopkey.formats import (
@@ -11,7 +13,6 @@ from stopkey.formats import (
     format_rational,
     hash_function_document,
     joint_document,
-    key_law_document,
     load_distribution,
     load_hash_function,
     load_source,
@@ -30,7 +31,16 @@ from stopkey.keylaws import KeyLaw, verify_rsbs
 from stopkey.probability import JointPmf, Pmf
 from stopkey.reconciled import HashFunction
 
-from conftest import CORPUS, WORKED_JOINT, pmf
+from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, pmf
+
+
+@pytest.fixture()
+def digit_limit():
+    """The interpreter's int-to-str digit limit, pinned at its default 4300."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(limit)
 
 
 class TestRational:
@@ -56,6 +66,24 @@ class TestRational:
     def test_round_trip(self):
         for v in (Fraction(3, 7), Fraction(0), Fraction(-5, 2), Fraction(4)):
             assert parse_rational(format_rational(v)) == v
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-99999999", "1E+99999999", "1e4301", "2.5e-0004301", "0." + "0" * 4300 + "1",
+         "1" * 4301 + ".5", "1e" + "9" * 5000, "1e1_000_000"],
+    )
+    def test_huge_decimal_refused_before_any_fraction(self, text, digit_limit, monkeypatch):
+        built = []
+        monkeypatch.setattr(formats, "Fraction", lambda *a: built.append(a) or Fraction(*a))
+        with pytest.raises(FormatError, match="4300"):
+            parse_rational(text)
+        assert built == []
+
+    def test_decimals_at_the_limit_still_parse(self, digit_limit):
+        assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+        assert parse_rational("3E+0004300") == 3 * 10**4300
+        assert parse_rational("0." + "0" * 4298 + "1") == Fraction(1, 10**4299)
+        assert parse_rational("1" * 3000 + "/" + "7" * 3000) == Fraction(int("1" * 3000), int("7" * 3000))
 
 
 class TestPmfDocuments:
@@ -122,6 +150,31 @@ class TestFileIO:
         with pytest.raises(FormatError, match="broken.json"):
             read_document(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, "[" + "1" * 5000 + "]"],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_undecodable_documents_are_format_errors(self, text, tmp_path):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        with pytest.raises(FormatError, match="hostile.json"):
+            read_document(str(path))
+
+    def test_invalid_utf8_is_a_format_error(self, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"alphabet": ["\xe9"]}')
+        with pytest.raises(FormatError, match="latin.json"):
+            read_document(str(path))
+
+    def test_parsing_a_document_twice_returns_one_object(self, tmp_path):
+        for doc in (pmf_document(CORPUS["tenths"]), joint_document(WORKED_JOINT)):
+            first, second = parse_source(doc), parse_source(json.loads(json.dumps(doc)))
+            assert first is second
+        path = str(tmp_path / "joint.json")
+        write_document(joint_document(CORRELATED_3), path)
+        assert load_source(path) is load_source(path)
+
     def test_non_object_documents_rejected(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -143,7 +196,7 @@ class TestKeyLawDocuments:
             {"": Fraction(1, 2), "0": Fraction(1, 8), "1": Fraction(1, 4)},
             Fraction(1, 8),
         )
-        again = parse_key_law(key_law_document(law))
+        again = parse_key_law({"atoms": [["", "1/2"], ["0", "1/8"], ["1", "1/4"]], "tail": "1/8"})
         assert again == law
         assert again.tail == Fraction(1, 8)
 

@@ -42,6 +42,7 @@ from conftest import (
     CORPUS,
     CORRELATED_3,
     WORKED_JOINT,
+    count_seeding,
     diag_joint,
     joint,
     pmf,
@@ -418,6 +419,77 @@ class TestPlan:
         assert list(plan.runs()) == warm
         # the trial stream, then "source" and "stage2" within it
         assert len(derived) == 3 * 20
+
+    @pytest.mark.parametrize(
+        "protocol, doc, options",
+        [
+            ("common", formats.pmf_document(CORPUS["tenths"]), {}),
+            ("correlated", formats.joint_document(CORRELATED_3), {"reconciler": "hashmap:1", "m": 2}),
+        ],
+        ids=["common", "two-stage"],
+    )
+    def test_a_trial_seeds_only_the_streams_it_reads(self, protocol, doc, options, monkeypatch):
+        plan = ExperimentConfig(protocol=protocol, source_doc=doc, trials=40, **options).plan()
+        warm = list(plan.runs())  # builds the sketch table and the stage caches
+        built = count_seeding(monkeypatch)
+        per_trial = []
+        runs = []
+        for run in plan.runs():
+            per_trial.append(len(built) - sum(per_trial))
+            runs.append(run)
+        assert runs == warm
+        # a common trial reads "source" and "alice"; a two-stage trial reads
+        # "source", and "stage2" only when Bob draws a round; no trial's parent
+        if protocol == "common":
+            assert per_trial == [2] * 40
+        else:
+            assert max(per_trial) == 2 and min(per_trial) >= 1
+
+    def test_later_reports_on_an_equal_source_compare_no_masses(self, tmp_path, monkeypatch):
+        # CORRELATED_3 under labels no other test uses, so no cache holds an
+        # equal joint that was built directly rather than parsed
+        doc = formats.joint_document(CORRELATED_3)
+        doc["x_labels"] = doc["y_labels"] = ["p", "q", "r"]
+        path = str(tmp_path / "corr3.json")
+        formats.write_document(doc, path)
+
+        def cfg(seed):
+            return ExperimentConfig(
+                protocol="correlated", source_path=path, m=2, trials=200,
+                seed=seed, reconciler="hashmap:1",
+            )
+
+        run_simulation(cfg(1))
+        compared = []
+        in_trials = [False]
+        raw_runs = ProtocolPlan.runs
+
+        def counting(cls):
+            raw = cls.__eq__
+
+            def eq(a, b):
+                if in_trials[0]:
+                    compared.append(cls.__name__)
+                return raw(a, b)
+
+            return eq
+
+        def runs(plan):
+            in_trials[0] = True
+            try:
+                yield from raw_runs(plan)
+            finally:
+                in_trials[0] = False
+
+        # JointPmf keys the sampler and stage caches, Pmf keys engine_for
+        monkeypatch.setattr(JointPmf, "__eq__", counting(JointPmf))
+        monkeypatch.setattr(Pmf, "__eq__", counting(Pmf))
+        monkeypatch.setattr(ProtocolPlan, "runs", runs)
+        # other seeds draw other sketch tables, whose bucket conditionals
+        # may equal earlier ones; seed 1 again draws the first table
+        for seed in (2, 3, 4, 5, 1):
+            assert run_simulation(cfg(seed)).data["estimates"]["trials"] == 200
+        assert compared == []
 
     def test_an_empty_reconciler_spec_is_not_the_default(self):
         cfg = ExperimentConfig(

@@ -1,3 +1,6 @@
+import hashlib
+import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -5,6 +8,7 @@ import pytest
 from stopkey.errors import ValidationError
 from stopkey.randomsource import RandomSource
 
+from conftest import count_seeding, run_threads
 from literal_oracle import uniform_below
 
 
@@ -109,3 +113,75 @@ class TestLazyUniform:
     def test_uniform_below_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             uniform_below(RandomSource(1), Fraction(0))
+
+
+def _old_at_least(u, threshold) -> bool:
+    """LazyUniform.at_least as first written: Fraction bounds, then the loop."""
+    if threshold <= 0:
+        return True
+    if threshold >= 1:
+        return False
+    tn, td = threshold.numerator, threshold.denominator
+    while True:
+        scaled = tn << u.nbits
+        if u.value_bits * td >= scaled:
+            return True
+        if (u.value_bits + 1) * td <= scaled:
+            return False
+        u._extend()
+
+
+class TestIntegerBounds:
+    def test_matches_the_fraction_bounds_on_seeded_thresholds(self):
+        rng = RandomSource("at-least-bounds")
+        thresholds = [0, 1, 2, -1, Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(9, 4)]
+        for _ in range(200):
+            den = 1 + rng.randrange(60)
+            thresholds.append(Fraction(rng.randrange(3 * den) - den, den))
+            n = rng.randrange(20)
+            thresholds.append(Fraction(rng.randrange((1 << n) + 1), 1 << n))  # dyadic
+        seen = set()
+        for k, t in enumerate(thresholds):
+            new = RandomSource("twin", (str(k),)).lazy_uniform()
+            old = RandomSource("twin", (str(k),)).lazy_uniform()
+            got = new.at_least(t)
+            assert got == _old_at_least(old, t)
+            assert (new.nbits, new.value_bits) == (old.nbits, old.value_bits)
+            seen.add("low" if t <= 0 else "high" if t >= 1 else got)
+        # both trivial branches and both loop outcomes were exercised
+        assert seen == {"low", "high", True, False}
+
+
+class TestSeedOnFirstDraw:
+    def test_deriving_substreams_seeds_nothing(self, monkeypatch):
+        built = count_seeding(monkeypatch)
+        root = RandomSource(4)
+        subs = [root.substream("trial", i).substream("source") for i in range(50)]
+        assert built == []
+        subs[7].fair_bit()
+        assert len(built) == 1
+        subs[7].bits(8)
+        subs[7].lazy_uniform().at_least(Fraction(1, 3))
+        assert len(built) == 1
+
+    def test_streams_are_those_of_eager_seeding(self):
+        for seed, path in ((5, ()), ("s", ("trial", "3", "source"))):
+            material = repr((seed, path)).encode()
+            eager = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+            lazy = RandomSource(seed, path)
+            assert [lazy.bits(32) for _ in range(4)] == [eager.getrandbits(32) for _ in range(4)]
+            assert lazy.randrange(1000) == eager.randrange(1000)
+
+    def test_threads_racing_on_a_fresh_source_share_one_stream(self):
+        for round_ in range(5):
+            src = RandomSource("race", (str(round_),))
+            barrier = threading.Barrier(8)
+            got = []
+
+            def draw():
+                barrier.wait(timeout=4)
+                got.append(src.bits(64))
+
+            assert run_threads(draw, n_threads=8) == []
+            fresh = RandomSource("race", (str(round_),))
+            assert sorted(got) == sorted(fresh.bits(64) for _ in range(8))

@@ -31,7 +31,6 @@ from stopkey.reconciled import (
     ReconcilerResult,
     all_hash_tables,
     almost_common_bounds,
-    almost_common_ell_interval,
     almost_common_keygen,
     analyze_almost_common,
     average_almost_common,
@@ -373,16 +372,6 @@ class TestGuaranteedBounds:
             pair = almost_common_bounds(j, m)
             assert pair.epsilon == 0
             assert pair.ell == pytest.approx(entropy(p) - math.log2(m) - 2.0)
-
-    def test_interval_is_exact_on_dyadic_inputs(self):
-        j = diag_joint(pmf("1/2", "1/2"))
-        lo, hi = almost_common_ell_interval(j, 2)
-        assert lo == hi == -2
-
-    def test_interval_brackets_the_float(self):
-        lo, hi = almost_common_ell_interval(WORKED_JOINT, 3)
-        pair = almost_common_bounds(WORKED_JOINT, 3)
-        assert float(lo) <= pair.ell <= float(hi)
 
     def test_never_agreeing_source_rejected(self):
         j = joint([["0", "1/2"], ["1/2", "0"]], "01", "01")

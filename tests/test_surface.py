@@ -26,3 +26,17 @@ def test_star_import(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(importlib.import_module(name).__all__) <= set(namespace)
+
+
+# deleted with their tests: nothing in src/, perfbench/, the CLI or the README called them
+REMOVED = [
+    ("stopkey.probability", "is_dyadic"),
+    ("stopkey.probability", "mutual_information_interval"),
+    ("stopkey.reconciled", "almost_common_ell_interval"),
+    ("stopkey.formats", "key_law_document"),
+]
+
+
+@pytest.mark.parametrize("module, name", REMOVED)
+def test_removed_names_stay_removed(module, name):
+    assert not hasattr(importlib.import_module(module), name)

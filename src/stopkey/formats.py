@@ -30,7 +30,7 @@ from typing import Any, Mapping, Sequence
 from .common import KeyAgreeEngine
 from .errors import FormatError, ValidationError
 from .keylaws import KeyLaw, RsbsVerdict
-from .probability import JointPmf, Pmf, canonical
+from .probability import JointPmf, Pmf
 from .reconciled import HashFunction, Transcript
 
 
@@ -54,24 +54,27 @@ def parse_rational(value: Any) -> Fraction:
     raise FormatError(f"not a rational: {value!r}")
 
 
+# CPython's default int-to-str limit; decimals are held to it where the
+# interpreter has no limit or it is switched off (0)
+_DECIMAL_DIGITS_CAP = 4300
+
+
 def _check_decimal_size(text: str) -> None:
-    """Refuse a decimal whose digits or exponent pass the int-to-str limit.
+    """Refuse a decimal whose digits or exponent pass the int-to-str limit,
+    or ``_DECIMAL_DIGITS_CAP`` when there is none.
 
     ``Fraction`` scales a decimal by 10**exponent and by 10**(fraction
     digits) before any limit applies, so "1e-99999999" would build a
     hundred-million-digit integer.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or _DECIMAL_DIGITS_CAP
     mantissa, _, exponent = text.lower().partition("e")
     digits = sum(c.isdecimal() for c in mantissa)
     power = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     too_long = len(power) > len(str(limit))
     if digits > limit or too_long or (power.isdecimal() and int(power) > limit):
         raise FormatError(
-            f"a decimal has more than {limit} digits or an exponent past {limit}, "
-            "the int-to-str limit"
+            f"a decimal has more than {limit} digits or an exponent past {limit}"
         )
 
 
@@ -117,7 +120,7 @@ def parse_pmf(doc: Mapping) -> Pmf:
         )
     masses = tuple(parse_rational(v) for v in raw)
     try:
-        return canonical(Pmf(alphabet, masses))
+        return Pmf(alphabet, masses)
     except Exception as exc:  # normalization and label errors, deficit included
         raise FormatError(str(exc)) from None
 
@@ -141,7 +144,7 @@ def parse_joint(doc: Mapping) -> JointPmf:
             raise FormatError("joint rows must match y_labels in length")
         matrix.append(tuple(parse_rational(v) for v in row))
     try:
-        return canonical(JointPmf(x_labels, y_labels, tuple(matrix)))
+        return JointPmf(x_labels, y_labels, tuple(matrix))
     except Exception as exc:
         raise FormatError(str(exc)) from None
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -37,7 +36,6 @@ __all__ = [
     "dyadic_exponent",
     "log2_interval",
     "as_fraction",
-    "canonical",
 ]
 
 ZERO = Fraction(0)
@@ -232,18 +230,6 @@ class JointPmf:
 
     def flat_masses(self) -> tuple[Fraction, ...]:
         return tuple(m for row in self.masses for m in row)
-
-
-@lru_cache(maxsize=256)
-def canonical(obj):
-    """The first live object equal to ``obj``: ``obj`` itself, or an equal
-    one met earlier and still among the last 256 interned.
-
-    Pmfs and joints key the engine, sampler and stage caches by content.
-    An equal but distinct key makes every hit compare the two mass tables
-    cell by cell; interned keys hit on identity instead.
-    """
-    return obj
 
 
 # ---------------------------------------------------------------------------

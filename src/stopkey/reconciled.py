@@ -33,7 +33,6 @@ from .probability import (
     Pmf,
     _state_without_hash,
     agreement_stats,
-    canonical,
     entropy,
     entropy_interval,
     log2_interval,
@@ -143,9 +142,7 @@ def stage_conditional(j: JointPmf, h: HashFunction, w1: int) -> Pmf | None:
     total = sum(masses, ZERO)
     if total == 0:
         return None
-    # interned: an equal conditional from another table or joint then
-    # keys engine_for by identity, not by comparing masses every trial
-    return canonical(Pmf(labels, tuple(mv / total for mv in masses)))
+    return Pmf(labels, tuple(mv / total for mv in masses))
 
 
 def _stage2_records(w1: int, w2: int | None) -> Transcript:
@@ -603,9 +600,7 @@ class OneWayHashReconciler(Reconciler):
     The conditional joint depends only on the source and the transcript,
     so it is built once per (source, transcript) and memoized: every
     later trial on that transcript gets the same ``JointPmf`` object, and
-    the stage-two caches keyed by it hit on identity. The built joint is
-    interned, so a reconciler built later on an equal source (the next
-    report in the same process) gets that same object too.
+    the stage-two caches keyed by it hit on identity.
     """
 
     name = "one-way-hash"
@@ -667,7 +662,7 @@ class OneWayHashReconciler(Reconciler):
             raise ValidationError(f"transcript {transcript!r} has zero probability")
         total = sum((mass for _, _, mass in atoms), ZERO)
         scaled = [(a, b, mass / total) for a, b, mass in atoms]
-        return canonical(JointPmf.from_atoms(scaled, j.x_labels, j.x_labels))
+        return JointPmf.from_atoms(scaled, j.x_labels, j.x_labels)
 
 
 @lru_cache(maxsize=64)

@@ -600,10 +600,20 @@ class TestHostileDocuments:
         ids=["deep-nesting", "decimal-exponent", "huge-integer"],
     )
     def test_exit_3_without_a_traceback(self, body, tmp_path):
+        self.assert_refused(body, tmp_path, None)
+
+    def test_decimal_exponent_refused_with_the_digit_limit_off(self, tmp_path):
+        body = '{"alphabet": ["a", "b"], "pmf": ["1e-99999999", "1"]}'
+        self.assert_refused(body, tmp_path, "0")
+
+    @staticmethod
+    def assert_refused(body, tmp_path, digit_limit):
         path = tmp_path / "hostile.json"
         path.write_text(body)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         env.pop("PYTHONINTMAXSTRDIGITS", None)
+        if digit_limit is not None:
+            env["PYTHONINTMAXSTRDIGITS"] = digit_limit
         proc = subprocess.run(
             [sys.executable, "-m", "stopkey.cli", "keygen-common", "--dist", str(path),
              "--x", "a", "--role", "alice", "--seed", "1"],

@@ -445,52 +445,6 @@ class TestPlan:
         else:
             assert max(per_trial) == 2 and min(per_trial) >= 1
 
-    def test_later_reports_on_an_equal_source_compare_no_masses(self, tmp_path, monkeypatch):
-        # CORRELATED_3 under labels no other test uses, so no cache holds an
-        # equal joint that was built directly rather than parsed
-        doc = formats.joint_document(CORRELATED_3)
-        doc["x_labels"] = doc["y_labels"] = ["p", "q", "r"]
-        path = str(tmp_path / "corr3.json")
-        formats.write_document(doc, path)
-
-        def cfg(seed):
-            return ExperimentConfig(
-                protocol="correlated", source_path=path, m=2, trials=200,
-                seed=seed, reconciler="hashmap:1",
-            )
-
-        run_simulation(cfg(1))
-        compared = []
-        in_trials = [False]
-        raw_runs = ProtocolPlan.runs
-
-        def counting(cls):
-            raw = cls.__eq__
-
-            def eq(a, b):
-                if in_trials[0]:
-                    compared.append(cls.__name__)
-                return raw(a, b)
-
-            return eq
-
-        def runs(plan):
-            in_trials[0] = True
-            try:
-                yield from raw_runs(plan)
-            finally:
-                in_trials[0] = False
-
-        # JointPmf keys the sampler and stage caches, Pmf keys engine_for
-        monkeypatch.setattr(JointPmf, "__eq__", counting(JointPmf))
-        monkeypatch.setattr(Pmf, "__eq__", counting(Pmf))
-        monkeypatch.setattr(ProtocolPlan, "runs", runs)
-        # other seeds draw other sketch tables, whose bucket conditionals
-        # may equal earlier ones; seed 1 again draws the first table
-        for seed in (2, 3, 4, 5, 1):
-            assert run_simulation(cfg(seed)).data["estimates"]["trials"] == 200
-        assert compared == []
-
     def test_an_empty_reconciler_spec_is_not_the_default(self):
         cfg = ExperimentConfig(
             protocol="correlated",

@@ -33,7 +33,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import InvariantError, ProtocolError, ValidationError
 from .keylaws import KeyLaw
@@ -52,15 +52,6 @@ __all__ = [
 _MAX_ROUNDS = 20000
 
 
-class _Selected(NamedTuple):
-    """One removed chunk: symbol ``index`` loses 2**-(w + length) mass and
-    earns ``code`` as its round-w codeword."""
-
-    index: int
-    length: int
-    code: str
-
-
 # packed per-selection entry: (codeword value << _LEN_BITS) | codeword length
 _LEN_BITS = 20
 _LEN_MASK = (1 << _LEN_BITS) - 1
@@ -75,27 +66,17 @@ class _Round:
     """Round w storage. ``order`` lists selected symbols in selection
     order; ``packed`` maps symbol index to its packed codeword entry.
 
-    Codeword strings and _Selected views are built on demand: a wide
-    alphabet selects tens of thousands of symbols per round, and the
-    protocol path only ever looks up one of them.
+    Codeword strings are built on demand: a wide alphabet selects tens of
+    thousands of symbols per round, and the protocol path only ever looks
+    up one of them.
     """
 
-    __slots__ = ("w", "order", "packed", "_selected")
+    __slots__ = ("w", "order", "packed")
 
     def __init__(self, w: int, order: tuple[int, ...], packed: dict[int, int]):
         self.w = w
         self.order = order
         self.packed = packed
-        self._selected: tuple[_Selected, ...] | None = None
-
-    @property
-    def selected(self) -> tuple[_Selected, ...]:
-        if self._selected is None:
-            self._selected = tuple(
-                _Selected(i, self.packed[i] & _LEN_MASK, _unpack_code(self.packed[i]))
-                for i in self.order
-            )
-        return self._selected
 
     def length_of(self, index: int) -> int | None:
         p = self.packed.get(index)
@@ -152,12 +133,6 @@ class KeyAgreeEngine:
         nums = self._nums
         q = self._q
         live = [i for i, v in enumerate(nums) if v > 0]
-        if len(live) == 1:
-            i = live[0]
-            self._rescale(w)
-            self._nums[i] -= self._q >> w
-            self._rounds.append(_Round(w, (i,), {i: 0}))
-            return
         # stable reverse sort keeps equal masses in ascending-index order
         live.sort(key=nums.__getitem__, reverse=True)
         acc = 0
@@ -299,8 +274,8 @@ class KeyAgreeEngine:
         """Conditional pmf of X given W = w, over the full source alphabet."""
         rnd = self.round(w)
         masses = [ZERO] * len(self.pmf)
-        for s in rnd.selected:
-            masses[s.index] = Fraction(1, 1 << s.length)
+        for i in rnd.order:
+            masses[i] = Fraction(1, 1 << rnd.length_of(i))
         return Pmf(self.pmf.labels, tuple(masses))
 
 
@@ -404,10 +379,11 @@ def exact_common_law(p: Pmf, w_max: int) -> CommonLaw:
     expected = ZERO
     for w in range(1, w_max + 1):
         rnd = engine.round(w)
-        for s in rnd.selected:
-            prob = Fraction(1, 1 << (w + s.length))
-            atoms.append((s.index, w, s.code, prob))
-            expected += prob * s.length
+        for i in rnd.order:
+            length = rnd.length_of(i)
+            prob = Fraction(1, 1 << (w + length))
+            atoms.append((i, w, rnd.codeword(i), prob))
+            expected += prob * length
     return CommonLaw(
         source=p,
         w_max=w_max,

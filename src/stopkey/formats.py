@@ -138,13 +138,13 @@ def parse_joint(doc: Mapping) -> JointPmf:
     rows = _require(doc, "joint", list)
     if len(rows) != len(x_labels):
         raise FormatError(f"{len(x_labels)} x labels but {len(rows)} rows")
-    matrix = []
-    for row in rows:
+    cells = []
+    for ix, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(y_labels):
             raise FormatError("joint rows must match y_labels in length")
-        matrix.append(tuple(parse_rational(v) for v in row))
+        cells.extend((ix, iy, m) for iy, m in enumerate(map(parse_rational, row)) if m)
     try:
-        return JointPmf(x_labels, y_labels, tuple(matrix))
+        return JointPmf(x_labels, y_labels, tuple(cells))
     except Exception as exc:
         raise FormatError(str(exc)) from None
 
@@ -153,7 +153,7 @@ def joint_document(j: JointPmf) -> dict:
     return {
         "x_labels": list(j.x_labels),
         "y_labels": list(j.y_labels),
-        "joint": [[format_rational(m) for m in row] for row in j.masses],
+        "joint": [[format_rational(j.mass_by_label(x, y)) for y in j.y_labels] for x in j.x_labels],
     }
 
 

@@ -9,9 +9,10 @@ for tests that must compare an exact quantity against an entropy bound
 without trusting floating point.
 
 Symbols are identified by their stable integer index into the alphabet
-tuple; labels are a display and serialization map. Zero-mass symbols are
-legal and retained, so conditionals over a parent alphabet keep their
-indexing; every mass-sensitive operation skips them explicitly.
+tuple; labels are a display and serialization map. A ``Pmf`` keeps its
+zero-mass symbols, so conditionals over a parent alphabet keep their
+indexing; every mass-sensitive operation skips them explicitly. A
+``JointPmf`` stores only its positive cells: its cost is O(cells).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -135,43 +136,46 @@ class Pmf:
 
 @dataclass(frozen=True)
 class JointPmf:
-    """A joint pmf over a pair of ordered finite alphabets.
+    """A joint pmf over a pair of ordered finite alphabets, stored sparse.
 
-    ``masses[ix][iy]`` is P(X = x_labels[ix], Y = y_labels[iy]). The two
-    alphabets may differ; equality of realizations is equality of labels.
-    As for ``Pmf``, the content hash is computed once and kept in ``_hash``.
+    ``cells`` lists each positive-mass cell once, in row-major order, as
+    (ix, iy, P(X = x_labels[ix], Y = y_labels[iy])). The two alphabets may
+    differ; equality of realizations is equality of labels. As for
+    ``Pmf``, the content hash is computed once and kept in ``_hash``.
     """
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
-    masses: tuple[tuple[Fraction, ...], ...]
+    cells: tuple[tuple[int, int, Fraction], ...]
+    _by_label: dict = field(default=None, init=False, repr=False, compare=False)
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         nx, ny = len(self.x_labels), len(self.y_labels)
         if nx == 0 or ny == 0:
             raise ValidationError("joint alphabets must be nonempty")
-        if len(self.masses) != nx or any(len(row) != ny for row in self.masses):
-            raise ValidationError("joint mass matrix shape does not match alphabets")
-        total = ZERO
-        for row in self.masses:
-            for m in row:
-                if not isinstance(m, Fraction):
-                    raise ValidationError("JointPmf masses must be Fractions")
-                if m < 0:
-                    raise ValidationError(f"negative mass {m}")
-                total += m
-        if total != 1:
-            raise ValidationError(
-                f"joint masses sum to {total}, not 1 (deficit {1 - total})"
-            )
         _check_labels(self.x_labels, nx)
         _check_labels(self.y_labels, ny)
+        total = ZERO
+        last = -1  # row-major position of the previous cell
+        for ix, iy, m in self.cells:
+            if not (type(ix) is type(iy) is int and 0 <= ix < nx and 0 <= iy < ny):
+                raise ValidationError(f"joint cell ({ix!r}, {iy!r}) outside the alphabets")
+            if ix * ny + iy <= last:
+                raise ValidationError(f"joint cell ({ix}, {iy}) repeated or out of row-major order")
+            last = ix * ny + iy
+            if not isinstance(m, Fraction) or m <= 0:
+                raise ValidationError(f"joint cell ({ix}, {iy}) mass {m!r} not a positive Fraction")
+            total += m
+        if total != 1:
+            raise ValidationError(f"joint masses sum to {total}, not 1 (deficit {1 - total})")
+        xl, yl = self.x_labels, self.y_labels
+        object.__setattr__(self, "_by_label", {(xl[ix], yl[iy]): m for ix, iy, m in self.cells})
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.x_labels, self.y_labels, self.masses))
+            h = hash((self.x_labels, self.y_labels, self.cells))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -184,14 +188,15 @@ class JointPmf:
         x_labels: Sequence[str] | None = None,
         y_labels: Sequence[str] | None = None,
     ) -> "JointPmf":
-        matrix = tuple(tuple(as_fraction(m) for m in row) for row in rows)
-        nx = len(matrix)
+        """Build from a dense |X| x |Y| matrix of exact masses, dropping zeros."""
+        matrix = [tuple(map(as_fraction, row)) for row in rows]
+        xl = _default_labels(len(matrix)) if x_labels is None else tuple(x_labels)
         ny = len(matrix[0]) if matrix else 0
-        return cls(
-            _default_labels(nx) if x_labels is None else tuple(x_labels),
-            _default_labels(ny) if y_labels is None else tuple(y_labels),
-            matrix,
-        )
+        yl = _default_labels(ny) if y_labels is None else tuple(y_labels)
+        if len(matrix) != len(xl) or any(len(row) != len(yl) for row in matrix):
+            raise ValidationError("joint mass matrix shape does not match alphabets")
+        cells = ((ix, iy, m) for ix, row in enumerate(matrix) for iy, m in enumerate(row))
+        return cls(xl, yl, tuple(cell for cell in cells if cell[2]))
 
     @classmethod
     def from_atoms(
@@ -200,36 +205,39 @@ class JointPmf:
         x_labels: Sequence[str],
         y_labels: Sequence[str],
     ) -> "JointPmf":
+        """Build from (x label, y label, mass) atoms, adding up repeated cells."""
         xl, yl = tuple(x_labels), tuple(y_labels)
-        grid = [[ZERO] * len(yl) for _ in xl]
+        x_index = {label: i for i, label in enumerate(xl)}
+        y_index = {label: i for i, label in enumerate(yl)}
+        acc: dict[tuple[int, int], Fraction] = {}
         for x, y, m in atoms:
-            grid[xl.index(x)][yl.index(y)] += as_fraction(m)
-        return cls(xl, yl, tuple(tuple(row) for row in grid))
+            if x not in x_index or y not in y_index:
+                bad = y if x in x_index else x
+                raise ValidationError(f"atom label {bad!r} outside the joint's alphabets")
+            key, m = (x_index[x], y_index[y]), as_fraction(m)
+            prev = acc.get(key)
+            acc[key] = m if prev is None else prev + m
+        return cls(xl, yl, tuple((ix, iy, m) for (ix, iy), m in sorted(acc.items()) if m))
 
     def mass_by_label(self, x: str, y: str) -> Fraction:
-        if x not in self.x_labels or y not in self.y_labels:
-            return ZERO
-        return self.masses[self.x_labels.index(x)][self.y_labels.index(y)]
+        """P(X = x, Y = y); zero for a zero cell or a label outside the alphabets."""
+        return self._by_label.get((x, y), ZERO)
+
+    def _marginal(self, labels: tuple[str, ...], side: int) -> Pmf:
+        masses = [ZERO] * len(labels)
+        for cell in self.cells:
+            masses[cell[side]] += cell[2]
+        return Pmf(labels, tuple(masses))
 
     def marginal_x(self) -> Pmf:
-        return Pmf(self.x_labels, tuple(sum(row, ZERO) for row in self.masses))
+        return self._marginal(self.x_labels, 0)
 
     def marginal_y(self) -> Pmf:
-        ny = len(self.y_labels)
-        cols = tuple(
-            sum((row[iy] for row in self.masses), ZERO) for iy in range(ny)
-        )
-        return Pmf(self.y_labels, cols)
+        return self._marginal(self.y_labels, 1)
 
-    def atoms(self) -> Iterator[tuple[int, int, Fraction]]:
-        """Yield (ix, iy, mass) over positive-mass cells in row-major order."""
-        for ix, row in enumerate(self.masses):
-            for iy, m in enumerate(row):
-                if m > 0:
-                    yield ix, iy, m
-
-    def flat_masses(self) -> tuple[Fraction, ...]:
-        return tuple(m for row in self.masses for m in row)
+    def atoms(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """(ix, iy, mass) over the positive-mass cells, in row-major order."""
+        return self.cells
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +335,7 @@ def _mass_list(p) -> tuple[Fraction, ...]:
     if isinstance(p, Pmf):
         return p.masses
     if isinstance(p, JointPmf):
-        return p.flat_masses()
+        return tuple(m for _, _, m in p.atoms())
     return tuple(as_fraction(m) for m in p)
 
 
@@ -398,12 +406,8 @@ def agreement_stats(j: JointPmf | Pmf) -> AgreementStats:
     """Exact P(X = Y) and p_{X|X=Y}, equality by label; a Pmf is Y = X (p = 1)."""
     if isinstance(j, Pmf):
         return AgreementStats(ONE, j)
-    diag = []
-    p = ZERO
-    for ix, x in enumerate(j.x_labels):
-        m = j.mass_by_label(x, x)
-        diag.append(m)
-        p += m
+    diag = [j.mass_by_label(x, x) for x in j.x_labels]
+    p = sum(diag, ZERO)
     if p == 0:
         return AgreementStats(ZERO, None)
     return AgreementStats(p, Pmf(j.x_labels, tuple(m / p for m in diag)))

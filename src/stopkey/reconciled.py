@@ -449,24 +449,14 @@ def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:
             )
         return best, best_err
 
-    # label -> row and column, built once, so each pair lookup is O(1)
-    rows = {label: j.masses[i] for i, label in enumerate(j.x_labels)}
-    cols = {label: i for i, label in enumerate(j.y_labels)}
-
-    def mass(x: str, y: str) -> Fraction:
-        row, col = rows.get(x), cols.get(y)
-        return ZERO if row is None or col is None else row[col]
-
-    def pair_mass(u: str, t: str) -> Fraction:
-        return mass(u, t) + mass(t, u)
-
+    mass = j.mass_by_label
     placed: dict[str, int] = {}
     for u in labels:
         # the placed labels fill at most len(placed) buckets, so a zero-cost
         # bucket is among the first len(placed) + 1 and no later one can win
         cost = [ZERO] * min(m, len(placed) + 1)
         for t, v in placed.items():
-            w = pair_mass(u, t)
+            w = mass(u, t) + mass(t, u)
             if w:
                 cost[v - 1] += w
         placed[u] = min(range(len(cost)), key=lambda b: (cost[b], b)) + 1
@@ -612,6 +602,7 @@ class OneWayHashReconciler(Reconciler):
         self.bits = int(bits)
         self.seed = seed
         self._tables: dict[tuple[str, ...], dict[str, int]] = {}
+        self._decoders: dict[JointPmf, tuple[dict[str, int], dict[tuple[int, str], str]]] = {}
         self._joints: dict[tuple[JointPmf, Transcript], JointPmf] = {}
 
     def sketch_table(self, j: JointPmf) -> dict[str, int]:
@@ -625,27 +616,36 @@ class OneWayHashReconciler(Reconciler):
             self._tables[j.x_labels] = table
         return table
 
-    def _decode(self, j: JointPmf, yl: str, sketch: int, table) -> str:
-        try:
-            iy = j.y_labels.index(yl)
-        except ValueError:
-            raise ValidationError(f"label {yl!r} outside the joint's y alphabet") from None
-        best = None
-        best_mass = ZERO
-        for xl, row in zip(j.x_labels, j.masses):
-            if table[xl] == sketch and row[iy] > best_mass:
-                best, best_mass = xl, row[iy]
-        if best is None:
-            raise InvariantError("no sketch-consistent symbol has posterior mass")
-        return best
+    def _decoder(self, j: JointPmf) -> tuple[dict[str, int], dict[tuple[int, str], str]]:
+        """The sketch table, and Bob's decoder: (sketch, y) -> the
+        sketch-consistent x of highest posterior mass. Built in one pass
+        over the cells per source; row-major order keeps ties on the
+        smallest x index."""
+        dec = self._decoders.get(j)
+        if dec is None:
+            table = self.sketch_table(j)
+            best: dict[tuple[int, str], tuple[str, Fraction]] = {}
+            for ix, iy, mass in j.atoms():
+                xl = j.x_labels[ix]
+                key = (table[xl], j.y_labels[iy])
+                held = best.get(key)
+                if held is None or mass > held[1]:
+                    best[key] = (xl, mass)
+            dec = self._decoders.setdefault(j, (table, {k: v[0] for k, v in best.items()}))
+        return dec
 
     def run(self, j, x, y):
-        table = self.sketch_table(j)
-        if x not in table:
+        table, decoder = self._decoder(j)
+        s = table.get(x)
+        if s is None:
             raise ValidationError(f"label {x!r} outside the joint's x alphabet")
-        s = table[x]
+        m_b = decoder.get((s, y))
+        if m_b is None:
+            if y not in j.y_labels:
+                raise ValidationError(f"label {y!r} outside the joint's y alphabet")
+            raise InvariantError("no sketch-consistent symbol has posterior mass")
         t: Transcript = (("alice", "sketch", s),)
-        return ReconcilerResult(x, self._decode(j, y, s, table), t, t)
+        return ReconcilerResult(x, m_b, t, t)
 
     def conditional_joint(self, j, transcript):
         key = (j, transcript)

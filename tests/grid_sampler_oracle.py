@@ -12,6 +12,7 @@ from stopkey.probability import JointPmf, Pmf
 
 
 def sample_full_grid(j: JointPmf, rng) -> tuple[str, str]:
-    idx, _ = KnuthYaoSampler(Pmf.from_masses(j.flat_masses())).sample(rng)
+    grid = [j.mass_by_label(x, y) for x in j.x_labels for y in j.y_labels]
+    idx, _ = KnuthYaoSampler(Pmf.from_masses(grid)).sample(rng)
     ix, iy = divmod(idx, len(j.y_labels))
     return j.x_labels[ix], j.y_labels[iy]

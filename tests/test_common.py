@@ -26,7 +26,7 @@ class TestFrozenRounds:
     def test_tenths_round_one_codewords(self):
         e = KeyAgreeEngine(CORPUS["tenths"])
         r = e.round(1)
-        assert [(s.index, s.code) for s in r.selected] == [(0, "0"), (1, "1")]
+        assert [(i, r.codeword(i)) for i in r.order] == [(0, "0"), (1, "1")]
 
     def test_tenths_round_two_resolves_tie_by_residual_mass(self):
         # residuals after round 1: 3/20, 1/20, 1/5, 1/10. Symbol 2 (1/5)
@@ -34,7 +34,7 @@ class TestFrozenRounds:
         # even though both end up with conditional mass 1/2.
         e = KeyAgreeEngine(CORPUS["tenths"])
         r = e.round(2)
-        assert [(s.index, s.code) for s in r.selected] == [(2, "0"), (0, "1")]
+        assert [(i, r.codeword(i)) for i in r.order] == [(2, "0"), (0, "1")]
 
     def test_bob_replays_the_tie_round(self):
         p = CORPUS["tenths"]
@@ -47,7 +47,7 @@ class TestFrozenRounds:
         e = KeyAgreeEngine(CORPUS["dyadic3"])
         for w, x in ((1, 0), (2, 1), (3, 2)):
             r = e.round(w)
-            assert [(s.index, s.code) for s in r.selected] == [(x, "")]
+            assert [(i, r.codeword(i)) for i in r.order] == [(x, "")]
 
     def test_point_mass_key_is_always_empty_with_geometric_round(self):
         e = KeyAgreeEngine(CORPUS["point"])

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from conftest import CORPUS, diag_joint, joint, pmf, product_joint, random_rational_pmf
 from stopkey.common import engine_for
 from stopkey.errors import ValidationError
+from stopkey.formats import joint_document, parse_joint
 from stopkey.probability import (
     JointPmf,
     Pmf,
@@ -154,6 +156,131 @@ class TestJointPmf:
         ]
         j2 = JointPmf.from_atoms(labeled, j.x_labels, j.y_labels)
         assert list(j2.atoms()) == list(j.atoms())
+
+
+def _seeded_dense_rows(rng: RandomSource):
+    """A 1- to 5-label-a-side grid of integer weights, about half of them zero."""
+    nx, ny = 1 + rng.randrange(5), 1 + rng.randrange(5)
+    rows = [[rng.randrange(4) * rng.randrange(2) for _ in range(ny)] for _ in range(nx)]
+    rows[rng.randrange(nx)][rng.randrange(ny)] += 1  # at least one positive cell
+    total = sum(map(sum, rows))
+    x_labels = [f"x{i}" for i in range(nx)]
+    y_labels = [f"x{i}" if rng.randrange(2) else f"y{i}" for i in range(ny)]
+    return [[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels
+
+
+class TestJointCells:
+    """The dense and the atom builders store the same positive cells."""
+
+    def test_dense_and_atom_builders_agree_on_every_method(self):
+        rng = RandomSource("joint-cells")
+        for _ in range(60):
+            rows, x_labels, y_labels = _seeded_dense_rows(rng)
+            dense = JointPmf.from_rows(rows, x_labels, y_labels)
+            atoms = [
+                (x, y, rows[ix][iy])
+                for ix, x in enumerate(x_labels)
+                for iy, y in enumerate(y_labels)
+                if rows[ix][iy]
+            ]
+            random.Random(len(atoms)).shuffle(atoms)  # the atom builder sorts them
+            sparse = JointPmf.from_atoms(atoms, x_labels, y_labels)
+            assert sparse == dense and hash(sparse) == hash(dense)
+            assert sparse.atoms() == dense.atoms()
+            assert all(m > 0 for _, _, m in dense.atoms())
+            assert sparse.marginal_x() == dense.marginal_x()
+            assert sparse.marginal_y() == dense.marginal_y()
+            for ix, x in enumerate(x_labels):
+                assert sparse.marginal_x().masses[ix] == sum(rows[ix], Fraction(0))
+                for iy, y in enumerate(y_labels):
+                    assert sparse.mass_by_label(x, y) == dense.mass_by_label(x, y) == rows[ix][iy]
+            for x, y in (("zz", y_labels[0]), (x_labels[0], "zz"), ("zz", "zz")):
+                assert sparse.mass_by_label(x, y) == 0
+            assert agreement_stats(sparse) == agreement_stats(dense)
+            assert entropy(sparse) == entropy(dense)
+            assert entropy_interval(sparse) == entropy_interval(dense)
+            assert mutual_information(sparse) == mutual_information(dense)
+            doc = joint_document(sparse)
+            assert doc == joint_document(dense)
+            assert doc["joint"] == [[str(m) for m in row] for row in rows]
+            assert parse_joint(doc) == dense
+
+    def test_zero_masses_are_not_stored(self):
+        j = JointPmf.from_atoms([("a", "a", 1), ("a", "b", 0)], "ab", "ab")
+        assert j.cells == ((0, 0, Fraction(1)),)
+        assert j.mass_by_label("a", "b") == 0
+        assert joint_document(j)["joint"] == [["1", "0"], ["0", "0"]]
+
+    @pytest.mark.parametrize(
+        "cells, match",
+        [
+            (((0, 2, Fraction(1)),), "outside"),
+            (((-1, 0, Fraction(1)),), "outside"),
+            ((("0", 0, Fraction(1)),), "outside"),
+            (((0, 0, Fraction(1, 2)), (0, 0, Fraction(1, 2))), "repeated"),
+            (((1, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))), "order"),
+            (((0, 0, Fraction(1)), (0, 1, Fraction(0))), "positive"),
+            (((0, 0, Fraction(3, 2)), (0, 1, Fraction(-1, 2))), "positive"),
+            (((0, 0, 1),), "Fraction"),
+            (((0, 0, Fraction(1, 2)),), "deficit"),
+        ],
+        ids=["column", "row", "str-index", "repeated", "order", "zero", "negative",
+             "int-mass", "deficit"],
+    )
+    def test_bad_cells_are_refused(self, cells, match):
+        with pytest.raises(ValidationError, match=match):
+            JointPmf(("a", "b"), ("a", "b"), cells)
+
+    def test_dense_builder_refuses_bad_rows(self):
+        with pytest.raises(ValidationError, match="shape"):
+            JointPmf.from_rows([["1/2", "1/2"], ["0"]], "ab", "ab")
+        with pytest.raises(ValidationError, match="shape"):
+            JointPmf.from_rows([["1"]], "ab", "a")
+        with pytest.raises(ValidationError, match="positive"):
+            JointPmf.from_rows([["3/2", "-1/2"]], "a", "ab")
+        with pytest.raises(ValidationError, match="float"):
+            JointPmf.from_rows([[1.0]], "a", "a")
+
+    @pytest.mark.parametrize("atom", [("z", "a", 1), ("a", "z", 1)])
+    def test_atom_builder_names_a_foreign_label(self, atom):
+        with pytest.raises(ValidationError, match="'z' outside the joint's alphabets"):
+            JointPmf.from_atoms([atom], ("a",), ("a",))
+
+    def test_atom_builder_adds_repeated_cells(self):
+        atoms = [("a", "b", "1/4"), ("b", "a", "1/2"), ("a", "b", "1/4")]
+        j = JointPmf.from_atoms(atoms, "ab", "ab")
+        assert j.cells == ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
+
+    def test_construction_and_hash_cost_grows_with_the_cells(self, monkeypatch):
+        # a diagonal plus one neighbour on 1000 x 1000: 1999 positive cells
+        n = 1000
+        labels = tuple(f"s{i}" for i in range(n))
+        weights = [(i, i, 2) for i in range(n)] + [(i, i + 1, 1) for i in range(n - 1)]
+        total = sum(w for _, _, w in weights)
+        cells = tuple(sorted((ix, iy, Fraction(w, total)) for ix, iy, w in weights))
+        atoms = [(labels[ix], labels[iy], m) for ix, iy, m in cells]
+        counts = {"add": 0, "hash": 0}
+        raw_add, raw_radd, raw_hash = Fraction.__add__, Fraction.__radd__, Fraction.__hash__
+
+        def counting(key, raw):
+            def wrapper(*args):
+                counts[key] += 1
+                return raw(*args)
+            return wrapper
+
+        monkeypatch.setattr(Fraction, "__add__", counting("add", raw_add))
+        monkeypatch.setattr(Fraction, "__radd__", counting("add", raw_radd))
+        monkeypatch.setattr(Fraction, "__hash__", counting("hash", raw_hash))
+        for build in (
+            lambda: JointPmf(labels, labels, cells),
+            lambda: JointPmf.from_atoms(atoms, labels, labels),
+        ):
+            counts.update(add=0, hash=0)
+            j = build()
+            assert hash(j) == hash(j)
+            assert counts == {"add": len(cells), "hash": len(cells)}
+            assert j.mass_by_label("s5", "s6") == Fraction(1, total)
+            assert j.mass_by_label("s6", "s5") == 0
 
 
 class TestAgreement:

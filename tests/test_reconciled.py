@@ -627,6 +627,23 @@ class TestReconcilers:
             assert all(cj is got[0] for cj in got)
             assert got[0] is r.conditional_joint(CORRELATED_3, t)
 
+    def test_concurrent_first_runs_share_one_decoder(self):
+        want = [
+            OneWayHashReconciler(1, 0).run(CORRELATED_3, x, y).m_b
+            for x in "abc" for y in "abc"
+        ]
+        for _ in range(5):
+            r = OneWayHashReconciler(1, 0)
+            got = []
+
+            def decode_all():
+                got.append([r.run(CORRELATED_3, x, y).m_b for x in "abc" for y in "abc"])
+
+            assert run_threads(decode_all) == []
+            assert got == [want] * 8
+            decoder = r._decoder(CORRELATED_3)
+            assert r._decoder(CORRELATED_3) is decoder
+
 
 def _pushforward_joint(r, j, t, x_labels, y_labels):
     atoms = r.pushforward(j)[t]
@@ -700,6 +717,41 @@ class TestStageOneLaw:
             r.run(CORRELATED_3, "a", "z")
         with pytest.raises(ValidationError, match="outside the joint's x alphabet"):
             r.run(CORRELATED_3, "z", "a")
+
+    def test_decoder_matches_the_oracle_on_every_pair(self):
+        rng = RandomSource("sketch-decoder")
+        for k in range(40):
+            j = _seeded_small_joint(rng)
+            for bits in (1, 2):
+                r = OneWayHashReconciler(bits, seed=f"dec-{k}")
+                table = r.sketch_table(j)
+                for x in j.x_labels:
+                    for y in j.y_labels:
+                        consistent = [u for u in j.x_labels if table[u] == table[x]]
+                        if any(j.mass_by_label(u, y) for u in consistent):
+                            want = sketch_oracle.decode(j, y, table[x], table)
+                            assert r.run(j, x, y).m_b == want
+                        else:
+                            with pytest.raises(InvariantError, match="posterior"):
+                                r.run(j, x, y)
+
+    def test_decoder_is_built_once_per_source(self, monkeypatch):
+        r = OneWayHashReconciler(1, 0)
+        assert r.run(CORRELATED_3, "b", "c").m_b == "c"
+        rng = RandomSource("decoder-once")
+        pairs = [sample_joint(CORRELATED_3, rng.substream(i)) for i in range(50)]
+
+        def refuse(self):
+            raise AssertionError("cells read again")
+
+        monkeypatch.setattr(JointPmf, "atoms", refuse)
+        for x, y in pairs:
+            assert r.run(CORRELATED_3, x, y).m_a == x
+
+    def test_a_column_without_mass_is_an_invariant_error(self):
+        j = joint([["1/2", "0"], ["1/2", "0"]], "ab", "ab")
+        with pytest.raises(InvariantError, match="posterior"):
+            OneWayHashReconciler(1, 0).run(j, "a", "b")
 
 
 class _DivergingReconciler(Reconciler):

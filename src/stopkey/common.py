@@ -258,17 +258,22 @@ class KeyAgreeEngine:
             raise InvariantError(f"stopping round {w} has no codeword for {x}")
         return code, w
 
-    def round_distribution(self, x: int, w_max: int) -> list[tuple[int, Fraction]]:
-        """(w, P(W = w | X = x)) for rounds 1..w_max with positive weight."""
-        px = self.pmf.masses[x]
-        if px == 0:
+    def rounds(self, w_max: int) -> list[_Round]:
+        """Rounds 1..w_max, built once here so readers index them directly."""
+        self.ensure(w_max)
+        return self._rounds[: max(w_max, 0)]
+
+    def round_lengths(self, x: int, w_max: int) -> list[tuple[int, int]]:
+        """x's stopping law in dyadic form: (w, codeword length) for the
+        rounds 1..w_max that give x a chunk, where
+        P(W = w | X = x) = 2**-(w + length) / p(x)."""
+        if not self.pmf.masses[x]:
             raise ValidationError(f"symbol {x} has zero mass")
-        out = []
-        for w in range(1, w_max + 1):
-            length = self.round(w).length_of(x)
-            if length is not None:
-                out.append((w, Fraction(1, 1 << (w + length)) / px))
-        return out
+        return [
+            (rnd.w, length)
+            for rnd in self.rounds(w_max)
+            if (length := rnd.length_of(x)) is not None
+        ]
 
     def round_conditional(self, w: int) -> Pmf:
         """Conditional pmf of X given W = w, over the full source alphabet."""

@@ -138,11 +138,22 @@ def parse_joint(doc: Mapping) -> JointPmf:
     rows = _require(doc, "joint", list)
     if len(rows) != len(x_labels):
         raise FormatError(f"{len(x_labels)} x labels but {len(rows)} rows")
+    # a dense document repeats few strings ("0" above all): parse each once
+    parsed: dict[str, Fraction] = {}
+
+    def entry(value: Any) -> Fraction:
+        if not isinstance(value, str):
+            return parse_rational(value)
+        m = parsed.get(value)
+        if m is None:
+            m = parsed[value] = parse_rational(value)
+        return m
+
     cells = []
     for ix, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != len(y_labels):
             raise FormatError("joint rows must match y_labels in length")
-        cells.extend((ix, iy, m) for iy, m in enumerate(map(parse_rational, row)) if m)
+        cells.extend((ix, iy, m) for iy, m in enumerate(map(entry, row)) if m)
     try:
         return JointPmf(x_labels, y_labels, tuple(cells))
     except Exception as exc:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, Sequence
 
-from .common import KeyAgreeEngine, engine_for
+from .common import KeyAgreeEngine, _Round, engine_for
 from .dyadic import KnuthYaoSampler
 from .errors import InvariantError, ReconcilerContractError, ValidationError
 from .keylaws import ErrorLengthPair, KeyLaw
@@ -61,7 +61,9 @@ class HashFunction:
     ``values[i]`` is the bucket of ``labels[i]``. Provenance records how
     the table was produced: derandomized tables are "fixed", uniformly
     drawn ones "random-seeded". Tables key the stage-two caches, so the
-    content hash is computed once and kept in ``_hash``.
+    content hash is computed once and kept in ``_hash``. A call is one
+    lookup in the label -> bucket dict ``_buckets``, built with the table;
+    neither is compared, hashed or pickled.
     """
 
     labels: tuple[str, ...]
@@ -69,6 +71,7 @@ class HashFunction:
     m: int
     provenance: str = "fixed"
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _buckets: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -82,6 +85,7 @@ class HashFunction:
         for v in self.values:
             if not isinstance(v, int) or not 1 <= v <= self.m:
                 raise ValidationError(f"bucket value {v!r} outside 1..{self.m}")
+        object.__setattr__(self, "_buckets", dict(zip(self.labels, self.values)))
 
     def __hash__(self) -> int:
         h = self._hash
@@ -90,12 +94,19 @@ class HashFunction:
             object.__setattr__(self, "_hash", h)
         return h
 
-    __getstate__ = _state_without_hash
+    def __getstate__(self) -> dict:
+        state = _state_without_hash(self)
+        del state["_buckets"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "_buckets", dict(zip(self.labels, self.values)))
 
     def __call__(self, label: str) -> int:
         try:
-            return self.values[self.labels.index(label)]
-        except ValueError:
+            return self._buckets[label]
+        except KeyError:
             raise ValidationError(
                 f"label {label!r} outside the hash domain"
             ) from None
@@ -209,17 +220,18 @@ def _bucket_check(
     return w1, (engine_for(p_star), p_star.index(x), p_star.index(y))
 
 
-def _stage2_keys(eng: KeyAgreeEngine, xi: int, yi: int, w2: int) -> tuple[str, str]:
-    """(key_a, key_b) once Bob announces round w2 on the bucket conditional.
+def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[str, str]:
+    """(key_a, key_b) once Bob announces round ``rnd.w`` of the bucket
+    conditional's engine.
 
-    Each party emits its symbol's round-w2 codeword; a party whose symbol
-    has no chunk there (zero bucket mass included) falls back to the
-    round's first codeword.
+    Each party emits its symbol's codeword in that round; a party whose
+    symbol has no chunk there (zero bucket mass included) falls back to
+    the round's first codeword.
     """
 
     def key(i: int) -> str:
-        code = eng.codeword(w2, i)
-        return eng.first_codeword(w2) if code is None else code
+        code = rnd.codeword(i)
+        return rnd.first_codeword if code is None else code
 
     return key(xi), key(yi)
 
@@ -247,8 +259,8 @@ def almost_common_keygen(
         return AlmostCommonRun(x, y, w1, None, "", "", "")
     eng, xi, yi = stage
     # W is the only draw; everything after it is _stage2_keys
-    w2 = eng.alice(yi, rng)[1] if eng.pmf.masses[yi] > 0 else 1
-    key_a, key_b = _stage2_keys(eng, xi, yi, w2)
+    w2 = eng.alice(yi, rng)[1] if eng.pmf.masses[yi] else 1
+    key_a, key_b = _stage2_keys(eng.round(w2), xi, yi)
     ideal = key_a if x == y else ""
     return AlmostCommonRun(x, y, w1, w2, key_a, key_b, ideal)
 
@@ -312,7 +324,15 @@ class AlmostCommonAnalysis:
 def analyze_almost_common(
     j: JointPmf, h: HashFunction, w_max: int = 30, collect_laws: bool = True
 ) -> AlmostCommonAnalysis:
-    """Enumerate every (outcome, bucket, round) path of the protocol exactly."""
+    """Enumerate every (outcome, bucket, round) path of the protocol exactly.
+
+    Bob's stopping law is dyadic up to one factor: he stops in round w
+    with probability 2^-(w + n_w) / p*(y), n_w his codeword length there.
+    So each confirmed outcome sums its seen, error and key-length weights
+    as integers over 2^top, top the largest w + n_w, and turns each sum
+    into a ``Fraction`` once, through mass / (p*(y) 2^top). Only the
+    transcript laws add one ``Fraction`` per round.
+    """
     stats = agreement_stats(j)
     bound = (1 - stats.p) / h.m
     col = collision_error(j, h)
@@ -334,26 +354,37 @@ def analyze_almost_common(
                 law_add((w1, None), "", mass)
             continue
         eng, xi, yi = stage
-        # Bob's round law; with no bucket mass he pins the round to 1
-        if eng.pmf.masses[yi] > 0:
-            rounds = eng.round_distribution(yi, w_max)
+        # (round, integer weight) pairs, weights over 2^top; with no
+        # bucket mass Bob pins the round to 1
+        py = eng.pmf.masses[yi]
+        if py:
+            built = eng.rounds(w_max)
+            law = eng.round_lengths(yi, w_max)
+            top = max((w + n for w, n in law), default=0)
+            steps = [(built[w - 1], 1 << (top - w - n)) for w, n in law]
+            scale = mass / (py * (1 << top))
         else:
-            rounds = [(1, ONE)]
-        seen = ZERO
-        for w2, q in rounds:
+            steps = [(eng.round(1), 1)]
+            scale = mass
+        seen = erred = key_bits = 0
+        for rnd, q in steps:
             seen += q
-            key_a, key_b = _stage2_keys(eng, xi, yi, w2)
+            key_a, key_b = _stage2_keys(rnd, xi, yi)
             ideal = key_a if same else ""
             if collect_laws:
-                law_add((w1, w2), ideal, mass * q)
+                law_add((w1, rnd.w), ideal, scale * q)
             if key_a == key_b == ideal:
-                length += mass * q * len(ideal)
+                key_bits += q * len(ideal)
             else:
-                err += mass * q
+                erred += q
+        if key_bits:
+            length += scale * key_bits
+        if erred:
+            err += scale * erred
         if not same:
             # Same-symbol outcomes agree in every round, so only the
             # collision tail stays unresolved by the truncation.
-            unresolved += mass * (1 - seen)
+            unresolved += mass - scale * seen
 
     laws = None
     if collect_laws:
@@ -449,15 +480,21 @@ def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:
             )
         return best, best_err
 
-    mass = j.mass_by_label
+    # each label's positive off-diagonal neighbours, with both cells' mass
+    near: dict[str, dict[str, Fraction]] = {u: {} for u in labels}
+    for ix, iy, mass in j.atoms():
+        xl, yl = j.x_labels[ix], j.y_labels[iy]
+        if xl != yl:
+            near[xl][yl] = near[xl].get(yl, ZERO) + mass
+            near[yl][xl] = near[yl].get(xl, ZERO) + mass
     placed: dict[str, int] = {}
     for u in labels:
         # the placed labels fill at most len(placed) buckets, so a zero-cost
         # bucket is among the first len(placed) + 1 and no later one can win
         cost = [ZERO] * min(m, len(placed) + 1)
-        for t, v in placed.items():
-            w = mass(u, t) + mass(t, u)
-            if w:
+        for t, w in near[u].items():
+            v = placed.get(t)
+            if v is not None:
                 cost[v - 1] += w
         placed[u] = min(range(len(cost)), key=lambda b: (cost[b], b)) + 1
     h = HashFunction(labels, tuple(placed[u] for u in labels), m)

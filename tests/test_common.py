@@ -51,9 +51,9 @@ class TestFrozenRounds:
 
     def test_point_mass_key_is_always_empty_with_geometric_round(self):
         e = KeyAgreeEngine(CORPUS["point"])
-        assert e.round_distribution(0, 10) == [
-            (w, Fraction(1, 1 << w)) for w in range(1, 11)
-        ]
+        # P(W = w | x) = 2**-(w + length) / p(x), here with p(x) = 1
+        weights = [(w, Fraction(1, 1 << (w + n))) for w, n in e.round_lengths(0, 10)]
+        assert weights == [(w, Fraction(1, 1 << w)) for w in range(1, 11)]
         rng = RandomSource("point-run")
         for _ in range(50):
             key, w = e.alice(0, rng)
@@ -221,9 +221,10 @@ class TestEnumeratedLaw:
         e = engine_for(p)
         w_max = 30
         for x in p.support():
-            dist = e.round_distribution(x, w_max)
-            covered = sum((q for _, q in dist), Fraction(0)) * p.masses[x]
-            assert p.masses[x] - covered <= Fraction(1, 1 << w_max)
+            # p(x) P(W = w | x) = 2**-(w + length): the chunk round w removes
+            lengths = e.round_lengths(x, w_max)
+            covered = sum((Fraction(1, 1 << (w + n)) for w, n in lengths), Fraction(0))
+            assert 0 <= p.masses[x] - covered <= Fraction(1, 1 << w_max)
 
 
 class TestErrorPaths:

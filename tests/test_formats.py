@@ -141,6 +141,47 @@ class TestJointDocuments:
         with pytest.raises(FormatError, match="rows"):
             parse_joint(doc)
 
+    def test_each_distinct_entry_string_is_parsed_once(self, monkeypatch):
+        # 300 x 300, 600 positive cells; the 89 400 zeros are mostly "0",
+        # with bare 0s and "0.0" mixed in
+        n = 300
+        rows = [[("0", "0", 0, "0.0")[(ix * n + iy) % 4] for iy in range(n)] for ix in range(n)]
+        for i in range(n):
+            rows[i][i] = "1/450"
+            rows[i][(i + 1) % n] = "1/900"
+        labels = [f"s{i}" for i in range(n)]
+        doc = {"x_labels": labels, "y_labels": labels, "joint": rows}
+        checked: dict[str, int] = {}
+        built: dict[str, int] = {}
+        check = formats._check_decimal_size
+
+        def counted_check(text):
+            checked[text] = checked.get(text, 0) + 1
+            return check(text)
+
+        def counted_fraction(value, *args):
+            if isinstance(value, str):
+                built[value] = built.get(value, 0) + 1
+            return Fraction(value, *args)
+
+        monkeypatch.setattr(formats, "_check_decimal_size", counted_check)
+        monkeypatch.setattr(formats, "Fraction", counted_fraction)
+        j = parse_joint(doc)
+        assert len(j.cells) == 2 * n
+        assert j.mass_by_label("s0", "s0") == Fraction(1, 450)
+        assert j.mass_by_label("s299", "s0") == Fraction(1, 900)
+        assert set(checked) == {"0", "0.0"} and set(checked.values()) == {1}
+        assert set(built) == {"0", "0.0", "1/450", "1/900"} and set(built.values()) == {1}
+
+    def test_a_refused_entry_is_refused_wherever_it_repeats(self):
+        doc = joint_document(WORKED_JOINT)
+        doc["joint"] = [["1/2", "1e99999"], ["1e99999", "1/2"]]
+        with pytest.raises(FormatError, match="exponent past"):
+            parse_joint(doc)
+        doc["joint"] = [["1/2", 0.0], ["0", "1/2"]]
+        with pytest.raises(FormatError, match="float"):
+            parse_joint(doc)
+
     def test_source_sniffing(self):
         assert isinstance(parse_source(pmf_document(CORPUS["uniform3"])), Pmf)
         assert isinstance(parse_source(joint_document(WORKED_JOINT)), JointPmf)

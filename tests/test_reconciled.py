@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -56,6 +57,7 @@ from conftest import (
 )
 from grid_sampler_oracle import sample_full_grid
 from table_oracle import average_over_tables
+import analysis_oracle
 import sketch_oracle
 
 
@@ -91,6 +93,17 @@ class TestHashFunction:
     def test_random_table_rejects_empty_bucket_range(self):
         with pytest.raises(ValidationError, match="m must be >= 1"):
             HashFunction.random("abc", 0, RandomSource("h"))
+
+    def test_bucket_index_is_neither_compared_nor_pickled(self):
+        h = HashFunction(("a", "b", "c"), (1, 2, 1), 2)
+        assert h("c") == 1
+        fresh = HashFunction(("a", "b", "c"), (1, 2, 1), 2)
+        assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+        assert "_buckets" not in h.__getstate__()
+        back = pickle.loads(pickle.dumps(h))
+        assert back == h and back("b") == 2
+        with pytest.raises(ValidationError):
+            back("z")
 
     def test_all_tables_enumeration(self):
         tables = list(all_hash_tables(("a", "b"), 3))
@@ -210,6 +223,54 @@ class TestAverageOverBucketContents:
             average_almost_common(j, 2)
 
 
+class TestAnalysisKernel:
+    """Integer sums over 2^top equal the round-by-round ``Fraction`` oracle."""
+
+    def test_matches_the_round_by_round_oracle(self):
+        # w_max 8 keeps truncation tails in play at a fraction of the cost
+        rng = RandomSource("analysis-kernel")
+        differing = 0
+        for _ in range(40):
+            j = _seeded_small_joint(rng)
+            differing += j.x_labels != j.y_labels
+            for m in (1, 2, 3):
+                for h in all_hash_tables(union_alphabet(j), m):
+                    a = analyze_almost_common(j, h, w_max=8)
+                    got = (a.collision_error, a.error_enumerated, a.unresolved,
+                           a.agreed_length, a.transcript_laws)
+                    assert got == analysis_oracle.analyze(j, h, w_max=8)
+                    b = analyze_almost_common(j, h, w_max=8, collect_laws=False)
+                    assert b.transcript_laws is None and replace(b, transcript_laws=a.transcript_laws) == a
+        assert differing >= 5
+
+    def test_fraction_count_does_not_grow_with_w_max(self):
+        # the bucket conditionals are not dyadic, so Bob's rounds run past
+        # 30; the parent built one Fraction per round of every outcome
+        original = Fraction.__dict__["__new__"]
+        built = 0
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return original.__func__(cls, *args, **kwargs)
+
+        for h in (HashFunction(tuple("0123"), (1, 1, 1, 1), 1),
+                  HashFunction(tuple("0123"), (1, 2, 1, 2), 2)):
+            analyze_almost_common(FOUR_SYMBOL, h, w_max=60)  # rounds and caches built
+            counts = []
+            results = []
+            for w_max in (30, 60):
+                built = 0
+                Fraction.__new__ = staticmethod(counted)
+                try:
+                    results.append(analyze_almost_common(FOUR_SYMBOL, h, w_max, collect_laws=False))
+                finally:
+                    Fraction.__new__ = original
+                counts.append(built)
+            assert results[0].unresolved > results[1].unresolved > 0
+            assert counts[0] == counts[1] > 0
+
+
 class TestStageConditional:
     def test_bucket_conditional_over_union_alphabet(self):
         c = stage_conditional(WORKED_JOINT, ALL_SAME, 1)
@@ -313,10 +374,11 @@ class TestAlmostCommonKeygen:
         enumerated = set()
         stage2_keys = reconciled._stage2_keys
 
-        def record(eng, xi, yi, w2):
-            keys = stage2_keys(eng, xi, yi, w2)
-            labels = eng.pmf.labels
-            enumerated.add((labels[xi], labels[yi], w2) + keys)
+        labels = union_alphabet(j)  # the bucket conditional's alphabet
+
+        def record(rnd, xi, yi):
+            keys = stage2_keys(rnd, xi, yi)
+            enumerated.add((labels[xi], labels[yi], rnd.w) + keys)
             return keys
 
         monkeypatch.setattr(reconciled, "_stage2_keys", record)
@@ -410,15 +472,47 @@ class TestDerandomize:
 
     @staticmethod
     def _greedy_reference(j, m):
-        # the greedy rule scored over all m buckets
+        # the greedy rule scored over all m buckets and all placed labels
         labels = union_alphabet(j)
         placed = {}
         for u in labels:
             cost = [Fraction(0)] * m
             for t, v in placed.items():
-                cost[v - 1] += j.mass_by_label(u, t) + j.mass_by_label(t, u)
+                w = j.mass_by_label(u, t) + j.mass_by_label(t, u)
+                if w:
+                    cost[v - 1] += w
             placed[u] = min(range(m), key=lambda b: (cost[b], b)) + 1
         return tuple(placed[u] for u in labels)
+
+    def test_greedy_looks_up_each_cell_not_each_pair(self, monkeypatch):
+        # 1000 labels, each with its diagonal cell and one neighbour: 2000
+        # cells, where scoring every placed label makes 499 500 pair lookups
+        n = 1000
+        labels = [f"u{i}" for i in range(n)]
+        weights = {}
+        for i in range(n):
+            weights[labels[i], labels[i]] = 2
+            weights[labels[i], labels[(i + 1) % n]] = 1 + i % 3
+        total = sum(weights.values())
+        atoms = [(x, y, Fraction(c, total)) for (x, y), c in weights.items()]
+        j = JointPmf.from_atoms(atoms, labels, labels)
+        want = self._greedy_reference(j, 4)
+        lookups = 0
+
+        def counted(fn):
+            def wrapper(*args):
+                nonlocal lookups
+                lookups += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(JointPmf, "mass_by_label", counted(JointPmf.mass_by_label))
+        monkeypatch.setattr(HashFunction, "__call__", counted(HashFunction.__call__))
+        h, err = derandomize_hash(j, 4)
+        # n diagonal lookups for p, two bucket lookups per off-diagonal cell
+        assert lookups <= 2 * len(j.cells)
+        assert h.values == want
+        assert err == collision_error(j, h) <= (1 - agreement_stats(j).p) / 4
 
     def test_greedy_matches_the_full_scan(self):
         rng = RandomSource("greedy-reference")

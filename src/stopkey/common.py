@@ -27,7 +27,6 @@ published per-round loop.
 
 from __future__ import annotations
 
-import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -96,6 +95,7 @@ class KeyAgreeEngine:
     per-symbol stopping thresholds for drawing W exactly.
 
     Residuals are integers num[i] over a common denominator Q = D << s,
+    starting from the pmf's own numerators over its denominator D and
     rescaled (Q and all numerators shifted together) whenever a chunk
     2**-alpha needs more dyadic headroom. Per-round cost is the integer
     sort: O(|X| log |X|).
@@ -108,11 +108,9 @@ class KeyAgreeEngine:
 
     def __init__(self, p: Pmf):
         self.pmf = p
-        # zero masses carry denominator 1; no need to filter them out
-        d = math.lcm(*(m.denominator for m in p.masses))
-        self._q = d
-        self._tz = _trailing_zeros(d)
-        self._nums = [m.numerator * (d // m.denominator) for m in p.masses]
+        self._q = p.denominator
+        self._tz = _trailing_zeros(p.denominator)
+        self._nums = list(p.numerators)
         self._rounds: list[_Round] = []
         self._thresholds: dict[int, _ThresholdWalk] = {}
         # reentrant: a threshold walk builds rounds while holding it
@@ -229,10 +227,10 @@ class KeyAgreeEngine:
     def _walk(self, x: int) -> "_ThresholdWalk":
         walk = self._thresholds.get(x)
         if walk is None:
-            if self.pmf.masses[x] == 0:
+            if not self.pmf.numerators[x]:
                 raise ValidationError(f"cannot key on zero-mass symbol {x}")
             # setdefault: racing first callers all get the stored walk
-            walk = self._thresholds.setdefault(x, _ThresholdWalk(self.pmf.masses[x]))
+            walk = self._thresholds.setdefault(x, _ThresholdWalk(self.pmf.mass(x)))
         return walk
 
     def round_from_uniform(self, x: int, u: LazyUniform) -> int:
@@ -267,7 +265,7 @@ class KeyAgreeEngine:
         """x's stopping law in dyadic form: (w, codeword length) for the
         rounds 1..w_max that give x a chunk, where
         P(W = w | X = x) = 2**-(w + length) / p(x)."""
-        if not self.pmf.masses[x]:
+        if not self.pmf.numerators[x]:
             raise ValidationError(f"symbol {x} has zero mass")
         return [
             (rnd.w, length)

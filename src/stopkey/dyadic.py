@@ -57,14 +57,15 @@ class KnuthYaoSampler:
             with self._lock:
                 while len(self._levels) <= depth:
                     ell = len(self._levels)
+                    den = self.pmf.denominator
                     terms = []
-                    for i, m in enumerate(self.pmf.masses):
-                        if m == 0:
+                    for i, n in enumerate(self.pmf.numerators):
+                        if n == 0:
                             continue
                         if ell == 0:
-                            bit = 1 if m == 1 else 0
+                            bit = 1 if n == den else 0
                         else:
-                            bit = ((m.numerator << ell) // m.denominator) & 1
+                            bit = ((n << ell) // den) & 1
                         if bit:
                             terms.append(i)
                     self._levels.append(tuple(terms))

@@ -78,6 +78,31 @@ def _check_decimal_size(text: str) -> None:
         )
 
 
+def _ratio(value: Any) -> tuple[int, int]:
+    """(numerator, denominator) of a document rational, as parse_rational
+    reads it but not always in lowest terms.
+
+    An int, or a plain "n/d" string (ASCII digits on both sides, nonzero
+    denominator), is read with ``int`` alone. Everything else, and a part
+    ``int`` refuses as past the int-to-str digit limit, goes through
+    ``parse_rational``, so refusals and their messages are its own.
+    """
+    if type(value) is int:
+        return value, 1
+    if type(value) is str and value.isascii():
+        num, _, den = value.partition("/")
+        if num.isdigit() and den.isdigit():  # den is "" when there is no "/"
+            try:
+                n, d = int(num), int(den)
+            except ValueError:
+                pass
+            else:
+                if d:
+                    return n, d
+    f = parse_rational(value)
+    return f.numerator, f.denominator
+
+
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
     try:
@@ -99,12 +124,11 @@ def _require(doc: Mapping, key: str, kind: type) -> Any:
 
 
 def _labels(raw: Sequence) -> tuple[str, ...]:
-    out = []
-    for item in raw:
-        if not isinstance(item, str):
-            raise FormatError(f"label {item!r} must be a string")
-        out.append(item)
-    return tuple(out)
+    if not set(map(type, raw)) <= {str}:
+        for item in raw:
+            if not isinstance(item, str):
+                raise FormatError(f"label {item!r} must be a string")
+    return tuple(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +142,13 @@ def parse_pmf(doc: Mapping) -> Pmf:
         raise FormatError(
             f"{len(alphabet)} labels but {len(raw)} masses"
         )
-    masses = tuple(parse_rational(v) for v in raw)
+    nums, dens = [], []
+    for value in raw:
+        n, d = _ratio(value)
+        nums.append(n)
+        dens.append(d)
     try:
-        return Pmf(alphabet, masses)
+        return Pmf.from_ratios(nums, dens, alphabet)
     except Exception as exc:  # normalization and label errors, deficit included
         raise FormatError(str(exc)) from None
 
@@ -138,24 +166,27 @@ def parse_joint(doc: Mapping) -> JointPmf:
     rows = _require(doc, "joint", list)
     if len(rows) != len(x_labels):
         raise FormatError(f"{len(x_labels)} x labels but {len(rows)} rows")
-    # a dense document repeats few strings ("0" above all): parse each once
-    parsed: dict[str, Fraction] = {}
-
-    def entry(value: Any) -> Fraction:
-        if not isinstance(value, str):
-            return parse_rational(value)
-        m = parsed.get(value)
-        if m is None:
-            m = parsed[value] = parse_rational(value)
-        return m
-
+    ny = len(y_labels)
+    # a dense document is mostly the string "0": it is skipped unparsed,
+    # and each other distinct string is parsed once
+    parsed: dict[str, tuple[int, int]] = {}
     cells = []
     for ix, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != len(y_labels):
+        if not isinstance(row, list) or len(row) != ny:
             raise FormatError("joint rows must match y_labels in length")
-        cells.extend((ix, iy, m) for iy, m in enumerate(map(entry, row)) if m)
+        for iy, value in enumerate(row):
+            if value == "0":
+                continue
+            if type(value) is str:
+                r = parsed.get(value)
+                if r is None:
+                    r = parsed[value] = _ratio(value)
+            else:
+                r = _ratio(value)
+            if r[0]:
+                cells.append((ix, iy, *r))
     try:
-        return JointPmf(x_labels, y_labels, tuple(cells))
+        return JointPmf.from_ratios(cells, x_labels, y_labels)
     except Exception as exc:
         raise FormatError(str(exc)) from None
 

@@ -1,7 +1,9 @@
 """Exact finite probability: pmfs, joint pmfs, entropy, and dyadic tests.
 
-Everything protocol-critical in this package runs on ``fractions.Fraction``;
-floats appear only in reported entropies and bound lines. Entropies are
+Everything protocol-critical in this package is exact: a pmf stores its
+masses as integer numerators over one denominator, and hands out
+``fractions.Fraction`` views at the API edge; floats appear only in
+reported entropies and bound lines. Entropies are
 available in two modes: a double-precision float (accurate to a few ulp,
 at least 15 significant digits for the supported alphabet sizes) and a
 certified exact-rational interval computed with directed integer rounding,
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -46,6 +48,8 @@ FRAC_BITS = 40  # certified log2 brackets are about 2**-FRAC_BITS wide
 
 def as_fraction(value) -> Fraction:
     """Coerce an exact value to Fraction, rejecting floats as inexact."""
+    if type(value) is Fraction:  # immutable: no copy needed
+        return value
     if isinstance(value, float):
         raise ValidationError(
             f"refusing to coerce float {value!r}; pass a Fraction or an exact string"
@@ -61,7 +65,7 @@ def _default_labels(n: int) -> tuple[str, ...]:
 
 
 def _check_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(map(str, labels))
     if len(labels) != n:
         raise ValidationError(f"{n} masses but {len(labels)} labels")
     if len(set(labels)) != n:
@@ -69,117 +73,289 @@ def _check_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
     return labels
 
 
-def _state_without_hash(obj) -> dict:
-    """Pickle state of a content-hashed dataclass, minus the cached hash:
-    str hashes differ between processes, so the receiver recomputes it."""
-    return {k: v for k, v in vars(obj).items() if k != "_hash"}
+def _over_one_denominator(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
+    """The rationals nums[i] / dens[i], ints with dens positive, as
+    numerators over their least common denominator."""
+    if not set(map(type, nums)) | set(map(type, dens)) <= {int} or min(dens, default=1) < 1:
+        raise ValidationError("ratios must be int pairs with positive denominators")
+    den = math.lcm(*dens)
+    return [n if d == den else n * (den // d) for n, d in zip(nums, dens)], den
 
 
-@dataclass(frozen=True)
+def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Numerators summing to ``den``, with their common factor divided out:
+    the canonical form, so equal laws store equal integers."""
+    g = math.gcd(*nums)  # divides den, the numerators' sum
+    if g > 1:
+        return tuple(n // g for n in nums), den // g
+    return tuple(nums), den
+
+
+def _public_state(obj) -> dict:
+    """Pickle state of a content-hashed dataclass: its public attributes.
+    The private ones are derived (the cached hash, label lookups) and the
+    receiver rebuilds them; str hashes differ between processes anyway."""
+    return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
+
+
+class _IntegerField:
+    """A dataclass field stored as integers and read as ``Fraction``s.
+
+    The constructor's value is handed to ``__post_init__`` (as
+    ``_given``), which validates it and stores the integer form; a read
+    builds the ``Fraction`` view afresh from the integers, so no object
+    holds both forms. ``repr``, ``dataclasses.replace`` and
+    ``dataclasses.fields`` see an ordinary required field.
+    """
+
+    def __init__(self, view):
+        self._view = view
+
+    def __set_name__(self, owner, name) -> None:
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:  # no class-level value: the field has no default
+            raise AttributeError(self._name)
+        return self._view(obj)
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__["_given"] = value
+
+
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """A probability mass function over an ordered finite alphabet.
 
     Masses are exact rationals, each in [0, 1], summing to exactly 1.
     Zero masses are allowed and retained (the symbol stays addressable).
-    Pmfs key the engine and stage caches, so the content hash is computed
-    once, on first use, and kept in ``_hash``; equality, ``repr`` and
-    pickling leave that slot out.
+
+    The masses are stored as integers: ``numerators[i]`` over one
+    ``denominator``, the least common denominator of the masses, so
+    equal pmfs store equal integers. Validation, equality and the content
+    hash run on them; ``masses`` is a ``Fraction`` view built on each
+    read, for the API edge and for reports. Pmfs key the engine and stage
+    caches, so the content hash is computed once, on first use, and kept
+    in ``_hash``; ``index`` reads a label -> index dict built with the
+    pmf. Equality, ``repr`` and pickling leave both out.
     """
 
     labels: tuple[str, ...]
-    masses: tuple[Fraction, ...]
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    masses: tuple[Fraction, ...] = _IntegerField(
+        lambda p: tuple(Fraction(n, p.denominator) for n in p.numerators)
+    )
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.masses:
-            raise ValidationError("alphabet must be nonempty")
-        total = ZERO
-        for m in self.masses:
+        nums, dens = [], []
+        for m in self.__dict__.pop("_given") or ():
             if not isinstance(m, Fraction):
                 raise ValidationError("Pmf masses must be Fractions")
-            if m < 0 or m > 1:
+            n, d = m.numerator, m.denominator
+            if n < 0 or n > d:
                 raise ValidationError(f"mass {m} outside [0, 1]")
-            total += m
-        if total != 1:
+            nums.append(n)
+            dens.append(d)
+        self._store(*_over_one_denominator(nums, dens))
+
+    def _store(self, nums: list[int], den: int) -> None:
+        if not nums:
+            raise ValidationError("alphabet must be nonempty")
+        if min(nums) < 0 or max(nums) > den:
+            bad = next(n for n in nums if n < 0 or n > den)
+            raise ValidationError(f"mass {Fraction(bad, den)} outside [0, 1]")
+        total = sum(nums)
+        if total != den:
+            total = Fraction(total, den)
             raise ValidationError(
                 f"pmf masses sum to {total}, not 1 (deficit {1 - total})"
             )
-        _check_labels(self.labels, len(self.masses))
+        _check_labels(self.labels, len(nums))
+        nums, den = _lowest_terms(nums, den)
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+        self._build_index()
+
+    def _build_index(self) -> None:
+        index = dict(zip(self.labels, range(len(self.labels))))
+        object.__setattr__(self, "_index", index)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.denominator == other.denominator
+            and self.numerators == other.numerators
+            and self.labels == other.labels
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.labels, self.masses))
+            h = hash((self.labels, self.denominator, self.numerators))
             object.__setattr__(self, "_hash", h)
         return h
 
-    __getstate__ = _state_without_hash
+    __getstate__ = _public_state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_index()
 
     @classmethod
     def from_masses(cls, masses: Iterable, labels: Sequence[str] | None = None) -> "Pmf":
         ms = tuple(as_fraction(m) for m in masses)
         return cls(_default_labels(len(ms)) if labels is None else tuple(labels), ms)
 
+    @classmethod
+    def from_numerators(
+        cls, numerators: Iterable[int], denominator: int, labels: Sequence[str] | None = None
+    ) -> "Pmf":
+        """From integer numerators over one positive integer denominator;
+        they need not be in lowest terms."""
+        nums = list(numerators)
+        if type(denominator) is not int or denominator < 1:
+            raise ValidationError(f"denominator {denominator!r} not a positive int")
+        if set(map(type, nums)) - {int}:
+            raise ValidationError("Pmf numerators must be ints")
+        p = cls.__new__(cls)
+        object.__setattr__(p, "labels", _default_labels(len(nums)) if labels is None else tuple(labels))
+        p._store(nums, denominator)
+        return p
+
+    @classmethod
+    def from_ratios(
+        cls, numerators: list[int], denominators: list[int], labels: Sequence[str] | None = None
+    ) -> "Pmf":
+        """From the masses numerators[i] / denominators[i], ints with the
+        denominators positive, not necessarily in lowest terms."""
+        return cls.from_numerators(*_over_one_denominator(numerators, denominators), labels)
+
     def __len__(self) -> int:
-        return len(self.masses)
+        return len(self.numerators)
+
+    def mass(self, i: int) -> Fraction:
+        """P(X = labels[i])."""
+        return Fraction(self.numerators[i], self.denominator)
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._index[label]
+        except (KeyError, TypeError):
             raise ValidationError(f"label {label!r} not in alphabet") from None
 
     def support(self) -> tuple[int, ...]:
         """Indices with positive mass, in alphabet order."""
-        return tuple(i for i, m in enumerate(self.masses) if m > 0)
+        return tuple(i for i, n in enumerate(self.numerators) if n)
 
 
-@dataclass(frozen=True)
+def _fraction_cells(cells):
+    """(ix, iy, numerator, denominator) per cell; a mass that is not a
+    Fraction comes through as (ix, iy, mass, None), for the check to refuse."""
+    for ix, iy, m in cells:
+        if isinstance(m, Fraction):
+            yield ix, iy, m.numerator, m.denominator
+        else:
+            yield ix, iy, m, None
+
+
+@dataclass(frozen=True, eq=False)
 class JointPmf:
     """A joint pmf over a pair of ordered finite alphabets, stored sparse.
 
     ``cells`` lists each positive-mass cell once, in row-major order, as
     (ix, iy, P(X = x_labels[ix], Y = y_labels[iy])). The two alphabets may
     differ; equality of realizations is equality of labels. As for
-    ``Pmf``, the content hash is computed once and kept in ``_hash``.
+    ``Pmf``, the masses are stored as integers: ``numerator_cells`` holds
+    (ix, iy, numerator) over one ``denominator``, in lowest terms, and
+    ``cells`` is a ``Fraction`` view built on each read. The content hash
+    is computed once and kept in ``_hash``.
     """
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
-    cells: tuple[tuple[int, int, Fraction], ...]
-    _by_label: dict = field(default=None, init=False, repr=False, compare=False)
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    cells: tuple[tuple[int, int, Fraction], ...] = _IntegerField(
+        lambda j: tuple((ix, iy, Fraction(n, j.denominator)) for ix, iy, n in j.numerator_cells)
+    )
+    _hash: int | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self._store(_fraction_cells(self.__dict__.pop("_given")))
+
+    def _store(self, cells: Iterable[tuple[int, int, Any, int | None]]) -> None:
         nx, ny = len(self.x_labels), len(self.y_labels)
         if nx == 0 or ny == 0:
             raise ValidationError("joint alphabets must be nonempty")
         _check_labels(self.x_labels, nx)
         _check_labels(self.y_labels, ny)
-        total = ZERO
+        kept = []
         last = -1  # row-major position of the previous cell
-        for ix, iy, m in self.cells:
+        for cell in cells:
+            ix, iy, n, d = cell
             if not (type(ix) is type(iy) is int and 0 <= ix < nx and 0 <= iy < ny):
                 raise ValidationError(f"joint cell ({ix!r}, {iy!r}) outside the alphabets")
             if ix * ny + iy <= last:
                 raise ValidationError(f"joint cell ({ix}, {iy}) repeated or out of row-major order")
             last = ix * ny + iy
-            if not isinstance(m, Fraction) or m <= 0:
+            if d is None or n <= 0:
+                m = n if d is None else Fraction(n, d)
                 raise ValidationError(f"joint cell ({ix}, {iy}) mass {m!r} not a positive Fraction")
-            total += m
-        if total != 1:
+            kept.append(cell)
+        nums, den = _over_one_denominator([c[2] for c in kept], [c[3] for c in kept])
+        total = sum(nums)
+        if total != den:
+            total = Fraction(total, den)
             raise ValidationError(f"joint masses sum to {total}, not 1 (deficit {1 - total})")
+        nums, den = _lowest_terms(nums, den)
+        object.__setattr__(
+            self, "numerator_cells", tuple((ix, iy, n) for (ix, iy, _, _), n in zip(kept, nums))
+        )
+        object.__setattr__(self, "denominator", den)
+        self._build_index()
+
+    def _build_index(self) -> None:
         xl, yl = self.x_labels, self.y_labels
-        object.__setattr__(self, "_by_label", {(xl[ix], yl[iy]): m for ix, iy, m in self.cells})
+        by_label = {(xl[ix], yl[iy]): n for ix, iy, n in self.numerator_cells}
+        object.__setattr__(self, "_by_label", by_label)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.denominator == other.denominator
+            and self.numerator_cells == other.numerator_cells
+            and self.x_labels == other.x_labels
+            and self.y_labels == other.y_labels
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.x_labels, self.y_labels, self.cells))
+            h = hash((self.x_labels, self.y_labels, self.denominator, self.numerator_cells))
             object.__setattr__(self, "_hash", h)
         return h
 
-    __getstate__ = _state_without_hash
+    __getstate__ = _public_state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_index()
+
+    @classmethod
+    def from_ratios(
+        cls,
+        cells: Iterable[tuple[int, int, int, int]],
+        x_labels: Sequence[str],
+        y_labels: Sequence[str],
+    ) -> "JointPmf":
+        """From positive-mass cells (ix, iy, numerator, denominator) in
+        row-major order, with int parts and positive denominators, not
+        necessarily in lowest terms."""
+        j = cls.__new__(cls)
+        object.__setattr__(j, "x_labels", tuple(x_labels))
+        object.__setattr__(j, "y_labels", tuple(y_labels))
+        j._store(cells)
+        return j
 
     @classmethod
     def from_rows(
@@ -221,13 +397,18 @@ class JointPmf:
 
     def mass_by_label(self, x: str, y: str) -> Fraction:
         """P(X = x, Y = y); zero for a zero cell or a label outside the alphabets."""
-        return self._by_label.get((x, y), ZERO)
+        n = self._by_label.get((x, y))
+        return ZERO if n is None else Fraction(n, self.denominator)
+
+    def numerator_by_label(self, x: str, y: str) -> int:
+        """P(X = x, Y = y) times ``denominator``, an int; zero off the cells."""
+        return self._by_label.get((x, y), 0)
 
     def _marginal(self, labels: tuple[str, ...], side: int) -> Pmf:
-        masses = [ZERO] * len(labels)
-        for cell in self.cells:
-            masses[cell[side]] += cell[2]
-        return Pmf(labels, tuple(masses))
+        nums = [0] * len(labels)
+        for cell in self.numerator_cells:
+            nums[cell[side]] += cell[2]
+        return Pmf.from_numerators(nums, self.denominator, labels)
 
     def marginal_x(self) -> Pmf:
         return self._marginal(self.x_labels, 0)
@@ -406,8 +587,9 @@ def agreement_stats(j: JointPmf | Pmf) -> AgreementStats:
     """Exact P(X = Y) and p_{X|X=Y}, equality by label; a Pmf is Y = X (p = 1)."""
     if isinstance(j, Pmf):
         return AgreementStats(ONE, j)
-    diag = [j.mass_by_label(x, x) for x in j.x_labels]
-    p = sum(diag, ZERO)
-    if p == 0:
+    diag = [j.numerator_by_label(x, x) for x in j.x_labels]
+    total = sum(diag)
+    if total == 0:
         return AgreementStats(ZERO, None)
-    return AgreementStats(p, Pmf(j.x_labels, tuple(m / p for m in diag)))
+    p = Fraction(total, j.denominator)
+    return AgreementStats(p, Pmf.from_numerators(diag, total, j.x_labels))

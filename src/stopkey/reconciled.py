@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, Sequence
 
-from .common import KeyAgreeEngine, _Round, engine_for
+from .common import _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
 from .dyadic import KnuthYaoSampler
 from .errors import InvariantError, ReconcilerContractError, ValidationError
 from .keylaws import ErrorLengthPair, KeyLaw
@@ -31,7 +31,7 @@ from .probability import (
     ZERO,
     JointPmf,
     Pmf,
-    _state_without_hash,
+    _public_state,
     agreement_stats,
     entropy,
     entropy_interval,
@@ -94,10 +94,7 @@ class HashFunction:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def __getstate__(self) -> dict:
-        state = _state_without_hash(self)
-        del state["_buckets"]
-        return state
+    __getstate__ = _public_state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -130,12 +127,12 @@ def all_hash_tables(labels: Sequence[str], m: int) -> Iterator[HashFunction]:
 
 def collision_error(j: JointPmf, h: HashFunction) -> Fraction:
     """Exact P(h(X) = h(Y), X != Y): the mass the proof charges as error."""
-    total = ZERO
-    for ix, iy, mass in j.atoms():
+    total = 0
+    for ix, iy, n in j.numerator_cells:
         xl, yl = j.x_labels[ix], j.y_labels[iy]
         if xl != yl and h(xl) == h(yl):
-            total += mass
-    return total
+            total += n
+    return Fraction(total, j.denominator)
 
 
 @lru_cache(maxsize=1024)
@@ -147,13 +144,11 @@ def stage_conditional(j: JointPmf, h: HashFunction, w1: int) -> Pmf | None:
     Costs O(|X| + |Y|) given the joint.
     """
     labels = union_alphabet(j)
-    masses = [
-        j.mass_by_label(u, u) if h(u) == w1 else ZERO for u in labels
-    ]
-    total = sum(masses, ZERO)
+    weights = [j.numerator_by_label(u, u) if h(u) == w1 else 0 for u in labels]
+    total = sum(weights)
     if total == 0:
         return None
-    return Pmf(labels, tuple(mv / total for mv in masses))
+    return Pmf.from_numerators(weights, total, labels)
 
 
 def _stage2_records(w1: int, w2: int | None) -> Transcript:
@@ -220,20 +215,18 @@ def _bucket_check(
     return w1, (engine_for(p_star), p_star.index(x), p_star.index(y))
 
 
-def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[str, str]:
+def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[int, int]:
     """(key_a, key_b) once Bob announces round ``rnd.w`` of the bucket
-    conditional's engine.
+    conditional's engine, as packed codeword entries: ``_unpack_code``
+    gives the key string, and the low bits (``_LEN_MASK``) its length.
 
     Each party emits its symbol's codeword in that round; a party whose
     symbol has no chunk there (zero bucket mass included) falls back to
     the round's first codeword.
     """
-
-    def key(i: int) -> str:
-        code = rnd.codeword(i)
-        return rnd.first_codeword if code is None else code
-
-    return key(xi), key(yi)
+    packed = rnd.packed
+    first = packed[rnd.order[0]]
+    return packed.get(xi, first), packed.get(yi, first)
 
 
 def almost_common_keygen(
@@ -259,8 +252,8 @@ def almost_common_keygen(
         return AlmostCommonRun(x, y, w1, None, "", "", "")
     eng, xi, yi = stage
     # W is the only draw; everything after it is _stage2_keys
-    w2 = eng.alice(yi, rng)[1] if eng.pmf.masses[yi] else 1
-    key_a, key_b = _stage2_keys(eng.round(w2), xi, yi)
+    w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
+    key_a, key_b = map(_unpack_code, _stage2_keys(eng.round(w2), xi, yi))
     ideal = key_a if x == y else ""
     return AlmostCommonRun(x, y, w1, w2, key_a, key_b, ideal)
 
@@ -330,8 +323,10 @@ def analyze_almost_common(
     with probability 2^-(w + n_w) / p*(y), n_w his codeword length there.
     So each confirmed outcome sums its seen, error and key-length weights
     as integers over 2^top, top the largest w + n_w, and turns each sum
-    into a ``Fraction`` once, through mass / (p*(y) 2^top). Only the
-    transcript laws add one ``Fraction`` per round.
+    into a ``Fraction`` once, through mass / (p*(y) 2^top), read from the
+    integer numerators of the joint and of the bucket conditional. Keys
+    are compared as packed codeword entries; only the transcript laws
+    build key strings, and add one ``Fraction`` per round.
     """
     stats = agreement_stats(j)
     bound = (1 - stats.p) / h.m
@@ -345,46 +340,51 @@ def analyze_almost_common(
         bucket = acc.setdefault(transcript, {})
         bucket[key] = bucket.get(key, ZERO) + mass
 
-    for ix, iy, mass in j.atoms():
+    d = j.denominator
+    for ix, iy, n in j.numerator_cells:
         xl, yl = j.x_labels[ix], j.y_labels[iy]
         same = xl == yl
         w1, stage = _bucket_check(j, h, xl, yl)
         if stage is None:
             if collect_laws:
-                law_add((w1, None), "", mass)
+                law_add((w1, None), "", Fraction(n, d))
             continue
         eng, xi, yi = stage
-        # (round, integer weight) pairs, weights over 2^top; with no
-        # bucket mass Bob pins the round to 1
-        py = eng.pmf.masses[yi]
+        # (round, integer weight) pairs, weights q over 2^top; a step adds
+        # q * num / den, its mass / (p*(y) 2^top). With no bucket mass Bob
+        # pins the round to 1.
+        py = eng.pmf.numerators[yi]
         if py:
             built = eng.rounds(w_max)
             law = eng.round_lengths(yi, w_max)
-            top = max((w + n for w, n in law), default=0)
-            steps = [(built[w - 1], 1 << (top - w - n)) for w, n in law]
-            scale = mass / (py * (1 << top))
+            top = max((w + k for w, k in law), default=0)
+            steps = [(built[w - 1], 1 << (top - w - k)) for w, k in law]
+            num, den = n * eng.pmf.denominator, (d * py) << top
         else:
             steps = [(eng.round(1), 1)]
-            scale = mass
+            num, den = n, d
         seen = erred = key_bits = 0
         for rnd, q in steps:
             seen += q
-            key_a, key_b = _stage2_keys(rnd, xi, yi)
-            ideal = key_a if same else ""
+            code_a, code_b = _stage2_keys(rnd, xi, yi)
             if collect_laws:
-                law_add((w1, rnd.w), ideal, scale * q)
-            if key_a == key_b == ideal:
-                key_bits += q * len(ideal)
+                ideal = _unpack_code(code_a) if same else ""
+                law_add((w1, rnd.w), ideal, Fraction(num * q, den))
+            # all three keys agree: the ideal key is key_a when x = y, and
+            # empty (length 0) otherwise
+            if code_a == code_b and (same or not code_a & _LEN_MASK):
+                key_bits += q * (code_a & _LEN_MASK)
             else:
                 erred += q
         if key_bits:
-            length += scale * key_bits
+            length += Fraction(num * key_bits, den)
         if erred:
-            err += scale * erred
+            err += Fraction(num * erred, den)
         if not same:
             # Same-symbol outcomes agree in every round, so only the
-            # collision tail stays unresolved by the truncation.
-            unresolved += mass - scale * seen
+            # collision tail stays unresolved by the truncation: the
+            # mass n / d less the seen part num * seen / den.
+            unresolved += Fraction(n * den - d * num * seen, d * den)
 
     laws = None
     if collect_laws:
@@ -705,9 +705,9 @@ class OneWayHashReconciler(Reconciler):
 @lru_cache(maxsize=64)
 def _atom_sampler(j: JointPmf) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], ...]]:
     """A sampler over the positive-mass cells, and the (x, y) label pair of each."""
-    atoms = tuple(j.atoms())
+    atoms = j.numerator_cells
     cells = tuple((j.x_labels[ix], j.y_labels[iy]) for ix, iy, _ in atoms)
-    return KnuthYaoSampler(Pmf.from_masses(mass for _, _, mass in atoms)), cells
+    return KnuthYaoSampler(Pmf.from_numerators((n for _, _, n in atoms), j.denominator)), cells
 
 
 def sample_joint(j: JointPmf, rng: RandomSource) -> tuple[str, str]:

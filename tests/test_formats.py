@@ -141,37 +141,37 @@ class TestJointDocuments:
         with pytest.raises(FormatError, match="rows"):
             parse_joint(doc)
 
-    def test_each_distinct_entry_string_is_parsed_once(self, monkeypatch):
-        # 300 x 300, 600 positive cells; the 89 400 zeros are mostly "0",
+    def test_zeros_are_skipped_and_each_distinct_entry_parsed_once(self, monkeypatch):
+        # 1000 x 1000 with 2000 positive cells; the zeros are mostly "0",
         # with bare 0s and "0.0" mixed in
-        n = 300
+        n = 1000
         rows = [[("0", "0", 0, "0.0")[(ix * n + iy) % 4] for iy in range(n)] for ix in range(n)]
         for i in range(n):
-            rows[i][i] = "1/450"
-            rows[i][(i + 1) % n] = "1/900"
+            rows[i][i] = "2/3000"
+            rows[i][(i + 1) % n] = "1/3000"
         labels = [f"s{i}" for i in range(n)]
         doc = {"x_labels": labels, "y_labels": labels, "joint": rows}
-        checked: dict[str, int] = {}
-        built: dict[str, int] = {}
-        check = formats._check_decimal_size
+        ratios: dict = {}
+        rationals: dict = {}
+        ratio, rational = formats._ratio, formats.parse_rational
 
-        def counted_check(text):
-            checked[text] = checked.get(text, 0) + 1
-            return check(text)
+        def counted_ratio(value):
+            ratios[value] = ratios.get(value, 0) + 1
+            return ratio(value)
 
-        def counted_fraction(value, *args):
-            if isinstance(value, str):
-                built[value] = built.get(value, 0) + 1
-            return Fraction(value, *args)
+        def counted_rational(value):
+            rationals[value] = rationals.get(value, 0) + 1
+            return rational(value)
 
-        monkeypatch.setattr(formats, "_check_decimal_size", counted_check)
-        monkeypatch.setattr(formats, "Fraction", counted_fraction)
+        monkeypatch.setattr(formats, "_ratio", counted_ratio)
+        monkeypatch.setattr(formats, "parse_rational", counted_rational)
         j = parse_joint(doc)
         assert len(j.cells) == 2 * n
-        assert j.mass_by_label("s0", "s0") == Fraction(1, 450)
-        assert j.mass_by_label("s299", "s0") == Fraction(1, 900)
-        assert set(checked) == {"0", "0.0"} and set(checked.values()) == {1}
-        assert set(built) == {"0", "0.0", "1/450", "1/900"} and set(built.values()) == {1}
+        assert j.mass_by_label("s0", "s0") == Fraction(1, 1500)
+        assert j.mass_by_label("s999", "s0") == Fraction(1, 3000)
+        strings = {k: v for k, v in ratios.items() if isinstance(k, str)}
+        assert strings == {"0.0": 1, "2/3000": 1, "1/3000": 1}
+        assert rationals == {"0.0": 1}  # plain "n/d" and bare ints skip it
 
     def test_a_refused_entry_is_refused_wherever_it_repeats(self):
         doc = joint_document(WORKED_JOINT)
@@ -187,6 +187,113 @@ class TestJointDocuments:
         assert isinstance(parse_source(joint_document(WORKED_JOINT)), JointPmf)
         with pytest.raises(FormatError, match="neither"):
             parse_source({"alphabet": ["a"]})
+
+
+def _fraction_parse_pmf(doc):
+    """parse_pmf as it was before the integer path: one Fraction per entry."""
+    masses = tuple(parse_rational(v) for v in doc["pmf"])
+    try:
+        return Pmf(tuple(doc["alphabet"]), masses)
+    except Exception as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _fraction_parse_joint(doc):
+    """parse_joint as it was before the integer path."""
+    cells = []
+    for ix, row in enumerate(doc["joint"]):
+        cells.extend((ix, iy, m) for iy, m in enumerate(map(parse_rational, row)) if m)
+    try:
+        return JointPmf(tuple(doc["x_labels"]), tuple(doc["y_labels"]), tuple(cells))
+    except Exception as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _outcome(parse, doc):
+    try:
+        return parse(doc)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+ARABIC_HALF = "\u0661/\u0662"  # 1/2 in Arabic-Indic digits
+ENTRY_CORPUS = [
+    "2/4", "0", "1", "0.25", "1e-3", " 1/2", "+1/2", "-1/2", "1/-2", "1_0/20",
+    ARABIC_HALF, "1/0", "/2", "1/", "1/2 ", "1 / 2", "01/02", "3/2", "0/7",
+    "1" * 5000 + "/2", "1/" + "7" * 5000,
+]
+
+
+class TestIntegerParsePath:
+    """Plain "n/d" entries are read as two ints; everything else, refusals
+    included, behaves exactly as the one-Fraction-per-entry parser did."""
+
+    @pytest.mark.parametrize("entry", ENTRY_CORPUS, ids=range(len(ENTRY_CORPUS)))
+    def test_same_pmf_or_same_refusal(self, entry, digit_limit):
+        try:
+            value = parse_rational(entry)
+        except FormatError:
+            value = None
+        rest = 1 - value if value is not None and 0 <= value <= 1 else Fraction(1, 2)
+        for doc in (
+            {"alphabet": ["a", "b"], "pmf": [entry, str(rest)]},
+            {"alphabet": ["a", "b"], "pmf": [str(rest), entry]},
+            {"alphabet": ["a"], "pmf": [entry]},
+        ):
+            new, old = _outcome(parse_pmf, doc), _outcome(_fraction_parse_pmf, doc)
+            assert new == old
+            if isinstance(new, Pmf):
+                assert hash(new) == hash(old) and new.masses == old.masses
+        joint = {"x_labels": ["a", "b"], "y_labels": ["a"], "joint": [[entry], [str(rest)]]}
+        new, old = _outcome(parse_joint, joint), _outcome(_fraction_parse_joint, joint)
+        assert new == old
+        if isinstance(new, JointPmf):
+            assert hash(new) == hash(old) and new.cells == old.cells
+
+    def test_a_part_past_the_digit_limit_exits_3_with_the_same_message(
+        self, tmp_path, capsys, digit_limit
+    ):
+        from stopkey.cli import main
+
+        entry = "1" * 5000 + "/2"
+        with pytest.raises(FormatError) as refused:
+            parse_rational(entry)
+        path = str(tmp_path / "huge.json")
+        write_document({"alphabet": ["a", "b"], "pmf": [entry, "1/2"]}, path)
+        argv = ["keygen-common", "--dist", path, "--x", "a", "--role", "alice"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {refused.value}\n"
+        assert "Exceeds the limit" in err and "Traceback" not in err
+
+    def test_equal_values_store_equal_integers_and_share_an_engine(self):
+        sources = [
+            parse_pmf({"alphabet": ["a", "b"], "pmf": [s, s]}) for s in ("1/2", "2/4", "0.5")
+        ] + [Pmf(("a", "b"), (Fraction(1, 2), Fraction(1, 2)))]
+        for p in sources:
+            assert (p.numerators, p.denominator) == ((1, 1), 2)
+            assert p == sources[0] and hash(p) == hash(sources[0])
+            assert engine_for(p) is engine_for(sources[0])
+        joints = [
+            parse_joint({"x_labels": ["a"], "y_labels": ["a", "b"], "joint": [[s, s]]})
+            for s in ("1/2", "2/4", "0.5")
+        ] + [JointPmf(("a",), ("a", "b"), ((0, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))))]
+        for j in joints:
+            assert (j.numerator_cells, j.denominator) == (((0, 0, 1), (0, 1, 1)), 2)
+            assert j == joints[0] and hash(j) == hash(joints[0])
+
+    def test_plain_entries_make_no_parse_rational_call(self, monkeypatch):
+        n = 1000
+        total = n * (n + 1) // 2
+        doc = {"alphabet": [f"s{i}" for i in range(n)],
+               "pmf": [f"{w}/{total}" for w in range(1, n + 1)]}
+        calls = []
+        rational = formats.parse_rational
+        monkeypatch.setattr(formats, "parse_rational", lambda v: calls.append(v) or rational(v))
+        p = parse_pmf(doc)
+        assert calls == []
+        assert p.masses == tuple(Fraction(w, total) for w in range(1, n + 1))
+        assert p.denominator == total
 
 
 class TestFileIO:

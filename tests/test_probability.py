@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -60,9 +61,55 @@ class TestPmf:
         with pytest.raises(ValidationError):
             p.index("zz")
 
+    def test_label_index_is_one_lookup(self):
+        compared = []
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(1)
+                return str.__eq__(self, other)
+
+        n = 1000
+        p = Pmf.from_masses([Fraction(1, n)] * n, [Label(f"s{i}") for i in range(n)])
+        assert p.index(Label("s999")) == n - 1
+        assert len(compared) <= 2  # a tuple scan would compare 1000 labels
+        with pytest.raises(ValidationError, match="label 'zz' not in alphabet"):
+            p.index("zz")
+        assert "_index" not in repr(p)
+        assert p == dataclasses.replace(p)
+
+    def test_masses_are_a_fraction_view_of_the_integers(self):
+        p = pmf("1/6", "0", "5/6")
+        assert (p.numerators, p.denominator) == ((1, 0, 5), 6)
+        assert p.masses == (Fraction(1, 6), Fraction(0), Fraction(5, 6))
+        assert p.mass(2) == Fraction(5, 6)
+        assert "masses" not in vars(p)  # built on each read, not stored
+        assert repr(p) == (
+            "Pmf(labels=('0', '1', '2'), "
+            "masses=(Fraction(1, 6), Fraction(0, 1), Fraction(5, 6)))"
+        )
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: Pmf.from_numerators([1, 1], 0), "denominator"),
+            (lambda: Pmf.from_numerators([1, 1], 2.0), "denominator"),
+            (lambda: Pmf.from_numerators([0.5, 1.5], 2), "ints"),
+            (lambda: Pmf.from_numerators([3, -1], 2), "mass 3/2 outside"),
+            (lambda: Pmf.from_numerators([1, 2], 4), "sum to 3/4"),
+            (lambda: Pmf.from_ratios([1, 1], [2, 0]), "positive denominators"),
+            (lambda: Pmf.from_ratios([], []), "nonempty"),
+        ],
+    )
+    def test_integer_builders_refuse_what_the_fraction_one_does(self, build, match):
+        with pytest.raises(ValidationError, match=match):
+            build()
+
 
 class TestContentHash:
-    def test_pmf_hashes_its_masses_once(self, monkeypatch):
+    def test_pmf_hashes_its_integers_once(self, monkeypatch):
         n = 1000
         p = Pmf.from_masses(Fraction(2 * i, n * (n + 1)) for i in range(1, n + 1))
         calls = []
@@ -73,8 +120,10 @@ class TestContentHash:
             return raw(self)
 
         monkeypatch.setattr(Fraction, "__hash__", counting)
-        assert hash(p) == hash(p)
-        assert len(calls) == n
+        first = hash(p)
+        assert calls == []  # the hash runs on the numerators, not on Fractions
+        object.__setattr__(p, "_hash", first + 1)
+        assert hash(p) == first + 1  # later calls read the cached value
 
     @pytest.mark.parametrize(
         "make",
@@ -123,6 +172,16 @@ class TestContentHash:
         for seed, code in (("1", dump), ("2", load)):
             env["PYTHONHASHSEED"] = seed
             subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_pickling_leaves_out_the_hash_and_the_label_lookups(self):
+        p = Pmf.from_masses(["1/3", "2/3"], ["a", "b"])
+        j = joint([["1/2", "0"], ["1/4", "1/4"]], "01", "01")
+        hash(p), hash(j)
+        assert set(p.__getstate__()) == {"labels", "numerators", "denominator"}
+        assert set(j.__getstate__()) == {"x_labels", "y_labels", "numerator_cells", "denominator"}
+        p2, j2 = pickle.loads(pickle.dumps(p)), pickle.loads(pickle.dumps(j))
+        assert p2 == p and p2.index("b") == 1
+        assert j2 == j and j2.mass_by_label("1", "0") == Fraction(1, 4)
 
     def test_equal_pmfs_share_one_engine(self):
         a = Pmf.from_masses(["1/6", "1/3", "1/2"], ["u", "v", "w"])
@@ -251,7 +310,7 @@ class TestJointCells:
         j = JointPmf.from_atoms(atoms, "ab", "ab")
         assert j.cells == ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
 
-    def test_construction_and_hash_cost_grows_with_the_cells(self, monkeypatch):
+    def test_construction_and_hash_read_each_cell_once(self, monkeypatch):
         # a diagonal plus one neighbour on 1000 x 1000: 1999 positive cells
         n = 1000
         labels = tuple(f"s{i}" for i in range(n))
@@ -259,8 +318,9 @@ class TestJointCells:
         total = sum(w for _, _, w in weights)
         cells = tuple(sorted((ix, iy, Fraction(w, total)) for ix, iy, w in weights))
         atoms = [(labels[ix], labels[iy], m) for ix, iy, m in cells]
-        counts = {"add": 0, "hash": 0}
+        counts = {"add": 0, "hash": 0, "read": 0}
         raw_add, raw_radd, raw_hash = Fraction.__add__, Fraction.__radd__, Fraction.__hash__
+        raw_num, raw_den = Fraction.numerator, Fraction.denominator
 
         def counting(key, raw):
             def wrapper(*args):
@@ -271,14 +331,19 @@ class TestJointCells:
         monkeypatch.setattr(Fraction, "__add__", counting("add", raw_add))
         monkeypatch.setattr(Fraction, "__radd__", counting("add", raw_radd))
         monkeypatch.setattr(Fraction, "__hash__", counting("hash", raw_hash))
+        monkeypatch.setattr(Fraction, "numerator", property(counting("read", raw_num.fget)))
+        monkeypatch.setattr(Fraction, "denominator", property(counting("read", raw_den.fget)))
         for build in (
             lambda: JointPmf(labels, labels, cells),
             lambda: JointPmf.from_atoms(atoms, labels, labels),
         ):
-            counts.update(add=0, hash=0)
+            counts.update(add=0, hash=0, read=0)
             j = build()
             assert hash(j) == hash(j)
-            assert counts == {"add": len(cells), "hash": len(cells)}
+            # validation, sum and hash run on integers: each mass is read
+            # as (numerator, denominator) once, and no Fraction is added
+            # or hashed, where the Fraction storage did both per cell
+            assert counts == {"add": 0, "hash": 0, "read": 2 * len(cells)}
             assert j.mass_by_label("s5", "s6") == Fraction(1, total)
             assert j.mass_by_label("s6", "s5") == 0
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey.common import exact_common_law
+from stopkey.common import _unpack_code, exact_common_law
 from stopkey.errors import (
     InvariantError,
     ReconcilerContractError,
@@ -377,8 +377,8 @@ class TestAlmostCommonKeygen:
         labels = union_alphabet(j)  # the bucket conditional's alphabet
 
         def record(rnd, xi, yi):
-            keys = stage2_keys(rnd, xi, yi)
-            enumerated.add((labels[xi], labels[yi], rnd.w) + keys)
+            keys = stage2_keys(rnd, xi, yi)  # packed codeword entries
+            enumerated.add((labels[xi], labels[yi], rnd.w) + tuple(map(_unpack_code, keys)))
             return keys
 
         monkeypatch.setattr(reconciled, "_stage2_keys", record)

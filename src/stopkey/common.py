@@ -85,10 +85,6 @@ class _Round:
         p = self.packed.get(index)
         return None if p is None else _unpack_code(p)
 
-    @property
-    def first_codeword(self) -> str:
-        return _unpack_code(self.packed[self.order[0]])
-
 
 class KeyAgreeEngine:
     """Materialized protocol state for one pmf: rounds, codewords, and the
@@ -111,6 +107,8 @@ class KeyAgreeEngine:
         self._q = p.denominator
         self._tz = _trailing_zeros(p.denominator)
         self._nums = list(p.numerators)
+        # one int object per symbol index, shared by every round's order
+        self._indices = list(range(len(p)))
         self._rounds: list[_Round] = []
         self._thresholds: dict[int, _ThresholdWalk] = {}
         # reentrant: a threshold walk builds rounds while holding it
@@ -130,7 +128,7 @@ class KeyAgreeEngine:
         w = len(self._rounds) + 1
         nums = self._nums
         q = self._q
-        live = [i for i, v in enumerate(nums) if v > 0]
+        live = [i for i, v in zip(self._indices, nums) if v > 0]
         # stable reverse sort keeps equal masses in ascending-index order
         live.sort(key=nums.__getitem__, reverse=True)
         acc = 0
@@ -211,9 +209,6 @@ class KeyAgreeEngine:
     def codeword(self, w: int, x: int) -> str | None:
         return self.round(w).codeword(x)
 
-    def first_codeword(self, w: int) -> str:
-        return self.round(w).first_codeword
-
     def bob(self, y: int, w: int) -> str:
         """Replay to round w and emit y's codeword there."""
         code = self.codeword(w, y)
@@ -275,11 +270,12 @@ class KeyAgreeEngine:
 
     def round_conditional(self, w: int) -> Pmf:
         """Conditional pmf of X given W = w, over the full source alphabet."""
-        rnd = self.round(w)
-        masses = [ZERO] * len(self.pmf)
-        for i in rnd.order:
-            masses[i] = Fraction(1, 1 << rnd.length_of(i))
-        return Pmf(self.pmf.labels, tuple(masses))
+        packed = self.round(w).packed
+        top = max(p & _LEN_MASK for p in packed.values())
+        nums = [0] * len(self.pmf)
+        for i, p in packed.items():
+            nums[i] = 1 << (top - (p & _LEN_MASK))
+        return Pmf(self.pmf.labels, nums, 1 << top)
 
 
 class _ThresholdWalk:

@@ -1,4 +1,4 @@
-"""Exact finite probability: pmfs, joint pmfs, entropy, and dyadic tests.
+"""Exact finite probability: pmfs, joint pmfs, entropy, and log2 brackets.
 
 Everything protocol-critical in this package is exact: a pmf stores its
 masses as integer numerators over one denominator, and hands out
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ValidationError
 
@@ -36,7 +36,6 @@ __all__ = [
     "agreement_stats",
     "ceil_neg_log2",
     "floor_log2",
-    "dyadic_exponent",
     "log2_interval",
     "as_fraction",
 ]
@@ -82,15 +81,6 @@ def _over_one_denominator(nums: list[int], dens: list[int]) -> tuple[list[int], 
     return [n if d == den else n * (den // d) for n, d in zip(nums, dens)], den
 
 
-def _lowest_terms(nums: list[int], den: int) -> tuple[tuple[int, ...], int]:
-    """Numerators summing to ``den``, with their common factor divided out:
-    the canonical form, so equal laws store equal integers."""
-    g = math.gcd(*nums)  # divides den, the numerators' sum
-    if g > 1:
-        return tuple(n // g for n in nums), den // g
-    return tuple(nums), den
-
-
 def _public_state(obj) -> dict:
     """Pickle state of a content-hashed dataclass: its public attributes.
     The private ones are derived (the cached hash, label lookups) and the
@@ -98,80 +88,53 @@ def _public_state(obj) -> dict:
     return {k: v for k, v in vars(obj).items() if not k.startswith("_")}
 
 
-class _IntegerField:
-    """A dataclass field stored as integers and read as ``Fraction``s.
-
-    The constructor's value is handed to ``__post_init__`` (as
-    ``_given``), which validates it and stores the integer form; a read
-    builds the ``Fraction`` view afresh from the integers, so no object
-    holds both forms. ``repr``, ``dataclasses.replace`` and
-    ``dataclasses.fields`` see an ordinary required field.
-    """
-
-    def __init__(self, view):
-        self._view = view
-
-    def __set_name__(self, owner, name) -> None:
-        self._name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:  # no class-level value: the field has no default
-            raise AttributeError(self._name)
-        return self._view(obj)
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__["_given"] = value
+def _check_denominator(den) -> None:
+    if type(den) is not int or den < 1:
+        raise ValidationError(f"denominator {den!r} not a positive int")
 
 
-@dataclass(frozen=True, eq=False)
+def _check_total(total: int, den: int, what: str) -> None:
+    if total != den:
+        total = Fraction(total, den)
+        raise ValidationError(f"{what} masses sum to {total}, not 1 (deficit {1 - total})")
+
+
+@dataclass(frozen=True)
 class Pmf:
     """A probability mass function over an ordered finite alphabet.
 
-    Masses are exact rationals, each in [0, 1], summing to exactly 1.
-    Zero masses are allowed and retained (the symbol stays addressable).
-
-    The masses are stored as integers: ``numerators[i]`` over one
-    ``denominator``, the least common denominator of the masses, so
-    equal pmfs store equal integers. Validation, equality and the content
-    hash run on them; ``masses`` is a ``Fraction`` view built on each
-    read, for the API edge and for reports. Pmfs key the engine and stage
+    The mass of ``labels[i]`` is ``numerators[i]`` over ``denominator``:
+    ints, each numerator in [0, denominator], summing to exactly the
+    denominator. Zero masses are allowed and retained (the symbol stays
+    addressable). The constructor stores them in lowest terms, so equal
+    pmfs store equal integers; validation, equality and the content hash
+    run on them, and ``masses`` is a ``Fraction`` view built on each read,
+    for the API edge and for reports. Pmfs key the engine and stage
     caches, so the content hash is computed once, on first use, and kept
     in ``_hash``; ``index`` reads a label -> index dict built with the
     pmf. Equality, ``repr`` and pickling leave both out.
     """
 
     labels: tuple[str, ...]
-    masses: tuple[Fraction, ...] = _IntegerField(
-        lambda p: tuple(Fraction(n, p.denominator) for n in p.numerators)
-    )
-    _hash: int | None = field(default=None, init=False, repr=False)
+    numerators: tuple[int, ...]
+    denominator: int
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nums, dens = [], []
-        for m in self.__dict__.pop("_given") or ():
-            if not isinstance(m, Fraction):
-                raise ValidationError("Pmf masses must be Fractions")
-            n, d = m.numerator, m.denominator
-            if n < 0 or n > d:
-                raise ValidationError(f"mass {m} outside [0, 1]")
-            nums.append(n)
-            dens.append(d)
-        self._store(*_over_one_denominator(nums, dens))
-
-    def _store(self, nums: list[int], den: int) -> None:
+        nums, den = tuple(self.numerators), self.denominator
+        _check_denominator(den)
+        if set(map(type, nums)) - {int}:
+            raise ValidationError("Pmf numerators must be ints")
         if not nums:
             raise ValidationError("alphabet must be nonempty")
         if min(nums) < 0 or max(nums) > den:
             bad = next(n for n in nums if n < 0 or n > den)
             raise ValidationError(f"mass {Fraction(bad, den)} outside [0, 1]")
-        total = sum(nums)
-        if total != den:
-            total = Fraction(total, den)
-            raise ValidationError(
-                f"pmf masses sum to {total}, not 1 (deficit {1 - total})"
-            )
+        _check_total(sum(nums), den, "pmf")
         _check_labels(self.labels, len(nums))
-        nums, den = _lowest_terms(nums, den)
+        g = math.gcd(*nums)  # divides den, the numerators' sum
+        if g > 1:
+            nums, den = tuple(n // g for n in nums), den // g
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", den)
         self._build_index()
@@ -179,15 +142,6 @@ class Pmf:
     def _build_index(self) -> None:
         index = dict(zip(self.labels, range(len(self.labels))))
         object.__setattr__(self, "_index", index)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.denominator == other.denominator
-            and self.numerators == other.numerators
-            and self.labels == other.labels
-        )
 
     def __hash__(self) -> int:
         h = self._hash
@@ -204,24 +158,8 @@ class Pmf:
 
     @classmethod
     def from_masses(cls, masses: Iterable, labels: Sequence[str] | None = None) -> "Pmf":
-        ms = tuple(as_fraction(m) for m in masses)
-        return cls(_default_labels(len(ms)) if labels is None else tuple(labels), ms)
-
-    @classmethod
-    def from_numerators(
-        cls, numerators: Iterable[int], denominator: int, labels: Sequence[str] | None = None
-    ) -> "Pmf":
-        """From integer numerators over one positive integer denominator;
-        they need not be in lowest terms."""
-        nums = list(numerators)
-        if type(denominator) is not int or denominator < 1:
-            raise ValidationError(f"denominator {denominator!r} not a positive int")
-        if set(map(type, nums)) - {int}:
-            raise ValidationError("Pmf numerators must be ints")
-        p = cls.__new__(cls)
-        object.__setattr__(p, "labels", _default_labels(len(nums)) if labels is None else tuple(labels))
-        p._store(nums, denominator)
-        return p
+        ms = [as_fraction(m) for m in masses]
+        return cls.from_ratios([m.numerator for m in ms], [m.denominator for m in ms], labels)
 
     @classmethod
     def from_ratios(
@@ -229,7 +167,14 @@ class Pmf:
     ) -> "Pmf":
         """From the masses numerators[i] / denominators[i], ints with the
         denominators positive, not necessarily in lowest terms."""
-        return cls.from_numerators(*_over_one_denominator(numerators, denominators), labels)
+        nums, den = _over_one_denominator(numerators, denominators)
+        return cls(_default_labels(len(nums)) if labels is None else tuple(labels), nums, den)
+
+    @property
+    def masses(self) -> tuple[Fraction, ...]:
+        """The masses as ``Fraction``s, built on each read."""
+        den = self.denominator
+        return tuple(Fraction(n, den) for n in self.numerators)
 
     def __len__(self) -> int:
         return len(self.numerators)
@@ -249,67 +194,52 @@ class Pmf:
         return tuple(i for i, n in enumerate(self.numerators) if n)
 
 
-def _fraction_cells(cells):
-    """(ix, iy, numerator, denominator) per cell; a mass that is not a
-    Fraction comes through as (ix, iy, mass, None), for the check to refuse."""
-    for ix, iy, m in cells:
-        if isinstance(m, Fraction):
-            yield ix, iy, m.numerator, m.denominator
-        else:
-            yield ix, iy, m, None
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class JointPmf:
     """A joint pmf over a pair of ordered finite alphabets, stored sparse.
 
-    ``cells`` lists each positive-mass cell once, in row-major order, as
-    (ix, iy, P(X = x_labels[ix], Y = y_labels[iy])). The two alphabets may
-    differ; equality of realizations is equality of labels. As for
-    ``Pmf``, the masses are stored as integers: ``numerator_cells`` holds
-    (ix, iy, numerator) over one ``denominator``, in lowest terms, and
-    ``cells`` is a ``Fraction`` view built on each read. The content hash
-    is computed once and kept in ``_hash``.
+    ``numerator_cells`` lists each positive-mass cell once, in row-major
+    order, as (ix, iy, n): P(X = x_labels[ix], Y = y_labels[iy]) is n over
+    ``denominator``. The two alphabets may differ; equality of
+    realizations is equality of labels. As for ``Pmf``, the constructor
+    stores the integers in lowest terms, and ``atoms()`` is the
+    ``Fraction`` view. The content hash is computed once and kept in
+    ``_hash``.
     """
 
     x_labels: tuple[str, ...]
     y_labels: tuple[str, ...]
-    cells: tuple[tuple[int, int, Fraction], ...] = _IntegerField(
-        lambda j: tuple((ix, iy, Fraction(n, j.denominator)) for ix, iy, n in j.numerator_cells)
-    )
-    _hash: int | None = field(default=None, init=False, repr=False)
+    numerator_cells: tuple[tuple[int, int, int], ...]
+    denominator: int
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._store(_fraction_cells(self.__dict__.pop("_given")))
-
-    def _store(self, cells: Iterable[tuple[int, int, Any, int | None]]) -> None:
+        cells, den = tuple(self.numerator_cells), self.denominator
+        _check_denominator(den)
         nx, ny = len(self.x_labels), len(self.y_labels)
         if nx == 0 or ny == 0:
             raise ValidationError("joint alphabets must be nonempty")
         _check_labels(self.x_labels, nx)
         _check_labels(self.y_labels, ny)
-        kept = []
+        nums = []
         last = -1  # row-major position of the previous cell
-        for cell in cells:
-            ix, iy, n, d = cell
+        for ix, iy, n in cells:
             if not (type(ix) is type(iy) is int and 0 <= ix < nx and 0 <= iy < ny):
                 raise ValidationError(f"joint cell ({ix!r}, {iy!r}) outside the alphabets")
             if ix * ny + iy <= last:
                 raise ValidationError(f"joint cell ({ix}, {iy}) repeated or out of row-major order")
             last = ix * ny + iy
-            if d is None or n <= 0:
-                m = n if d is None else Fraction(n, d)
+            if type(n) is not int:
+                raise ValidationError(f"joint cell ({ix}, {iy}) numerator {n!r} not an int")
+            if n <= 0:
+                m = Fraction(n, den)
                 raise ValidationError(f"joint cell ({ix}, {iy}) mass {m!r} not a positive Fraction")
-            kept.append(cell)
-        nums, den = _over_one_denominator([c[2] for c in kept], [c[3] for c in kept])
-        total = sum(nums)
-        if total != den:
-            total = Fraction(total, den)
-            raise ValidationError(f"joint masses sum to {total}, not 1 (deficit {1 - total})")
-        nums, den = _lowest_terms(nums, den)
-        object.__setattr__(
-            self, "numerator_cells", tuple((ix, iy, n) for (ix, iy, _, _), n in zip(kept, nums))
-        )
+            nums.append(n)
+        _check_total(sum(nums), den, "joint")
+        g = math.gcd(*nums)  # divides den, the numerators' sum
+        if g > 1:
+            cells, den = tuple((ix, iy, n // g) for ix, iy, n in cells), den // g
+        object.__setattr__(self, "numerator_cells", cells)
         object.__setattr__(self, "denominator", den)
         self._build_index()
 
@@ -317,16 +247,6 @@ class JointPmf:
         xl, yl = self.x_labels, self.y_labels
         by_label = {(xl[ix], yl[iy]): n for ix, iy, n in self.numerator_cells}
         object.__setattr__(self, "_by_label", by_label)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.denominator == other.denominator
-            and self.numerator_cells == other.numerator_cells
-            and self.x_labels == other.x_labels
-            and self.y_labels == other.y_labels
-        )
 
     def __hash__(self) -> int:
         h = self._hash
@@ -351,11 +271,10 @@ class JointPmf:
         """From positive-mass cells (ix, iy, numerator, denominator) in
         row-major order, with int parts and positive denominators, not
         necessarily in lowest terms."""
-        j = cls.__new__(cls)
-        object.__setattr__(j, "x_labels", tuple(x_labels))
-        object.__setattr__(j, "y_labels", tuple(y_labels))
-        j._store(cells)
-        return j
+        cells = tuple(cells)
+        nums, den = _over_one_denominator([c[2] for c in cells], [c[3] for c in cells])
+        scaled = tuple((c[0], c[1], n) for c, n in zip(cells, nums))
+        return cls(tuple(x_labels), tuple(y_labels), scaled, den)
 
     @classmethod
     def from_rows(
@@ -371,8 +290,13 @@ class JointPmf:
         yl = _default_labels(ny) if y_labels is None else tuple(y_labels)
         if len(matrix) != len(xl) or any(len(row) != len(yl) for row in matrix):
             raise ValidationError("joint mass matrix shape does not match alphabets")
-        cells = ((ix, iy, m) for ix, row in enumerate(matrix) for iy, m in enumerate(row))
-        return cls(xl, yl, tuple(cell for cell in cells if cell[2]))
+        cells = (
+            (ix, iy, m.numerator, m.denominator)
+            for ix, row in enumerate(matrix)
+            for iy, m in enumerate(row)
+            if m
+        )
+        return cls.from_ratios(cells, xl, yl)
 
     @classmethod
     def from_atoms(
@@ -393,7 +317,8 @@ class JointPmf:
             key, m = (x_index[x], y_index[y]), as_fraction(m)
             prev = acc.get(key)
             acc[key] = m if prev is None else prev + m
-        return cls(xl, yl, tuple((ix, iy, m) for (ix, iy), m in sorted(acc.items()) if m))
+        cells = ((ix, iy, m.numerator, m.denominator) for (ix, iy), m in sorted(acc.items()) if m)
+        return cls.from_ratios(cells, xl, yl)
 
     def mass_by_label(self, x: str, y: str) -> Fraction:
         """P(X = x, Y = y); zero for a zero cell or a label outside the alphabets."""
@@ -408,7 +333,7 @@ class JointPmf:
         nums = [0] * len(labels)
         for cell in self.numerator_cells:
             nums[cell[side]] += cell[2]
-        return Pmf.from_numerators(nums, self.denominator, labels)
+        return Pmf(labels, nums, self.denominator)
 
     def marginal_x(self) -> Pmf:
         return self._marginal(self.x_labels, 0)
@@ -417,8 +342,10 @@ class JointPmf:
         return self._marginal(self.y_labels, 1)
 
     def atoms(self) -> tuple[tuple[int, int, Fraction], ...]:
-        """(ix, iy, mass) over the positive-mass cells, in row-major order."""
-        return self.cells
+        """(ix, iy, mass) over the positive-mass cells, in row-major order,
+        with the masses as ``Fraction``s built on each read."""
+        den = self.denominator
+        return tuple((ix, iy, Fraction(n, den)) for ix, iy, n in self.numerator_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +375,6 @@ def floor_log2(r) -> int:
     if r <= 1:
         return -ceil_neg_log2(r)
     return (r.numerator // r.denominator).bit_length() - 1
-
-
-def dyadic_exponent(m) -> int | None:
-    """Return j >= 0 with m == 2**-j, or None if m is not of that form."""
-    m = m if isinstance(m, Fraction) else as_fraction(m)
-    if m <= 0 or m > 1:
-        return None
-    if m.numerator != 1:
-        return None
-    d = m.denominator
-    return d.bit_length() - 1 if d & (d - 1) == 0 else None
 
 
 def log2_interval(r) -> tuple[Fraction, Fraction]:
@@ -592,4 +508,4 @@ def agreement_stats(j: JointPmf | Pmf) -> AgreementStats:
     if total == 0:
         return AgreementStats(ZERO, None)
     p = Fraction(total, j.denominator)
-    return AgreementStats(p, Pmf.from_numerators(diag, total, j.x_labels))
+    return AgreementStats(p, Pmf(j.x_labels, diag, total))

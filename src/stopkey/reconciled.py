@@ -50,8 +50,8 @@ Atoms = tuple[tuple[Any, Any, Fraction], ...]
 
 def union_alphabet(j: JointPmf) -> tuple[str, ...]:
     """X labels followed by the Y labels not already present."""
-    extra = tuple(y for y in j.y_labels if y not in j.x_labels)
-    return j.x_labels + extra
+    xs = set(j.x_labels)
+    return j.x_labels + tuple(y for y in j.y_labels if y not in xs)
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ def stage_conditional(j: JointPmf, h: HashFunction, w1: int) -> Pmf | None:
     total = sum(weights)
     if total == 0:
         return None
-    return Pmf.from_numerators(weights, total, labels)
+    return Pmf(labels, weights, total)
 
 
 def _stage2_records(w1: int, w2: int | None) -> Transcript:
@@ -481,17 +481,18 @@ def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:
         return best, best_err
 
     # each label's positive off-diagonal neighbours, with both cells' mass
-    near: dict[str, dict[str, Fraction]] = {u: {} for u in labels}
-    for ix, iy, mass in j.atoms():
+    # as numerators over the joint's one denominator
+    near: dict[str, dict[str, int]] = {u: {} for u in labels}
+    for ix, iy, n in j.numerator_cells:
         xl, yl = j.x_labels[ix], j.y_labels[iy]
         if xl != yl:
-            near[xl][yl] = near[xl].get(yl, ZERO) + mass
-            near[yl][xl] = near[yl].get(xl, ZERO) + mass
+            near[xl][yl] = near[xl].get(yl, 0) + n
+            near[yl][xl] = near[yl].get(xl, 0) + n
     placed: dict[str, int] = {}
     for u in labels:
         # the placed labels fill at most len(placed) buckets, so a zero-cost
         # bucket is among the first len(placed) + 1 and no later one can win
-        cost = [ZERO] * min(m, len(placed) + 1)
+        cost = [0] * min(m, len(placed) + 1)
         for t, w in near[u].items():
             v = placed.get(t)
             if v is not None:
@@ -661,13 +662,13 @@ class OneWayHashReconciler(Reconciler):
         dec = self._decoders.get(j)
         if dec is None:
             table = self.sketch_table(j)
-            best: dict[tuple[int, str], tuple[str, Fraction]] = {}
-            for ix, iy, mass in j.atoms():
+            best: dict[tuple[int, str], tuple[str, int]] = {}
+            for ix, iy, n in j.numerator_cells:
                 xl = j.x_labels[ix]
                 key = (table[xl], j.y_labels[iy])
                 held = best.get(key)
-                if held is None or mass > held[1]:
-                    best[key] = (xl, mass)
+                if held is None or n > held[1]:
+                    best[key] = (xl, n)
             dec = self._decoders.setdefault(j, (table, {k: v[0] for k, v in best.items()}))
         return dec
 
@@ -707,7 +708,8 @@ def _atom_sampler(j: JointPmf) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], 
     """A sampler over the positive-mass cells, and the (x, y) label pair of each."""
     atoms = j.numerator_cells
     cells = tuple((j.x_labels[ix], j.y_labels[iy]) for ix, iy, _ in atoms)
-    return KnuthYaoSampler(Pmf.from_numerators((n for _, _, n in atoms), j.denominator)), cells
+    p = Pmf(tuple(map(str, range(len(atoms)))), [n for _, _, n in atoms], j.denominator)
+    return KnuthYaoSampler(p), cells
 
 
 def sample_joint(j: JointPmf, rng: RandomSource) -> tuple[str, str]:

@@ -21,6 +21,15 @@ def pmf(*masses) -> Pmf:
     return Pmf.from_masses(tuple(Fraction(m) for m in masses))
 
 
+def dyadic_exponent(m) -> int | None:
+    """j >= 0 with m == 2**-j, or None if m is not of that form."""
+    m = Fraction(m)
+    if m <= 0 or m > 1 or m.numerator != 1:
+        return None
+    d = m.denominator
+    return d.bit_length() - 1 if d & (d - 1) == 0 else None
+
+
 CORPUS = {
     "point": pmf(1),
     "uniform2": pmf("1/2", "1/2"),

@@ -29,7 +29,7 @@ from stopkey.keylaws import (
     pointwise_mass_bound,
     verify_rsbs,
 )
-from stopkey.probability import Pmf, agreement_stats, dyadic_exponent, entropy
+from stopkey.probability import Pmf, agreement_stats, entropy
 from stopkey.randomsource import RandomSource
 from stopkey.reconciled import (
     HashFunction,
@@ -46,7 +46,16 @@ from stopkey.reconciled import (
     union_alphabet,
 )
 
-from conftest import CORPUS, CORRELATED_3, FOUR_SYMBOL, diag_joint, joint, pmf, random_rational_pmf
+from conftest import (
+    CORPUS,
+    CORRELATED_3,
+    FOUR_SYMBOL,
+    diag_joint,
+    dyadic_exponent,
+    joint,
+    pmf,
+    random_rational_pmf,
+)
 from test_keylaws import random_dyadic_rule_law, random_full_codebook
 
 TAIL_SLACK_30 = 30 * 2.0**-30

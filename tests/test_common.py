@@ -13,10 +13,9 @@ from stopkey.common import (
 from stopkey.dyadic import round_weight_partial_entropy
 from stopkey.errors import ProtocolError, ValidationError
 from stopkey.keylaws import verify_rsbs
-from stopkey.probability import dyadic_exponent
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, pmf, random_rational_pmf, run_threads
+from conftest import CORPUS, dyadic_exponent, pmf, random_rational_pmf, run_threads
 from literal_oracle import keyagree_literal, uniform_below
 
 
@@ -282,6 +281,16 @@ class TestEngineCache:
         a = engine_for(CORPUS["sevenths"])
         b = engine_for(CORPUS["sevenths"])
         assert a is b
+
+    def test_rounds_share_one_int_per_symbol_index(self):
+        # ints past 256 are not interned: each round holding a fresh one
+        # per selected symbol costs about 10 KB a round on this pmf
+        n = 1000
+        e = KeyAgreeEngine(pmf(*(Fraction(i, n * (n + 1) // 2) for i in range(1, n + 1))))
+        second = {i: i for i in e.round(2).order}
+        shared = [i for i in e.round(1).order if i >= 257 and i in second]
+        assert shared
+        assert all(second[i] is i for i in shared)
 
 
 class TestThreadSafety:

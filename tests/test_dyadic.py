@@ -11,10 +11,10 @@ from stopkey.dyadic import (
 from stopkey.errors import ValidationError
 from stopkey.formats import decomposition_document
 from stopkey.keylaws import PrefixCodebook
-from stopkey.probability import dyadic_exponent, entropy
+from stopkey.probability import entropy
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, pmf, random_rational_pmf
+from conftest import CORPUS, dyadic_exponent, pmf, random_rational_pmf
 
 
 def is_dyadic(p) -> bool:

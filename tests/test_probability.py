@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, diag_joint, joint, pmf, product_joint, random_rational_pmf
+from conftest import (
+    CORPUS,
+    diag_joint,
+    dyadic_exponent,
+    joint,
+    pmf,
+    product_joint,
+    random_rational_pmf,
+)
 from stopkey.common import engine_for
 from stopkey.errors import ValidationError
 from stopkey.formats import joint_document, parse_joint
@@ -18,7 +26,6 @@ from stopkey.probability import (
     agreement_stats,
     as_fraction,
     ceil_neg_log2,
-    dyadic_exponent,
     entropy,
     entropy_interval,
     floor_log2,
@@ -48,7 +55,7 @@ class TestPmf:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
-            Pmf(("x", "x"), (Fraction(1, 2), Fraction(1, 2)))
+            Pmf(("x", "x"), (1, 1), 2)
 
     def test_zero_mass_symbols_kept_but_not_in_support(self):
         p = pmf("1/2", "0", "1/2")
@@ -56,7 +63,7 @@ class TestPmf:
         assert p.support() == (0, 2)
 
     def test_label_index_lookup(self):
-        p = Pmf(("a", "b"), (Fraction(1, 4), Fraction(3, 4)))
+        p = Pmf(("a", "b"), (1, 3), 4)
         assert p.index("b") == 1
         with pytest.raises(ValidationError):
             p.index("zz")
@@ -86,19 +93,16 @@ class TestPmf:
         assert p.masses == (Fraction(1, 6), Fraction(0), Fraction(5, 6))
         assert p.mass(2) == Fraction(5, 6)
         assert "masses" not in vars(p)  # built on each read, not stored
-        assert repr(p) == (
-            "Pmf(labels=('0', '1', '2'), "
-            "masses=(Fraction(1, 6), Fraction(0, 1), Fraction(5, 6)))"
-        )
+        assert repr(p) == "Pmf(labels=('0', '1', '2'), numerators=(1, 0, 5), denominator=6)"
 
     @pytest.mark.parametrize(
         "build, match",
         [
-            (lambda: Pmf.from_numerators([1, 1], 0), "denominator"),
-            (lambda: Pmf.from_numerators([1, 1], 2.0), "denominator"),
-            (lambda: Pmf.from_numerators([0.5, 1.5], 2), "ints"),
-            (lambda: Pmf.from_numerators([3, -1], 2), "mass 3/2 outside"),
-            (lambda: Pmf.from_numerators([1, 2], 4), "sum to 3/4"),
+            (lambda: Pmf(("a", "b"), (1, 1), 0), "denominator"),
+            (lambda: Pmf(("a", "b"), (1, 1), 2.0), "denominator"),
+            (lambda: Pmf(("a", "b"), (0.5, 1.5), 2), "ints"),
+            (lambda: Pmf(("a", "b"), (3, -1), 2), "mass 3/2 outside"),
+            (lambda: Pmf(("a", "b"), (1, 2), 4), "sum to 3/4"),
             (lambda: Pmf.from_ratios([1, 1], [2, 0]), "positive denominators"),
             (lambda: Pmf.from_ratios([], []), "nonempty"),
         ],
@@ -158,8 +162,8 @@ class TestContentHash:
         make = (
             "from stopkey.probability import Pmf, JointPmf\n"
             "from stopkey.reconciled import HashFunction\n"
-            "objs = (Pmf.from_masses(['1/3', '2/3'], ['a', 'b']),\n"
-            "        JointPmf.from_rows([['1/2', '0'], ['1/4', '1/4']], 'ab', 'ab'),\n"
+            "objs = (Pmf(('a', 'b'), (1, 2), 3),\n"
+            "        JointPmf(('a', 'b'), ('a', 'b'), ((0, 0, 2), (1, 0, 1), (1, 1, 1)), 4),\n"
             "        HashFunction(('a', 'b'), (1, 2), 2))\n"
         )
         dump = make + f"import pickle; [hash(o) for o in objs]; pickle.dump(objs, open({path!r}, 'wb'))"
@@ -266,29 +270,31 @@ class TestJointCells:
 
     def test_zero_masses_are_not_stored(self):
         j = JointPmf.from_atoms([("a", "a", 1), ("a", "b", 0)], "ab", "ab")
-        assert j.cells == ((0, 0, Fraction(1)),)
+        assert (j.numerator_cells, j.denominator) == (((0, 0, 1),), 1)
         assert j.mass_by_label("a", "b") == 0
         assert joint_document(j)["joint"] == [["1", "0"], ["0", "0"]]
 
     @pytest.mark.parametrize(
-        "cells, match",
+        "cells, den, match",
         [
-            (((0, 2, Fraction(1)),), "outside"),
-            (((-1, 0, Fraction(1)),), "outside"),
-            ((("0", 0, Fraction(1)),), "outside"),
-            (((0, 0, Fraction(1, 2)), (0, 0, Fraction(1, 2))), "repeated"),
-            (((1, 0, Fraction(1, 2)), (0, 1, Fraction(1, 2))), "order"),
-            (((0, 0, Fraction(1)), (0, 1, Fraction(0))), "positive"),
-            (((0, 0, Fraction(3, 2)), (0, 1, Fraction(-1, 2))), "positive"),
-            (((0, 0, 1),), "Fraction"),
-            (((0, 0, Fraction(1, 2)),), "deficit"),
+            (((0, 2, 1),), 1, "outside"),
+            (((-1, 0, 1),), 1, "outside"),
+            ((("0", 0, 1),), 1, "outside"),
+            (((0, 0, 1), (0, 0, 1)), 2, "repeated"),
+            (((1, 0, 1), (0, 1, 1)), 2, "order"),
+            (((0, 0, 1), (0, 1, 0)), 1, r"mass Fraction\(0, 1\) not a positive"),
+            (((0, 0, 3), (0, 1, -1)), 2, r"mass Fraction\(-1, 2\) not a positive"),
+            (((0, 0, Fraction(1)),), 1, "numerator Fraction.* not an int"),
+            (((0, 0, 1),), 2, "deficit"),
+            (((0, 0, 1),), 0, "denominator"),
+            (((0, 0, 1),), 1.0, "denominator"),
         ],
         ids=["column", "row", "str-index", "repeated", "order", "zero", "negative",
-             "int-mass", "deficit"],
+             "int-mass", "deficit", "zero-denominator", "float-denominator"],
     )
-    def test_bad_cells_are_refused(self, cells, match):
+    def test_bad_cells_are_refused(self, cells, den, match):
         with pytest.raises(ValidationError, match=match):
-            JointPmf(("a", "b"), ("a", "b"), cells)
+            JointPmf(("a", "b"), ("a", "b"), cells, den)
 
     def test_dense_builder_refuses_bad_rows(self):
         with pytest.raises(ValidationError, match="shape"):
@@ -308,7 +314,7 @@ class TestJointCells:
     def test_atom_builder_adds_repeated_cells(self):
         atoms = [("a", "b", "1/4"), ("b", "a", "1/2"), ("a", "b", "1/4")]
         j = JointPmf.from_atoms(atoms, "ab", "ab")
-        assert j.cells == ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
+        assert j.atoms() == ((0, 1, Fraction(1, 2)), (1, 0, Fraction(1, 2)))
 
     def test_construction_and_hash_read_each_cell_once(self, monkeypatch):
         # a diagonal plus one neighbour on 1000 x 1000: 1999 positive cells
@@ -334,7 +340,9 @@ class TestJointCells:
         monkeypatch.setattr(Fraction, "numerator", property(counting("read", raw_num.fget)))
         monkeypatch.setattr(Fraction, "denominator", property(counting("read", raw_den.fget)))
         for build in (
-            lambda: JointPmf(labels, labels, cells),
+            lambda: JointPmf.from_ratios(
+                ((ix, iy, m.numerator, m.denominator) for ix, iy, m in cells), labels, labels
+            ),
             lambda: JointPmf.from_atoms(atoms, labels, labels),
         ):
             counts.update(add=0, hash=0, read=0)
@@ -342,7 +350,7 @@ class TestJointCells:
             assert hash(j) == hash(j)
             # validation, sum and hash run on integers: each mass is read
             # as (numerator, denominator) once, and no Fraction is added
-            # or hashed, where the Fraction storage did both per cell
+            # or hashed
             assert counts == {"add": 0, "hash": 0, "read": 2 * len(cells)}
             assert j.mass_by_label("s5", "s6") == Fraction(1, total)
             assert j.mass_by_label("s6", "s5") == 0

@@ -116,6 +116,25 @@ class TestCollisionAccounting:
         j = joint([["1/2", "1/4"], ["0", "1/4"]], ("a", "b"), ("b", "c"))
         assert union_alphabet(j) == ("a", "b", "c")
 
+    def test_union_alphabet_compares_each_y_label_once(self):
+        compared = []
+
+        class Label(str):
+            __hash__ = str.__hash__
+
+            def __eq__(self, other):
+                compared.append(1)
+                return str.__eq__(self, other)
+
+        n = 1000
+        xs = tuple(Label(f"s{i}") for i in range(n))
+        ys = tuple(Label(f"s{i}") for i in range(1, n)) + (Label("t"),)
+        j = JointPmf(xs, ys, tuple((i, i, 1) for i in range(n)), n)
+        compared.clear()
+        labels = union_alphabet(j)
+        assert len(compared) <= 2 * n  # a scan of the x labels compares ~n * n / 2
+        assert labels == xs + ("t",)
+
     def test_worked_joint_collision_by_table(self):
         # disagreement mass 1/4 sits on (x=1, y=0)
         assert collision_error(WORKED_JOINT, ALL_SAME) == Fraction(1, 4)
@@ -510,7 +529,7 @@ class TestDerandomize:
         monkeypatch.setattr(HashFunction, "__call__", counted(HashFunction.__call__))
         h, err = derandomize_hash(j, 4)
         # n diagonal lookups for p, two bucket lookups per off-diagonal cell
-        assert lookups <= 2 * len(j.cells)
+        assert lookups <= 2 * len(j.numerator_cells)
         assert h.values == want
         assert err == collision_error(j, h) <= (1 - agreement_stats(j).p) / 4
 

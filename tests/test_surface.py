@@ -1,5 +1,6 @@
 """Every name a public module lists in ``__all__`` exists and star-imports."""
 
+import dataclasses
 import importlib
 
 import pytest
@@ -36,6 +37,12 @@ REMOVED = [
     ("stopkey.formats", "key_law_document"),
     # replaced by the dyadic form KeyAgreeEngine.round_lengths
     ("stopkey.common", "KeyAgreeEngine.round_distribution"),
+    ("stopkey.common", "KeyAgreeEngine.first_codeword"),
+    # only tests used it, as a dyadicity check; it lives with them now
+    ("stopkey.probability", "dyadic_exponent"),
+    # the integer constructor is Pmf itself; atoms() is the one Fraction view
+    ("stopkey.probability", "Pmf.from_numerators"),
+    ("stopkey.probability", "JointPmf.cells"),
 ]
 
 
@@ -46,3 +53,13 @@ def test_removed_names_stay_removed(module, name):
     for owner in owners:
         obj = getattr(obj, owner)
     assert not hasattr(obj, last)
+
+
+def test_pmfs_store_one_integer_form():
+    from stopkey.probability import JointPmf, Pmf
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(Pmf) == ["labels", "numerators", "denominator", "_hash"]
+    assert names(JointPmf) == ["x_labels", "y_labels", "numerator_cells", "denominator", "_hash"]

@@ -211,7 +211,9 @@ class KeyAgreeEngine:
 
     def bob(self, y: int, w: int) -> str:
         """Replay to round w and emit y's codeword there."""
-        code = self.codeword(w, y)
+        rounds = self._rounds
+        rnd = rounds[w - 1] if 0 < w <= len(rounds) else self.round(w)
+        code = rnd.codeword(y)
         if code is None:
             raise ProtocolError(
                 f"symbol {y} has no codeword in round {w}; "
@@ -235,18 +237,21 @@ class KeyAgreeEngine:
         stopping test g >= residual_w(x) for the draw g = p(x) U on
         [0, p(x)).
         """
-        walk = self._walk(x)
+        walk = self._thresholds.get(x) or self._walk(x)
+        thresholds = walk.thresholds
         pos = 0
         while True:
-            entry = walk.entry(pos, self, x)
-            if u.at_least(entry):
+            # built thresholds are read as they stand; entry builds the next
+            t = thresholds[pos] if pos < len(thresholds) else walk.entry(pos, self, x)
+            if u.at_least(t):
                 return walk.rounds[pos]
             pos += 1
 
     def alice(self, x: int, rng: RandomSource) -> tuple[str, int]:
         """Draw W from P(W | X = x) exactly and emit x's round-W codeword."""
         w = self.round_from_uniform(x, rng.lazy_uniform())
-        code = self.codeword(w, x)
+        # the threshold walk built every round up to w
+        code = self._rounds[w - 1].codeword(x)
         if code is None:
             raise InvariantError(f"stopping round {w} has no codeword for {x}")
         return code, w

@@ -18,22 +18,15 @@ from .probability import Pmf
 __all__ = [
     "KnuthYaoSampler",
     "ROUND_WEIGHT_ENTROPY",
-    "round_weight_partial_entropy",
 ]
 
-#: Entropy in bits of the round-index distribution P(W = w) = 2**-w.
-#: H(W) = sum w * 2**-w = 2 exactly; see round_weight_partial_entropy.
+#: Entropy in bits of the round-index distribution P(W = w) = 2**-w:
+#: H(W) = sum w * 2**-w = 2 exactly (the partial sum through n rounds is
+#: 2 - (n + 2) * 2**-n).
 ROUND_WEIGHT_ENTROPY = Fraction(2)
 
 # a walk passes depth d with probability below len(p) * 2**-d
 _MAX_DEPTH = 20000
-
-
-def round_weight_partial_entropy(n: int) -> Fraction:
-    """Exact partial sum sum_{w<=n} w * 2**-w = 2 - (n + 2) * 2**-n."""
-    if n < 0:
-        raise ValidationError("partial sum needs n >= 0")
-    return 2 - Fraction(n + 2, 1 << n)
 
 
 class KnuthYaoSampler:
@@ -53,7 +46,14 @@ class KnuthYaoSampler:
         self._lock = threading.Lock()
 
     def _level(self, depth: int) -> tuple[int, ...]:
+        """Level ``depth``, built with every level above it on first use.
+        A walk reaches a level only after reading every one above it, so
+        the depth cap is checked here, off the per-bit path."""
         if depth >= len(self._levels):
+            if depth > _MAX_DEPTH:
+                raise ValidationError(
+                    f"sampler exceeded depth {_MAX_DEPTH}; pmf expansion too deep"
+                )
             with self._lock:
                 while len(self._levels) <= depth:
                     ell = len(self._levels)
@@ -73,19 +73,18 @@ class KnuthYaoSampler:
 
     def sample(self, rng) -> tuple[int, int]:
         """Draw one symbol; returns (symbol index, fair bits consumed)."""
-        node = 0
-        top = self._level(0)
+        levels = self._levels
+        top = levels[0] if levels else self._level(0)
         if top:
             return top[0], 0
+        fair_bit = rng.fair_bit
+        node = 0
         depth = 0
         while True:
             depth += 1
-            if depth > _MAX_DEPTH:
-                raise ValidationError(
-                    f"sampler exceeded depth {_MAX_DEPTH}; pmf expansion too deep"
-                )
-            node = (node << 1) | rng.fair_bit()
-            terms = self._level(depth)
+            node = (node << 1) | fair_bit()
+            # levels only grow, and are appended whole
+            terms = levels[depth] if depth < len(levels) else self._level(depth)
             if node < len(terms):
                 return terms[node], depth
             node -= len(terms)

@@ -19,6 +19,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -38,21 +39,22 @@ from .probability import (
 from .randomsource import RandomSource
 from .reconciled import (
     ConstantReconciler,
+    Decision,
     HashFunction,
     IdentityReconciler,
     OneWayHashReconciler,
     Reconciler,
     Transcript,
+    _atom_sampler,
     almost_common_bounds,
-    almost_common_keygen,
     analyze_almost_common,
     average_almost_common,
-    correlated_keygen,
     correlated_reference_bound,
     correlated_transcript_laws,
+    decide,
     derandomize_hash,
+    play_decision,
     reconciler_stats,
-    sample_joint,
     union_alphabet,
 )
 
@@ -592,6 +594,10 @@ class ProtocolPlan:
     resolves the spec and holds the header a report or run log prints.
     ``runs`` is the only place a trial's substreams are derived, so reports
     and run logs for the same seed play the same trials.
+
+    A two-stage trial draws a source cell with the sampler ``sample_joint``
+    uses, and Bob's round; everything else about the cell is decided once
+    per plan (``_decided``), so a trial pays only for its draws.
     """
 
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
@@ -633,17 +639,34 @@ class ProtocolPlan:
         key_a, w = self._engine.alice(x, sub.substream("alice"))
         return (("alice", "round", w),), key_a, self._engine.bob(x, w), key_a
 
+    @cached_property
+    def _cells(self) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], ...]]:
+        """The sampler ``sample_joint`` uses, and the (x, y) cell of each
+        draw. Built on the first trial, as ``_decided`` is, so a report
+        with no trials builds neither."""
+        return _atom_sampler(self.source)
+
+    @cached_property
+    def _decided(self) -> tuple[Decision, ...]:
+        """The fixed part of a run on each positive source cell: per plan,
+        since the reconciler is the plan's own."""
+        if self.cfg.protocol == "almost":
+            return tuple(decide(self.source, self.table, x, y) for x, y in self._cells[1])
+        return self.reconciler.decided(self.source, self.cfg.m)
+
     def _almost_trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        h, m = self.table, self.cfg.m
-        if h is None:
-            h = HashFunction.random(self._alphabet, m, self._tables.substream("table", i))
-        x, y = sample_joint(self.source, sub.substream("source"))
-        run = almost_common_keygen(self.source, x, y, m, h, sub.substream("keys"))
-        return run.transcript, run.key_a, run.key_b, run.ideal_key
+        sampler, cells = self._cells
+        cell = sampler.sample(sub.substream("source"))[0]
+        if self.table is None:
+            h = HashFunction.random(self._alphabet, self.cfg.m, self._tables.substream("table", i))
+            decision = decide(self.source, h, *cells[cell])
+        else:
+            decision = self._decided[cell]
+        return play_decision(decision, sub.substream("keys"))
 
     def _correlated_trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        run = correlated_keygen(self.source, self.reconciler, self.cfg.m, sub)
-        return run.transcript, run.key_a, run.key_b, run.ideal_key
+        cell = self._cells[0].sample(sub.substream("source"))[0]
+        return play_decision(self._decided[cell], sub.substream("stage2"))
 
 
 def agreed(run: _RunRecord) -> bool:

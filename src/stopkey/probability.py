@@ -131,10 +131,12 @@ class Pmf:
             bad = next(n for n in nums if n < 0 or n > den)
             raise ValidationError(f"mass {Fraction(bad, den)} outside [0, 1]")
         _check_total(sum(nums), den, "pmf")
-        _check_labels(self.labels, len(nums))
+        labels = tuple(self.labels)
+        _check_labels(labels, len(nums))
         g = math.gcd(*nums)  # divides den, the numerators' sum
         if g > 1:
             nums, den = tuple(n // g for n in nums), den // g
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", den)
         self._build_index()
@@ -216,11 +218,12 @@ class JointPmf:
     def __post_init__(self) -> None:
         cells, den = tuple(self.numerator_cells), self.denominator
         _check_denominator(den)
-        nx, ny = len(self.x_labels), len(self.y_labels)
+        x_labels, y_labels = tuple(self.x_labels), tuple(self.y_labels)
+        nx, ny = len(x_labels), len(y_labels)
         if nx == 0 or ny == 0:
             raise ValidationError("joint alphabets must be nonempty")
-        _check_labels(self.x_labels, nx)
-        _check_labels(self.y_labels, ny)
+        _check_labels(x_labels, nx)
+        _check_labels(y_labels, ny)
         nums = []
         last = -1  # row-major position of the previous cell
         for ix, iy, n in cells:
@@ -239,6 +242,8 @@ class JointPmf:
         g = math.gcd(*nums)  # divides den, the numerators' sum
         if g > 1:
             cells, den = tuple((ix, iy, n // g) for ix, iy, n in cells), den // g
+        object.__setattr__(self, "x_labels", x_labels)
+        object.__setattr__(self, "y_labels", y_labels)
         object.__setattr__(self, "numerator_cells", cells)
         object.__setattr__(self, "denominator", den)
         self._build_index()

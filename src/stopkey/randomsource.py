@@ -93,6 +93,7 @@ def _seed_int(material: bytes) -> int:
 
 # taken only to publish a source's generator, on its first draw
 _SEEDING = threading.Lock()
+_new_source = object.__new__
 
 
 class RandomSource:
@@ -126,7 +127,14 @@ class RandomSource:
         return rng
 
     def substream(self, *labels: int | str) -> "RandomSource":
-        return RandomSource(self.seed, self.path + tuple(map(str, labels)))
+        # built past __init__: the seed was checked when the root was made
+        child = _new_source(RandomSource)
+        child.seed = self.seed
+        # from a list, not an iterator: tuple() sizes it exactly, where an
+        # iterator's guessed size is shrunk after the fact
+        child.path = self.path + tuple([str(label) for label in labels])
+        child._rng = None
+        return child
 
     def fair_bit(self) -> int:
         return (self._rng or self._seeded()).getrandbits(1)

@@ -151,11 +151,13 @@ def stage_conditional(j: JointPmf, h: HashFunction, w1: int) -> Pmf | None:
     return Pmf(labels, weights, total)
 
 
+def _bob_record(w2: int | None) -> Record:
+    """Bob's stage-two message: the round he drew, or the error symbol."""
+    return ("bob", "error", ERROR_SYMBOL) if w2 is None else ("bob", "round", w2)
+
+
 def _stage2_records(w1: int, w2: int | None) -> Transcript:
-    second: Record = (
-        ("bob", "error", ERROR_SYMBOL) if w2 is None else ("bob", "round", w2)
-    )
-    return (("alice", "hash", w1), second)
+    return (("alice", "hash", w1), _bob_record(w2))
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,22 @@ def _bucket_check(
     return w1, (engine_for(p_star), p_star.index(x), p_star.index(y))
 
 
+# A hash check decided up to Bob's draw: on confirmation the bucket
+# conditional's engine and both symbols' indices in it, None on abort.
+Stage = tuple[KeyAgreeEngine, int, int] | None
+# The fixed part of a stage-two run on one outcome: the transcript through
+# Alice's hash announcement, the hash check, and whether the parties'
+# values are equal (so the ideal key is the common one).
+Decision = tuple[Transcript, Stage, bool]
+
+
+def decide(j: JointPmf, h: HashFunction, x: str, y: str, before: Transcript = ()) -> Decision:
+    """Everything of the hash-check run on (x, y) but Bob's draw; ``before``
+    is the transcript that precedes Alice's announcement."""
+    w1, stage = _bucket_check(j, h, x, y)
+    return before + (("alice", "hash", w1),), stage, x == y
+
+
 def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[int, int]:
     """(key_a, key_b) once Bob announces round ``rnd.w`` of the bucket
     conditional's engine, as packed codeword entries: ``_unpack_code``
@@ -227,6 +245,29 @@ def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[int, int]:
     packed = rnd.packed
     first = packed[rnd.order[0]]
     return packed.get(xi, first), packed.get(yi, first)
+
+
+def _stage_two(stage: Stage, same: bool, rng: RandomSource) -> tuple[int | None, str, str, str]:
+    """Bob's draw on a decided hash check, and the keys it gives:
+    (w2, key_a, key_b, ideal), w2 None and every key empty on abort.
+
+    W is the only draw. Bob pins the round to 1 when his symbol has no
+    bucket mass; everything after the draw is ``_stage2_keys``.
+    """
+    if stage is None:
+        return None, "", "", ""
+    eng, xi, yi = stage
+    w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
+    code_a, code_b = _stage2_keys(eng.round(w2), xi, yi)
+    key_a = _unpack_code(code_a)
+    return w2, key_a, _unpack_code(code_b), key_a if same else ""
+
+
+def play_decision(decision: Decision, rng: RandomSource) -> tuple[Transcript, str, str, str]:
+    """One run from a decided outcome: (transcript, key_a, key_b, ideal)."""
+    before, stage, same = decision
+    w2, key_a, key_b, ideal = _stage_two(stage, same, rng)
+    return before + (_bob_record(w2),), key_a, key_b, ideal
 
 
 def almost_common_keygen(
@@ -248,14 +289,7 @@ def almost_common_keygen(
     if h.m != m:
         raise ValidationError(f"hash has {h.m} buckets, expected {m}")
     w1, stage = _bucket_check(j, h, x, y)
-    if stage is None:
-        return AlmostCommonRun(x, y, w1, None, "", "", "")
-    eng, xi, yi = stage
-    # W is the only draw; everything after it is _stage2_keys
-    w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
-    key_a, key_b = map(_unpack_code, _stage2_keys(eng.round(w2), xi, yi))
-    ideal = key_a if x == y else ""
-    return AlmostCommonRun(x, y, w1, w2, key_a, key_b, ideal)
+    return AlmostCommonRun(x, y, w1, *_stage_two(stage, x == y, rng))
 
 
 def almost_common_bounds(j: JointPmf, m: int) -> ErrorLengthPair:
@@ -533,7 +567,9 @@ class Reconciler(ABC):
     name = "reconciler"
 
     def __init__(self) -> None:
+        self._outcomes: dict[JointPmf, dict[tuple[str, str], ReconcilerResult]] = {}
         self._laws: dict[JointPmf, dict[Transcript, Atoms]] = {}
+        self._decided: dict[tuple[JointPmf, int], tuple[Decision, ...]] = {}
 
     @abstractmethod
     def run(self, j: JointPmf, x: str, y: str) -> ReconcilerResult:
@@ -543,20 +579,46 @@ class Reconciler(ABC):
     def conditional_joint(self, j: JointPmf, transcript: Transcript) -> JointPmf:
         """Exact law of (M_A, M_B) given the transcript."""
 
-    def pushforward(self, j: JointPmf) -> dict[Transcript, Atoms]:
-        """(M_A, M_B, mass) atoms of each realizable transcript, in sorted order.
+    def outcomes(self, j: JointPmf) -> dict[tuple[str, str], ReconcilerResult]:
+        """Stage one on every positive-mass cell of the source, keyed by its
+        (x, y) labels in cell order. Each cell goes through ``run`` once;
+        the result is memoized per source."""
+        got = self._outcomes.get(j)
+        if got is None:
+            cells = [(j.x_labels[ix], j.y_labels[iy]) for ix, iy, _ in j.numerator_cells]
+            got = self._outcomes.setdefault(j, {xy: _stage_one(self, j, *xy) for xy in cells})
+        return got
 
-        Every positive-mass cell of the source goes through ``run`` once;
-        the result is memoized per source.
-        """
+    def pushforward(self, j: JointPmf) -> dict[Transcript, Atoms]:
+        """(M_A, M_B, mass) atoms of each realizable transcript, in sorted order,
+        memoized per source."""
         law = self._laws.get(j)
         if law is None:
             groups: dict[Transcript, list[tuple[Any, Any, Fraction]]] = {}
-            for ix, iy, mass in j.atoms():
-                res = _stage_one(self, j, j.x_labels[ix], j.y_labels[iy])
+            for (_, _, mass), res in zip(j.atoms(), self.outcomes(j).values()):
                 groups.setdefault(res.transcript_a, []).append((res.m_a, res.m_b, mass))
             law = self._laws.setdefault(j, {t: tuple(groups[t]) for t in sorted(groups)})
         return law
+
+    def stage_two_source(self, j: JointPmf, transcript: Transcript, m: int) -> tuple[JointPmf, HashFunction]:
+        """The conditional joint stage two runs on after ``transcript``, and
+        its derandomized m-bucket table."""
+        cj = self.conditional_joint(j, transcript)
+        return cj, _stage2_hash(cj, m)
+
+    def decided(self, j: JointPmf, m: int) -> tuple[Decision, ...]:
+        """The fixed part of a two-stage run on each positive cell of j, in
+        the order ``sample_joint``'s sampler indexes them: stage one, then
+        the hash check on its conditional joint. Memoized per (source, m),
+        so a trial pays only for its draws."""
+        got = self._decided.get((j, m))
+        if got is None:
+            cells = []
+            for res in self.outcomes(j).values():
+                cj, h = self.stage_two_source(j, res.transcript_a, m)
+                cells.append(decide(cj, h, res.m_a, res.m_b, res.transcript_a))
+            got = self._decided.setdefault((j, m), tuple(cells))
+        return got
 
     def transcript_weights(
         self, j: JointPmf
@@ -571,8 +633,9 @@ class Reconciler(ABC):
 def _stage_one(r: Reconciler, j: JointPmf, x: str, y: str) -> ReconcilerResult:
     """Run stage one on (x, y); diverging transcript views are fatal.
 
-    The sampler and the pushforward both call it, so the exact law is
-    never derived from a reconciler the sampler would refuse.
+    ``Reconciler.outcomes`` is its one caller, and both the sampler and
+    the exact law read those, so the exact law is never derived from a
+    reconciler the sampler would refuse.
     """
     res = r.run(j, x, y)
     if res.transcript_a != res.transcript_b:
@@ -773,9 +836,8 @@ def correlated_keygen(
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
     x, y = sample_joint(j, rng.substream("source"))
-    res = _stage_one(r, j, x, y)
-    cj = r.conditional_joint(j, res.transcript_a)
-    h = _stage2_hash(cj, m)
+    res = r.outcomes(j)[x, y]
+    cj, h = r.stage_two_source(j, res.transcript_a, m)
     run2 = almost_common_keygen(cj, res.m_a, res.m_b, m, h, rng.substream("stage2"))
     return CorrelatedRun(x, y, res.m_a, res.m_b, res.transcript_a, run2)
 
@@ -842,8 +904,7 @@ def correlated_transcript_laws(
     """
     out: dict[Transcript, KeyLaw] = {}
     for t in r.pushforward(j):
-        cj = r.conditional_joint(j, t)
-        h = _stage2_hash(cj, m)
+        cj, h = r.stage_two_source(j, t, m)
         analysis = analyze_almost_common(cj, h, w_max=w_max, collect_laws=True)
         assert analysis.transcript_laws is not None
         for (w1, w2), law in analysis.transcript_laws.items():

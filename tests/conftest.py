@@ -30,6 +30,13 @@ def dyadic_exponent(m) -> int | None:
     return d.bit_length() - 1 if d & (d - 1) == 0 else None
 
 
+def round_weight_partial_entropy(n: int) -> Fraction:
+    """Exact partial sum sum_{w<=n} w * 2**-w = 2 - (n + 2) * 2**-n: the
+    round-index entropy H(W) = 2 truncated after n rounds."""
+    assert n >= 0
+    return 2 - Fraction(n + 2, 1 << n)
+
+
 CORPUS = {
     "point": pmf(1),
     "uniform2": pmf("1/2", "1/2"),

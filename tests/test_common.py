@@ -10,12 +10,18 @@ from stopkey.common import (
     engine_for,
     exact_common_law,
 )
-from stopkey.dyadic import round_weight_partial_entropy
 from stopkey.errors import ProtocolError, ValidationError
 from stopkey.keylaws import verify_rsbs
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, dyadic_exponent, pmf, random_rational_pmf, run_threads
+from conftest import (
+    CORPUS,
+    dyadic_exponent,
+    pmf,
+    random_rational_pmf,
+    round_weight_partial_entropy,
+    run_threads,
+)
 from literal_oracle import keyagree_literal, uniform_below
 
 

@@ -1,20 +1,24 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from stopkey import dyadic
 from stopkey.common import KeyAgreeEngine
-from stopkey.dyadic import (
-    ROUND_WEIGHT_ENTROPY,
-    KnuthYaoSampler,
-    round_weight_partial_entropy,
-)
+from stopkey.dyadic import ROUND_WEIGHT_ENTROPY, KnuthYaoSampler
 from stopkey.errors import ValidationError
 from stopkey.formats import decomposition_document
 from stopkey.keylaws import PrefixCodebook
 from stopkey.probability import entropy
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, dyadic_exponent, pmf, random_rational_pmf
+from conftest import (
+    CORPUS,
+    dyadic_exponent,
+    pmf,
+    random_rational_pmf,
+    round_weight_partial_entropy,
+)
 
 
 def is_dyadic(p) -> bool:
@@ -221,6 +225,26 @@ class TestKnuthYao:
         sampler = KnuthYaoSampler(p)
         rng = RandomSource(8)
         assert all(sampler.sample(rng)[0] != 1 for _ in range(200))
+
+    def test_a_walk_past_the_depth_cap_is_refused(self, monkeypatch):
+        # every level of thirds holds one terminal, and a 1 bit walks past
+        # it, so a stream of ones never stops; a 0 bit stops the walk
+        monkeypatch.setattr(dyadic, "_MAX_DEPTH", 12)
+
+        class Forced:
+            def __init__(self, bits):
+                self.bits = iter(bits)
+                self.read = 0
+
+            def fair_bit(self):
+                self.read += 1
+                return next(self.bits)
+
+        assert KnuthYaoSampler(CORPUS["thirds"]).sample(Forced([1] * 11 + [0])) == (0, 12)
+        ones = Forced(itertools.repeat(1))
+        with pytest.raises(ValidationError, match="exceeded depth 12"):
+            KnuthYaoSampler(CORPUS["thirds"]).sample(ones)
+        assert ones.read <= 13
 
 
 def test_decompose_rejects_bad_depth():

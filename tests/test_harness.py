@@ -36,6 +36,10 @@ from stopkey.reconciled import (
     HashFunction,
     IdentityReconciler,
     OneWayHashReconciler,
+    almost_common_keygen,
+    correlated_keygen,
+    sample_joint,
+    union_alphabet,
 )
 
 from conftest import (
@@ -48,6 +52,7 @@ from conftest import (
     pmf,
     product_joint,
     random_rational_pmf,
+    run_threads,
 )
 
 
@@ -444,6 +449,96 @@ class TestPlan:
             assert per_trial == [2] * 40
         else:
             assert max(per_trial) == 2 and min(per_trial) >= 1
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"protocol": "correlated", "reconciler": "hashmap:1"},
+            {"protocol": "correlated"},
+            {"protocol": "almost"},
+            {"protocol": "almost", "hash_spec": "random:5"},
+        ],
+        ids=["sketch", "identity", "almost-fixed", "almost-random"],
+    )
+    def test_trials_replay_the_keygen_calls(self, options):
+        # a plan decides each source cell once; the keygen calls decide on
+        # every call, from the same substreams
+        cfg = ExperimentConfig(
+            source_doc=formats.joint_document(CORRELATED_3), m=2, trials=300, seed=11, **options
+        )
+        plan = cfg.plan()
+        root = RandomSource(cfg.seed)
+        want = []
+        for i in range(cfg.trials):
+            sub = root.substream("trial", i)
+            if cfg.protocol == "correlated":
+                r = parse_reconciler(cfg.reconciler or "identity", cfg.seed)
+                run = correlated_keygen(plan.source, r, 2, sub)
+            else:
+                h = plan.table or HashFunction.random(
+                    union_alphabet(plan.source), 2, RandomSource("5").substream("table", i)
+                )
+                x, y = sample_joint(plan.source, sub.substream("source"))
+                run = almost_common_keygen(plan.source, x, y, 2, h, sub.substream("keys"))
+            want.append((run.transcript, run.key_a, run.key_b, run.ideal_key))
+        assert list(plan.runs()) == want
+        assert len({run[0] for run in want}) > 3
+
+    def test_reports_seed_two_generators_per_trial_at_most(self, monkeypatch):
+        built = count_seeding(monkeypatch)
+        run_simulation(_common_cfg(trials=200))
+        # "source" and "alice" in each common trial; nothing else reads a stream
+        assert len(built) == 400
+        built.clear()
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=formats.joint_document(CORRELATED_3),
+            m=2,
+            trials=200,
+            reconciler="hashmap:1",
+        )
+        run_simulation(cfg)
+        # the sketch table seeds one stream per x label; every trial reads
+        # "source", and "stage2" only when Bob draws a round
+        trials = len(built) - len(CORRELATED_3.x_labels)
+        assert 200 < trials <= 400
+
+    def test_a_report_runs_stage_one_once_per_cell(self, monkeypatch):
+        calls = Counter()
+        raw = OneWayHashReconciler.run
+
+        def counting(self, j, x, y):
+            calls[x, y] += 1
+            return raw(self, j, x, y)
+
+        monkeypatch.setattr(OneWayHashReconciler, "run", counting)
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=formats.joint_document(CORRELATED_3),
+            m=2,
+            trials=5000,
+            reconciler="hashmap:1",
+        )
+        assert run_simulation(cfg).data["estimates"]["trials"] == 5000
+        cells = {(CORRELATED_3.x_labels[ix], CORRELATED_3.y_labels[iy])
+                 for ix, iy, _ in CORRELATED_3.numerator_cells}
+        assert set(calls) == cells
+        assert max(calls.values()) == 1
+
+    def test_threads_sharing_a_plan_play_the_serial_trials(self):
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=formats.joint_document(CORRELATED_3),
+            m=2,
+            trials=150,
+            reconciler="hashmap:1",
+        )
+        serial = Counter(cfg.plan().runs())
+        for _ in range(3):
+            plan = cfg.plan()  # fresh: the workers race to decide its cells
+            got = []
+            assert run_threads(lambda: got.append(Counter(plan.runs()))) == []
+            assert got == [serial] * 8
 
     def test_an_empty_reconciler_spec_is_not_the_default(self):
         cfg = ExperimentConfig(

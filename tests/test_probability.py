@@ -149,6 +149,15 @@ class TestContentHash:
         copy = dataclasses.replace(a)
         assert copy == a and hash(copy) == hash(a)
 
+    def test_labels_are_stored_as_tuples(self):
+        p = Pmf(["a", "b"], (1, 1), 2)
+        assert p.labels == ("a", "b")
+        assert hash(p) == hash(Pmf(("a", "b"), (1, 1), 2))
+        j = JointPmf("ab", "ab", ((0, 0, 1),), 1)
+        twin = JointPmf(("a", "b"), ("a", "b"), ((0, 0, 1),), 1)
+        assert j == twin and hash(j) == hash(twin)
+        assert j.x_labels == j.y_labels == ("a", "b")
+
     def test_replace_does_not_carry_a_stale_hash(self):
         p = Pmf.from_masses(["1/3", "2/3"], ["a", "b"])
         hash(p)

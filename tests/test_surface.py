@@ -43,6 +43,8 @@ REMOVED = [
     # the integer constructor is Pmf itself; atoms() is the one Fraction view
     ("stopkey.probability", "Pmf.from_numerators"),
     ("stopkey.probability", "JointPmf.cells"),
+    # only tests used it, as a closed-form reference; it lives with them now
+    ("stopkey.dyadic", "round_weight_partial_entropy"),
 ]
 
 

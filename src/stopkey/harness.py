@@ -597,7 +597,8 @@ class ProtocolPlan:
 
     A two-stage trial draws a source cell with the sampler ``sample_joint``
     uses, and Bob's round; everything else about the cell is decided once
-    per plan (``_decided``), so a trial pays only for its draws.
+    per plan, on the cell's first draw (``_decision``), so a trial pays
+    only for its draws.
     """
 
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
@@ -642,17 +643,31 @@ class ProtocolPlan:
     @cached_property
     def _cells(self) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], ...]]:
         """The sampler ``sample_joint`` uses, and the (x, y) cell of each
-        draw. Built on the first trial, as ``_decided`` is, so a report
-        with no trials builds neither."""
+        draw. Built on the first trial, so a report with no trials builds
+        neither it nor ``_decided``."""
         return _atom_sampler(self.source)
 
     @cached_property
-    def _decided(self) -> tuple[Decision, ...]:
-        """The fixed part of a run on each positive source cell: per plan,
-        since the reconciler is the plan's own."""
-        if self.cfg.protocol == "almost":
-            return tuple(decide(self.source, self.table, x, y) for x, y in self._cells[1])
-        return self.reconciler.decided(self.source, self.cfg.m)
+    def _decided(self) -> list[Decision | None]:
+        """Each positive source cell's decision, None until it is drawn."""
+        return [None] * len(self._cells[1])
+
+    def _decision(self, cell: int) -> Decision:
+        """The fixed part of a run on ``cell``: decided on the cell's first
+        draw and read back after, so a report decides at most min(trials,
+        cells) cells. Racing threads decide a cell alike."""
+        got = self._decided[cell]
+        if got is None:
+            x, y = self._cells[1][cell]
+            if self.cfg.protocol == "almost":
+                got = decide(self.source, self.table, x, y)
+            else:
+                r, j = self.reconciler, self.source
+                res = r.outcome(j, x, y)
+                cj, h = r.stage_two_source(j, res.transcript_a, self.cfg.m)
+                got = decide(cj, h, res.m_a, res.m_b, res.transcript_a)
+            self._decided[cell] = got
+        return got
 
     def _almost_trial(self, i: int, sub: RandomSource) -> _RunRecord:
         sampler, cells = self._cells
@@ -661,12 +676,12 @@ class ProtocolPlan:
             h = HashFunction.random(self._alphabet, self.cfg.m, self._tables.substream("table", i))
             decision = decide(self.source, h, *cells[cell])
         else:
-            decision = self._decided[cell]
+            decision = self._decision(cell)
         return play_decision(decision, sub.substream("keys"))
 
     def _correlated_trial(self, i: int, sub: RandomSource) -> _RunRecord:
         cell = self._cells[0].sample(sub.substream("source"))[0]
-        return play_decision(self._decided[cell], sub.substream("stage2"))
+        return play_decision(self._decision(cell), sub.substream("stage2"))
 
 
 def agreed(run: _RunRecord) -> bool:

@@ -569,7 +569,6 @@ class Reconciler(ABC):
     def __init__(self) -> None:
         self._outcomes: dict[JointPmf, dict[tuple[str, str], ReconcilerResult]] = {}
         self._laws: dict[JointPmf, dict[Transcript, Atoms]] = {}
-        self._decided: dict[tuple[JointPmf, int], tuple[Decision, ...]] = {}
 
     @abstractmethod
     def run(self, j: JointPmf, x: str, y: str) -> ReconcilerResult:
@@ -579,15 +578,16 @@ class Reconciler(ABC):
     def conditional_joint(self, j: JointPmf, transcript: Transcript) -> JointPmf:
         """Exact law of (M_A, M_B) given the transcript."""
 
-    def outcomes(self, j: JointPmf) -> dict[tuple[str, str], ReconcilerResult]:
-        """Stage one on every positive-mass cell of the source, keyed by its
-        (x, y) labels in cell order. Each cell goes through ``run`` once;
-        the result is memoized per source."""
-        got = self._outcomes.get(j)
-        if got is None:
-            cells = [(j.x_labels[ix], j.y_labels[iy]) for ix, iy, _ in j.numerator_cells]
-            got = self._outcomes.setdefault(j, {xy: _stage_one(self, j, *xy) for xy in cells})
-        return got
+    def outcome(self, j: JointPmf, x: str, y: str) -> ReconcilerResult:
+        """Stage one on the cell (x, y) of the source: each cell goes
+        through ``run`` once, on first use, and is memoized per source."""
+        memo = self._outcomes.get(j)
+        if memo is None:
+            memo = self._outcomes.setdefault(j, {})
+        res = memo.get((x, y))
+        if res is None:
+            res = memo.setdefault((x, y), _stage_one(self, j, x, y))
+        return res
 
     def pushforward(self, j: JointPmf) -> dict[Transcript, Atoms]:
         """(M_A, M_B, mass) atoms of each realizable transcript, in sorted order,
@@ -595,7 +595,8 @@ class Reconciler(ABC):
         law = self._laws.get(j)
         if law is None:
             groups: dict[Transcript, list[tuple[Any, Any, Fraction]]] = {}
-            for (_, _, mass), res in zip(j.atoms(), self.outcomes(j).values()):
+            for ix, iy, mass in j.atoms():
+                res = self.outcome(j, j.x_labels[ix], j.y_labels[iy])
                 groups.setdefault(res.transcript_a, []).append((res.m_a, res.m_b, mass))
             law = self._laws.setdefault(j, {t: tuple(groups[t]) for t in sorted(groups)})
         return law
@@ -605,20 +606,6 @@ class Reconciler(ABC):
         its derandomized m-bucket table."""
         cj = self.conditional_joint(j, transcript)
         return cj, _stage2_hash(cj, m)
-
-    def decided(self, j: JointPmf, m: int) -> tuple[Decision, ...]:
-        """The fixed part of a two-stage run on each positive cell of j, in
-        the order ``sample_joint``'s sampler indexes them: stage one, then
-        the hash check on its conditional joint. Memoized per (source, m),
-        so a trial pays only for its draws."""
-        got = self._decided.get((j, m))
-        if got is None:
-            cells = []
-            for res in self.outcomes(j).values():
-                cj, h = self.stage_two_source(j, res.transcript_a, m)
-                cells.append(decide(cj, h, res.m_a, res.m_b, res.transcript_a))
-            got = self._decided.setdefault((j, m), tuple(cells))
-        return got
 
     def transcript_weights(
         self, j: JointPmf
@@ -633,8 +620,8 @@ class Reconciler(ABC):
 def _stage_one(r: Reconciler, j: JointPmf, x: str, y: str) -> ReconcilerResult:
     """Run stage one on (x, y); diverging transcript views are fatal.
 
-    ``Reconciler.outcomes`` is its one caller, and both the sampler and
-    the exact law read those, so the exact law is never derived from a
+    ``Reconciler.outcome`` is its one caller, and both the sampler and
+    the exact law read that, so the exact law is never derived from a
     reconciler the sampler would refuse.
     """
     res = r.run(j, x, y)
@@ -836,7 +823,7 @@ def correlated_keygen(
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
     x, y = sample_joint(j, rng.substream("source"))
-    res = r.outcomes(j)[x, y]
+    res = r.outcome(j, x, y)
     cj, h = r.stage_two_source(j, res.transcript_a, m)
     run2 = almost_common_keygen(cj, res.m_a, res.m_b, m, h, rng.substream("stage2"))
     return CorrelatedRun(x, y, res.m_a, res.m_b, res.transcript_a, run2)

@@ -525,6 +525,28 @@ class TestPlan:
         assert set(calls) == cells
         assert max(calls.values()) == 1
 
+    @pytest.mark.parametrize("protocol", ["correlated", "almost"])
+    def test_a_report_decides_only_the_cells_it_draws(self, monkeypatch, protocol):
+        # 400 positive cells and 3 trials: deciding a cell waits for its draw
+        decided = []
+        raw = harness.decide
+
+        def counting(j, h, x, y, before=()):
+            decided.append((x, y))
+            return raw(j, h, x, y, before)
+
+        monkeypatch.setattr(harness, "decide", counting)
+        uniform = pmf(*[Fraction(1, 20)] * 20)
+        cfg = ExperimentConfig(
+            protocol=protocol,
+            source_doc=formats.joint_document(product_joint(uniform, uniform)),
+            m=2,
+            trials=3,
+        )
+        assert run_simulation(cfg).data["estimates"]["trials"] == 3
+        assert 1 <= len(decided) <= 3
+        assert len(set(decided)) == len(decided)
+
     def test_threads_sharing_a_plan_play_the_serial_trials(self):
         cfg = ExperimentConfig(
             protocol="correlated",

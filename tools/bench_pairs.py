@@ -1,11 +1,10 @@
 """Run the benchmark in interleaved parent/change pairs; write one JSON file.
 
-    python3 tools/bench_pairs.py --base REV --change REV --pairs 5 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --base REV --change REV --out BENCH_<n>.json
 
 Each side is a git revision of this repository, exported with ``git
 archive`` into a temporary directory, so a run sees the committed files
-only; or the path of a directory that holds a source tree. For every
-workload in BENCHMARK.json (or those given with --workloads) and each pair
+only. For every workload in BENCHMARK.json (or those given with --workloads) and each pair
 k, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
@@ -33,24 +32,18 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the run length BENCHMARK.json sets, the same on both sides
+SECONDS = 10
 
 
-def git(*args: str, cwd: str = ROOT) -> str:
+def git(*args: str) -> str:
     return subprocess.run(
-        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
 
 
 def source_tree(spec: str, work: str, name: str) -> tuple[str, dict]:
-    """(directory to run in, provenance) for a revision or a directory."""
-    if os.path.isdir(spec):
-        path = os.path.abspath(spec)
-        try:
-            sha = git("rev-parse", "HEAD", cwd=path)
-            dirty = bool(git("status", "--porcelain", cwd=path))
-        except (subprocess.CalledProcessError, FileNotFoundError):
-            sha, dirty = None, None
-        return path, {"spec": spec, "sha": sha, "dirty": dirty}
+    """(directory to run in, provenance) for a git revision."""
     sha = git("rev-parse", "--verify", spec + "^{commit}")
     path = os.path.join(work, name)
     os.makedirs(path)
@@ -64,11 +57,11 @@ def source_tree(spec: str, work: str, name: str) -> tuple[str, dict]:
     return path, {"spec": spec, "sha": sha, "tree": git("rev-parse", sha + "^{tree}")}
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(tree: str, workload: str, seed: int, trace: int) -> dict:
     """One benchmark run; its result object, or the failure."""
     argv = [
         sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+        "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     start = time.perf_counter()
     proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, timeout=1200)
@@ -116,11 +109,10 @@ def summarize(pairs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--base", required=True, help="git revision or directory")
-    parser.add_argument("--change", required=True, help="git revision or directory")
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--base", required=True, help="git revision")
+    parser.add_argument("--change", required=True, help="git revision")
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workloads", help="comma-separated; default: every BENCHMARK.json workload")
     parser.add_argument("--out", required=True)
@@ -139,7 +131,7 @@ def main(argv=None) -> int:
         base_dir, base = source_tree(args.base, work, "base")
         change_dir, change = source_tree(args.change, work, "change")
         doc = {
-            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
+            "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                        f"--trace {args.trace}",
             "base": base,
             "change": change,
@@ -157,7 +149,7 @@ def main(argv=None) -> int:
                     order.reverse()
                 pair = {"seed": seed, "first": order[0][0]}
                 for side, tree in order:
-                    pair[side] = run_once(tree, workload, seed, args.seconds, args.trace)
+                    pair[side] = run_once(tree, workload, seed, args.trace)
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(pair[side].get('result', pair[side]))[:300]}", flush=True)
                 pairs.append(pair)

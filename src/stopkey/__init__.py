@@ -13,108 +13,80 @@ The package splits along the protocol pipeline:
 - harness: statistics, bound checking, experiment reports
 - cli: the command line front end
 
-The names below are the working surface; everything else is importable
-from its home module.
+The names in ``__all__`` are the working surface; everything else is
+importable from its home module. Each is imported from its home module
+on first use, so ``import stopkey`` loads no submodule and a CLI verb
+loads only the modules it runs.
 """
 
-from .common import (
-    CommonLaw,
-    KeyAgreeEngine,
-    alice_keygen,
-    bob_keygen,
-    engine_for,
-    exact_common_law,
-)
-from .dyadic import KnuthYaoSampler
-from .errors import (
-    FormatError,
-    InvariantError,
-    ProtocolError,
-    ReconcilerContractError,
-    StopkeyError,
-    ValidationError,
-)
-from .harness import ExperimentConfig, Report, bounds_dashboard, run_simulation
-from .keylaws import (
-    ErrorLengthPair,
-    KeyLaw,
-    PrefixCodebook,
-    StoppingRule,
-    compose_error_length,
-    concat_laws,
-    converse_bound,
-    law_from_codebook,
-    law_from_stopping_rule,
-    pointwise_mass_bound,
-    stopping_rule_of,
-    verify_rsbs,
-)
-from .probability import JointPmf, Pmf, agreement_stats, entropy, mutual_information
-from .randomsource import RandomSource
-from .reconciled import (
-    ConstantReconciler,
-    HashFunction,
-    IdentityReconciler,
-    OneWayHashReconciler,
-    Reconciler,
-    almost_common_bounds,
-    almost_common_keygen,
-    analyze_almost_common,
-    average_almost_common,
-    correlated_keygen,
-    derandomize_hash,
-    reconciler_stats,
-)
+import importlib
+
+# each public name's home module
+_HOMES = {
+    "common": (
+        "CommonLaw",
+        "KeyAgreeEngine",
+        "alice_keygen",
+        "bob_keygen",
+        "engine_for",
+        "exact_common_law",
+    ),
+    "dyadic": ("KnuthYaoSampler",),
+    "errors": (
+        "FormatError",
+        "InvariantError",
+        "ProtocolError",
+        "ReconcilerContractError",
+        "StopkeyError",
+        "ValidationError",
+    ),
+    "harness": ("ExperimentConfig", "Report", "bounds_dashboard", "run_simulation"),
+    "keylaws": (
+        "ErrorLengthPair",
+        "KeyLaw",
+        "PrefixCodebook",
+        "StoppingRule",
+        "compose_error_length",
+        "concat_laws",
+        "converse_bound",
+        "law_from_codebook",
+        "law_from_stopping_rule",
+        "pointwise_mass_bound",
+        "stopping_rule_of",
+        "verify_rsbs",
+    ),
+    "probability": ("JointPmf", "Pmf", "agreement_stats", "entropy", "mutual_information"),
+    "randomsource": ("RandomSource",),
+    "reconciled": (
+        "ConstantReconciler",
+        "HashFunction",
+        "IdentityReconciler",
+        "OneWayHashReconciler",
+        "Reconciler",
+        "almost_common_bounds",
+        "almost_common_keygen",
+        "analyze_almost_common",
+        "average_almost_common",
+        "correlated_keygen",
+        "derandomize_hash",
+        "reconciler_stats",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Pmf",
-    "JointPmf",
-    "entropy",
-    "mutual_information",
-    "agreement_stats",
-    "RandomSource",
-    "KeyLaw",
-    "PrefixCodebook",
-    "StoppingRule",
-    "ErrorLengthPair",
-    "verify_rsbs",
-    "law_from_codebook",
-    "law_from_stopping_rule",
-    "stopping_rule_of",
-    "concat_laws",
-    "compose_error_length",
-    "pointwise_mass_bound",
-    "converse_bound",
-    "KnuthYaoSampler",
-    "KeyAgreeEngine",
-    "CommonLaw",
-    "engine_for",
-    "alice_keygen",
-    "bob_keygen",
-    "exact_common_law",
-    "HashFunction",
-    "Reconciler",
-    "IdentityReconciler",
-    "ConstantReconciler",
-    "OneWayHashReconciler",
-    "almost_common_keygen",
-    "almost_common_bounds",
-    "analyze_almost_common",
-    "average_almost_common",
-    "derandomize_hash",
-    "correlated_keygen",
-    "reconciler_stats",
-    "ExperimentConfig",
-    "Report",
-    "bounds_dashboard",
-    "run_simulation",
-    "StopkeyError",
-    "ValidationError",
-    "FormatError",
-    "ProtocolError",
-    "ReconcilerContractError",
-    "InvariantError",
-    "__version__",
-]
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

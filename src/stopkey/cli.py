@@ -12,21 +12,18 @@ Exit codes: 0 when every checked bound holds (or the verb checks none),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from typing import TYPE_CHECKING
 
 from . import formats
 from .common import alice_keygen, bob_keygen, engine_for
 from .errors import StopkeyError
-from .harness import (
-    ExperimentConfig,
-    agreed,
-    bound_line_text,
-    bounds_dashboard,
-    run_simulation,
-    transcript_label,
-)
 from .keylaws import verify_rsbs
 from .randomsource import RandomSource
+
+if TYPE_CHECKING:
+    from .harness import ExperimentConfig
 
 
 def _seed_value(text: str) -> int | str:
@@ -58,27 +55,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="stopkey",
-        description="secret key agreement via randomly stopped bit sequences",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    sp = sub.add_parser("decompose", help="dyadic decomposition dump")
+def _decompose_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dist", required=True)
     sp.add_argument("--w-max", type=int, default=8)
-    _add_output_args(sp)
 
-    sp = sub.add_parser("keygen-common", help="one common-randomness key")
+
+def _keygen_common_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dist", required=True)
     sp.add_argument("--role", choices=("alice", "bob"), required=True)
     sp.add_argument("--x", required=True, help="the shared symbol's label")
     sp.add_argument("--w", type=int, help="round index (bob only)")
     sp.add_argument("--seed", type=_seed_value, default=0)
-    _add_output_args(sp)
 
-    sp = sub.add_parser("keygen-almost", help="hash-check protocol trials")
+
+def _keygen_almost_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--joint", required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument(
@@ -87,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=_seed_value, default=0)
     sp.set_defaults(reconciler=None)
-    _add_output_args(sp)
 
-    sp = sub.add_parser("keygen-correlated", help="two-stage pipeline trials")
+
+def _keygen_correlated_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--joint", required=True)
     sp.add_argument(
         "--reconciler", help="identity, constant, or hashmap:BITS (default: identity)"
@@ -98,47 +88,58 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=1)
     sp.add_argument("--seed", type=_seed_value, default=0)
     sp.set_defaults(hash_spec=None)
-    _add_output_args(sp)
 
-    sp = sub.add_parser("verify-rsbs", help="check a key-law file")
+
+def _verify_rsbs_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--law", required=True)
     sp.add_argument("--max-depth", type=int, default=64)
     sp.add_argument("--tail-slack", help="allowed tail mass, as a rational")
-    _add_output_args(sp)
 
-    sp = sub.add_parser("bounds", help="bound lines for a source")
+
+def _bounds_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dist")
     sp.add_argument("--joint")
     sp.add_argument("--m", type=int, default=1)
-    _add_output_args(sp)
 
-    for verb, trials in (("simulate", 10000), ("report", 0)):
-        sp = sub.add_parser(
-            verb,
-            help="Monte Carlo run with bound checks"
-            if verb == "simulate"
-            else "full report (bounds, exact sections, optional trials)",
-        )
-        sp.add_argument("--dist")
-        sp.add_argument("--joint")
-        sp.add_argument(
-            "--protocol", choices=("common", "almost", "correlated"),
-            help="default: common for --dist, almost or correlated for --joint",
-        )
-        sp.add_argument("--m", type=int, default=1)
-        sp.add_argument("--w-max", type=int, default=30)
-        sp.add_argument("--trials", type=int, default=trials)
-        sp.add_argument("--seed", type=_seed_value, default=0)
-        sp.add_argument("--reconciler")
-        sp.add_argument("--hash", dest="hash_spec")
-        _add_output_args(sp)
 
+def _run_args(sp: argparse.ArgumentParser, trials: int) -> None:
+    """simulate and report: the same options, different default trials."""
+    sp.add_argument("--dist")
+    sp.add_argument("--joint")
+    sp.add_argument(
+        "--protocol", choices=("common", "almost", "correlated"),
+        help="default: common for --dist, almost or correlated for --joint",
+    )
+    sp.add_argument("--m", type=int, default=1)
+    sp.add_argument("--w-max", type=int, default=30)
+    sp.add_argument("--trials", type=int, default=trials)
+    sp.add_argument("--seed", type=_seed_value, default=0)
+    sp.add_argument("--reconciler")
+    sp.add_argument("--hash", dest="hash_spec")
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every verb is registered, so the top-level help,
+    usage and choice errors never change; only ``only``'s options are
+    added when it is given (None adds every verb's)."""
+    parser = _Parser(
+        prog="stopkey",
+        description="secret key agreement via randomly stopped bit sequences",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, add_args, _) in _VERBS.items():
+        sp = sub.add_parser(verb, help=help_text)
+        if only is None or verb == only:
+            add_args(sp)
+            _add_output_args(sp)
     return parser
 
 
 def _config(args, protocol: str, path: str, **extra) -> ExperimentConfig:
     """The run simulate, report or a keygen verb describes; the config
     checks every option."""
+    from .harness import ExperimentConfig
+
     return ExperimentConfig(
         protocol=protocol,
         source_path=path,
@@ -195,6 +196,8 @@ def _cmd_keygen_common(args) -> int:
 
 def _cmd_keygen_trials(args) -> int:
     """keygen-almost and keygen-correlated: the trials simulate plays."""
+    from .harness import agreed, transcript_label
+
     cfg = _config(args, args.verb[len("keygen-"):], args.joint)
     plan = cfg.plan()
     runs = list(plan.runs())
@@ -243,6 +246,8 @@ def _cmd_verify_rsbs(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    from .harness import bound_line_text, bounds_dashboard
+
     _, path = _source_args(args)
     dash = bounds_dashboard(formats.load_source(path), args.m)
     if args.format == "structured":
@@ -262,6 +267,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .harness import run_simulation
+
     kind, path = _source_args(args)
     protocol = args.protocol
     if protocol is None:
@@ -275,20 +282,37 @@ def _cmd_simulate(args) -> int:
     return 2 if report.violated else 0
 
 
+# verb -> (help, options, handler), in the order help lists them
+_VERBS = {
+    "decompose": ("dyadic decomposition dump", _decompose_args, _cmd_decompose),
+    "keygen-common": ("one common-randomness key", _keygen_common_args, _cmd_keygen_common),
+    "keygen-almost": ("hash-check protocol trials", _keygen_almost_args, _cmd_keygen_trials),
+    "keygen-correlated": (
+        "two-stage pipeline trials", _keygen_correlated_args, _cmd_keygen_trials
+    ),
+    "verify-rsbs": ("check a key-law file", _verify_rsbs_args, _cmd_verify_rsbs),
+    "bounds": ("bound lines for a source", _bounds_args, _cmd_bounds),
+    "simulate": (
+        "Monte Carlo run with bound checks",
+        functools.partial(_run_args, trials=10000),
+        _cmd_simulate,
+    ),
+    "report": (
+        "full report (bounds, exact sections, optional trials)",
+        functools.partial(_run_args, trials=0),
+        _cmd_simulate,
+    ),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "decompose": _cmd_decompose,
-        "keygen-common": _cmd_keygen_common,
-        "keygen-almost": _cmd_keygen_trials,
-        "keygen-correlated": _cmd_keygen_trials,
-        "verify-rsbs": _cmd_verify_rsbs,
-        "bounds": _cmd_bounds,
-        "simulate": _cmd_simulate,
-        "report": _cmd_simulate,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading verb name is the subcommand argparse dispatches to, so only
+    # its options are built; anything else builds them all
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(argv)
     try:
-        return handlers[args.verb](args)
+        return _VERBS[args.verb][2](args)
     except (StopkeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

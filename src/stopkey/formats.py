@@ -25,13 +25,15 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .common import KeyAgreeEngine
 from .errors import FormatError, ValidationError
 from .keylaws import KeyLaw, RsbsVerdict
 from .probability import JointPmf, Pmf
-from .reconciled import HashFunction, Transcript
+
+if TYPE_CHECKING:
+    from .common import KeyAgreeEngine
+    from .reconciled import HashFunction, Transcript
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -361,6 +363,8 @@ def hash_function_document(h: HashFunction) -> dict:
 
 
 def parse_hash_function(doc: Mapping) -> HashFunction:
+    from .reconciled import HashFunction  # only hash-table verbs load it
+
     labels = _labels(_require(doc, "labels", list))
     values = _require(doc, "values", list)
     m = _require(doc, "m", int)

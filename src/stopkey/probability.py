@@ -1,14 +1,11 @@
-"""Exact finite probability: pmfs, joint pmfs, entropy, and log2 brackets.
+"""Exact finite probability: pmfs, joint pmfs, entropy, and integer log2.
 
 Everything protocol-critical in this package is exact: a pmf stores its
 masses as integer numerators over one denominator, and hands out
 ``fractions.Fraction`` views at the API edge; floats appear only in
-reported entropies and bound lines. Entropies are
-available in two modes: a double-precision float (accurate to a few ulp,
-at least 15 significant digits for the supported alphabet sizes) and a
-certified exact-rational interval computed with directed integer rounding,
-for tests that must compare an exact quantity against an entropy bound
-without trusting floating point.
+reported entropies and bound lines. Entropies are double-precision
+floats, accurate to a few ulp (at least 15 significant digits for the
+supported alphabet sizes).
 
 Symbols are identified by their stable integer index into the alphabet
 tuple; labels are a display and serialization map. A ``Pmf`` keeps its
@@ -31,18 +28,15 @@ __all__ = [
     "JointPmf",
     "AgreementStats",
     "entropy",
-    "entropy_interval",
     "mutual_information",
     "agreement_stats",
     "ceil_neg_log2",
     "floor_log2",
-    "log2_interval",
     "as_fraction",
 ]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-FRAC_BITS = 40  # certified log2 brackets are about 2**-FRAC_BITS wide
 
 
 def as_fraction(value) -> Fraction:
@@ -382,53 +376,6 @@ def floor_log2(r) -> int:
     return (r.numerator // r.denominator).bit_length() - 1
 
 
-def log2_interval(r) -> tuple[Fraction, Fraction]:
-    """Certified bracket lo <= log2(r) <= hi with dyadic rational endpoints.
-
-    Uses the classic squaring recurrence with directed integer rounding at
-    2 * FRAC_BITS + 16 guard bits, so the bracket width is about
-    2**-FRAC_BITS. Exact powers of two get a zero-width bracket.
-    """
-    r = r if isinstance(r, Fraction) else as_fraction(r)
-    if r <= 0:
-        raise ValidationError(f"log2 requires r > 0, got {r}")
-    num, den = r.numerator, r.denominator
-    if num & (num - 1) == 0 and den & (den - 1) == 0:
-        e = num.bit_length() - den.bit_length()
-        return Fraction(e), Fraction(e)
-    e = floor_log2(r)
-    # scale r into [1, 2) exactly
-    if e >= 0:
-        den <<= e
-    else:
-        num <<= -e
-    prec = 2 * FRAC_BITS + 16
-    one = 1 << prec
-    two = 2 << prec
-    scaled = num << prec
-    z_lo = scaled // den
-    z_hi = -((-scaled) // den)
-    bits_lo = 0
-    bits_hi = 0
-    for _ in range(FRAC_BITS):
-        z_lo = (z_lo * z_lo) >> prec
-        bits_lo <<= 1
-        if z_lo >= two:
-            bits_lo |= 1
-            z_lo >>= 1
-        if z_lo < one:
-            z_lo = one
-        z_hi = (z_hi * z_hi + one - 1) >> prec
-        bits_hi <<= 1
-        if z_hi >= two:
-            bits_hi |= 1
-            z_hi = (z_hi + 1) >> 1
-    scale = 1 << FRAC_BITS
-    lo = e + Fraction(bits_lo, scale)
-    hi = e + Fraction(bits_hi + 1, scale)
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
 # Entropy and mutual information.
 
@@ -454,22 +401,6 @@ def entropy(p) -> float:
             fm = float(m)
             terms.append(-fm * math.log2(fm))
     return math.fsum(terms)
-
-
-def entropy_interval(p) -> tuple[Fraction, Fraction]:
-    """Certified rational bracket for the entropy in bits.
-
-    Dyadic pmfs get a zero-width (exact) bracket. The float from
-    :func:`entropy` always lies inside the bracket.
-    """
-    lo = ZERO
-    hi = ZERO
-    for m in _mass_list(p):
-        if m > 0:
-            llo, lhi = log2_interval(m)
-            lo += -m * lhi
-            hi += -m * llo
-    return lo, hi
 
 
 def mutual_information(j: JointPmf | Pmf) -> float:

@@ -34,8 +34,6 @@ from .probability import (
     _public_state,
     agreement_stats,
     entropy,
-    entropy_interval,
-    log2_interval,
 )
 from .randomsource import RandomSource
 
@@ -833,27 +831,18 @@ def correlated_keygen(
 class ReconcilerStats:
     """Exact agreement statistics of a reconciler against a joint.
 
-    ``p_agree`` is P(M_A = M_B). The entropy fields describe M_A given
-    both the transcript and the agreement event, averaged over
+    ``p_agree`` is P(M_A = M_B). ``conditional_entropy`` is the entropy of
+    M_A given both the transcript and the agreement event, averaged over
     transcripts given agreement: exactly the quantities the composition
     floor is stated in.
     """
 
     p_agree: Fraction
     conditional_entropy: float
-    conditional_entropy_interval: tuple[Fraction, Fraction]
 
     def floor(self, m: int) -> float:
         """p_agree * H(M_A | transcript, agree) - log2 m - 2."""
         return float(self.p_agree) * self.conditional_entropy - math.log2(m) - 2.0
-
-    def floor_interval(self, m: int) -> tuple[Fraction, Fraction]:
-        h_lo, h_hi = self.conditional_entropy_interval
-        l2_lo, l2_hi = log2_interval(Fraction(m))
-        return (
-            self.p_agree * h_lo - l2_hi - 2,
-            self.p_agree * h_hi - l2_lo - 2,
-        )
 
 
 def reconciler_stats(j: JointPmf, r: Reconciler) -> ReconcilerStats:
@@ -868,17 +857,11 @@ def reconciler_stats(j: JointPmf, r: Reconciler) -> ReconcilerStats:
         p_agree += mass
         terms.append((mass, stats.conditional))
     if p_agree == 0:
-        return ReconcilerStats(ZERO, 0.0, (ZERO, ZERO))
+        return ReconcilerStats(ZERO, 0.0)
     h = 0.0
-    lo = ZERO
-    hi = ZERO
     for mass, cond in terms:
-        weight = mass / p_agree
-        h += float(weight) * entropy(cond)
-        c_lo, c_hi = entropy_interval(cond)
-        lo += weight * c_lo
-        hi += weight * c_hi
-    return ReconcilerStats(p_agree, h, (lo, hi))
+        h += float(mass / p_agree) * entropy(cond)
+    return ReconcilerStats(p_agree, h)
 
 
 def correlated_transcript_laws(

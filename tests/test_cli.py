@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from stopkey import formats
+import stopkey
+from stopkey import cli, formats
 from stopkey.cli import main
 from stopkey.common import KeyAgreeEngine
 from stopkey.probability import Pmf
@@ -622,3 +625,118 @@ class TestHostileDocuments:
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
+
+
+# per verb: a bad int value and an unknown option after its required ones
+PARSER_CASES = {
+    "decompose": (["--w-max", "x"], ["--dist", "d.json", "--bogus"]),
+    "keygen-common": (["--w", "x"], ["--dist", "d.json", "--role", "bob", "--x", "a", "--bogus"]),
+    "keygen-almost": (["--m", "x"], ["--joint", "j.json", "--m", "2", "--bogus"]),
+    "keygen-correlated": (["--m", "x"], ["--joint", "j.json", "--m", "2", "--bogus"]),
+    "verify-rsbs": (["--max-depth", "x"], ["--law", "l.json", "--bogus"]),
+    "bounds": (["--m", "x"], ["--bogus"]),
+    "simulate": (["--m", "x"], ["--bogus"]),
+    "report": (["--trials", "x"], ["--bogus"]),
+}
+
+
+def _parse(only, argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of parsing argv with _build_parser(only)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser(only).parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+class TestPerVerbParser:
+    """A parser built for one verb prints what the full parser prints."""
+
+    def test_cases_cover_every_verb(self):
+        assert list(PARSER_CASES) == list(cli._VERBS)
+
+    @pytest.mark.parametrize("verb", PARSER_CASES)
+    def test_verb_help_and_errors_match_the_full_parser(self, verb):
+        bad_int, unknown = PARSER_CASES[verb]
+        for argv, code in (
+            ([verb, "--help"], 0),
+            ([verb, *bad_int], 3),
+            ([verb, *unknown], 3),
+        ):
+            full = _parse(None, argv)
+            assert full[0] == code, argv
+            assert _parse(verb, argv) == full, argv
+        assert "invalid int value: 'x'" in _parse(verb, [verb, *bad_int])[2]
+        assert "unrecognized arguments: --bogus" in _parse(verb, [verb, *unknown])[2]
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["--help"], 0), ([], 3), (["bogus"], 3)], ids=["help", "empty", "bogus"]
+    )
+    def test_top_level_output_is_the_same_for_every_build(self, argv, code):
+        full = _parse(None, argv)
+        assert full[0] == code
+        for verb in cli._VERBS:
+            assert _parse(verb, argv) == full, verb
+        assert "{decompose,keygen-common,keygen-almost," in full[1] + full[2]
+
+    def test_main_builds_only_the_leading_verb(self, dist_file, monkeypatch, capsys):
+        built = []
+        raw = cli._build_parser
+
+        def spy(only=None):
+            built.append(only)
+            return raw(only)
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
+                     "--x", "0", "--w", "1"]) == 0
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert built == ["keygen-common", None]
+
+
+# run in a fresh interpreter: the stopkey modules a CLI call leaves loaded
+_LOADED = """
+import contextlib, io, json, sys
+import stopkey.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = stopkey.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("stopkey"))]))
+"""
+
+
+class TestImports:
+    @staticmethod
+    def loaded(argv) -> tuple[int, list[str]]:
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED, *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        return code, modules
+
+    def test_light_verbs_skip_the_harness_and_reconciled(self, dist_file, law_files):
+        for argv in (
+            ["keygen-common", "--dist", dist_file, "--role", "alice", "--x", "0"],
+            ["decompose", "--dist", dist_file],
+            ["verify-rsbs", "--law", law_files[0]],
+        ):
+            code, modules = self.loaded(argv)
+            assert code == 0, argv
+            assert "stopkey.cli" in modules
+            for heavy in ("stopkey.harness", "stopkey.reconciled", "stopkey.dyadic"):
+                assert heavy not in modules, (argv, heavy)
+
+    def test_simulate_still_loads_them(self, joint_file):
+        code, modules = self.loaded(["simulate", "--joint", joint_file, "--m", "2",
+                                     "--trials", "20"])
+        assert code == 0
+        assert {"stopkey.harness", "stopkey.reconciled"} <= set(modules)
+
+    def test_lazy_package_names(self):
+        assert set(stopkey.__all__) <= set(dir(stopkey))
+        assert stopkey.run_simulation is __import__("stopkey.harness").harness.run_simulation
+        with pytest.raises(AttributeError, match="no_such_name"):
+            stopkey.no_such_name

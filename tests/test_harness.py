@@ -656,6 +656,19 @@ def _common_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def _fill_tuple_free_lists() -> None:
+    """Fill CPython's free lists of small tuples (up to 2000 of each size
+    below 20).
+
+    A freed tuple parks on its size's list while there is room, and
+    tracemalloc counts a parked block as held; with the lists full before
+    tracing, a traced peak measures what a run keeps, not how many blocks
+    its tuple churn happened to park.
+    """
+    held = [tuple(range(size)) for size in range(1, 20) for _ in range(2000)]
+    del held
+
+
 class TestRunSimulation:
     def test_bounds_only_report(self):
         rep = run_simulation(_common_cfg(trials=0))
@@ -710,6 +723,7 @@ class TestRunSimulation:
         run_simulation(cfg(sizes[-1]))  # warm the engine and stage caches
         peaks = []
         for trials in sizes:
+            _fill_tuple_free_lists()
             tracemalloc.start()
             try:
                 run_simulation(cfg(trials))

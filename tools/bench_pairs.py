@@ -12,7 +12,9 @@ k, it runs
 once in each tree at seed S = --first-seed + k, the base first in even
 pairs and the change first in odd ones, so neither side always runs on a
 warmer host. The file holds both sides' SHAs, the platform and Python
-version, every run's last stdout line (its result object), and per
+version, whether the interpreter may write bytecode caches (its
+``sys.flags.dont_write_bytecode`` and ``PYTHONDONTWRITEBYTECODE``, which
+the runs inherit), every run's last stdout line (its result object), and per
 workload and metric the medians of both sides, the base's quartiles, the
 change/base ratio of the medians and the number of pairs in which the
 change read lower. Stdlib only; run it from anywhere inside the repository.
@@ -138,6 +140,11 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
+            # a run that may not write bytecode recompiles stopkey on every
+            # fresh interpreter, about half of its import time: cli_s and
+            # setup_s compare across hosts only with these equal
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             "workloads": {},
         }
         for workload in workloads:

@@ -14,16 +14,20 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import TYPE_CHECKING
 
 from . import formats
 from .common import alice_keygen, bob_keygen, engine_for
 from .errors import StopkeyError
+from .harness import (
+    ExperimentConfig,
+    agreed,
+    bound_line_text,
+    bounds_dashboard,
+    run_simulation,
+    transcript_label,
+)
 from .keylaws import verify_rsbs
 from .randomsource import RandomSource
-
-if TYPE_CHECKING:
-    from .harness import ExperimentConfig
 
 
 def _seed_value(text: str) -> int | str:
@@ -138,8 +142,6 @@ def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
 def _config(args, protocol: str, path: str, **extra) -> ExperimentConfig:
     """The run simulate, report or a keygen verb describes; the config
     checks every option."""
-    from .harness import ExperimentConfig
-
     return ExperimentConfig(
         protocol=protocol,
         source_path=path,
@@ -196,8 +198,6 @@ def _cmd_keygen_common(args) -> int:
 
 def _cmd_keygen_trials(args) -> int:
     """keygen-almost and keygen-correlated: the trials simulate plays."""
-    from .harness import agreed, transcript_label
-
     cfg = _config(args, args.verb[len("keygen-"):], args.joint)
     plan = cfg.plan()
     runs = list(plan.runs())
@@ -246,8 +246,6 @@ def _cmd_verify_rsbs(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    from .harness import bound_line_text, bounds_dashboard
-
     _, path = _source_args(args)
     dash = bounds_dashboard(formats.load_source(path), args.m)
     if args.format == "structured":
@@ -267,8 +265,6 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .harness import run_simulation
-
     kind, path = _source_args(args)
     protocol = args.protocol
     if protocol is None:

@@ -348,7 +348,7 @@ class JointPmf:
 
 
 # ---------------------------------------------------------------------------
-# Exact log2 brackets.
+# Exact integer log2.
 
 
 def ceil_neg_log2(r) -> int:

@@ -695,45 +695,36 @@ class TestPerVerbParser:
         assert built == ["keygen-common", None]
 
 
-# run in a fresh interpreter: the stopkey modules a CLI call leaves loaded
+# run in a fresh interpreter: the stopkey modules an import leaves loaded
 _LOADED = """
-import contextlib, io, json, sys
-import stopkey.cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = stopkey.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("stopkey"))]))
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("stopkey"))))
 """
 
 
 class TestImports:
     @staticmethod
-    def loaded(argv) -> tuple[int, list[str]]:
+    def loaded(statement: str) -> list[str]:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED, *argv],
+            [sys.executable, "-c", _LOADED, statement],
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        code, modules = json.loads(proc.stdout)
-        return code, modules
+        return json.loads(proc.stdout)
 
-    def test_light_verbs_skip_the_harness_and_reconciled(self, dist_file, law_files):
-        for argv in (
-            ["keygen-common", "--dist", dist_file, "--role", "alice", "--x", "0"],
-            ["decompose", "--dist", dist_file],
-            ["verify-rsbs", "--law", law_files[0]],
-        ):
-            code, modules = self.loaded(argv)
-            assert code == 0, argv
-            assert "stopkey.cli" in modules
-            for heavy in ("stopkey.harness", "stopkey.reconciled", "stopkey.dyadic"):
-                assert heavy not in modules, (argv, heavy)
+    def test_the_package_imports_no_submodule(self):
+        assert self.loaded("import stopkey") == ["stopkey"]
+        assert self.loaded("from stopkey.probability import Pmf") == [
+            "stopkey", "stopkey.errors", "stopkey.probability"
+        ]
 
-    def test_simulate_still_loads_them(self, joint_file):
-        code, modules = self.loaded(["simulate", "--joint", joint_file, "--m", "2",
-                                     "--trials", "20"])
-        assert code == 0
-        assert {"stopkey.harness", "stopkey.reconciled"} <= set(modules)
+    def test_formats_loads_no_protocol_module(self):
+        modules = self.loaded("import stopkey.formats")
+        assert "stopkey.formats" in modules
+        for heavy in ("stopkey.harness", "stopkey.reconciled", "stopkey.dyadic"):
+            assert heavy not in modules
 
     def test_lazy_package_names(self):
         assert set(stopkey.__all__) <= set(dir(stopkey))

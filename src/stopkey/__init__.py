@@ -15,8 +15,7 @@ The package splits along the protocol pipeline:
 
 The names in ``__all__`` are the working surface; everything else is
 importable from its home module. Each is imported from its home module
-on first use, so ``import stopkey`` loads no submodule and a CLI verb
-loads only the modules it runs.
+on first use, so ``import stopkey`` loads no submodule.
 """
 
 import importlib

@@ -363,7 +363,7 @@ def hash_function_document(h: HashFunction) -> dict:
 
 
 def parse_hash_function(doc: Mapping) -> HashFunction:
-    from .reconciled import HashFunction  # only hash-table verbs load it
+    from .reconciled import HashFunction  # loaded only when a hash table is parsed
 
     labels = _labels(_require(doc, "labels", list))
     values = _require(doc, "values", list)

@@ -1,4 +1,4 @@
-"""Exact finite probability: pmfs, joint pmfs, entropy, and integer log2.
+"""Exact finite probability: pmfs, joint pmfs, entropy and mutual information.
 
 Everything protocol-critical in this package is exact: a pmf stores its
 masses as integer numerators over one denominator, and hands out
@@ -30,8 +30,6 @@ __all__ = [
     "entropy",
     "mutual_information",
     "agreement_stats",
-    "ceil_neg_log2",
-    "floor_log2",
     "as_fraction",
 ]
 
@@ -348,59 +346,25 @@ class JointPmf:
 
 
 # ---------------------------------------------------------------------------
-# Exact integer log2.
-
-
-def ceil_neg_log2(r) -> int:
-    """Smallest integer a >= 0 with 2**-a <= r, for rational r in (0, 1].
-
-    Evaluated by exact integer comparison (never via floating-point log):
-    a is the least integer with den <= num << a.
-    """
-    r = r if isinstance(r, Fraction) else as_fraction(r)
-    if r <= 0 or r > 1:
-        raise ValidationError(f"ceil_neg_log2 requires r in (0, 1], got {r}")
-    num, den = r.numerator, r.denominator
-    # smallest a with num * 2**a >= den, i.e. 2**a >= ceil(den / num)
-    c = -(-den // num)
-    return (c - 1).bit_length()
-
-
-def floor_log2(r) -> int:
-    """Largest integer e with 2**e <= r, for rational r > 0."""
-    r = r if isinstance(r, Fraction) else as_fraction(r)
-    if r <= 0:
-        raise ValidationError(f"floor_log2 requires r > 0, got {r}")
-    if r <= 1:
-        return -ceil_neg_log2(r)
-    return (r.numerator // r.denominator).bit_length() - 1
-
-
-# ---------------------------------------------------------------------------
 # Entropy and mutual information.
-
-
-def _mass_list(p) -> tuple[Fraction, ...]:
-    if isinstance(p, Pmf):
-        return p.masses
-    if isinstance(p, JointPmf):
-        return tuple(m for _, _, m in p.atoms())
-    return tuple(as_fraction(m) for m in p)
 
 
 def entropy(p) -> float:
     """Shannon entropy in bits, double precision.
 
     Accepts a Pmf, a JointPmf (entropy of the flattened joint), or an
-    iterable of rational masses. Terms are summed with math.fsum; the
-    result is accurate to a few ulp (at least 15 significant digits).
+    iterable of rational masses. A pmf's masses are read from its integers:
+    ``n / d`` rounds as ``float(Fraction(n, d))`` does. Terms are summed
+    with math.fsum; the result is accurate to a few ulp (at least 15
+    significant digits).
     """
-    terms = []
-    for m in _mass_list(p):
-        if m > 0:
-            fm = float(m)
-            terms.append(-fm * math.log2(fm))
-    return math.fsum(terms)
+    if isinstance(p, Pmf):
+        masses = [n / p.denominator for n in p.numerators if n]
+    elif isinstance(p, JointPmf):
+        masses = [cell[2] / p.denominator for cell in p.numerator_cells]
+    else:
+        masses = [float(m) for m in map(as_fraction, p) if m > 0]
+    return math.fsum(-m * math.log2(m) for m in masses)
 
 
 def mutual_information(j: JointPmf | Pmf) -> float:

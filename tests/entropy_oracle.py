@@ -1,17 +1,40 @@
-"""Certified exact-rational brackets for log2 and for entropy.
+"""Exact integer log2, and certified exact-rational brackets for log2 and
+for entropy.
 
 Kept as the reference the double-precision ``entropy`` is tested against:
 the float must lie inside the bracket, which directed integer rounding
-makes certain without trusting floating point.
+makes certain without trusting floating point. ``ceil_neg_log2`` also
+serves the literal agreement loop in ``literal_oracle``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from stopkey.probability import Pmf, floor_log2
+from stopkey.probability import Pmf
 
 FRAC_BITS = 40  # the brackets are about 2**-FRAC_BITS wide
+
+
+def ceil_neg_log2(r: Fraction) -> int:
+    """Smallest integer a >= 0 with 2**-a <= r, for rational r in (0, 1].
+
+    Evaluated by exact integer comparison (never via floating-point log):
+    a is the least integer with den <= num << a.
+    """
+    assert 0 < r <= 1, r
+    num, den = r.numerator, r.denominator
+    # smallest a with num * 2**a >= den, i.e. 2**a >= ceil(den / num)
+    c = -(-den // num)
+    return (c - 1).bit_length()
+
+
+def floor_log2(r: Fraction) -> int:
+    """Largest integer e with 2**e <= r, for rational r > 0."""
+    assert r > 0, r
+    if r <= 1:
+        return -ceil_neg_log2(r)
+    return (r.numerator // r.denominator).bit_length() - 1
 
 
 def log2_interval(r: Fraction) -> tuple[Fraction, Fraction]:

@@ -12,8 +12,10 @@ from typing import Sequence
 
 from stopkey.common import _MAX_ROUNDS
 from stopkey.errors import InvariantError, ProtocolError, ValidationError
-from stopkey.probability import ZERO, Pmf, ceil_neg_log2
+from stopkey.probability import ZERO, Pmf
 from stopkey.randomsource import LazyUniform, RandomSource
+
+from entropy_oracle import ceil_neg_log2
 
 
 class ScaledUniform:

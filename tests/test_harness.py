@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -504,6 +506,8 @@ class TestPlan:
         assert 200 < trials <= 400
 
     def test_a_report_runs_stage_one_once_per_cell(self, monkeypatch):
+        # one block: a forked block decides its cells in its own process
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
         calls = Counter()
         raw = OneWayHashReconciler.run
 
@@ -656,6 +660,37 @@ def _common_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+@pytest.fixture
+def blocks(monkeypatch):
+    """``blocks(k)`` makes a report split its trials into k blocks (fewer
+    only if it has fewer trials), whatever the host's CPU count."""
+
+    def force(k: int) -> None:
+        monkeypatch.setattr(harness, "MIN_BLOCK", 1)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: k)
+
+    return force
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every os.fork call the code under test makes from now on."""
+    calls = []
+    raw = os.fork
+
+    def counting():
+        calls.append(1)
+        return raw()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _fill_tuple_free_lists() -> None:
     """Fill CPython's free lists of small tuples (up to 2000 of each size
     below 20).
@@ -715,23 +750,25 @@ class TestRunSimulation:
         ],
         ids=["common", "correlated"],
     )
-    def test_peak_memory_does_not_grow_with_trials(self, doc, extra, sizes):
+    def test_peak_memory_does_not_grow_with_trials(self, doc, extra, sizes, blocks):
         def cfg(trials):
             base = {"protocol": "common", "source_doc": doc, "seed": 7, **extra}
             return ExperimentConfig(trials=trials, **base)
 
-        run_simulation(cfg(sizes[-1]))  # warm the engine and stage caches
-        peaks = []
-        for trials in sizes:
-            _fill_tuple_free_lists()
-            tracemalloc.start()
-            try:
-                run_simulation(cfg(trials))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        # a stored list of 10x more runs would add about 390 B per trial
-        assert peaks[1] - peaks[0] < 100_000, peaks
+        for k in (1, 2):  # serial, then with a forked second block
+            blocks(k)
+            run_simulation(cfg(sizes[-1]))  # warm the engine and stage caches
+            peaks = []
+            for trials in sizes:
+                _fill_tuple_free_lists()
+                tracemalloc.start()
+                try:
+                    run_simulation(cfg(trials))
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            # a stored list of 10x more runs would add about 390 B per trial
+            assert peaks[1] - peaks[0] < 100_000, (k, peaks)
 
     def test_deep_w_max_is_refused_before_any_round(self, monkeypatch):
         built = []
@@ -905,3 +942,148 @@ class TestReportRendering:
         doc = json.loads(rep.to_json())
         assert doc["config"]["protocol"] == "common"
         assert "out" not in doc["config"]
+
+
+# 301 trials: no block count from 2 to 4 divides them
+BLOCK_CONFIGS = {
+    "common": {"protocol": "common", "source": CORPUS["tenths"]},
+    "almost-fixed": {"protocol": "almost", "m": 2, "hash_spec": "fixed"},
+    "almost-random": {"protocol": "almost", "m": 2, "hash_spec": "random:5"},
+    "identity": {"protocol": "correlated", "m": 2},
+    "sketch": {"protocol": "correlated", "m": 2, "reconciler": "hashmap:1"},
+}
+
+
+def _block_cfg(name: str, tmp_path, trials: int = 301) -> ExperimentConfig:
+    options = dict(BLOCK_CONFIGS[name])
+    source = options.pop("source", CORRELATED_3)
+    if options.get("hash_spec") == "fixed":
+        path = str(tmp_path / "table.json")
+        table = HashFunction(union_alphabet(source), (1, 2, 1), 2)
+        formats.write_document(formats.hash_function_document(table), path)
+        options["hash_spec"] = f"fixed:{path}"
+    doc = formats.pmf_document(source) if isinstance(source, Pmf) else formats.joint_document(source)
+    return ExperimentConfig(source_doc=doc, trials=trials, seed=19, **options)
+
+
+class TestTrialBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+    def test_reports_are_byte_identical_in_any_block_count(self, name, tmp_path, blocks, forks):
+        cfg = _block_cfg(name, tmp_path)
+        texts = []
+        for k in (1, 2, 3, 4):
+            blocks(k)
+            forks.clear()
+            texts.append(run_simulation(cfg).to_json())
+            assert len(forks) == k - 1
+            _no_child_left()
+        assert texts == [texts[0]] * 4
+        # the merged records keep the serial first-insertion order, which
+        # names the first offending run
+        assert list(harness.count_runs(cfg.plan()).items()) == list(Counter(cfg.plan().runs()).items())
+
+    @pytest.mark.parametrize("failing", [{150}, {220}, {150, 220}, {40, 220}], ids=str)
+    def test_a_failing_trial_raises_the_serial_error(self, failing, tmp_path, blocks, forks, monkeypatch):
+        # three blocks: trials 0-99 here, 100-199 and 200-300 in children
+        raw = ProtocolPlan._common_trial
+
+        def trial(self, i, sub):
+            if i in failing:
+                raise InvariantError(f"trial {i} broke")
+            return raw(self, i, sub)
+
+        monkeypatch.setattr(ProtocolPlan, "_common_trial", trial)
+        cfg = _block_cfg("common", tmp_path)
+        raised = []
+        for k in (1, 3):
+            blocks(k)
+            forks.clear()
+            with pytest.raises(InvariantError) as info:
+                run_simulation(cfg)
+            raised.append((type(info.value), str(info.value)))
+            assert len(forks) == k - 1
+            _no_child_left()
+        assert raised == [(InvariantError, f"trial {min(failing)} broke")] * 2
+
+    @pytest.mark.parametrize("code", [0, 3], ids=["no-payload", "exit-3"])
+    def test_a_block_whose_child_dies_plays_here(self, code, tmp_path, blocks, forks, monkeypatch):
+        serial = run_simulation(_block_cfg("common", tmp_path)).to_json()
+        parent = os.getpid()
+        raw = ProtocolPlan._common_trial
+
+        def trial(self, i, sub):
+            if os.getpid() != parent:
+                os._exit(code)
+            return raw(self, i, sub)
+
+        monkeypatch.setattr(ProtocolPlan, "_common_trial", trial)
+        blocks(3)
+        assert run_simulation(_block_cfg("common", tmp_path)).to_json() == serial
+        assert len(forks) == 2
+        _no_child_left()
+
+    def test_no_fork_below_the_threshold(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+        assert harness._block_count(2 * harness.MIN_BLOCK - 1) == 1
+        assert harness._block_count(2 * harness.MIN_BLOCK) == 2
+        assert harness._block_count(100 * harness.MIN_BLOCK) == 4
+        run_simulation(_block_cfg("common", tmp_path, trials=2 * harness.MIN_BLOCK - 1))
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, tmp_path, blocks, forks):
+        serial = run_simulation(_block_cfg("sketch", tmp_path)).to_json()
+        blocks(3)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60,))
+        other.start()
+        try:
+            assert harness._block_count(301) == 1
+            assert run_simulation(_block_cfg("sketch", tmp_path)).to_json() == serial
+        finally:
+            stop.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert forks == []
+        assert harness._block_count(301) == 3
+
+    def test_no_fork_without_os_fork(self, tmp_path, blocks, monkeypatch):
+        serial = run_simulation(_block_cfg("sketch", tmp_path)).to_json()
+        blocks(3)
+        monkeypatch.delattr(os, "fork")
+        assert harness._block_count(301) == 1
+        assert run_simulation(_block_cfg("sketch", tmp_path)).to_json() == serial
+
+    def test_a_block_that_cannot_fork_plays_here(self, tmp_path, blocks, monkeypatch):
+        serial = run_simulation(_block_cfg("sketch", tmp_path)).to_json()
+        blocks(3)
+        attempts = []
+
+        def failing():
+            attempts.append(1)
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        assert run_simulation(_block_cfg("sketch", tmp_path)).to_json() == serial
+        assert len(attempts) == 2
+        _no_child_left()
+
+    def test_forked_blocks_hold_no_more_memory_than_one(self, blocks):
+        # the common-mc source: 20 000 trials, as the benchmark runs them
+        source = pmf(*[Fraction(k, 36) for k in range(1, 9)])
+        cfg = ExperimentConfig(
+            protocol="common", source_doc=formats.pmf_document(source), trials=20_000, seed=7
+        )
+        peaks = {}
+        # the first pass of each warms its caches; readings drift down a
+        # little from run to run, so the forked one is read first
+        for k in (1, 2, 2, 1):
+            blocks(k)
+            _fill_tuple_free_lists()
+            tracemalloc.start()
+            try:
+                run_simulation(cfg)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        _no_child_left()
+        assert peaks[2] <= peaks[1], peaks

@@ -17,7 +17,7 @@ from conftest import (
     product_joint,
     random_rational_pmf,
 )
-from entropy_oracle import entropy_interval, log2_interval
+from entropy_oracle import ceil_neg_log2, entropy_interval, floor_log2, log2_interval
 from stopkey.common import engine_for
 from stopkey.errors import ValidationError
 from stopkey.formats import joint_document, parse_joint
@@ -26,9 +26,7 @@ from stopkey.probability import (
     Pmf,
     agreement_stats,
     as_fraction,
-    ceil_neg_log2,
     entropy,
-    floor_log2,
     mutual_information,
 )
 from stopkey.randomsource import RandomSource

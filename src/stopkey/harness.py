@@ -58,11 +58,13 @@ from .reconciled import (
     average_almost_common,
     correlated_reference_bound,
     correlated_transcript_laws,
+    bob_round,
     decide,
     derandomize_hash,
-    play_decision,
+    pack_run,
     reconciler_stats,
     union_alphabet,
+    unpack_run,
 )
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -602,10 +604,13 @@ class ProtocolPlan:
     ``runs`` is the only place a trial's substreams are derived, so reports
     and run logs for the same seed play the same trials.
 
-    A two-stage trial draws a source cell with the sampler ``sample_joint``
-    uses, and Bob's round; everything else about the cell is decided once
-    per plan, on the cell's first draw (``_decision``), so a trial pays
-    only for its draws.
+    A trial pays for its draws and little else. A two-stage trial draws a
+    source cell with the sampler ``sample_joint`` uses, and Bob's round;
+    everything else about the cell is decided once per plan, on the cell's
+    first draw (``_decision``). A common trial's record depends only on
+    (x, W), and a two-stage trial's only on its packed run
+    (``reconciled.pack_run``), so each record is built on its first draw
+    and shared after: ``_records`` holds one entry per distinct record.
     """
 
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
@@ -617,6 +622,9 @@ class ProtocolPlan:
         self.cfg = cfg
         self.source = source
         self.header: dict[str, Any] = {}
+        # (x, w) or a packed run -> its record, the object every trial with
+        # that outcome yields
+        self._records: dict[tuple, _RunRecord] = {}
         if cfg.protocol == "common":
             self._engine = engine_for(source)
             self._sampler = KnuthYaoSampler(source)
@@ -644,9 +652,22 @@ class ProtocolPlan:
             yield self._trial(i, rng.substream("trial", i))
 
     def _common_trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        x, _ = self._sampler.sample(sub.substream("source"))
-        key_a, w = self._engine.alice(x, sub.substream("alice"))
-        return (("alice", "round", w),), key_a, self._engine.bob(x, w), key_a
+        x = self._sampler.sample(sub.substream("source"))[0]
+        w = self._engine.round_from_uniform(x, sub.substream("alice").lazy_uniform())
+        return self._records.get((x, w)) or self._common_record(x, w)
+
+    def _common_record(self, x: int, w: int) -> _RunRecord:
+        """Alice's key is x's round-w codeword, and Bob replays round w."""
+        key_a = self._engine.codeword(w, x)
+        run = ((("alice", "round", w),), key_a, self._engine.bob(x, w), key_a)
+        # setdefault: racing first builders all get the stored record
+        return self._records.setdefault((x, w), run)
+
+    def _play(self, decision: Decision, rng: RandomSource) -> _RunRecord:
+        """A stage-two run from a decided outcome: Bob's draw on ``rng``,
+        then the record of the packed run."""
+        packed = pack_run(decision, bob_round(decision[1], rng))
+        return self._records.get(packed) or self._records.setdefault(packed, unpack_run(*packed))
 
     @cached_property
     def _cells(self) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], ...]]:
@@ -685,11 +706,11 @@ class ProtocolPlan:
             decision = decide(self.source, h, *cells[cell])
         else:
             decision = self._decision(cell)
-        return play_decision(decision, sub.substream("keys"))
+        return self._play(decision, sub.substream("keys"))
 
     def _correlated_trial(self, i: int, sub: RandomSource) -> _RunRecord:
         cell = self._cells[0].sample(sub.substream("source"))[0]
-        return play_decision(self._decision(cell), sub.substream("stage2"))
+        return self._play(self._decision(cell), sub.substream("stage2"))
 
 
 # ---------------------------------------------------------------------------

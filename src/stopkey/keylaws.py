@@ -373,7 +373,11 @@ def pointwise_mass_bound(law: KeyLaw) -> PointwiseVerdict:
     """Check P(K = k) <= 2**-|k| for every enumerated atom.
 
     Every randomly stopped law satisfies this pointwise bound; it is the
-    workhorse inequality behind the key-length converse.
+    workhorse inequality behind the key-length converse. Kept as paper
+    surface, not as a second verifier: a valid ``verify_rsbs`` on a law
+    with no tail implies it. With C(u) the mass reaching prefix u and D(u)
+    the mass continuing past it, each split C(ub) = D(u)/2 <= C(u)/2
+    gives P(K = k) <= C(k) <= 2**-|k|.
     """
     bad = []
     for k, m in law.atoms:

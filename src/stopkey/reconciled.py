@@ -249,23 +249,50 @@ def _stage_two(stage: Stage, same: bool, rng: RandomSource) -> tuple[int | None,
     """Bob's draw on a decided hash check, and the keys it gives:
     (w2, key_a, key_b, ideal), w2 None and every key empty on abort.
 
-    W is the only draw. Bob pins the round to 1 when his symbol has no
-    bucket mass; everything after the draw is ``_stage2_keys``.
+    W is the only draw, made as the common scheme's drawing party makes
+    it (``KeyAgreeEngine.alice``). Bob pins the round to 1 when his symbol
+    has no bucket mass; the keys are those of ``pack_run``. ``bob_round``
+    makes the same draw for a plan, with no codeword formatted.
     """
     if stage is None:
         return None, "", "", ""
-    eng, xi, yi = stage
+    eng, _, yi = stage
     w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
-    code_a, code_b = _stage2_keys(eng.round(w2), xi, yi)
-    key_a = _unpack_code(code_a)
-    return w2, key_a, _unpack_code(code_b), key_a if same else ""
+    _, key_a, key_b, ideal = unpack_run(*pack_run(((), stage, same), w2))
+    return w2, key_a, key_b, ideal
 
 
-def play_decision(decision: Decision, rng: RandomSource) -> tuple[Transcript, str, str, str]:
-    """One run from a decided outcome: (transcript, key_a, key_b, ideal)."""
+def bob_round(stage: Stage, rng: RandomSource) -> int | None:
+    """Bob's announced round on a decided hash check: ``_stage_two``'s draw
+    with no codeword formatted, None on abort."""
+    if stage is None:
+        return None
+    eng, _, yi = stage
+    return eng.round_from_uniform(yi, rng.lazy_uniform()) if eng.pmf.numerators[yi] else 1
+
+
+# A stage-two run with its keys as packed codeword entries: (transcript
+# before Bob's message, w2, key_a, key_b, ideal), 0 packing the empty key.
+# A run's record and its packed form determine each other.
+PackedRun = tuple[Transcript, int | None, int, int, int]
+
+
+def pack_run(decision: Decision, w2: int | None) -> PackedRun:
+    """A decided run once Bob announces ``w2``, in packed form."""
     before, stage, same = decision
-    w2, key_a, key_b, ideal = _stage_two(stage, same, rng)
-    return before + (_bob_record(w2),), key_a, key_b, ideal
+    if stage is None:
+        return before, None, 0, 0, 0
+    eng, xi, yi = stage
+    code_a, code_b = _stage2_keys(eng.round(w2), xi, yi)
+    return before, w2, code_a, code_b, code_a if same else 0
+
+
+def unpack_run(
+    before: Transcript, w2: int | None, code_a: int, code_b: int, ideal: int
+) -> tuple[Transcript, str, str, str]:
+    """The (transcript, key_a, key_b, ideal) record of a packed run."""
+    key_a = _unpack_code(code_a)
+    return before + (_bob_record(w2),), key_a, _unpack_code(code_b), key_a if ideal else ""
 
 
 def almost_common_keygen(

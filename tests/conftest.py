@@ -5,7 +5,6 @@ dyadic pmfs (whose keys collapse to the empty string), the two-symbol
 cycling case, richer non-dyadic sources, and degenerate point masses.
 """
 
-import random
 import sys
 import threading
 import time
@@ -13,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+from stopkey import randomsource
 from stopkey.probability import JointPmf, Pmf
 from stopkey.randomsource import RandomSource
 
@@ -105,16 +105,16 @@ FOUR_SYMBOL = joint(
 
 
 def count_seeding(monkeypatch) -> list:
-    """Record every generator a RandomSource builds from now on: its
-    construction arguments, one entry per ``random.Random`` seeded."""
+    """Record every generator a RandomSource builds from now on: its seed
+    arguments, one entry per ``randomsource._generator`` call."""
     built = []
+    raw = randomsource._generator
 
-    class Counting(random.Random):
-        def __init__(self, *args):
-            built.append(args)
-            super().__init__(*args)
+    def counting(*args):
+        built.append(args)
+        return raw(*args)
 
-    monkeypatch.setattr("stopkey.randomsource.random.Random", Counting)
+    monkeypatch.setattr(randomsource, "_generator", counting)
     return built
 
 

@@ -1,4 +1,5 @@
 import itertools
+import types
 from fractions import Fraction
 
 import pytest
@@ -239,6 +240,9 @@ class TestKnuthYao:
             def fair_bit(self):
                 self.read += 1
                 return next(self.bits)
+
+            def generator(self):
+                return types.SimpleNamespace(getrandbits=lambda k: self.fair_bit())
 
         assert KnuthYaoSampler(CORPUS["thirds"]).sample(Forced([1] * 11 + [0])) == (0, 12)
         ones = Forced(itertools.repeat(1))

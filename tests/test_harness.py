@@ -29,7 +29,7 @@ from stopkey.harness import (
     transcript_label,
     wilson_interval,
 )
-from stopkey.common import KeyAgreeEngine, exact_common_law
+from stopkey.common import KeyAgreeEngine, _unpack_code, exact_common_law
 from stopkey.keylaws import law_from_codebook, simulate_stopped_key, stopping_rule_of
 from stopkey.probability import JointPmf, Pmf
 from stopkey.randomsource import RandomSource
@@ -504,6 +504,42 @@ class TestPlan:
         # "source", and "stage2" only when Bob draws a round
         trials = len(built) - len(CORRELATED_3.x_labels)
         assert 200 < trials <= 400
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"protocol": "common", "source_doc": formats.pmf_document(CORPUS["tenths"])},
+            {
+                "protocol": "correlated",
+                "source_doc": formats.joint_document(CORRELATED_3),
+                "m": 2,
+                "reconciler": "hashmap:1",
+            },
+        ],
+        ids=["common", "sketch"],
+    )
+    def test_a_record_is_formatted_once_not_per_trial(self, options, blocks, monkeypatch):
+        cfg = ExperimentConfig(trials=5000, seed=23, **options)
+        # a first plan derandomizes each stage-two hash, which formats keys
+        # of its own, and leaves that in the process-wide caches
+        list(cfg.plan().runs(0, 500))
+        blocks(1)
+        formatted = []
+
+        def counting(packed):
+            formatted.append(packed)
+            return _unpack_code(packed)
+
+        monkeypatch.setattr("stopkey.common._unpack_code", counting)
+        monkeypatch.setattr("stopkey.reconciled._unpack_code", counting)
+        plan = cfg.plan()
+        counts = harness.count_runs(plan)
+        assert counts.total() == 5000
+        # at most two key strings per distinct record, however many trials
+        # share it, and one cached record each
+        assert len(formatted) <= 2 * len(counts) < 5000
+        assert len(plan._records) <= len(counts)
+        assert all(plan._records[key] is run for key, run in zip(plan._records, counts))
 
     def test_a_report_runs_stage_one_once_per_cell(self, monkeypatch):
         # one block: a forked block decides its cells in its own process

@@ -172,6 +172,25 @@ class TestSeedOnFirstDraw:
             assert [lazy.bits(32) for _ in range(4)] == [eager.getrandbits(32) for _ in range(4)]
             assert lazy.randrange(1000) == eager.randrange(1000)
 
+    def test_the_generator_is_random_random_of_the_sha256_seed(self):
+        pick = random.Random(20)
+        labels = ("trial", "source", "alice", "stage2", "keys", "table", "", "é'\\")
+        for k in range(200):
+            if k % 2:
+                seed = "".join(pick.choice("ab0 -'\"é") for _ in range(pick.randrange(8)))
+            else:
+                seed = pick.randrange(-(1 << 80), 1 << 80) >> pick.randrange(80)
+            path = tuple(
+                str(pick.randrange(10**6)) if pick.random() < 0.4 else pick.choice(labels)
+                for _ in range(pick.randrange(5))
+            )
+            material = repr((seed, path)).encode()
+            want = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
+            got = RandomSource(seed, path).generator()
+            assert got.getstate() == want.getstate()
+            assert [got.getrandbits(32) for _ in range(64)] == [want.getrandbits(32) for _ in range(64)]
+            assert got.randrange(1000) == want.randrange(1000)
+
     def test_threads_racing_on_a_fresh_source_share_one_stream(self):
         for round_ in range(5):
             src = RandomSource("race", (str(round_),))

@@ -17,8 +17,9 @@ version, ``os.cpu_count()`` and the usable CPUs
 bytecode caches (its ``sys.flags.dont_write_bytecode`` and
 ``PYTHONDONTWRITEBYTECODE``, which the runs inherit), every run's last
 stdout line (its result object), and per workload and metric the medians
-of both sides, the base's quartiles, the change/base ratio of the medians
-and the number of pairs in which the change read lower. Stdlib only; run
+of both sides, the base's quartiles, the change/base ratio of the medians,
+the number of pairs in which the change read lower, and a verdict:
+``gain``, ``worse`` or ``unresolved`` (see ``verdict``). Stdlib only; run
 it from anywhere inside the repository.
 """
 
@@ -85,8 +86,37 @@ def value(run: dict, metric: str) -> float | None:
     return None if entry is None else entry["value"]
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Per metric: medians, the base's quartiles, the ratio and the wins."""
+# a gain needs the change to read better in this share of the pairs
+GAIN_SHARE = 0.9
+
+
+def verdict(entry: dict, both: list[tuple[float, float]], spec: dict) -> str:
+    """``worse``, ``gain`` or ``unresolved`` for one metric's summary entry
+    and (base, change) pairs, given its BENCHMARK.json entry (``better``,
+    and ``bound`` if it has one).
+
+    ``worse``: the change/base ratio of the medians is past 1 + bound on
+    the wrong side. ``gain``: the change reads better in at least
+    GAIN_SHARE of the pairs (a tie counts for neither side), and its
+    median is better than the base's by more than the base's
+    interquartile range.
+    """
+    lower = spec.get("better", "lower") == "lower"
+    bound, ratio = spec.get("bound"), entry["ratio"]
+    if bound is not None and ratio is not None:
+        if (ratio > 1 + bound) if lower else (ratio < 1 - bound):
+            return "worse"
+    wins = sum((c < b) if lower else (c > b) for b, c in both)
+    margin = entry["base_median"] - entry["change_median"]
+    if wins >= GAIN_SHARE * len(both) and (margin if lower else -margin) > entry["base_q3"] - entry["base_q1"]:
+        return "gain"
+    return "unresolved"
+
+
+def summarize(pairs: list[dict], declared: dict[str, dict]) -> dict:
+    """Per metric: medians, the base's quartiles, the ratio, the wins and
+    the verdict. ``declared`` maps a metric's name to its BENCHMARK.json
+    entry; a metric it lacks is judged lower-is-better, with no bound."""
     metrics = sorted({m for p in pairs for side in ("base", "change")
                       for m in p[side].get("result", {}).get("metrics", {})})
     out = {}
@@ -99,7 +129,7 @@ def summarize(pairs: list[dict]) -> dict:
         change = [c for _, c in both]
         q1, _, q3 = statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1 else (base[0],) * 3
         b_med, c_med = statistics.median(base), statistics.median(change)
-        out[metric] = {
+        entry = out[metric] = {
             "base_median": b_med,
             "change_median": c_med,
             "ratio": c_med / b_med if b_med else None,
@@ -108,6 +138,7 @@ def summarize(pairs: list[dict]) -> dict:
             "change_lower_in": sum(c < b for b, c in both),
             "pairs": len(both),
         }
+        entry["verdict"] = verdict(entry, both, declared.get(metric, {}))
     return out
 
 
@@ -125,7 +156,9 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        declared = [w["name"] for w in json.load(fh)["workloads"]]
+        bench = json.load(fh)
+    declared = [w["name"] for w in bench["workloads"]]
+    metrics = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     workloads = args.workloads.split(",") if args.workloads else declared
     unknown = sorted(set(workloads) - set(declared))
     if unknown:
@@ -165,7 +198,7 @@ def main(argv=None) -> int:
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(pair[side].get('result', pair[side]))[:300]}", flush=True)
                 pairs.append(pair)
-            doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs)}
+            doc["workloads"][workload] = {"pairs": pairs, "summary": summarize(pairs, metrics)}
             with open(args.out, "w", encoding="utf-8") as fh:  # partial results survive a stop
                 json.dump(doc, fh, indent=1, sort_keys=True)
                 fh.write("\n")

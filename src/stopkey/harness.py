@@ -56,9 +56,9 @@ from .reconciled import (
     almost_common_bounds,
     analyze_almost_common,
     average_almost_common,
+    bob_round,
     correlated_reference_bound,
     correlated_transcript_laws,
-    bob_round,
     decide,
     derandomize_hash,
     pack_run,

@@ -106,7 +106,7 @@ FOUR_SYMBOL = joint(
 
 def count_seeding(monkeypatch) -> list:
     """Record every generator a RandomSource builds from now on: its seed
-    arguments, one entry per ``randomsource._generator`` call."""
+    material, one entry per ``randomsource._generator`` call."""
     built = []
     raw = randomsource._generator
 

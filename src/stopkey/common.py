@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvariantError, ProtocolError, ValidationError
 from .keylaws import KeyLaw
@@ -376,10 +376,6 @@ class CommonLaw:
         for _, _, key, prob in self.atoms:
             masses[key] = masses.get(key, ZERO) + prob
         return KeyLaw.from_dict(masses, self.tail)
-
-    def joint_w_x(self) -> Iterator[tuple[int, int, Fraction]]:
-        for x, w, _key, prob in self.atoms:
-            yield x, w, prob
 
 
 def exact_common_law(p: Pmf, w_max: int) -> CommonLaw:

@@ -155,13 +155,6 @@ def parse_pmf(doc: Mapping) -> Pmf:
         raise FormatError(str(exc)) from None
 
 
-def pmf_document(p: Pmf) -> dict:
-    return {
-        "alphabet": list(p.labels),
-        "pmf": [format_rational(m) for m in p.masses],
-    }
-
-
 def parse_joint(doc: Mapping) -> JointPmf:
     x_labels = _labels(_require(doc, "x_labels", list))
     y_labels = _labels(_require(doc, "y_labels", list))
@@ -193,14 +186,6 @@ def parse_joint(doc: Mapping) -> JointPmf:
         raise FormatError(str(exc)) from None
 
 
-def joint_document(j: JointPmf) -> dict:
-    return {
-        "x_labels": list(j.x_labels),
-        "y_labels": list(j.y_labels),
-        "joint": [[format_rational(j.mass_by_label(x, y)) for y in j.y_labels] for x in j.x_labels],
-    }
-
-
 def parse_source(doc: Mapping) -> Pmf | JointPmf:
     """Sniff a distribution document: single pmf or joint."""
     if "joint" in doc:
@@ -218,11 +203,6 @@ def read_document(path: str) -> Any:
             return json.load(fh)
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid document: {exc}") from None
-
-
-def write_document(doc: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
 
 
 def dumps(doc: Any) -> str:

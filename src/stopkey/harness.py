@@ -148,23 +148,23 @@ def transcript_label(t: Transcript) -> str:
     return "|".join(f"{sender}:{kind}={value}" for sender, kind, value in t)
 
 
-def fairness_test(samples: Iterable[tuple[Any, str]]) -> dict:
+def fairness_test(samples: Iterable[tuple[Transcript, str]]) -> dict:
     """Chi-square next-bit tests against 1/2, per transcript and prefix.
 
     Purely diagnostic: the exact verifier is authoritative wherever
     enumeration is feasible. Bonferroni-adjusts alpha = 0.01 across all
     (transcript, prefix) cells; a sample set with only empty keys has no
-    testable prefixes and reports vacuous. Samples come as a list or a
-    Counter. Returns the report's fairness section: the levels, the number
-    of tests, and one entry per flagged cell.
+    testable prefixes and reports vacuous. Samples are (transcript, key)
+    pairs, as a list or a Counter; flags name a transcript by its
+    ``transcript_label``. Returns the report's fairness section: the
+    levels, the number of tests, and one entry per flagged cell.
     """
     samples = Counter(samples)
     if not samples:
         raise ValidationError("at least one sample required")
     tallies: dict[str, dict[str, list[int]]] = {}
     for (transcript, key), n in samples.items():
-        label = transcript if isinstance(transcript, str) else transcript_label(transcript)
-        group = tallies.setdefault(label, {})
+        group = tallies.setdefault(transcript_label(transcript), {})
         for pos in range(len(key)):
             counts = group.setdefault(key[:pos], [0, 0])
             counts[int(key[pos])] += n
@@ -625,10 +625,12 @@ class ProtocolPlan:
         # (x, w) or a packed run -> its record, the object every trial with
         # that outcome yields
         self._records: dict[tuple, _RunRecord] = {}
+        # _trial is the class's function, called with the plan: a method
+        # bound to the plan and stored on it would hold it in a cycle
         if cfg.protocol == "common":
             self._engine = engine_for(source)
             self._sampler = KnuthYaoSampler(source)
-            self._trial = self._common_trial
+            self._trial = ProtocolPlan._common_trial
         elif cfg.protocol == "almost":
             mode, self.table, hash_seed = resolve_hash(cfg.hash_spec, source, cfg.m)
             self.header["hash_mode"] = mode
@@ -637,19 +639,19 @@ class ProtocolPlan:
             else:
                 self._tables = RandomSource(hash_seed)
                 self._alphabet = union_alphabet(source)
-            self._trial = self._almost_trial
+            self._trial = ProtocolPlan._almost_trial
         else:
             spec = "identity" if cfg.reconciler is None else cfg.reconciler
             self.reconciler = parse_reconciler(spec, cfg.seed)
             self.header["reconciler"] = spec
-            self._trial = self._correlated_trial
+            self._trial = ProtocolPlan._correlated_trial
 
     def runs(self, start: int = 0, stop: int | None = None) -> Iterator[_RunRecord]:
         """Trials start..stop-1 (by default all the config's trials) as
         (transcript, key_a, key_b, ideal), in order."""
         rng = RandomSource(self.cfg.seed)
         for i in range(start, self.cfg.trials if stop is None else stop):
-            yield self._trial(i, rng.substream("trial", i))
+            yield self._trial(self, i, rng.substream("trial", i))
 
     def _common_trial(self, i: int, sub: RandomSource) -> _RunRecord:
         x = self._sampler.sample(sub.substream("source"))[0]

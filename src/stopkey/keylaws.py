@@ -110,9 +110,6 @@ class KeyLaw:
     def mass(self, key: str) -> Fraction:
         return self._lookup.get(key, ZERO)  # type: ignore[attr-defined]
 
-    def support(self) -> tuple[str, ...]:
-        return tuple(k for k, _ in self.atoms)
-
     def max_length(self) -> int:
         return max((len(k) for k, _ in self.atoms), default=0)
 
@@ -391,22 +388,6 @@ def pointwise_mass_bound(law: KeyLaw) -> PointwiseVerdict:
 # Error-length pairs.
 
 Number = Fraction | float
-IntervalLike = Number | tuple[float, float]
-
-
-def _interval(v: IntervalLike) -> tuple[Fraction, Fraction]:
-    if isinstance(v, tuple):
-        lo, hi = Fraction(v[0]), Fraction(v[1])
-        if lo > hi:
-            raise ValidationError(f"interval {v} has lo > hi")
-        return lo, hi
-    f = Fraction(v) if not isinstance(v, Fraction) else v
-    return f, f
-
-
-def _interval_mul(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]):
-    products = [a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]]
-    return min(products), max(products)
 
 
 @dataclass(frozen=True)
@@ -416,39 +397,25 @@ class ErrorLengthPair:
     counting errors as length zero, is at least ell bits.
 
     ell is specifically E[|K| on the event that both parties output the
-    ideal key]; it is not E[|K|] alone. Fields are exact Fractions, plain
-    floats (point values), or (lo, hi) float tuples for measured
-    confidence intervals.
+    ideal key]; it is not E[|K|] alone. Fields are exact Fractions, or
+    plain floats where a bound is only known in double precision (the
+    ell of ``almost_common_bounds``).
     """
 
-    epsilon: IntervalLike
-    ell: IntervalLike
+    epsilon: Number
+    ell: Number
 
 
 def compose_error_length(first: ErrorLengthPair, second: ErrorLengthPair) -> ErrorLengthPair:
     """Guarantee achieved by concatenating two independent protocol runs.
 
     epsilon = min(eps1 + eps2, 1) and
-    ell = (1 - eps2) * ell1 + (1 - eps1) * ell2.
-    Exact inputs give exact outputs; interval inputs are combined with
-    interval arithmetic.
+    ell = (1 - eps2) * ell1 + (1 - eps1) * ell2,
+    computed as plain arithmetic on the two points, so exact inputs give
+    exact outputs.
     """
-    exact = all(
-        isinstance(v, Fraction)
-        for v in (first.epsilon, first.ell, second.epsilon, second.ell)
-    )
-    e1, l1 = _interval(first.epsilon), _interval(first.ell)
-    e2, l2 = _interval(second.epsilon), _interval(second.ell)
-    eps = (min(e1[0] + e2[0], Fraction(1)), min(e1[1] + e2[1], Fraction(1)))
-    one = Fraction(1)
-    t1 = _interval_mul((one - e2[1], one - e2[0]), l1)
-    t2 = _interval_mul((one - e1[1], one - e1[0]), l2)
-    ell = (t1[0] + t2[0], t1[1] + t2[1])
-    if exact:
-        return ErrorLengthPair(eps[0], ell[0])
-    return ErrorLengthPair(
-        (float(eps[0]), float(eps[1])), (float(ell[0]), float(ell[1]))
-    )
+    e1, l1, e2, l2 = first.epsilon, first.ell, second.epsilon, second.ell
+    return ErrorLengthPair(min(e1 + e2, Fraction(1)), (1 - e2) * l1 + (1 - e1) * l2)
 
 
 def converse_bound(j: JointPmf | Pmf) -> float:

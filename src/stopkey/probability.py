@@ -183,10 +183,6 @@ class Pmf:
         except (KeyError, TypeError):
             raise ValidationError(f"label {label!r} not in alphabet") from None
 
-    def support(self) -> tuple[int, ...]:
-        """Indices with positive mass, in alphabet order."""
-        return tuple(i for i, n in enumerate(self.numerators) if n)
-
 
 @dataclass(frozen=True)
 class JointPmf:
@@ -349,21 +345,14 @@ class JointPmf:
 # Entropy and mutual information.
 
 
-def entropy(p) -> float:
-    """Shannon entropy in bits, double precision.
+def entropy(p: Pmf) -> float:
+    """Shannon entropy in bits of a Pmf, double precision.
 
-    Accepts a Pmf, a JointPmf (entropy of the flattened joint), or an
-    iterable of rational masses. A pmf's masses are read from its integers:
-    ``n / d`` rounds as ``float(Fraction(n, d))`` does. Terms are summed
-    with math.fsum; the result is accurate to a few ulp (at least 15
-    significant digits).
+    The masses are read from the pmf's integers: ``n / d`` rounds as
+    ``float(Fraction(n, d))`` does. Terms are summed with math.fsum; the
+    result is accurate to a few ulp (at least 15 significant digits).
     """
-    if isinstance(p, Pmf):
-        masses = [n / p.denominator for n in p.numerators if n]
-    elif isinstance(p, JointPmf):
-        masses = [cell[2] / p.denominator for cell in p.numerator_cells]
-    else:
-        masses = [float(m) for m in map(as_fraction, p) if m > 0]
+    masses = [n / p.denominator for n in p.numerators if n]
     return math.fsum(-m * math.log2(m) for m in masses)
 
 

@@ -83,16 +83,6 @@ class LazyUniform:
                 )
             self._extend()
 
-    def less_than(self, threshold: Fraction) -> bool:
-        return not self.at_least(threshold)
-
-    def as_bracket(self) -> tuple[Fraction, Fraction]:
-        """The interval [lo, hi) currently known to contain the draw."""
-        return (
-            Fraction(self.value_bits, 1 << self.nbits),
-            Fraction(self.value_bits + 1, 1 << self.nbits),
-        )
-
 
 class _Generator(random.Random):
     """``random.Random`` as ``_generator`` builds it. The class attribute
@@ -167,12 +157,6 @@ class RandomSource:
         bit without a Python call per bit: ``getrandbits(1)`` on it is
         ``fair_bit``."""
         return self._rng or self._seeded()
-
-    def bits(self, k: int) -> int:
-        """k fair bits as an integer, most significant bit first."""
-        if k <= 0:
-            raise ValidationError("bit count must be positive")
-        return (self._rng or self._seeded()).getrandbits(k)
 
     def lazy_uniform(self) -> LazyUniform:
         return LazyUniform(self._rng or self._seeded())

@@ -30,6 +30,11 @@ def dyadic_exponent(m) -> int | None:
     return d.bit_length() - 1 if d & (d - 1) == 0 else None
 
 
+def positive_indices(p: Pmf) -> list[int]:
+    """Indices of p's positive-mass symbols, in alphabet order."""
+    return [i for i, n in enumerate(p.numerators) if n]
+
+
 def round_weight_partial_entropy(n: int) -> Fraction:
     """Exact partial sum sum_{w<=n} w * 2**-w = 2 - (n + 2) * 2**-n: the
     round-index entropy H(W) = 2 truncated after n rounds."""

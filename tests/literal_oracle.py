@@ -30,9 +30,6 @@ class ScaledUniform:
     def at_least(self, threshold: Fraction) -> bool:
         return self.uniform.at_least(threshold / self.bound)
 
-    def less_than(self, threshold: Fraction) -> bool:
-        return not self.at_least(threshold)
-
 
 def uniform_below(rng: RandomSource, bound: Fraction) -> ScaledUniform:
     """An exact uniform draw on [0, bound), compared lazily."""

@@ -16,7 +16,6 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from stopkey import formats
 from stopkey.common import KeyAgreeEngine, engine_for, exact_common_law
 from stopkey.dyadic import KnuthYaoSampler
 from stopkey.harness import ExperimentConfig, mean_interval, run_simulation, wilson_interval
@@ -56,6 +55,7 @@ from conftest import (
     pmf,
     random_rational_pmf,
 )
+from documents import pmf_document
 from test_keylaws import random_dyadic_rule_law, random_full_codebook
 
 TAIL_SLACK_30 = 30 * 2.0**-30
@@ -324,7 +324,7 @@ def test_sampler_mean_bit_cost_within_two_bits_of_entropy():
 
 
 def test_reports_reproduce_and_keygen_scales_to_wide_alphabets():
-    doc = formats.pmf_document(CORPUS["tenths"])
+    doc = pmf_document(CORPUS["tenths"])
     cfg = ExperimentConfig(
         protocol="common", source_doc=doc, trials=400, seed=20260822, w_max=20
     )

@@ -111,3 +111,16 @@ def test_every_metric_of_a_run_gets_a_verdict():
     summary = bench_pairs.summarize(pairs, DECLARED)
     assert sorted(summary) == sorted(names)
     assert {e["verdict"] for e in summary.values()} <= {"gain", "worse", "unresolved"}
+
+
+def test_source_lines_counts_the_non_blank_lines_of_the_package_modules(tmp_path):
+    package = tmp_path / "src" / "stopkey"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("import os\n\n\ndef f():\n    return os\n")
+    (package / "b.py").write_text("  \n\t\nX = 1\n# a comment counts\n")
+    (package / "notes.txt").write_text("not\nPython\n")
+    (package / "sub" / "c.py").write_text("Y = 2\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("Z = 3\n")
+    assert bench_pairs.source_lines(str(tmp_path)) == 3 + 2
+    assert bench_pairs.source_lines(str(tmp_path / "empty")) == 0

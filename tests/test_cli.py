@@ -11,13 +11,14 @@ from pathlib import Path
 import pytest
 
 import stopkey
-from stopkey import cli, formats
+from stopkey import cli
 from stopkey.cli import main
 from stopkey.common import KeyAgreeEngine
 from stopkey.probability import Pmf
 from stopkey.randomsource import RandomSource
 
 from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, random_rational_pmf
+from documents import joint_document, pmf_document, write_document
 
 # sha256 of the concatenated decompose dumps in TestDecompose.test_dump_bytes_are_pinned
 DUMP_PIN = {
@@ -65,21 +66,21 @@ DIST_PINS = {
 @pytest.fixture()
 def dist_file(tmp_path):
     path = str(tmp_path / "tenths.json")
-    formats.write_document(formats.pmf_document(CORPUS["tenths"]), path)
+    write_document(pmf_document(CORPUS["tenths"]), path)
     return path
 
 
 @pytest.fixture()
 def joint_file(tmp_path):
     path = str(tmp_path / "worked.json")
-    formats.write_document(formats.joint_document(WORKED_JOINT), path)
+    write_document(joint_document(WORKED_JOINT), path)
     return path
 
 
 @pytest.fixture()
 def corr_file(tmp_path):
     path = str(tmp_path / "corr3.json")
-    formats.write_document(formats.joint_document(CORRELATED_3), path)
+    write_document(joint_document(CORRELATED_3), path)
     return path
 
 
@@ -93,11 +94,11 @@ def _output(argv, capsys) -> str:
 @pytest.fixture()
 def law_files(tmp_path):
     good = str(tmp_path / "good.json")
-    formats.write_document(
+    write_document(
         {"atoms": [["0", "1/2"], ["1", "1/2"]], "tail": "0"}, good
     )
     bad = str(tmp_path / "bad.json")
-    formats.write_document(
+    write_document(
         {"atoms": [["0", "3/4"], ["1", "1/4"]], "tail": "0"}, bad
     )
     return good, bad
@@ -134,7 +135,7 @@ class TestDecompose:
         digests = {"text": hashlib.sha256(), "structured": hashlib.sha256()}
         path = str(tmp_path / "source.json")
         for p in sources:
-            formats.write_document(formats.pmf_document(p), path)
+            write_document(pmf_document(p), path)
             for form, digest in digests.items():
                 argv = ["decompose", "--dist", path, "--w-max", "24", "--format", form]
                 assert main(argv) == 0
@@ -159,7 +160,7 @@ class TestDecompose:
     def test_deepest_printable_depth_still_dumps(self, tmp_path, capsys):
         # at a 640-digit limit the deepest printable weight is 2**-2126
         path = str(tmp_path / "thirds.json")
-        formats.write_document(formats.pmf_document(CORPUS["thirds"]), path)
+        write_document(pmf_document(CORPUS["thirds"]), path)
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -302,8 +303,8 @@ class TestTrialOutputPins:
     def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
         # reports echo the source path, so it must not depend on tmp_path
         monkeypatch.chdir(tmp_path)
-        formats.write_document(formats.pmf_document(CORPUS["tenths"]), "tenths.json")
-        formats.write_document(formats.joint_document(CORRELATED_3), "corr3.json")
+        write_document(pmf_document(CORPUS["tenths"]), "tenths.json")
+        write_document(joint_document(CORRELATED_3), "corr3.json")
         dist_file = "tenths.json"
         base = ["--trials", "300", "--seed", "5"]
         structured = ["--format", "structured"]
@@ -337,7 +338,7 @@ class TestTrialOutputPins:
 
     def test_text_run_logs_are_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        formats.write_document(formats.joint_document(CORRELATED_3), "corr3.json")
+        write_document(joint_document(CORRELATED_3), "corr3.json")
         common = ["--joint", "corr3.json", "--m", "2", "--trials", "300", "--seed", "5"]
         argvs = {
             "keygen-almost derandomized": ["keygen-almost", *common],
@@ -387,8 +388,8 @@ class TestDistSourcePins:
 
     def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        formats.write_document(formats.pmf_document(CORPUS["tenths"]), "tenths.json")
-        formats.write_document(formats.pmf_document(_seeded_pmf(12, "dist-pin")), "p12.json")
+        write_document(pmf_document(CORPUS["tenths"]), "tenths.json")
+        write_document(pmf_document(_seeded_pmf(12, "dist-pin")), "p12.json")
         argvs = {}
         for form in ("structured", "text"):
             argvs[f"bounds tenths {form}"] = [
@@ -431,7 +432,7 @@ class TestVerifyRsbs:
 
     def test_tail_slack_accepts_truncated_laws(self, tmp_path, capsys):
         path = str(tmp_path / "tailed.json")
-        formats.write_document(
+        write_document(
             {"atoms": [["0", "1/4"], ["1", "1/4"]], "tail": "1/2"}, path
         )
         assert main(["verify-rsbs", "--law", path]) == 3

@@ -18,6 +18,7 @@ from conftest import (
     CORPUS,
     dyadic_exponent,
     pmf,
+    positive_indices,
     random_rational_pmf,
     round_weight_partial_entropy,
     run_threads,
@@ -70,7 +71,7 @@ class TestZeroError:
     def test_alice_and_bob_always_agree(self, corpus_pmf):
         e = engine_for(corpus_pmf)
         rng = RandomSource("agree")
-        for x in corpus_pmf.support():
+        for x in positive_indices(corpus_pmf):
             for _ in range(200):
                 key, w = e.alice(x, rng)
                 assert e.bob(x, w) == key
@@ -97,7 +98,7 @@ class TestLiteralDifferential:
     keys and round indexes when fed the same bit stream."""
 
     def test_alice_matches_literal_bit_for_bit(self, corpus_pmf):
-        for x in corpus_pmf.support():
+        for x in positive_indices(corpus_pmf):
             for trial in range(40):
                 r1 = RandomSource("diff").substream(x, trial)
                 r2 = RandomSource("diff").substream(x, trial)
@@ -114,7 +115,7 @@ class TestLiteralDifferential:
         rng = RandomSource("diff-random")
         for trial in range(15):
             p = random_rational_pmf(rng.substream("pmf", trial))
-            for x in p.support()[:3]:
+            for x in positive_indices(p)[:3]:
                 r1 = rng.substream("a", trial, x)
                 r2 = RandomSource("diff-random").substream("a", trial, x)
                 assert alice_keygen(p, x, r1) == keyagree_literal(
@@ -151,7 +152,7 @@ class TestEnumeratedLaw:
     def test_round_marginal_is_exactly_two_to_minus_w(self, corpus_pmf):
         law = exact_common_law(corpus_pmf, 12)
         by_round: dict[int, Fraction] = {}
-        for _x, w, prob in law.joint_w_x():
+        for _x, w, _key, prob in law.atoms:
             by_round[w] = by_round.get(w, Fraction(0)) + prob
         for w in range(1, 13):
             assert by_round[w] == Fraction(1, 1 << w)
@@ -182,7 +183,7 @@ class TestEnumeratedLaw:
         # E[W 1{W <= w_max}] = 2 - (w_max + 2) 2**-w_max
         w_max = 16
         law = exact_common_law(corpus_pmf, w_max)
-        ew = sum((Fraction(w) * prob for _, w, prob in law.joint_w_x()), Fraction(0))
+        ew = sum((Fraction(w) * prob for _, w, _, prob in law.atoms), Fraction(0))
         assert ew == round_weight_partial_entropy(w_max)
 
     def test_uniform3_expected_length_closed_form(self):
@@ -225,7 +226,7 @@ class TestEnumeratedLaw:
         p = CORPUS["tenths"]
         e = engine_for(p)
         w_max = 30
-        for x in p.support():
+        for x in positive_indices(p):
             # p(x) P(W = w | x) = 2**-(w + length): the chunk round w removes
             lengths = e.round_lengths(x, w_max)
             covered = sum((Fraction(1, 1 << (w + n)) for w, n in lengths), Fraction(0))

@@ -12,7 +12,6 @@ from stopkey.formats import (
     dumps,
     format_rational,
     hash_function_document,
-    joint_document,
     load_distribution,
     load_hash_function,
     load_source,
@@ -22,16 +21,15 @@ from stopkey.formats import (
     parse_pmf,
     parse_rational,
     parse_source,
-    pmf_document,
     read_document,
     rsbs_verdict_document,
-    write_document,
 )
 from stopkey.keylaws import KeyLaw, verify_rsbs
 from stopkey.probability import JointPmf, Pmf
 from stopkey.reconciled import HashFunction
 
 from conftest import CORPUS, WORKED_JOINT, pmf
+from documents import joint_document, pmf_document, write_document
 
 
 @pytest.fixture()

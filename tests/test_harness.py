@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +28,6 @@ from stopkey.harness import (
     parse_reconciler,
     resolve_hash,
     run_simulation,
-    transcript_label,
     wilson_interval,
 )
 from stopkey.common import KeyAgreeEngine, _unpack_code, exact_common_law
@@ -56,6 +57,7 @@ from conftest import (
     random_rational_pmf,
     run_threads,
 )
+from documents import joint_document, pmf_document, write_document
 
 
 class TestIntervals:
@@ -142,24 +144,30 @@ class TestHuffmanBaseline:
         assert huffman_expected_length(pmf("1", "0")) == 0
 
 
+def _round(w: int):
+    """The transcript of a common run announced at round w."""
+    return (("alice", "round", w),)
+
+
 class TestFairness:
     def test_biased_first_bit_is_flagged(self):
-        samples = [("t", "0")] * 200
+        samples = [(_round(1), "0")] * 200
         rep = fairness_test(samples)
         assert not rep["vacuous"]
         assert len(rep["flags"]) == 1
         flag = rep["flags"][0]
+        assert flag["transcript"] == "alice:round=1"
         assert flag["prefix"] == ""
         assert flag["zeros"] == 200 and flag["ones"] == 0
 
     def test_empty_keys_are_vacuous(self):
-        rep = fairness_test([("t", "")] * 50)
+        rep = fairness_test([(_round(1), "")] * 50)
         assert rep["vacuous"]
         assert rep["tests"] == 0 and rep["flags"] == []
         assert rep["vacuous"] is True
 
     def test_balanced_bits_pass(self):
-        samples = [("t", "0")] * 100 + [("t", "1")] * 100
+        samples = [(_round(1), "0")] * 100 + [(_round(1), "1")] * 100
         rep = fairness_test(samples)
         assert not rep["flags"]
 
@@ -172,17 +180,17 @@ class TestFairness:
         assert not rep["flags"]
 
     def test_bonferroni_adjustment(self):
-        samples = [("a", "00"), ("a", "01"), ("b", "1")]
+        samples = [(_round(1), "00"), (_round(1), "01"), (_round(2), "1")]
         rep = fairness_test(samples)
-        # cells: (a, ""), (a, "0"), (b, "")
+        # cells: (round 1, ""), (round 1, "0"), (round 2, "")
         assert rep["tests"] == 3
         assert rep["adjusted_alpha"] == pytest.approx(0.01 / 3)
 
     def test_grouping_by_transcript_value(self):
         # same prefix, different transcripts: tested separately
-        samples = [(("x",), "0")] * 30 + [(("y",), "1")] * 30
-        rep = fairness_test([(transcript_label(()), k) for _, k in samples[:30]])
-        assert rep["tests"] == 1
+        samples = [(_round(1), "0")] * 30 + [(_round(2), "1")] * 30
+        assert fairness_test([((), k) for _, k in samples])["tests"] == 1
+        assert fairness_test(samples)["tests"] == 2
 
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValidationError):
@@ -193,7 +201,7 @@ class TestFairness:
     def test_counted_samples_match_the_list(self):
         rng = RandomSource("fairness-counter")
         samples = [
-            (f"t{rng.randrange(3)}", format(rng.randrange(8), "03b")[: rng.randrange(4)])
+            (_round(rng.randrange(3)), format(rng.randrange(8), "03b")[: rng.randrange(4)])
             for _ in range(500)
         ]
         assert fairness_test(Counter(samples)) == fairness_test(samples)
@@ -382,9 +390,9 @@ class TestPlan:
     )
     def test_wrong_source_kind_names_the_protocol(self, protocol, source):
         doc = (
-            formats.pmf_document(source)
+            pmf_document(source)
             if isinstance(source, Pmf)
-            else formats.joint_document(source)
+            else joint_document(source)
         )
         cfg = ExperimentConfig(protocol=protocol, source_doc=doc)
         with pytest.raises(ValidationError, match=f"^{protocol} protocol takes"):
@@ -395,7 +403,7 @@ class TestPlan:
     def test_plan_plays_the_configured_trials(self):
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(CORRELATED_3),
+            source_doc=joint_document(CORRELATED_3),
             m=2,
             trials=7,
             seed=3,
@@ -408,7 +416,7 @@ class TestPlan:
     def test_a_two_stage_trial_derives_three_substreams(self, monkeypatch):
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(CORRELATED_3),
+            source_doc=joint_document(CORRELATED_3),
             m=2,
             trials=20,
             reconciler="hashmap:1",
@@ -430,8 +438,8 @@ class TestPlan:
     @pytest.mark.parametrize(
         "protocol, doc, options",
         [
-            ("common", formats.pmf_document(CORPUS["tenths"]), {}),
-            ("correlated", formats.joint_document(CORRELATED_3), {"reconciler": "hashmap:1", "m": 2}),
+            ("common", pmf_document(CORPUS["tenths"]), {}),
+            ("correlated", joint_document(CORRELATED_3), {"reconciler": "hashmap:1", "m": 2}),
         ],
         ids=["common", "two-stage"],
     )
@@ -466,7 +474,7 @@ class TestPlan:
         # a plan decides each source cell once; the keygen calls decide on
         # every call, from the same substreams
         cfg = ExperimentConfig(
-            source_doc=formats.joint_document(CORRELATED_3), m=2, trials=300, seed=11, **options
+            source_doc=joint_document(CORRELATED_3), m=2, trials=300, seed=11, **options
         )
         plan = cfg.plan()
         root = RandomSource(cfg.seed)
@@ -494,7 +502,7 @@ class TestPlan:
         built.clear()
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(CORRELATED_3),
+            source_doc=joint_document(CORRELATED_3),
             m=2,
             trials=200,
             reconciler="hashmap:1",
@@ -508,10 +516,10 @@ class TestPlan:
     @pytest.mark.parametrize(
         "options",
         [
-            {"protocol": "common", "source_doc": formats.pmf_document(CORPUS["tenths"])},
+            {"protocol": "common", "source_doc": pmf_document(CORPUS["tenths"])},
             {
                 "protocol": "correlated",
-                "source_doc": formats.joint_document(CORRELATED_3),
+                "source_doc": joint_document(CORRELATED_3),
                 "m": 2,
                 "reconciler": "hashmap:1",
             },
@@ -554,7 +562,7 @@ class TestPlan:
         monkeypatch.setattr(OneWayHashReconciler, "run", counting)
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(CORRELATED_3),
+            source_doc=joint_document(CORRELATED_3),
             m=2,
             trials=5000,
             reconciler="hashmap:1",
@@ -579,7 +587,7 @@ class TestPlan:
         uniform = pmf(*[Fraction(1, 20)] * 20)
         cfg = ExperimentConfig(
             protocol=protocol,
-            source_doc=formats.joint_document(product_joint(uniform, uniform)),
+            source_doc=joint_document(product_joint(uniform, uniform)),
             m=2,
             trials=3,
         )
@@ -590,7 +598,7 @@ class TestPlan:
     def test_threads_sharing_a_plan_play_the_serial_trials(self):
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(CORRELATED_3),
+            source_doc=joint_document(CORRELATED_3),
             m=2,
             trials=150,
             reconciler="hashmap:1",
@@ -605,7 +613,7 @@ class TestPlan:
     def test_an_empty_reconciler_spec_is_not_the_default(self):
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(CORRELATED_3),
+            source_doc=joint_document(CORRELATED_3),
             reconciler="",
         )
         with pytest.raises(ValidationError, match="unknown reconciler"):
@@ -651,7 +659,7 @@ class TestSpecs:
 
     def test_hash_spec_fixed_file(self, tmp_path):
         path = str(tmp_path / "h.json")
-        formats.write_document(
+        write_document(
             formats.hash_function_document(HashFunction(("0", "1"), (1, 2), 2)),
             path,
         )
@@ -660,7 +668,7 @@ class TestSpecs:
 
     def test_hash_spec_fixed_file_must_cover_alphabet(self, tmp_path):
         path = str(tmp_path / "h.json")
-        formats.write_document(
+        write_document(
             formats.hash_function_document(HashFunction(("0",), (1,), 2)), path
         )
         with pytest.raises(ValidationError):
@@ -668,7 +676,7 @@ class TestSpecs:
 
     def test_hash_spec_bucket_count_must_match(self, tmp_path):
         path = str(tmp_path / "h.json")
-        formats.write_document(
+        write_document(
             formats.hash_function_document(HashFunction(("0", "1"), (1, 2), 2)),
             path,
         )
@@ -687,7 +695,7 @@ class TestSpecs:
 def _common_cfg(**kw):
     base = dict(
         protocol="common",
-        source_doc=formats.pmf_document(CORPUS["tenths"]),
+        source_doc=pmf_document(CORPUS["tenths"]),
         trials=300,
         seed=11,
         w_max=20,
@@ -777,9 +785,9 @@ class TestRunSimulation:
     @pytest.mark.parametrize(
         "doc, extra, sizes",
         [
-            (formats.pmf_document(CORPUS["tenths"]), {}, (500, 5000)),
+            (pmf_document(CORPUS["tenths"]), {}, (500, 5000)),
             (
-                formats.joint_document(CORRELATED_3),
+                joint_document(CORRELATED_3),
                 {"protocol": "correlated", "m": 2, "reconciler": "hashmap:1"},
                 (200, 2000),
             ),
@@ -820,7 +828,7 @@ class TestRunSimulation:
         with pytest.raises(ValidationError, match="exceeds 14284"):
             run_simulation(
                 ExperimentConfig(
-                    protocol="common", source_doc=formats.pmf_document(fresh), w_max=15000
+                    protocol="common", source_doc=pmf_document(fresh), w_max=15000
                 )
             )
         with pytest.raises(ValidationError, match="exceeds limit 20000"):
@@ -839,21 +847,21 @@ class TestRunSimulation:
             run_simulation(
                 ExperimentConfig(
                     protocol="common",
-                    source_doc=formats.joint_document(WORKED_JOINT),
+                    source_doc=joint_document(WORKED_JOINT),
                 )
             )
         with pytest.raises(ValidationError, match="joint distribution"):
             run_simulation(
                 ExperimentConfig(
                     protocol="almost",
-                    source_doc=formats.pmf_document(CORPUS["tenths"]),
+                    source_doc=pmf_document(CORPUS["tenths"]),
                 )
             )
 
     def test_almost_derandomized_sections(self):
         cfg = ExperimentConfig(
             protocol="almost",
-            source_doc=formats.joint_document(WORKED_JOINT),
+            source_doc=joint_document(WORKED_JOINT),
             m=2,
             trials=400,
             seed=3,
@@ -871,7 +879,7 @@ class TestRunSimulation:
     def test_almost_random_small_alphabet_averages_exactly(self):
         cfg = ExperimentConfig(
             protocol="almost",
-            source_doc=formats.joint_document(WORKED_JOINT),
+            source_doc=joint_document(WORKED_JOINT),
             m=2,
             trials=200,
             seed=9,
@@ -899,7 +907,7 @@ class TestRunSimulation:
     def _average_report(self, m):
         cfg = ExperimentConfig(
             protocol="almost",
-            source_doc=formats.joint_document(self.FIVE_LABELS),
+            source_doc=joint_document(self.FIVE_LABELS),
             m=m,
             trials=0,
             seed=1,
@@ -920,7 +928,7 @@ class TestRunSimulation:
     def test_correlated_pipeline_report(self):
         cfg = ExperimentConfig(
             protocol="correlated",
-            source_doc=formats.joint_document(WORKED_JOINT),
+            source_doc=joint_document(WORKED_JOINT),
             m=2,
             trials=300,
             seed=21,
@@ -996,10 +1004,25 @@ def _block_cfg(name: str, tmp_path, trials: int = 301) -> ExperimentConfig:
     if options.get("hash_spec") == "fixed":
         path = str(tmp_path / "table.json")
         table = HashFunction(union_alphabet(source), (1, 2, 1), 2)
-        formats.write_document(formats.hash_function_document(table), path)
+        write_document(formats.hash_function_document(table), path)
         options["hash_spec"] = f"fixed:{path}"
-    doc = formats.pmf_document(source) if isinstance(source, Pmf) else formats.joint_document(source)
+    doc = pmf_document(source) if isinstance(source, Pmf) else joint_document(source)
     return ExperimentConfig(source_doc=doc, trials=trials, seed=19, **options)
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
+def test_a_played_plan_is_freed_without_the_cycle_collector(name, tmp_path):
+    # a plan in a reference cycle would hold its records, decided cells and
+    # samplers until the cyclic collector next runs
+    gc.disable()
+    try:
+        plan = _block_cfg(name, tmp_path, trials=60).plan()
+        assert Counter(plan.runs())
+        gone = weakref.ref(plan)
+        del plan
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 class TestTrialBlocks:
@@ -1107,7 +1130,7 @@ class TestTrialBlocks:
         # the common-mc source: 20 000 trials, as the benchmark runs them
         source = pmf(*[Fraction(k, 36) for k in range(1, 9)])
         cfg = ExperimentConfig(
-            protocol="common", source_doc=formats.pmf_document(source), trials=20_000, seed=7
+            protocol="common", source_doc=pmf_document(source), trials=20_000, seed=7
         )
         peaks = {}
         # the first pass of each warms its caches; readings drift down a

@@ -17,7 +17,6 @@ from stopkey.errors import (
     ReconcilerContractError,
     ValidationError,
 )
-from stopkey.formats import joint_document
 from stopkey.keylaws import verify_rsbs
 from stopkey.probability import JointPmf, Pmf, agreement_stats, entropy
 from stopkey import reconciled
@@ -55,6 +54,7 @@ from conftest import (
     pmf,
     run_threads,
 )
+from documents import joint_document
 from grid_sampler_oracle import sample_full_grid
 from table_oracle import average_over_tables
 import analysis_oracle
@@ -956,7 +956,7 @@ class TestCorrelatedPipeline:
             for d in range(100):
                 a, b = RandomSource(f"grid-{k}-{d}"), RandomSource(f"grid-{k}-{d}")
                 assert sample_joint(j, a) == sample_full_grid(j, b)
-                assert a.bits(2) == b.bits(2)
+                assert a.generator().getrandbits(2) == b.generator().getrandbits(2)
 
 
 class TestTranscriptLaws:

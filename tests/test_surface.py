@@ -1,9 +1,17 @@
-"""Every name a public module lists in ``__all__`` exists and star-imports."""
+"""The public surface: every name a public module lists in ``__all__``
+exists and star-imports, deleted names stay deleted, and every public
+name is reached from outside the tests."""
 
+import ast
 import dataclasses
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "stopkey"
 
 MODULES = [
     "stopkey",
@@ -54,6 +62,24 @@ REMOVED = [
     # only the oracles and their tests used them; they live with them now
     ("stopkey.probability", "floor_log2"),
     ("stopkey.probability", "ceil_neg_log2"),
+    # composition is exact arithmetic on (epsilon, ell) points; the float
+    # interval arm only tests used
+    ("stopkey.keylaws", "IntervalLike"),
+    ("stopkey.keylaws", "_interval"),
+    ("stopkey.keylaws", "_interval_mul"),
+    # only tests called them, as shortcuts for generator().getrandbits(k),
+    # not at_least(t), value_bits/nbits, the atoms and the numerators
+    ("stopkey.randomsource", "RandomSource.bits"),
+    ("stopkey.randomsource", "LazyUniform.less_than"),
+    ("stopkey.randomsource", "LazyUniform.as_bracket"),
+    ("stopkey.probability", "Pmf.support"),
+    ("stopkey.keylaws", "KeyLaw.support"),
+    ("stopkey.common", "CommonLaw.joint_w_x"),
+    # no verb emits a source document; tests build fixtures with them, from
+    # tests/documents.py
+    ("stopkey.formats", "pmf_document"),
+    ("stopkey.formats", "joint_document"),
+    ("stopkey.formats", "write_document"),
 ]
 
 
@@ -77,3 +103,91 @@ def test_pmfs_store_one_integer_form():
 
     assert names(Pmf) == ["labels", "numerators", "denominator", "_hash"]
     assert names(JointPmf) == ["x_labels", "y_labels", "numerator_cells", "denominator", "_hash"]
+
+
+# Public names reached from nowhere outside the tests, each kept for the
+# reason given: the paper states them, and the keylaws docstrings document
+# them as its surface.
+PAPER_SURFACE = {
+    ("stopkey.keylaws", "stopping_rule_of"): "the law-to-rule direction of the randomly stopped property",
+    ("stopkey.keylaws", "law_from_stopping_rule"): "the rule-to-law direction of the randomly stopped property",
+    ("stopkey.keylaws", "simulate_stopped_key"): "a key drawn by the stopping dynamics themselves",
+    ("stopkey.keylaws", "pointwise_mass_bound"): "P(K = k) <= 2**-|k|, the inequality behind the converse",
+}
+
+
+def _identifiers(tree: ast.AST):
+    """(identifier, line) for every name and attribute in ``tree``; an
+    f-string's expressions are nodes of the tree, so they count too."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.end_lineno
+
+
+def _public_definitions(tree: ast.Module):
+    """(qualified name, line) of each public module-level name and each
+    public method defined in a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{item.name}", item.lineno
+
+
+def _readme_code() -> list[str]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```[^\n]*\n(.*?)```", text, re.S)
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    return blocks + re.findall(r"`([^`\n]+)`", prose)
+
+
+def _surface():
+    """({(module, name): line} of the package's public definitions, the set
+    of identifiers used outside the tests). A definition's own line does
+    not count as a use of the name it defines."""
+    defined = {}
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "stopkey" if path.stem == "__init__" else f"stopkey.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = set()
+        for name, line in _public_definitions(tree):
+            last = name.rsplit(".", 1)[-1]
+            if not last.startswith("_"):
+                defined[module, name] = line
+            own.add((last, line))
+        used.update(ident for ident, line in _identifiers(tree) if (ident, line) not in own)
+    for folder in ("perfbench", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            used.update(ident for ident, _ in _identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+    for code in _readme_code():
+        try:
+            used.update(ident for ident, _ in _identifiers(ast.parse(code)))
+        except SyntaxError:  # a shell line, JSON, CLI output
+            used.update(re.findall(r"[A-Za-z_]\w*", code))
+    return defined, used
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    defined, used = _surface()
+    unreached = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name.rsplit(".", 1)[-1] not in used and (module, name) not in PAPER_SURFACE
+    ]
+    assert unreached == [], "delete these, or list them in PAPER_SURFACE with a reason"
+
+
+def test_the_paper_surface_table_lists_only_unreached_names():
+    defined, used = _surface()
+    for (module, name), reason in PAPER_SURFACE.items():
+        assert (module, name) in defined, name
+        assert name.rsplit(".", 1)[-1] not in used, f"{name} is reached; drop it from the table"
+        assert reason

@@ -11,8 +11,9 @@ k, it runs
 
 once in each tree at seed S = --first-seed + k, the base first in even
 pairs and the change first in odd ones, so neither side always runs on a
-warmer host. The file holds both sides' SHAs, the platform and Python
-version, ``os.cpu_count()`` and the usable CPUs
+warmer host. The file holds both sides' SHAs and the non-blank line
+count of each exported tree's ``src/stopkey/*.py``, the platform and
+Python version, ``os.cpu_count()`` and the usable CPUs
 (``len(os.sched_getaffinity(0))``), whether the interpreter may write
 bytecode caches (its ``sys.flags.dont_write_bytecode`` and
 ``PYTHONDONTWRITEBYTECODE``, which the runs inherit), every run's last
@@ -26,6 +27,7 @@ it from anywhere inside the repository.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -47,6 +49,16 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
+def source_lines(tree: str) -> int:
+    """Non-blank lines of ``src/stopkey/*.py`` under ``tree``: a change's
+    size, counted in the same export its runs use."""
+    total = 0
+    for path in sorted(glob.glob(os.path.join(tree, "src", "stopkey", "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for line in fh if line.strip())
+    return total
+
+
 def source_tree(spec: str, work: str, name: str) -> tuple[str, dict]:
     """(directory to run in, provenance) for a git revision."""
     sha = git("rev-parse", "--verify", spec + "^{commit}")
@@ -59,7 +71,8 @@ def source_tree(spec: str, work: str, name: str) -> tuple[str, dict]:
         # the "data" filter where this Python has it: plain files only
         tar.extractall(path, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     os.remove(archive)
-    return path, {"spec": spec, "sha": sha, "tree": git("rev-parse", sha + "^{tree}")}
+    tree = git("rev-parse", sha + "^{tree}")
+    return path, {"spec": spec, "sha": sha, "tree": tree, "source_lines": source_lines(path)}
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> dict:

@@ -20,9 +20,19 @@ engine asserts it. Each round's conditional is dyadic, so its symbols
 take the codewords of a full prefix-free codebook, read off the binary
 digits of the cumulative chunk mass in selection order. Residual masses
 are integers over a shared power-of-two-scaled denominator, so the sort
-is an integer sort and chunk arithmetic is shifts. The test suite holds
-the engine bit for bit to a plain-Fraction transliteration of the
-published per-round loop.
+is an integer sort and chunk arithmetic is shifts.
+
+A round depends on the residual only up to scale: if the residual after
+round w is the one after round w - T halved T times, round w + 1 repeats
+round w - T + 1 with every chunk halved T times, the same order and the
+same codewords, and so on forever. For a rational pmf the normalized
+residual 2**w r_w is eventually periodic, like a rational's binary
+expansion (Knuth & Yao 1976), and its period is a multiple of T, the
+order of 2 modulo the odd part of the pmf's denominator. So at every
+T-th round the engine tests exactly whether the residual repeats with
+period T and, once it does, shares the period's rounds instead of
+building more. The test suite holds the engine bit for bit to a
+plain-Fraction transliteration of the published per-round loop.
 """
 
 from __future__ import annotations
@@ -93,8 +103,10 @@ class KeyAgreeEngine:
     Residuals are integers num[i] over a common denominator Q = D << s,
     starting from the pmf's own numerators over its denominator D and
     rescaled (Q and all numerators shifted together) whenever a chunk
-    2**-alpha needs more dyadic headroom. Per-round cost is the integer
-    sort: O(|X| log |X|).
+    2**-alpha needs more dyadic headroom. A built round costs the integer
+    sort, O(|X| log |X|); once the residual is seen to repeat, a round
+    past it shares the tuples of the round one period earlier and costs
+    O(1).
 
     One engine is shared per pmf across threads (``engine_for``). Rounds
     and stopping thresholds are built under one reentrant lock and
@@ -110,6 +122,15 @@ class KeyAgreeEngine:
         # one int object per symbol index, shared by every round's order
         self._indices = list(range(len(p)))
         self._rounds: list[_Round] = []
+        # 2**w - 1 mod the odd part of D after w built rounds: the residual
+        # can repeat, halved, only where it is 0 (see _repeats)
+        self._odd = p.denominator >> self._tz
+        self._ones = 0
+        self._order = 0  # the order of 2 mod the odd part, once reached
+        # the period T once the residual after round _built repeats; the
+        # residual is held as it stood after round _built
+        self._period = 0
+        self._built = 0
         self._thresholds: dict[int, _ThresholdWalk] = {}
         # reentrant: a threshold walk builds rounds while holding it
         self._lock = threading.RLock()
@@ -183,14 +204,41 @@ class KeyAgreeEngine:
             for i in seg:
                 nums[i] -= chunk
         self._rounds.append(_Round(w, tuple(order), packed))
+        self._built = w
+        self._ones = (2 * self._ones + 1) % self._odd
+        if not self._ones:
+            if not self._order:
+                self._order = w
+            if self._repeats(w, self._order):
+                self._period = self._order
+
+    def _repeats(self, w: int, t: int) -> bool:
+        """Whether the residual after round w is the one after round w - t
+        halved t times: (2**t - 1) r_w(i) is then exactly the mass rounds
+        w - t + 1 .. w took from i, for every i. Run only where 2**w = 1
+        modulo the odd part of D, every order-th round."""
+        q = self._q
+        taken = [0] * len(self._nums)
+        for rnd in self._rounds[w - t : w]:
+            for i, p in rnd.packed.items():
+                taken[i] += q >> (rnd.w + (p & _LEN_MASK))
+        f = (1 << t) - 1
+        return all(v * f == c for v, c in zip(self._nums, taken))
 
     def ensure(self, w: int) -> None:
         if w > _MAX_ROUNDS:
             raise ValidationError(f"round depth {w} exceeds limit {_MAX_ROUNDS}")
         if len(self._rounds) < w:
             with self._lock:
-                while len(self._rounds) < w:
+                rounds = self._rounds
+                while len(rounds) < w and not self._period:
                     self._advance()
+                # past a repeat, round v is round v - T with its chunks
+                # halved T times: the same order and codewords
+                t = self._period
+                for v in range(len(rounds) + 1, w + 1):
+                    src = rounds[v - 1 - t]
+                    rounds.append(_Round(v, src.order, src.packed))
 
     def round(self, w: int) -> _Round:
         if w < 1:
@@ -202,7 +250,21 @@ class KeyAgreeEngine:
         """Exact residual masses after the rounds built so far; after w
         rounds they total 2**-w."""
         with self._lock:
-            return tuple(Fraction(v, self._q) for v in self._nums)
+            nums, q = self._nums, self._q
+            shared = len(self._rounds) - self._built
+            if shared:
+                # after round _built + a T + b the residual is the one after
+                # round _built + b halved a T times, and rounds _built + 1 ..
+                # _built + b take half T times what rounds _built - T + 1 ..
+                # _built - T + b took
+                t = self._period
+                a, b = divmod(shared, t)
+                nums = [v << t for v in nums]
+                for rnd in self._rounds[self._built - t : self._built - t + b]:
+                    for i, p in rnd.packed.items():
+                        nums[i] -= q >> (rnd.w + (p & _LEN_MASK))
+                q <<= t * (a + 1)
+            return tuple(Fraction(v, q) for v in nums)
 
     # -- protocol -------------------------------------------------------------
 

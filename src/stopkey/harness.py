@@ -155,16 +155,19 @@ def fairness_test(samples: Iterable[tuple[Transcript, str]]) -> dict:
     enumeration is feasible. Bonferroni-adjusts alpha = 0.01 across all
     (transcript, prefix) cells; a sample set with only empty keys has no
     testable prefixes and reports vacuous. Samples are (transcript, key)
-    pairs, as a list or a Counter; flags name a transcript by its
-    ``transcript_label``. Returns the report's fairness section: the
-    levels, the number of tests, and one entry per flagged cell.
+    pairs, as a list or a Counter, a transcript given as a tuple or as its
+    ``transcript_label`` already made; flags name a transcript by its
+    label. Returns the report's fairness section: the levels, the number
+    of tests, and one entry per flagged cell.
     """
     samples = Counter(samples)
     if not samples:
         raise ValidationError("at least one sample required")
     tallies: dict[str, dict[str, list[int]]] = {}
     for (transcript, key), n in samples.items():
-        group = tallies.setdefault(transcript_label(transcript), {})
+        if not isinstance(transcript, str):
+            transcript = transcript_label(transcript)
+        group = tallies.setdefault(transcript, {})
         for pos in range(len(key)):
             counts = group.setdefault(key[:pos], [0, 0])
             counts[int(key[pos])] += n
@@ -308,8 +311,9 @@ def eavesdropper_view(runs: Iterable[_RunRecord]) -> dict:
     Asserts that no string payload equals any party's nonempty key
     (integer payloads such as round indices are not bitstrings and are
     compared as types, not spellings). Feeds the fairness diagnostics
-    with ideal keys grouped by transcript value. Runs come as a list or a
-    Counter, whose first-insertion order names the first offending run.
+    with ideal keys grouped by transcript value, each distinct transcript
+    labelled once. Runs come as a list or a Counter, whose
+    first-insertion order names the first offending run.
     """
     try:
         runs = Counter(runs)
@@ -319,17 +323,19 @@ def eavesdropper_view(runs: Iterable[_RunRecord]) -> dict:
         raise ValidationError("empty transcript log")
     keys_seen = set()
     payload_count = 0
-    labels = set()
-    samples: Counter[tuple[Transcript, str]] = Counter()
+    labels: dict[Transcript, str] = {}
+    samples: Counter[tuple[str, str]] = Counter()
     for entry, n in runs.items():
         try:
             transcript, key_a, key_b, ideal = entry
         except (TypeError, ValueError):
             raise ValidationError(f"malformed run record: {entry!r}") from None
         keys_seen.update(key for key in (key_a, key_b, ideal) if key)
-        labels.add(transcript_label(transcript))
+        label = labels.get(transcript)
+        if label is None:
+            label = labels[transcript] = transcript_label(transcript)
         payload_count += n * len(transcript)
-        samples[transcript, ideal] += n
+        samples[label, ideal] += n
     for transcript, _, _, _ in runs:
         for sender, kind, value in transcript:
             if isinstance(value, str) and value in keys_seen:
@@ -339,7 +345,7 @@ def eavesdropper_view(runs: Iterable[_RunRecord]) -> dict:
     return {
         "runs": runs.total(),
         "messages": payload_count,
-        "distinct_transcripts": len(labels),
+        "distinct_transcripts": len(set(labels.values())),
         "leak_check": "clean",
         "fairness": fairness_test(samples),
     }
@@ -809,9 +815,6 @@ def count_runs(plan: ProtocolPlan) -> Counter[_RunRecord]:
             if child is not None:
                 pids[b], pipes[b] = child
         total = Counter(plan.runs(0, bounds[1]))
-        # each record object once, by its bytes: a child's record already
-        # seen costs a dict lookup, not a second copy of its tuples
-        known = {marshal.dumps(run): run for run in total} if k > 1 else {}
         for b in range(1, k):
             block = None
             if b in pids:
@@ -822,11 +825,10 @@ def count_runs(plan: ProtocolPlan) -> Counter[_RunRecord]:
             if block is None:
                 total.update(plan.runs(bounds[b], bounds[b + 1]))
                 continue
+            # a record already counted keeps its first object: the dict
+            # keeps the key it holds, and the loaded copy is dropped
             for blob, n in zip(*block):
-                run = known.get(blob)
-                if run is None:
-                    run = known[blob] = marshal.loads(blob)
-                total[run] += n
+                total[marshal.loads(blob)] += n
         return total
     finally:
         for read_fd in pipes.values():

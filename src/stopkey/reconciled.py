@@ -386,6 +386,11 @@ def analyze_almost_common(
     integer numerators of the joint and of the bucket conditional. Keys
     are compared as packed codeword entries; only the transcript laws
     build key strings, and add one ``Fraction`` per round.
+
+    Bob's steps depend only on his bucket and his symbol, so they are read
+    once per (bucket, symbol). A same-symbol outcome agrees in every round
+    and its key is Bob's codeword, so without laws it adds its key-length
+    sum, read once with the steps, and walks no round.
     """
     stats = agreement_stats(j)
     bound = (1 - stats.p) / h.m
@@ -400,6 +405,8 @@ def analyze_almost_common(
         bucket[key] = bucket.get(key, ZERO) + mass
 
     d = j.denominator
+    # (w1, Bob's index) -> (steps, scale, den, key bits of Bob's own codeword)
+    bob: dict[tuple[int, int], tuple[list[tuple[_Round, int]], int, int, int]] = {}
     for ix, iy, n in j.numerator_cells:
         xl, yl = j.x_labels[ix], j.y_labels[iy]
         same = xl == yl
@@ -409,19 +416,28 @@ def analyze_almost_common(
                 law_add((w1, None), "", Fraction(n, d))
             continue
         eng, xi, yi = stage
-        # (round, integer weight) pairs, weights q over 2^top; a step adds
-        # q * num / den, its mass / (p*(y) 2^top). With no bucket mass Bob
-        # pins the round to 1.
-        py = eng.pmf.numerators[yi]
-        if py:
-            built = eng.rounds(w_max)
-            law = eng.round_lengths(yi, w_max)
-            top = max((w + k for w, k in law), default=0)
-            steps = [(built[w - 1], 1 << (top - w - k)) for w, k in law]
-            num, den = n * eng.pmf.denominator, (d * py) << top
-        else:
-            steps = [(eng.round(1), 1)]
-            num, den = n, d
+        law = bob.get((w1, yi))
+        if law is None:
+            # (round, integer weight) pairs, weights q over 2^top; a step
+            # adds q * n * scale / den, its mass / (p*(y) 2^top). With no
+            # bucket mass Bob pins the round to 1.
+            py = eng.pmf.numerators[yi]
+            if py:
+                built = eng.rounds(w_max)
+                lengths = eng.round_lengths(yi, w_max)
+                top = max((w + k for w, k in lengths), default=0)
+                steps = [(built[w - 1], 1 << (top - w - k)) for w, k in lengths]
+                bits = sum((1 << (top - w - k)) * k for w, k in lengths)
+                law = steps, eng.pmf.denominator, (d * py) << top, bits
+            else:
+                law = [(eng.round(1), 1)], 1, d, 0
+            bob[w1, yi] = law
+        steps, scale, den, bits = law
+        num = n * scale
+        if same and not collect_laws:
+            if bits:
+                length += Fraction(num * bits, den)
+            continue
         seen = erred = key_bits = 0
         for rnd, q in steps:
             seen += q

@@ -1,14 +1,16 @@
 """The published per-round agreement loop, transliterated in Fractions.
 
-Kept deliberately naive (Fractions, re-sorting every round) as the
-oracle ``KeyAgreeEngine`` is differentially tested against: driven from
-the same bit stream, the two must emit identical keys and round indexes.
+Kept deliberately naive (Fractions, re-sorting every round, no period
+shortcut) as the oracle ``KeyAgreeEngine`` is differentially tested
+against: driven from the same bit stream, the two must emit identical
+keys and round indexes, and round by round the same codebooks and
+residuals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from stopkey.common import _MAX_ROUNDS
 from stopkey.errors import InvariantError, ProtocolError, ValidationError
@@ -96,6 +98,27 @@ def keyagree_literal(
             return g >= threshold
         return g.at_least(threshold)
 
+    for w_cur, i, length, k, residual in literal_selections(p):
+        if i is None:
+            if role == "bob" and w_cur >= w:
+                raise ProtocolError(
+                    f"symbol {x} has no codeword in round {w}; "
+                    "(y, w) is unreachable, the parties' values must differ"
+                )
+        elif i == x and (g_at_least(residual[i]) if role == "alice" else w_cur == w):
+            return _digits(k, length), w_cur
+    raise ProtocolError(f"no round selected within {_MAX_ROUNDS} rounds")
+
+
+def literal_selections(
+    p: Pmf,
+) -> Iterator[tuple[int, int | None, int, Fraction, list[Fraction]]]:
+    """The per-round loop one step at a time, up to the round cap.
+
+    Yields (w, i, length, k, residual) after each selection, with i's
+    chunk already taken from the residual and k the cumulative mass of
+    round w before i, then (w, None, 0, k, residual) when round w closes.
+    """
     residual = list(p.masses)
     for w_cur in range(1, _MAX_ROUNDS + 1):
         q = Fraction(1, 1 << w_cur)
@@ -108,16 +131,26 @@ def keyagree_literal(
             q -= chunk
             residual[i] -= chunk
             length = alpha - w_cur
-            if role == "alice" and i == x and g_at_least(residual[i]):
-                return _digits(k, length), w_cur
-            if role == "bob" and w_cur == w and i == x:
-                return _digits(k, length), w_cur
+            yield w_cur, i, length, k, residual
             k += Fraction(1, 1 << length)
         if q != 0:
             raise InvariantError(f"round {w_cur} left budget {q} unassigned")
-        if role == "bob" and w_cur >= w:
-            raise ProtocolError(
-                f"symbol {x} has no codeword in round {w}; "
-                "(y, w) is unreachable, the parties' values must differ"
-            )
-    raise ProtocolError(f"no round selected within {_MAX_ROUNDS} rounds")
+        yield w_cur, None, 0, k, residual
+
+
+def literal_rounds(
+    p: Pmf, depth: int
+) -> Iterator[tuple[int, tuple[int, ...], dict[int, str], tuple[Fraction, ...]]]:
+    """Rounds 1..depth of the loop: (w, selection order, codeword of each
+    selected symbol, residual after round w)."""
+    order: list[int] = []
+    codes: dict[int, str] = {}
+    for w_cur, i, length, k, residual in literal_selections(p):
+        if i is not None:
+            order.append(i)
+            codes[i] = _digits(k, length)
+            continue
+        yield w_cur, tuple(order), codes, tuple(residual)
+        if w_cur == depth:
+            return
+        order, codes = [], {}

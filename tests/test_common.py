@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from stopkey.common import (
+    _LEN_BITS,
+    _MAX_ROUNDS,
     CommonLaw,
     KeyAgreeEngine,
     alice_keygen,
@@ -23,7 +25,7 @@ from conftest import (
     round_weight_partial_entropy,
     run_threads,
 )
-from literal_oracle import keyagree_literal, uniform_below
+from literal_oracle import keyagree_literal, literal_rounds, uniform_below
 
 
 class TestFrozenRounds:
@@ -146,6 +148,104 @@ class TestLiteralDifferential:
         # g just under p(0) stops in the first round that touches symbol 0
         key, w = keyagree_literal("alice", p, 0, g=Fraction(39, 100))
         assert (key, w) == ("0", 1)
+
+
+def _literal_period(p) -> tuple[int, int]:
+    """(s, T) from the literal loop: round s + T is the first whose residual
+    is an earlier round's, round s's, halved T times."""
+    seen = {tuple(p.masses): 0}
+    for w, _, _, residual in literal_rounds(p, _MAX_ROUNDS):
+        state = tuple(r * (1 << w) for r in residual)
+        if state in seen:
+            return seen[state], w - seen[state]
+        seen[state] = w
+    raise AssertionError("no repeat within the round cap")
+
+
+def _matches_literal(p, depth: int) -> KeyAgreeEngine:
+    """A fresh engine whose rounds 1..depth, (w, order, packed), and the
+    residual after each equal the literal loop's."""
+    e = KeyAgreeEngine(p)
+    for w, order, codes, residual in literal_rounds(p, depth):
+        e.ensure(w)
+        rnd = e.round(w)
+        packed = {i: (int(c, 2) if c else 0) << _LEN_BITS | len(c) for i, c in codes.items()}
+        assert (rnd.w, rnd.order, rnd.packed) == (w, order, packed), (p, w)
+        assert e.residual() == residual, (p, w)
+    return e
+
+
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of the engine method ``name``."""
+    calls = []
+    raw = getattr(KeyAgreeEngine, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return raw(self, *args)
+
+    monkeypatch.setattr(KeyAgreeEngine, name, counting)
+    return calls
+
+
+class TestPeriodicRounds:
+    """Once the residual repeats, halved, the engine shares the period's
+    rounds instead of building them; every round and residual stays the
+    literal loop's."""
+
+    @staticmethod
+    def _check(p) -> tuple[int, int]:
+        s, t = _literal_period(p)
+        depth = max(3 * (s + t), 40)
+        e = _matches_literal(p, depth)
+        # the engine found the period and shares its rounds' tuples
+        assert e._period == t
+        assert e.round(depth).order is e.round(depth - t).order
+        assert e.round(depth).packed is e.round(depth - t).packed
+        return s, t
+
+    def test_corpus_matches_the_literal_loop(self, corpus_pmf):
+        self._check(corpus_pmf)
+
+    def test_known_periods(self):
+        assert self._check(CORPUS["tenths"]) == (0, 4)
+        assert self._check(CORPUS["point"]) == (0, 1)
+        # dyadic denominators repeat with period 1
+        assert self._check(CORPUS["dyadic3"]) == (2, 1)
+        assert self._check(pmf("1/2", "1/8", "3/8")) == (3, 1)
+
+    def test_seeded_pmfs_match_the_literal_loop(self):
+        rng = RandomSource("periodic-rounds")
+        periods = set()
+        for k in range(200):
+            periods.add(self._check(random_rational_pmf(rng.substream("pmf", k))))
+        assert len(periods) > 20
+
+    def test_a_period_past_the_depth_clones_nothing(self):
+        # 2 has order 82 modulo 83
+        e = _matches_literal(pmf("1/83", "82/83"), 40)
+        assert e._period == 0
+        assert len({id(e.round(w).order) for w in range(1, 41)}) == 40
+
+    def test_tenths_builds_at_most_s_plus_two_periods(self, monkeypatch):
+        s, t = _literal_period(CORPUS["tenths"])
+        built = _counting(monkeypatch, "_advance")
+        e = KeyAgreeEngine(CORPUS["tenths"])
+        e.ensure(_MAX_ROUNDS)
+        assert len(built) <= s + 2 * t
+        assert e.residual() == tuple(m / (1 << _MAX_ROUNDS) for m in CORPUS["tenths"].masses)
+
+    def test_wide_pmf_runs_no_period_check_in_thirty_rounds(self, monkeypatch):
+        # wide-keygen's source: its denominator is 4 * 125125, and 2 has
+        # order 300 modulo 125125, so no round before 300 can repeat
+        n = 1000
+        p = pmf(*(Fraction(i, n * (n + 1) // 2) for i in range(1, n + 1)))
+        assert p.denominator == 4 * 125125
+        assert min(t for t in range(1, 301) if pow(2, t, 125125) == 1) == 300
+        checks = _counting(monkeypatch, "_repeats")
+        built = _counting(monkeypatch, "_advance")
+        KeyAgreeEngine(p).ensure(30)
+        assert (len(built), len(checks)) == (30, 0)
 
 
 class TestEnumeratedLaw:
@@ -315,6 +415,21 @@ class TestThreadSafety:
             for w in range(1, 41):
                 assert e.round(w).packed == ref.round(w).packed
                 assert e.round(w).order == ref.round(w).order
+
+    def test_concurrent_shared_rounds(self):
+        # tenths repeats from round 4 on: threads race through built and
+        # shared rounds alike
+        p = CORPUS["tenths"]
+        ref = KeyAgreeEngine(p)
+        ref.ensure(200)
+        for _ in range(3):
+            e = KeyAgreeEngine(p)
+            assert run_threads(lambda: e.ensure(200)) == []
+            assert e.residual() == ref.residual()
+            for w in range(1, 201):
+                assert (e.round(w).w, e.round(w).order, e.round(w).packed) == (
+                    w, ref.round(w).order, ref.round(w).packed
+                )
 
     def test_concurrent_threshold_walk(self):
         p = CORPUS["tenths"]

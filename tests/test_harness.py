@@ -333,6 +333,45 @@ class TestEavesdropper:
         assert eavesdropper_view(Counter(runs)) == eavesdropper_view(runs)
         assert eavesdropper_view(Counter(runs))["runs"] == 9
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # a common round carries several keys: records outnumber transcripts
+            ExperimentConfig(
+                protocol="common", source_doc=pmf_document(CORPUS["tenths"]), trials=300
+            ),
+            ExperimentConfig(
+                protocol="correlated",
+                source_doc=joint_document(CORRELATED_3),
+                m=2,
+                trials=500,
+                reconciler="hashmap:1",
+            ),
+        ],
+        ids=["common", "correlated"],
+    )
+    def test_each_distinct_transcript_is_labelled_once(self, cfg, monkeypatch):
+        runs = Counter(cfg.plan().runs())
+        transcripts = {t for t, _, _, _ in runs}
+        assert len(transcripts) > 1
+        want = eavesdropper_view(runs)
+        labelled = []
+        raw = harness.transcript_label
+
+        def counting(t):
+            labelled.append(t)
+            return raw(t)
+
+        monkeypatch.setattr(harness, "transcript_label", counting)
+        assert eavesdropper_view(runs) == want
+        assert sorted(labelled) == sorted(transcripts)
+        assert want["distinct_transcripts"] == len(transcripts)
+
+    def test_labelled_samples_test_like_transcripts(self):
+        samples = [(t, ideal) for t, _, _, ideal in self.RUNS * 20]
+        labelled = [(harness.transcript_label(t), key) for t, key in samples]
+        assert fairness_test(labelled) == fairness_test(samples)
+
     def test_leak_check_names_the_first_offending_run(self):
         # "10" is a key only in the last run; the first run already shows it
         runs = [

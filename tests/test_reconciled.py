@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -6,12 +7,12 @@ import pickle
 import resource
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
 
-from stopkey.common import _unpack_code, exact_common_law
+from stopkey.common import KeyAgreeEngine, _unpack_code, exact_common_law
 from stopkey.errors import (
     InvariantError,
     ReconcilerContractError,
@@ -46,6 +47,7 @@ from stopkey.reconciled import (
 )
 
 from conftest import (
+    CORPUS,
     CORRELATED_3,
     FOUR_SYMBOL,
     WORKED_JOINT,
@@ -261,6 +263,82 @@ class TestAnalysisKernel:
                     b = analyze_almost_common(j, h, w_max=8, collect_laws=False)
                     assert b.transcript_laws is None and replace(b, transcript_laws=a.transcript_laws) == a
         assert differing >= 5
+
+    def test_laws_off_gives_the_same_sums_on_corpus_tables(self):
+        # every corpus joint with its derandomized table, the tables a
+        # random:S report draws for its first trials, and the bucket-content
+        # tables the average analyses
+        joints = [WORKED_JOINT, CORRELATED_3, FOUR_SYMBOL]
+        joints += [diag_joint(p) for p in CORPUS.values()]
+        compared = 0
+        for j in joints:
+            labels = union_alphabet(j)
+            n = len(labels)
+            for m in (1, 2, 3):
+                tables = [derandomize_hash(j, m)[0]]
+                for seed in ("1", "7"):
+                    streams = RandomSource(seed)
+                    tables += [
+                        HashFunction.random(labels, m, streams.substream("table", i))
+                        for i in range(3)
+                    ]
+                for size in range(2, n + 1):
+                    for members in itertools.combinations(range(n), size):
+                        rest = [i for i in range(n) if i not in members]
+                        values = [1] * n
+                        for bucket, i in enumerate(rest, start=2):
+                            values[i] = bucket
+                        tables.append(HashFunction(labels, tuple(values), len(rest) + 1))
+                for h in tables:
+                    a = analyze_almost_common(j, h)
+                    b = analyze_almost_common(j, h, collect_laws=False)
+                    assert b.transcript_laws is None
+                    for f in fields(a):
+                        if f.name != "transcript_laws":
+                            assert getattr(b, f.name) == getattr(a, f.name), (j, h, f.name)
+                    compared += 1
+        assert compared > 100
+
+    def test_bob_law_is_read_once_per_bucket_and_symbol(self, monkeypatch):
+        # the exact-report benchmark's shape: a 5 x 5 joint with a full
+        # diagonal at m = 3, under labels of its own so no engine or
+        # bucket conditional comes from a cache
+        labels = tuple(f"bob-once-{c}" for c in "abcde")
+        diag = iter([10, 8, 12, 9, 11])
+        off = iter([1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1])
+        rows = [[next(diag) if i == k else next(off) for k in range(5)] for i in range(5)]
+        total = sum(map(sum, rows))
+        j = joint([[Fraction(c, total) for c in row] for row in rows], labels, labels)
+
+        built = []
+        analyses: list[list] = []
+        raw_advance = KeyAgreeEngine._advance
+        raw_lengths = KeyAgreeEngine.round_lengths
+        raw_analyze = reconciled.analyze_almost_common
+
+        def advance(self):
+            built.append(id(self))
+            return raw_advance(self)
+
+        def round_lengths(self, x, w_max):
+            analyses[-1].append((id(self), x))
+            return raw_lengths(self, x, w_max)
+
+        def analyze(*args, **kwargs):
+            analyses.append([])
+            return raw_analyze(*args, **kwargs)
+
+        monkeypatch.setattr(KeyAgreeEngine, "_advance", advance)
+        monkeypatch.setattr(KeyAgreeEngine, "round_lengths", round_lengths)
+        monkeypatch.setattr(reconciled, "analyze_almost_common", analyze)
+        average_almost_common(j, 3)
+        # one engine per bucket conditional, so (engine, index) names a
+        # (bucket, Bob's index) pair of the analysis
+        assert len(analyses) == 2**5 - 5 - 1
+        for calls in analyses:
+            assert calls and len(calls) == len(set(calls))
+        # without shared periods every engine builds all 30 rounds
+        assert 2 * len(built) <= 30 * len(set(built))
 
     def test_fraction_count_does_not_grow_with_w_max(self):
         # the bucket conditionals are not dyadic, so Bob's rounds run past

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -265,15 +264,12 @@ class TestAnalysisKernel:
         assert differing >= 5
 
     def test_laws_off_gives_the_same_sums_on_corpus_tables(self):
-        # every corpus joint with its derandomized table, the tables a
-        # random:S report draws for its first trials, and the bucket-content
-        # tables the average analyses
+        # every corpus joint with its derandomized table and the tables a
+        # random:S report draws for its first trials
         joints = [WORKED_JOINT, CORRELATED_3, FOUR_SYMBOL]
         joints += [diag_joint(p) for p in CORPUS.values()]
-        compared = 0
         for j in joints:
             labels = union_alphabet(j)
-            n = len(labels)
             for m in (1, 2, 3):
                 tables = [derandomize_hash(j, m)[0]]
                 for seed in ("1", "7"):
@@ -282,13 +278,6 @@ class TestAnalysisKernel:
                         HashFunction.random(labels, m, streams.substream("table", i))
                         for i in range(3)
                     ]
-                for size in range(2, n + 1):
-                    for members in itertools.combinations(range(n), size):
-                        rest = [i for i in range(n) if i not in members]
-                        values = [1] * n
-                        for bucket, i in enumerate(rest, start=2):
-                            values[i] = bucket
-                        tables.append(HashFunction(labels, tuple(values), len(rest) + 1))
                 for h in tables:
                     a = analyze_almost_common(j, h)
                     b = analyze_almost_common(j, h, collect_laws=False)
@@ -296,8 +285,6 @@ class TestAnalysisKernel:
                     for f in fields(a):
                         if f.name != "transcript_laws":
                             assert getattr(b, f.name) == getattr(a, f.name), (j, h, f.name)
-                    compared += 1
-        assert compared > 100
 
     def test_bob_law_is_read_once_per_bucket_and_symbol(self, monkeypatch):
         # the exact-report benchmark's shape: a 5 x 5 joint with a full

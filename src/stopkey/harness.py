@@ -148,26 +148,24 @@ def transcript_label(t: Transcript) -> str:
     return "|".join(f"{sender}:{kind}={value}" for sender, kind, value in t)
 
 
-def fairness_test(samples: Iterable[tuple[Transcript, str]]) -> dict:
+def fairness_test(samples: Iterable[tuple[str, str]]) -> dict:
     """Chi-square next-bit tests against 1/2, per transcript and prefix.
 
     Purely diagnostic: the exact verifier is authoritative wherever
     enumeration is feasible. Bonferroni-adjusts alpha = 0.01 across all
     (transcript, prefix) cells; a sample set with only empty keys has no
-    testable prefixes and reports vacuous. Samples are (transcript, key)
-    pairs, as a list or a Counter, a transcript given as a tuple or as its
-    ``transcript_label`` already made; flags name a transcript by its
-    label. Returns the report's fairness section: the levels, the number
-    of tests, and one entry per flagged cell.
+    testable prefixes and reports vacuous. Samples are (label, key) pairs,
+    as a list or a Counter, each label a transcript's ``transcript_label``;
+    flags name a transcript by its label. Returns the report's fairness
+    section: the levels, the number of tests, and one entry per flagged
+    cell.
     """
     samples = Counter(samples)
     if not samples:
         raise ValidationError("at least one sample required")
     tallies: dict[str, dict[str, list[int]]] = {}
-    for (transcript, key), n in samples.items():
-        if not isinstance(transcript, str):
-            transcript = transcript_label(transcript)
-        group = tallies.setdefault(transcript, {})
+    for (label, key), n in samples.items():
+        group = tallies.setdefault(label, {})
         for pos in range(len(key)):
             counts = group.setdefault(key[:pos], [0, 0])
             counts[int(key[pos])] += n

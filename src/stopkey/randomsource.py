@@ -122,11 +122,11 @@ class RandomSource:
 
     __slots__ = ("seed", "path", "_rng")
 
-    def __init__(self, seed: int | str, _path: tuple[str, ...] = ()):
+    def __init__(self, seed: int | str):
         if not isinstance(seed, (int, str)):
             raise ValidationError("seed must be an int or str")
         self.seed = seed
-        self.path = _path
+        self.path: tuple[str, ...] = ()
         self._rng: random.Random | None = None
 
     def _seeded(self) -> random.Random:

@@ -20,7 +20,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .common import _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
 from .dyadic import KnuthYaoSampler
@@ -154,46 +154,19 @@ def _bob_record(w2: int | None) -> Record:
     return ("bob", "error", ERROR_SYMBOL) if w2 is None else ("bob", "round", w2)
 
 
-def _stage2_records(w1: int, w2: int | None) -> Transcript:
-    return (("alice", "hash", w1), _bob_record(w2))
+class KeygenRun(NamedTuple):
+    """One key agreement. The first four fields are the (transcript, key_a,
+    key_b, ideal) record a plan's trial yields (``ProtocolPlan.runs``);
+    ``m_a`` and ``m_b`` are the values stage two ran on. The ideal key
+    equals the common key when those values are equal and is empty
+    otherwise; an abort emits empty keys on all three slots."""
 
-
-@dataclass(frozen=True)
-class AlmostCommonRun:
-    """One hash-check execution: announcement, confirm-or-abort, keys.
-
-    ``w2`` is None on the abort path (Bob's error symbol). The ideal key
-    equals the common key when the parties held the same symbol and is
-    empty otherwise; an abort emits empty keys on all three slots, which
-    counts as agreement.
-    """
-
-    x: Any
-    y: Any
-    w1: int
-    w2: int | None
+    transcript: Transcript
     key_a: str
     key_b: str
     ideal_key: str
-
-    def __post_init__(self) -> None:
-        if self.w2 is None and (self.key_a or self.key_b or self.ideal_key):
-            raise InvariantError("abort path must emit empty keys")
-        if self.w2 is not None and self.w2 < 1:
-            raise InvariantError(f"round index {self.w2} out of range")
-
-    @property
-    def erred(self) -> bool:
-        return self.w2 is None
-
-    @property
-    def agreed(self) -> bool:
-        return self.key_a == self.key_b == self.ideal_key
-
-    @property
-    def transcript(self) -> Transcript:
-        """Both message slots, logged even when the second is the error symbol."""
-        return _stage2_records(self.w1, self.w2)
+    m_a: Any
+    m_b: Any
 
 
 def _bucket_check(
@@ -245,26 +218,9 @@ def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[int, int]:
     return packed.get(xi, first), packed.get(yi, first)
 
 
-def _stage_two(stage: Stage, same: bool, rng: RandomSource) -> tuple[int | None, str, str, str]:
-    """Bob's draw on a decided hash check, and the keys it gives:
-    (w2, key_a, key_b, ideal), w2 None and every key empty on abort.
-
-    W is the only draw, made as the common scheme's drawing party makes
-    it (``KeyAgreeEngine.alice``). Bob pins the round to 1 when his symbol
-    has no bucket mass; the keys are those of ``pack_run``. ``bob_round``
-    makes the same draw for a plan, with no codeword formatted.
-    """
-    if stage is None:
-        return None, "", "", ""
-    eng, _, yi = stage
-    w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
-    _, key_a, key_b, ideal = unpack_run(*pack_run(((), stage, same), w2))
-    return w2, key_a, key_b, ideal
-
-
 def bob_round(stage: Stage, rng: RandomSource) -> int | None:
-    """Bob's announced round on a decided hash check: ``_stage_two``'s draw
-    with no codeword formatted, None on abort."""
+    """Bob's announced round on a decided hash check, None on abort: the
+    draw ``almost_common_keygen`` makes, with no codeword formatted."""
     if stage is None:
         return None
     eng, _, yi = stage
@@ -290,14 +246,22 @@ def pack_run(decision: Decision, w2: int | None) -> PackedRun:
 def unpack_run(
     before: Transcript, w2: int | None, code_a: int, code_b: int, ideal: int
 ) -> tuple[Transcript, str, str, str]:
-    """The (transcript, key_a, key_b, ideal) record of a packed run."""
+    """The (transcript, key_a, key_b, ideal) record of a packed run; key_b
+    is formatted only when it differs from key_a. An abort with a
+    nonempty key, or a round below 1, is an ``InvariantError``."""
+    if w2 is None:
+        if code_a or code_b or ideal:
+            raise InvariantError("abort path must emit empty keys")
+    elif w2 < 1:
+        raise InvariantError(f"round index {w2} out of range")
     key_a = _unpack_code(code_a)
-    return before + (_bob_record(w2),), key_a, _unpack_code(code_b), key_a if ideal else ""
+    key_b = key_a if code_b == code_a else _unpack_code(code_b)
+    return before + (_bob_record(w2),), key_a, key_b, key_a if ideal else ""
 
 
 def almost_common_keygen(
     j: JointPmf, x: str, y: str, m: int, h: HashFunction, rng: RandomSource
-) -> AlmostCommonRun:
+) -> KeygenRun:
     """Run the hash-check protocol on one source outcome (x, y).
 
     Alice announces w1 = h(x). On h(y) != w1 Bob aborts and both emit
@@ -313,8 +277,16 @@ def almost_common_keygen(
         raise ValidationError("bucket count m must be >= 1")
     if h.m != m:
         raise ValidationError(f"hash has {h.m} buckets, expected {m}")
-    w1, stage = _bucket_check(j, h, x, y)
-    return AlmostCommonRun(x, y, w1, *_stage_two(stage, x == y, rng))
+    decision = decide(j, h, x, y)
+    stage, w2 = decision[1], None
+    if stage is not None:
+        eng, _, yi = stage
+        # Bob draws as the common scheme's drawing party does, through
+        # KeyAgreeEngine.alice: perfbench/selftest.py's EXPECTED and
+        # tests/test_bench_spans.py expect its common.alice span to fire on
+        # sketch-mc. bob_round makes the same draw for a plan.
+        w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
+    return KeygenRun(*unpack_run(*pack_run(decision, w2)), x, y)
 
 
 def almost_common_bounds(j: JointPmf, m: int) -> ErrorLengthPair:
@@ -814,60 +786,25 @@ def _stage2_hash(cj: JointPmf, m: int) -> HashFunction:
     return derandomize_hash(cj, m)[0]
 
 
-@dataclass(frozen=True)
-class CorrelatedRun:
-    """One two-stage execution: reconciliation then hash-check keygen.
-
-    The final keys are the stage-two keys; the ideal key is empty
-    whenever the reconciled values differ.
-    """
-
-    x: Any
-    y: Any
-    m_a: Any
-    m_b: Any
-    stage1_transcript: Transcript
-    stage2: AlmostCommonRun
-
-    @property
-    def key_a(self) -> str:
-        return self.stage2.key_a
-
-    @property
-    def key_b(self) -> str:
-        return self.stage2.key_b
-
-    @property
-    def ideal_key(self) -> str:
-        return self.stage2.ideal_key
-
-    @property
-    def agreed(self) -> bool:
-        return self.stage2.agreed
-
-    @property
-    def transcript(self) -> Transcript:
-        return self.stage1_transcript + self.stage2.transcript
-
-
 def correlated_keygen(
     j: JointPmf, r: Reconciler, m: int, rng: RandomSource
-) -> CorrelatedRun:
+) -> KeygenRun:
     """Sample a source outcome and run the full two-stage pipeline.
 
     Stage one runs the reconciler; diverging transcript views between
     the parties are a contract violation and fatal. Stage two runs the
     hash-check protocol on the exact conditional law of (M_A, M_B)
     given the realized transcript, under a derandomized hash table
-    fixed per conditional law.
+    fixed per conditional law. The run's transcript is stage one's
+    followed by stage two's.
     """
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
     x, y = sample_joint(j, rng.substream("source"))
     res = r.outcome(j, x, y)
     cj, h = r.stage_two_source(j, res.transcript_a, m)
-    run2 = almost_common_keygen(cj, res.m_a, res.m_b, m, h, rng.substream("stage2"))
-    return CorrelatedRun(x, y, res.m_a, res.m_b, res.transcript_a, run2)
+    run = almost_common_keygen(cj, res.m_a, res.m_b, m, h, rng.substream("stage2"))
+    return KeygenRun(res.transcript_a + run.transcript, *run[1:])
 
 
 @dataclass(frozen=True)
@@ -921,7 +858,7 @@ def correlated_transcript_laws(
         analysis = analyze_almost_common(cj, h, w_max=w_max, collect_laws=True)
         assert analysis.transcript_laws is not None
         for (w1, w2), law in analysis.transcript_laws.items():
-            out[t + _stage2_records(w1, w2)] = law
+            out[t + (("alice", "hash", w1), _bob_record(w2))] = law
     return out
 
 

@@ -143,8 +143,8 @@ class TestIntegerBounds:
             thresholds.append(Fraction(rng.randrange((1 << n) + 1), 1 << n))  # dyadic
         seen = set()
         for k, t in enumerate(thresholds):
-            new = RandomSource("twin", (str(k),)).lazy_uniform()
-            old = RandomSource("twin", (str(k),)).lazy_uniform()
+            new = RandomSource("twin").substream(k).lazy_uniform()
+            old = RandomSource("twin").substream(k).lazy_uniform()
             got = new.at_least(t)
             assert got == _old_at_least(old, t)
             assert (new.nbits, new.value_bits) == (old.nbits, old.value_bits)
@@ -169,7 +169,7 @@ class TestSeedOnFirstDraw:
         for seed, path in ((5, ()), ("s", ("trial", "3", "source"))):
             material = repr((seed, path)).encode()
             eager = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
-            lazy = RandomSource(seed, path)
+            lazy = RandomSource(seed).substream(*path)
             assert [lazy.generator().getrandbits(32) for _ in range(4)] == [
                 eager.getrandbits(32) for _ in range(4)
             ]
@@ -189,14 +189,14 @@ class TestSeedOnFirstDraw:
             )
             material = repr((seed, path)).encode()
             want = random.Random(int.from_bytes(hashlib.sha256(material).digest(), "big"))
-            got = RandomSource(seed, path).generator()
+            got = RandomSource(seed).substream(*path).generator()
             assert got.getstate() == want.getstate()
             assert [got.getrandbits(32) for _ in range(64)] == [want.getrandbits(32) for _ in range(64)]
             assert got.randrange(1000) == want.randrange(1000)
 
     def test_threads_racing_on_a_fresh_source_share_one_stream(self):
         for round_ in range(5):
-            src = RandomSource("race", (str(round_),))
+            src = RandomSource("race").substream(round_)
             barrier = threading.Barrier(8)
             got = []
 
@@ -205,5 +205,5 @@ class TestSeedOnFirstDraw:
                 got.append(src.generator().getrandbits(64))
 
             assert run_threads(draw, n_threads=8) == []
-            fresh = RandomSource("race", (str(round_),))
+            fresh = RandomSource("race").substream(round_)
             assert sorted(got) == sorted(fresh.generator().getrandbits(64) for _ in range(8))

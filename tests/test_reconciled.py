@@ -19,10 +19,9 @@ from stopkey.errors import (
 )
 from stopkey.keylaws import verify_rsbs
 from stopkey.probability import JointPmf, Pmf, agreement_stats, entropy
-from stopkey import reconciled
+from stopkey import common, reconciled
 from stopkey.randomsource import RandomSource
 from stopkey.reconciled import (
-    AlmostCommonRun,
     ConstantReconciler,
     HashFunction,
     IdentityReconciler,
@@ -43,6 +42,7 @@ from stopkey.reconciled import (
     sample_joint,
     stage_conditional,
     union_alphabet,
+    unpack_run,
 )
 
 from conftest import (
@@ -375,14 +375,24 @@ class TestStageConditional:
         assert c.masses[1] == Fraction(1, 2)
 
 
+def _agreed(run):
+    return run.key_a == run.key_b == run.ideal_key
+
+
+def _hash_check(run):
+    """(w1, w2) of a run's two stage-two messages, w2 None on abort."""
+    (_, _, w1), (_, kind, w2) = run.transcript[-2:]
+    return w1, None if kind == "error" else w2
+
+
 class TestAlmostCommonKeygen:
     def test_detected_mismatch_aborts_with_empty_keys(self):
         run = almost_common_keygen(
             WORKED_JOINT, "1", "0", 2, SEPARATING, RandomSource("abort")
         )
-        assert run.erred
+        assert _hash_check(run)[1] is None
         assert (run.key_a, run.key_b, run.ideal_key) == ("", "", "")
-        assert run.agreed
+        assert _agreed(run)
         assert run.transcript[1] == ("bob", "error", "e")
 
     def test_same_symbol_outcomes_always_agree(self):
@@ -390,15 +400,15 @@ class TestAlmostCommonKeygen:
         for h in all_hash_tables(("0", "1"), 2):
             for _ in range(50):
                 run = almost_common_keygen(WORKED_JOINT, "0", "0", 2, h, rng)
-                assert not run.erred
-                assert run.agreed
+                assert _hash_check(run)[1] is not None
+                assert _agreed(run)
                 assert run.ideal_key == run.key_a
 
     def test_empty_bucket_outcome_aborts(self):
         j = joint([["1/2", "1/4"], ["1/4", "0"]], "01", "01")
         h = HashFunction(("0", "1"), (1, 2), 2)
         run = almost_common_keygen(j, "1", "1", 2, h, RandomSource("eb"))
-        assert run.erred
+        assert _hash_check(run)[1] is None
 
     def test_collision_in_a_bucket_without_agreement_mass_aborts(self):
         # labels 1 and 2 share bucket 2, which has no diagonal mass, so both
@@ -409,7 +419,7 @@ class TestAlmostCommonKeygen:
         h = HashFunction(("0", "1", "2"), (1, 2, 2), 2)
         for x, y in (("1", "2"), ("2", "1")):
             run = almost_common_keygen(j, x, y, 2, h, RandomSource("eb").substream(x, y))
-            assert run.erred and run.w1 == 2
+            assert _hash_check(run) == (2, None)
             assert (run.key_a, run.key_b, run.ideal_key) == ("", "", "")
         a = analyze_almost_common(j, h)
         assert [t for t in a.transcript_laws if t[0] == 2] == [(2, None)]
@@ -428,8 +438,8 @@ class TestAlmostCommonKeygen:
             x, y = sample_joint(j, rng.substream("src", _))
             assert x == y
             run = almost_common_keygen(j, x, y, 1, h, rng.substream("run", _))
-            assert run.agreed
-            assert run.key_a == atoms[(x, run.w2)]
+            assert _agreed(run)
+            assert run.key_a == atoms[(x, _hash_check(run)[1])]
 
     def test_bucket_count_must_match_table(self):
         with pytest.raises(ValidationError):
@@ -474,20 +484,25 @@ class TestAlmostCommonKeygen:
             x, y = j.x_labels[ix], j.y_labels[iy]
             for t in range(20):
                 run = almost_common_keygen(j, x, y, 2, h, rng.substream(x, y, t))
-                if run.erred:
+                w1, w2 = _hash_check(run)
+                if w2 is None:
                     continue
-                assert (x, y, run.w2, run.key_a, run.key_b) in enumerated
-                law = dict(analysis.transcript_laws[(run.w1, run.w2)].atoms)
+                assert (x, y, w2, run.key_a, run.key_b) in enumerated
+                law = dict(analysis.transcript_laws[(w1, w2)].atoms)
                 assert law.get(run.ideal_key, 0) > 0
                 if "c" in (x, y):
                     fallbacks.add("bob" if y == "c" else "alice")
         assert fallbacks == {"alice", "bob"}
 
-    def test_abort_run_record_rejects_nonempty_keys(self):
+    def test_unpack_run_rejects_abort_keys_and_round_zero(self):
+        before = (("alice", "hash", 1),)
+        key = 1  # the packed codeword "0"
+        assert unpack_run(before, 1, key, key, key)[1:] == ("0", "0", "0")
+        for codes in ((key, 0, 0), (0, key, 0), (0, 0, key)):
+            with pytest.raises(InvariantError):
+                unpack_run(before, None, *codes)
         with pytest.raises(InvariantError):
-            AlmostCommonRun("0", "1", 1, None, "0", "", "")
-        with pytest.raises(InvariantError):
-            AlmostCommonRun("0", "1", 1, 0, "", "", "")
+            unpack_run(before, 0, 0, 0, 0)
 
 
 class TestGuaranteedBounds:
@@ -766,7 +781,7 @@ class TestReconcilers:
         r = OneWayHashReconciler(1, 0)
         rng = RandomSource("sketch-memo")
         runs = [correlated_keygen(CORRELATED_3, r, 2, rng) for _ in range(200)]
-        transcripts = {run.stage1_transcript for run in runs}
+        transcripts = {run.transcript[:-2] for run in runs}
         realizable = [t for t, wt in r.transcript_weights(CORRELATED_3) if wt > 0]
         assert transcripts <= set(realizable)
         assert len(built) <= len(realizable)
@@ -787,7 +802,7 @@ class TestReconcilers:
         r = ConstantReconciler()
         rng = RandomSource("constant-joint")
         for i in range(200):
-            assert correlated_keygen(CORRELATED_3, r, 2, rng.substream(i)).agreed
+            assert _agreed(correlated_keygen(CORRELATED_3, r, 2, rng.substream(i)))
         assert len(built) <= 1
         assert r.conditional_joint(CORRELATED_3, ()) is r.conditional_joint(CORRELATED_3, ())
 
@@ -944,14 +959,15 @@ class TestCorrelatedPipeline:
         rng = RandomSource("pipe-perfect")
         for _ in range(200):
             run = correlated_keygen(j, IdentityReconciler(), 2, rng)
-            assert run.m_a == run.m_b == run.x == run.y
-            assert run.agreed
+            x, y = sample_joint(j, rng.substream("source"))  # the call's own draw
+            assert run.m_a == run.m_b == x == y
+            assert _agreed(run)
 
     def test_constant_reconciler_yields_empty_agreed_keys(self):
         rng = RandomSource("pipe-const")
         for _ in range(50):
             run = correlated_keygen(WORKED_JOINT, ConstantReconciler(), 2, rng)
-            assert run.agreed
+            assert _agreed(run)
             assert run.key_a == run.key_b == run.ideal_key == ""
 
     def test_sketch_pipeline_end_to_end(self):
@@ -964,7 +980,7 @@ class TestCorrelatedPipeline:
             )
             assert run.transcript[0][:2] == ("alice", "sketch")
             assert run.transcript[1][:2] == ("alice", "hash")
-            errs += not run.agreed
+            errs += not _agreed(run)
         # reconciliation failures are caught only with probability about
         # half, so realized error stays near (1 - 11/12) / 2
         assert errs / n < Fraction(1, 12)
@@ -987,6 +1003,26 @@ class TestCorrelatedPipeline:
             correlated_keygen(
                 WORKED_JOINT, IdentityReconciler(), 0, RandomSource("bc")
             )
+
+    def test_a_run_formats_two_codewords_when_confirmed_and_one_on_abort(self, monkeypatch):
+        # Bob's draw formats his codeword, and the record formats key_a; an
+        # equal key_b is not formatted again
+        calls = []
+        unpack = common._unpack_code
+
+        def counting(p):
+            calls.append(p)
+            return unpack(p)
+
+        monkeypatch.setattr(common, "_unpack_code", counting)
+        monkeypatch.setattr(reconciled, "_unpack_code", counting)
+        r = OneWayHashReconciler(1, 0)
+        rng = RandomSource("unpack-count")
+        runs = [correlated_keygen(CORRELATED_3, r, 2, rng.substream(i)) for i in range(1000)]
+        aborted = sum(run.transcript[-1][1] == "error" for run in runs)
+        confirmed = len(runs) - aborted
+        assert confirmed and aborted
+        assert len(calls) <= 2 * confirmed + aborted
 
     def test_sampling_is_exact(self):
         rng = RandomSource("sample")

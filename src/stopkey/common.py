@@ -47,7 +47,7 @@ from typing import NamedTuple
 from .errors import InvariantError, ProtocolError, ValidationError
 from .keylaws import KeyLaw
 from .probability import Pmf, ZERO
-from .randomsource import LazyUniform, RandomSource
+from .randomsource import RandomSource
 
 __all__ = [
     "KeyAgreeEngine",
@@ -268,9 +268,6 @@ class KeyAgreeEngine:
 
     # -- protocol -------------------------------------------------------------
 
-    def codeword(self, w: int, x: int) -> str | None:
-        return self.round(w).codeword(x)
-
     def bob(self, y: int, w: int) -> str:
         """Replay to round w and emit y's codeword there."""
         rounds = self._rounds
@@ -292,13 +289,16 @@ class KeyAgreeEngine:
             walk = self._thresholds.setdefault(x, _ThresholdWalk(self.pmf.mass(x)))
         return walk
 
-    def round_from_uniform(self, x: int, u: LazyUniform) -> int:
-        """The round in which a uniform draw U on [0, 1) stops symbol x.
+    def alice(self, x: int, rng: RandomSource) -> int:
+        """Draw the stopping round W from P(W | X = x) exactly, with one
+        uniform U on [0, 1) read lazily from ``rng``, and return it.
 
         Thresholds are fractions of p(x): U >= t_w is the per-round loop's
         stopping test g >= residual_w(x) for the draw g = p(x) U on
-        [0, p(x)). This is the draw alone: no codeword is formatted.
+        [0, p(x)). This is the draw alone: it builds every round up to W
+        and formats no codeword.
         """
+        u = rng.lazy_uniform()
         walk = self._thresholds.get(x) or self._walk(x)
         thresholds = walk.thresholds
         pos = 0
@@ -308,15 +308,6 @@ class KeyAgreeEngine:
             if u.at_least(t):
                 return walk.rounds[pos]
             pos += 1
-
-    def alice(self, x: int, rng: RandomSource) -> tuple[str, int]:
-        """Draw W from P(W | X = x) exactly and emit x's round-W codeword."""
-        w = self.round_from_uniform(x, rng.lazy_uniform())
-        # the threshold walk built every round up to w
-        code = self._rounds[w - 1].codeword(x)
-        if code is None:
-            raise InvariantError(f"stopping round {w} has no codeword for {x}")
-        return code, w
 
     def rounds(self, w_max: int) -> list[_Round]:
         """Rounds 1..w_max, built once here so readers index them directly."""
@@ -396,7 +387,13 @@ def engine_for(p: Pmf) -> KeyAgreeEngine:
 
 def alice_keygen(p: Pmf, x: int, rng: RandomSource) -> tuple[str, int]:
     """Key and announced round for the W-drawing party holding x."""
-    return engine_for(p).alice(x, rng)
+    engine = engine_for(p)
+    w = engine.alice(x, rng)
+    # the draw built every round up to w
+    code = engine._rounds[w - 1].codeword(x)
+    if code is None:
+        raise InvariantError(f"stopping round {w} has no codeword for {x}")
+    return code, w
 
 
 def bob_keygen(p: Pmf, y: int, w: int) -> str:

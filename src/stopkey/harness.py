@@ -56,12 +56,11 @@ from .reconciled import (
     almost_common_bounds,
     analyze_almost_common,
     average_almost_common,
-    bob_round,
     correlated_reference_bound,
     correlated_transcript_laws,
     decide,
     derandomize_hash,
-    pack_run,
+    play,
     reconciler_stats,
     union_alphabet,
     unpack_run,
@@ -613,7 +612,7 @@ class ProtocolPlan:
     everything else about the cell is decided once per plan, on the cell's
     first draw (``_decision``). A common trial's record depends only on
     (x, W), and a two-stage trial's only on its packed run
-    (``reconciled.pack_run``), so each record is built on its first draw
+    (``reconciled.play``), so each record is built on its first draw
     and shared after: ``_records`` holds one entry per distinct record.
     """
 
@@ -659,12 +658,12 @@ class ProtocolPlan:
 
     def _common_trial(self, i: int, sub: RandomSource) -> _RunRecord:
         x = self._sampler.sample(sub.substream("source"))[0]
-        w = self._engine.round_from_uniform(x, sub.substream("alice").lazy_uniform())
+        w = self._engine.alice(x, sub.substream("alice"))
         return self._records.get((x, w)) or self._common_record(x, w)
 
     def _common_record(self, x: int, w: int) -> _RunRecord:
         """Alice's key is x's round-w codeword, and Bob replays round w."""
-        key_a = self._engine.codeword(w, x)
+        key_a = self._engine.round(w).codeword(x)
         run = ((("alice", "round", w),), key_a, self._engine.bob(x, w), key_a)
         # setdefault: racing first builders all get the stored record
         return self._records.setdefault((x, w), run)
@@ -672,7 +671,7 @@ class ProtocolPlan:
     def _play(self, decision: Decision, rng: RandomSource) -> _RunRecord:
         """A stage-two run from a decided outcome: Bob's draw on ``rng``,
         then the record of the packed run."""
-        packed = pack_run(decision, bob_round(decision[1], rng))
+        packed = play(decision, rng)
         return self._records.get(packed) or self._records.setdefault(packed, unpack_run(*packed))
 
     @cached_property

@@ -218,27 +218,22 @@ def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[int, int]:
     return packed.get(xi, first), packed.get(yi, first)
 
 
-def bob_round(stage: Stage, rng: RandomSource) -> int | None:
-    """Bob's announced round on a decided hash check, None on abort: the
-    draw ``almost_common_keygen`` makes, with no codeword formatted."""
-    if stage is None:
-        return None
-    eng, _, yi = stage
-    return eng.round_from_uniform(yi, rng.lazy_uniform()) if eng.pmf.numerators[yi] else 1
-
-
 # A stage-two run with its keys as packed codeword entries: (transcript
 # before Bob's message, w2, key_a, key_b, ideal), 0 packing the empty key.
 # A run's record and its packed form determine each other.
 PackedRun = tuple[Transcript, int | None, int, int, int]
 
 
-def pack_run(decision: Decision, w2: int | None) -> PackedRun:
-    """A decided run once Bob announces ``w2``, in packed form."""
+def play(decision: Decision, rng: RandomSource) -> PackedRun:
+    """A decided run played to its end, in packed form. On confirmation
+    Bob draws his round on ``rng`` with the common scheme's draw,
+    ``KeyAgreeEngine.alice``, pinned to round 1 when his symbol has no
+    bucket mass; an abort draws nothing."""
     before, stage, same = decision
     if stage is None:
         return before, None, 0, 0, 0
     eng, xi, yi = stage
+    w2 = eng.alice(yi, rng) if eng.pmf.numerators[yi] else 1
     code_a, code_b = _stage2_keys(eng.round(w2), xi, yi)
     return before, w2, code_a, code_b, code_a if same else 0
 
@@ -277,16 +272,7 @@ def almost_common_keygen(
         raise ValidationError("bucket count m must be >= 1")
     if h.m != m:
         raise ValidationError(f"hash has {h.m} buckets, expected {m}")
-    decision = decide(j, h, x, y)
-    stage, w2 = decision[1], None
-    if stage is not None:
-        eng, _, yi = stage
-        # Bob draws as the common scheme's drawing party does, through
-        # KeyAgreeEngine.alice: perfbench/selftest.py's EXPECTED and
-        # tests/test_bench_spans.py expect its common.alice span to fire on
-        # sketch-mc. bob_round makes the same draw for a plan.
-        w2 = eng.alice(yi, rng)[1] if eng.pmf.numerators[yi] else 1
-    return KeygenRun(*unpack_run(*pack_run(decision, w2)), x, y)
+    return KeygenRun(*unpack_run(*play(decide(j, h, x, y), rng)), x, y)
 
 
 def almost_common_bounds(j: JointPmf, m: int) -> ErrorLengthPair:
@@ -680,13 +666,16 @@ class ConstantReconciler(Reconciler):
         return self._joint
 
 
+_MAX_SKETCH_BITS = 64  # a sketch value prints under any int-to-str digit limit
+
+
 class OneWayHashReconciler(Reconciler):
     """Alice sends a short seeded sketch of x; Bob decodes by posterior.
 
-    The sketch is a b-bit table value drawn per label from a seeded
-    stream. Bob outputs the sketch-consistent symbol with the highest
-    posterior given his y (ties to the smallest alphabet index); M_A is
-    x itself.
+    The sketch is a b-bit table value, 1 <= b <= 64, drawn per label
+    from a seeded stream. Bob outputs the sketch-consistent symbol with
+    the highest posterior given his y (ties to the smallest alphabet
+    index); M_A is x itself.
 
     The conditional joint depends only on the source and the transcript,
     so it is built once per (source, transcript) and memoized: every
@@ -697,8 +686,8 @@ class OneWayHashReconciler(Reconciler):
     name = "one-way-hash"
 
     def __init__(self, bits: int, seed: int | str = 0):
-        if bits < 1:
-            raise ValidationError("sketch width must be at least 1 bit")
+        if not 1 <= bits <= _MAX_SKETCH_BITS:
+            raise ValidationError(f"sketch width {bits} is not 1 to {_MAX_SKETCH_BITS} bits")
         super().__init__()
         self.bits = int(bits)
         self.seed = seed

@@ -288,6 +288,15 @@ class TestKeygenCorrelated:
         ) == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["keygen-correlated", "simulate"])
+    def test_oversized_sketch_width_is_an_input_error(self, verb, joint_file, capsys):
+        # a 15000-bit sketch value would pass the int-to-str digit limit
+        argv = [verb, "--joint", joint_file, "--m", "2", "--reconciler", "hashmap:15000"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sketch width 15000 is not 1 to 64 bits\n"
+
     @pytest.mark.parametrize("verb", ["keygen-almost", "keygen-correlated"])
     def test_single_distribution_is_an_input_error(self, verb, dist_file, capsys):
         assert main([verb, "--joint", dist_file, "--m", "2"]) == 3

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from stopkey import common
 from stopkey.common import (
     _LEN_BITS,
     _MAX_ROUNDS,
@@ -64,7 +65,7 @@ class TestFrozenRounds:
         assert weights == [(w, Fraction(1, 1 << w)) for w in range(1, 11)]
         rng = RandomSource("point-run")
         for _ in range(50):
-            key, w = e.alice(0, rng)
+            key, w = alice_keygen(CORPUS["point"], 0, rng)
             assert key == ""
             assert w >= 1
 
@@ -75,7 +76,7 @@ class TestZeroError:
         rng = RandomSource("agree")
         for x in positive_indices(corpus_pmf):
             for _ in range(200):
-                key, w = e.alice(x, rng)
+                key, w = alice_keygen(corpus_pmf, x, rng)
                 assert e.bob(x, w) == key
 
     def test_agreement_on_random_rational_sources(self):
@@ -86,13 +87,31 @@ class TestZeroError:
             run = rng.substream("run", trial)
             for _ in range(100):
                 x = 0
-                key, w = e.alice(x, run)
+                key, w = alice_keygen(p, x, run)
                 assert e.bob(x, w) == key
 
     def test_helper_functions_match_engine(self):
         p = CORPUS["sevenths"]
         key, w = alice_keygen(p, 2, RandomSource("helpers"))
         assert bob_keygen(p, 2, w) == key
+
+    def test_the_draw_formats_no_codeword(self, monkeypatch):
+        # alice returns the round alone; alice_keygen formats the one key
+        calls = []
+        unpack = common._unpack_code
+
+        def counting(p):
+            calls.append(p)
+            return unpack(p)
+
+        monkeypatch.setattr(common, "_unpack_code", counting)
+        p = CORPUS["tenths"]
+        rng = RandomSource("draw-count")
+        rounds = [engine_for(p).alice(x, rng) for x in range(4) for _ in range(250)]
+        assert all(type(w) is int and w >= 1 for w in rounds)
+        assert calls == []
+        keys = [alice_keygen(p, 2, rng) for _ in range(250)]
+        assert len(calls) == len(keys)
 
 
 class TestLiteralDifferential:

@@ -718,6 +718,9 @@ class TestReconcilers:
     def test_sketch_width_validated(self):
         with pytest.raises(ValidationError):
             OneWayHashReconciler(0)
+        OneWayHashReconciler(64)
+        with pytest.raises(ValidationError, match="not 1 to 64 bits"):
+            OneWayHashReconciler(65)
 
     def test_wide_sketch_reconciles_perfectly(self):
         # 4-bit sketches are distinct on this alphabet, so the decoder
@@ -780,7 +783,7 @@ class TestReconcilers:
         monkeypatch.setattr(JointPmf, "from_atoms", classmethod(counting))
         r = OneWayHashReconciler(1, 0)
         rng = RandomSource("sketch-memo")
-        runs = [correlated_keygen(CORRELATED_3, r, 2, rng) for _ in range(200)]
+        runs = [correlated_keygen(CORRELATED_3, r, 2, rng.substream(i)) for i in range(200)]
         transcripts = {run.transcript[:-2] for run in runs}
         realizable = [t for t, wt in r.transcript_weights(CORRELATED_3) if wt > 0]
         assert transcripts <= set(realizable)
@@ -957,33 +960,38 @@ class TestCorrelatedPipeline:
     def test_identity_on_perfect_source_never_errs(self):
         j = diag_joint(pmf("2/5", "3/10", "1/5", "1/10"))
         rng = RandomSource("pipe-perfect")
-        for _ in range(200):
-            run = correlated_keygen(j, IdentityReconciler(), 2, rng)
-            x, y = sample_joint(j, rng.substream("source"))  # the call's own draw
+        for i in range(200):
+            sub = rng.substream(i)
+            run = correlated_keygen(j, IdentityReconciler(), 2, sub)
+            x, y = sample_joint(j, sub.substream("source"))  # the call's own draw
             assert run.m_a == run.m_b == x == y
             assert _agreed(run)
 
     def test_constant_reconciler_yields_empty_agreed_keys(self):
         rng = RandomSource("pipe-const")
-        for _ in range(50):
-            run = correlated_keygen(WORKED_JOINT, ConstantReconciler(), 2, rng)
+        for i in range(50):
+            run = correlated_keygen(WORKED_JOINT, ConstantReconciler(), 2, rng.substream(i))
             assert _agreed(run)
             assert run.key_a == run.key_b == run.ideal_key == ""
 
     def test_sketch_pipeline_end_to_end(self):
+        r = OneWayHashReconciler(1, 0)
         rng = RandomSource("pipe-sketch")
         errs = 0
-        n = 1500
-        for _ in range(n):
-            run = correlated_keygen(
-                CORRELATED_3, OneWayHashReconciler(1, 0), 2, rng
-            )
+        for i in range(1500):
+            run = correlated_keygen(CORRELATED_3, r, 2, rng.substream(i))
             assert run.transcript[0][:2] == ("alice", "sketch")
             assert run.transcript[1][:2] == ("alice", "hash")
             errs += not _agreed(run)
-        # reconciliation failures are caught only with probability about
-        # half, so realized error stays near (1 - 11/12) / 2
-        assert errs / n < Fraction(1, 12)
+        # each transcript's derandomized table separates every disagreeing
+        # pair the sketch leaves, so stage two catches every reconciliation
+        # failure: the exact error is 0, and no trial errs
+        exact = sum(
+            wt * analyze_almost_common(*r.stage_two_source(CORRELATED_3, t, 2)).error_upper
+            for t, wt in r.transcript_weights(CORRELATED_3)
+        )
+        assert exact == 0
+        assert errs == 0
 
     def test_diverging_transcripts_are_fatal(self):
         with pytest.raises(ReconcilerContractError, match="diverging"):
@@ -1004,9 +1012,9 @@ class TestCorrelatedPipeline:
                 WORKED_JOINT, IdentityReconciler(), 0, RandomSource("bc")
             )
 
-    def test_a_run_formats_two_codewords_when_confirmed_and_one_on_abort(self, monkeypatch):
-        # Bob's draw formats his codeword, and the record formats key_a; an
-        # equal key_b is not formatted again
+    def test_a_run_formats_key_a_and_a_differing_key_b_only(self, monkeypatch):
+        # Bob's draw formats nothing, and the record formats key_a (the
+        # empty key on abort); key_b is formatted only when it differs
         calls = []
         unpack = common._unpack_code
 
@@ -1021,8 +1029,9 @@ class TestCorrelatedPipeline:
         runs = [correlated_keygen(CORRELATED_3, r, 2, rng.substream(i)) for i in range(1000)]
         aborted = sum(run.transcript[-1][1] == "error" for run in runs)
         confirmed = len(runs) - aborted
+        differing = sum(run.key_a != run.key_b for run in runs)
         assert confirmed and aborted
-        assert len(calls) <= 2 * confirmed + aborted
+        assert len(calls) == len(runs) + differing == 1000
 
     def test_sampling_is_exact(self):
         rng = RandomSource("sample")

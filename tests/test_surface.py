@@ -84,6 +84,12 @@ REMOVED = [
     # replaces both; what only tests read of them went with them
     ("stopkey.reconciled", "AlmostCommonRun"),
     ("stopkey.reconciled", "CorrelatedRun"),
+    # KeyAgreeEngine.alice is the one stopping draw, and formats nothing;
+    # reconciled.play draws Bob's round and packs the run in one call
+    ("stopkey.common", "KeyAgreeEngine.round_from_uniform"),
+    ("stopkey.common", "KeyAgreeEngine.codeword"),
+    ("stopkey.reconciled", "bob_round"),
+    ("stopkey.reconciled", "pack_run"),
 ]
 
 
@@ -156,6 +162,14 @@ def _readme_code() -> list[str]:
     blocks = re.findall(r"```[^\n]*\n(.*?)```", text, re.S)
     prose = re.sub(r"```.*?```", "", text, flags=re.S)
     return blocks + re.findall(r"`([^`\n]+)`", prose)
+
+
+def test_readme_python_blocks_run():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
 
 
 def _surface():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -307,10 +308,9 @@ class AlmostCommonAnalysis:
     for the abort path, to the exact conditional law of the ideal key.
 
     An average over ``tables`` = m^|X| uniform tables carries no laws. It
-    is formed over bucket contents: each set S of two or more labels is
-    weighted by the probability that a uniform table puts exactly S in
-    x's bucket, and contributes the analysis of the table holding S in
-    one bucket and every other label alone. Its ``collision_error``
+    is formed per set D of the labels with agreement mass, L, that share
+    x's bucket: an outcome with r symbols off L weighs
+    m^-(|D| + r - 1) (1 - 1/m)^(|L| - |D|). Its ``collision_error``
     equals (1 - p)/m exactly, since distinct symbols share a bucket with
     probability exactly 1/m under a uniform table.
     """
@@ -331,54 +331,40 @@ class AlmostCommonAnalysis:
         return self.error_enumerated + self.unresolved
 
 
-def analyze_almost_common(
-    j: JointPmf, h: HashFunction, w_max: int = 30, collect_laws: bool = True
-) -> AlmostCommonAnalysis:
-    """Enumerate every (outcome, bucket, round) path of the protocol exactly.
+def _bucket_sums(
+    eng: KeyAgreeEngine | None, cells: Sequence[tuple[int, int, int]], d: int, w_max: int,
+    laws: defaultdict | None = None, w1: int = 1,
+) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(collision, error, unresolved, agreed length) of the outcomes in one
+    bucket, each (n, x index, y index) of ``cells`` of mass n / d. ``eng``
+    is the bucket conditional's engine, None when it has no agreement mass
+    and Bob aborts; ``laws`` collects each (w1, w2) transcript's key mass.
 
-    Bob's stopping law is dyadic up to one factor: he stops in round w
-    with probability 2^-(w + n_w) / p*(y), n_w his codeword length there.
-    So each confirmed outcome sums its seen, error and key-length weights
-    as integers over 2^top, top the largest w + n_w, and turns each sum
-    into a ``Fraction`` once, through mass / (p*(y) 2^top), read from the
-    integer numerators of the joint and of the bucket conditional. Keys
-    are compared as packed codeword entries; only the transcript laws
-    build key strings, and add one ``Fraction`` per round.
-
-    Bob's steps depend only on his bucket and his symbol, so they are read
-    once per (bucket, symbol). A same-symbol outcome agrees in every round
-    and its key is Bob's codeword, so without laws it adds its key-length
-    sum, read once with the steps, and walks no round.
+    Bob stops in round w with probability 2^-(w + n_w) / p*(y), n_w his
+    codeword length there, so each outcome's masses are integers over
+    d p*(y) 2^top, top the largest w + n_w: read once per Bob's symbol
+    with his steps, summed per symbol, and made ``Fraction``s once. Keys
+    are compared as packed codeword entries; only the laws build key
+    strings. A same-symbol outcome agrees in every round with Bob's
+    codeword as key, so without laws it walks no round.
     """
-    stats = agreement_stats(j)
-    bound = (1 - stats.p) / h.m
-    col = collision_error(j, h)
-    err = ZERO
-    unresolved = ZERO
-    length = ZERO
-    acc: dict[tuple[int, int | None], dict[str, Fraction]] = {}
-
-    def law_add(transcript, key, mass):
-        bucket = acc.setdefault(transcript, {})
-        bucket[key] = bucket.get(key, ZERO) + mass
-
-    d = j.denominator
-    # (w1, Bob's index) -> (steps, scale, den, key bits of Bob's own codeword)
-    bob: dict[tuple[int, int], tuple[list[tuple[_Round, int]], int, int, int]] = {}
-    for ix, iy, n in j.numerator_cells:
-        xl, yl = j.x_labels[ix], j.y_labels[iy]
-        same = xl == yl
-        w1, stage = _bucket_check(j, h, xl, yl)
-        if stage is None:
-            if collect_laws:
-                law_add((w1, None), "", Fraction(n, d))
+    col = 0
+    # Bob's index -> [steps, scale, den, key bits of his own codeword, and
+    # the error, key-length and unresolved numerators: over den, den, d den]
+    bob: dict[int, list] = {}
+    for n, xi, yi in cells:
+        same = xi == yi
+        if not same:
+            col += n
+        if eng is None:
+            if laws is not None:
+                laws[w1, None][""] += Fraction(n, d)
             continue
-        eng, xi, yi = stage
-        law = bob.get((w1, yi))
+        law = bob.get(yi)
         if law is None:
             # (round, integer weight) pairs, weights q over 2^top; a step
-            # adds q * n * scale / den, its mass / (p*(y) 2^top). With no
-            # bucket mass Bob pins the round to 1.
+            # adds q * n * scale / den. With no bucket mass Bob pins the
+            # round to 1.
             py = eng.pmf.numerators[yi]
             if py:
                 built = eng.rounds(w_max)
@@ -386,102 +372,127 @@ def analyze_almost_common(
                 top = max((w + k for w, k in lengths), default=0)
                 steps = [(built[w - 1], 1 << (top - w - k)) for w, k in lengths]
                 bits = sum((1 << (top - w - k)) * k for w, k in lengths)
-                law = steps, eng.pmf.denominator, (d * py) << top, bits
+                law = [steps, eng.pmf.denominator, (d * py) << top, bits, 0, 0, 0]
             else:
-                law = [(eng.round(1), 1)], 1, d, 0
-            bob[w1, yi] = law
-        steps, scale, den, bits = law
+                law = [[(eng.round(1), 1)], 1, d, 0, 0, 0, 0]
+            bob[yi] = law
+        steps, scale, den, bits = law[:4]
         num = n * scale
-        if same and not collect_laws:
-            if bits:
-                length += Fraction(num * bits, den)
+        if same and laws is None:
+            law[5] += num * bits
             continue
         seen = erred = key_bits = 0
         for rnd, q in steps:
             seen += q
             code_a, code_b = _stage2_keys(rnd, xi, yi)
-            if collect_laws:
-                ideal = _unpack_code(code_a) if same else ""
-                law_add((w1, rnd.w), ideal, Fraction(num * q, den))
+            if laws is not None:
+                laws[w1, rnd.w][_unpack_code(code_a) if same else ""] += Fraction(num * q, den)
             # all three keys agree: the ideal key is key_a when x = y, and
             # empty (length 0) otherwise
             if code_a == code_b and (same or not code_a & _LEN_MASK):
                 key_bits += q * (code_a & _LEN_MASK)
             else:
                 erred += q
-        if key_bits:
-            length += Fraction(num * key_bits, den)
-        if erred:
-            err += Fraction(num * erred, den)
+        law[4] += num * erred
+        law[5] += num * key_bits
         if not same:
             # Same-symbol outcomes agree in every round, so only the
             # collision tail stays unresolved by the truncation: the
             # mass n / d less the seen part num * seen / den.
-            unresolved += Fraction(n * den - d * num * seen, d * den)
+            law[6] += n * den - d * num * seen
+    err = length = unresolved = ZERO
+    for _, _, den, _, e, k, u in bob.values():
+        err += Fraction(e, den)
+        length += Fraction(k, den)
+        unresolved += Fraction(u, d * den)
+    return Fraction(col, d), err, unresolved, length
 
+
+def analyze_almost_common(
+    j: JointPmf, h: HashFunction, w_max: int = 30, collect_laws: bool = True
+) -> AlmostCommonAnalysis:
+    """Enumerate every (outcome, bucket, round) path of the protocol
+    exactly: outcomes whose symbols share a bucket go through
+    ``_bucket_sums``, once per bucket, and the others abort."""
+    stats = agreement_stats(j)
+    d = j.denominator
+    index = {u: i for i, u in enumerate(union_alphabet(j))}
+    acc = defaultdict(lambda: defaultdict(Fraction)) if collect_laws else None
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for ix, iy, n in j.numerator_cells:
+        xl, yl = j.x_labels[ix], j.y_labels[iy]
+        w1 = h(xl)
+        if h(yl) == w1:
+            buckets.setdefault(w1, []).append((n, index[xl], index[yl]))
+        elif acc is not None:
+            acc[w1, None][""] += Fraction(n, d)
+    sums = [ZERO] * 4
+    for w1, cells in buckets.items():
+        p_star = stage_conditional(j, h, w1)
+        eng = None if p_star is None else engine_for(p_star)
+        sums = [s + v for s, v in zip(sums, _bucket_sums(eng, cells, d, w_max, acc, w1))]
     laws = None
-    if collect_laws:
+    if acc is not None:
         laws = {}
-        order = sorted(acc, key=lambda t: (t[0], t[1] is not None, t[1] or 0))
-        for t in order:
-            bucket = acc[t]
-            total = sum(bucket.values(), ZERO)
-            laws[t] = KeyLaw.from_dict({k: v / total for k, v in bucket.items()})
-    return AlmostCommonAnalysis(
-        h.m, stats.p, bound, col, err, unresolved, length, w_max, laws
-    )
+        for t in sorted(acc, key=lambda t: (t[0], t[1] is not None, t[1] or 0)):
+            total = sum(acc[t].values(), ZERO)
+            laws[t] = KeyLaw.from_dict({k: v / total for k, v in acc[t].items()})
+    return AlmostCommonAnalysis(h.m, stats.p, (1 - stats.p) / h.m, *sums, w_max, laws)
 
 
-# bucket contents averaged over, at most; 16 labels fit at any m
+# bucket sets averaged over, at most: every subset of 16 labels
 SUBSET_LIMIT = 65536
 
 
 def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonAnalysis:
     """Exact analysis averaged over every hash table (a uniform pick).
 
-    An outcome's contribution depends only on the set S of labels sharing
-    x's bucket, which a uniform table makes exactly S with probability
-    m^-(|S| - 1) (1 - 1/m)^(|X| - |S|). So the average sums, over each S
-    with |S| >= 2, that weight times the analysis of the table putting S
-    in one bucket and every other label in a bucket of its own; a
-    singleton bucket has a point-mass conditional and adds nothing. That
-    is 2^|X| - |X| - 1 analyses whatever m is, standing for m^|X| tables.
+    Let L be the labels u with P(X = Y = u) > 0. An outcome (x, y) counts
+    only when y shares x's bucket S, and then depends only on D = S ∩ L,
+    whose agreement mass is the bucket conditional, and on r, its number
+    of symbols off L: a uniform table gives it the weight
+    m^-(|D| + r - 1) (1 - 1/m)^(|L| - |D|). So ``_bucket_sums`` runs once
+    per D on the outcomes inside D and off L, skipping one-label buckets:
+    at most 2^|L| bucket sets, whatever m is, for m^|X| tables. At m = 1
+    the one table is the one-bucket table, whose analysis also gives p.
     """
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
     labels = union_alphabet(j)
     n = len(labels)
-    # every S with |S| >= 2 at m >= 2; only S = X at m = 1, the one table
-    count = 1 if m == 1 else (1 << n) - n - 1
-    if count > SUBSET_LIMIT:
+    diag = [j.numerator_by_label(u, u) for u in labels]
+    support = [i for i in range(n) if diag[i]]
+    off = tuple(i for i in range(n) if not diag[i])
+    if m > 1 and 1 << len(support) > SUBSET_LIMIT:
         raise ValidationError(
-            f"{count} bucket contents exceed the enumeration limit {SUBSET_LIMIT}"
+            f"{1 << len(support)} bucket sets exceed the enumeration limit {SUBSET_LIMIT}"
         )
-    col = ZERO
-    err = ZERO
-    unresolved = ZERO
-    length = ZERO
-    p = agreement_stats(j).p
-    bound = (1 - p) / m
-    miss = 1 - Fraction(1, m)
-    for size in range(2 if m > 1 else n, n + 1):
-        weight = miss ** (n - size) / m ** (size - 1)
-        for members in itertools.combinations(range(n), size):
-            values = [1] * n
-            rest = (i for i in range(n) if i not in members)
-            for bucket, i in enumerate(rest, start=2):
-                values[i] = bucket
-            h = HashFunction(labels, tuple(values), n - size + 1)
-            a = analyze_almost_common(j, h, w_max=w_max, collect_laws=False)
-            col += weight * a.collision_error
-            err += weight * a.error_enumerated
-            unresolved += weight * a.unresolved
-            length += weight * a.agreed_length
-    if col != bound:
-        raise InvariantError(f"averaged collision error {col} is not (1 - p)/m = {bound}")
-    return AlmostCommonAnalysis(
-        m, p, bound, col, err, unresolved, length, w_max, tables=m**n
-    )
+    avg = one = analyze_almost_common(j, HashFunction(labels, (1,) * n, 1), w_max, False)
+    if m > 1:
+        index = {u: i for i, u in enumerate(labels)}
+        # each numerator times m per symbol on L, so that every outcome in
+        # the bucket of D weighs m^-(|D| + 1) (1 - 1/m)^(|L| - |D|)
+        grid = [[0] * n for _ in range(n)]
+        for ix, iy, c in j.numerator_cells:
+            x, y = index[j.x_labels[ix]], index[j.y_labels[iy]]
+            grid[x][y] = c * m ** ((diag[x] > 0) + (diag[y] > 0))
+        total = [ZERO] * 4
+        for size in range(max(0, 2 - len(off)), len(support) + 1):
+            sums = [ZERO] * 4
+            for members in itertools.combinations(support, size):
+                inside = members + off
+                cells = [(c, x, y) for x in inside for y in inside if (c := grid[x][y])]
+                nums = [diag[i] if i in members else 0 for i in range(n)]
+                eng = engine_for(Pmf(labels, nums, sum(nums))) if members else None
+                sums = [s + v for s, v in zip(sums, _bucket_sums(eng, cells, j.denominator, w_max))]
+            weight = (1 - Fraction(1, m)) ** (len(support) - size) / m ** (size + 1)
+            total = [t + weight * s for t, s in zip(total, sums)]
+        avg = AlmostCommonAnalysis(m, one.p, (1 - one.p) / m, *total, w_max, tables=m**n)
+    if avg.collision_error != avg.epsilon_bound:
+        raise InvariantError(
+            f"averaged collision error {avg.collision_error} is not (1 - p)/m = {avg.epsilon_bound}"
+        )
+    return avg
 
 
 def derandomize_hash(j: JointPmf, m: int) -> tuple[HashFunction, Fraction]:

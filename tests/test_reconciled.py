@@ -6,6 +6,7 @@ import pickle
 import resource
 import subprocess
 import sys
+import time
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -184,16 +185,53 @@ class TestCollisionAccounting:
         assert av.tables == 10**48
         assert av.collision_error == (1 - agreement_stats(j).p) / 10**6
 
+    def test_average_needs_a_bucket(self):
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            average_almost_common(WORKED_JOINT, 0)
+
     def test_wrong_bucket_share_raises(self, monkeypatch):
-        analyze = reconciled.analyze_almost_common
+        # a bucket kernel that charges every collision twice
+        kernel = reconciled._bucket_sums
 
         def doubled(*args, **kwargs):
-            a = analyze(*args, **kwargs)
-            return replace(a, collision_error=2 * a.collision_error)
+            col, *rest = kernel(*args, **kwargs)
+            return (2 * col, *rest)
 
-        monkeypatch.setattr(reconciled, "analyze_almost_common", doubled)
-        with pytest.raises(InvariantError, match="collision"):
-            average_almost_common(WORKED_JOINT, 2)
+        monkeypatch.setattr(reconciled, "_bucket_sums", doubled)
+        for m in (1, 2):
+            with pytest.raises(InvariantError, match="collision"):
+                average_almost_common(WORKED_JOINT, m)
+
+    def test_shared_label_joint_averages_fast(self):
+        # 8 labels a side sharing one, every cell positive: 15 union labels,
+        # one of them on the diagonal support, so two bucket sets
+        rng = RandomSource("shared-label")
+        x_labels = [f"x{i}" for i in range(7)] + ["s"]
+        y_labels = ["s"] + [f"y{i}" for i in range(7)]
+        rows = [[1 + rng.randrange(5) for _ in y_labels] for _ in x_labels]
+        total = sum(map(sum, rows))
+        j = joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
+        start = time.perf_counter()
+        av = average_almost_common(j, 2)
+        assert time.perf_counter() - start < 1.0
+        assert av.tables == 2**15
+        assert av.collision_error == (1 - agreement_stats(j).p) / 2
+
+    def test_union_past_the_limit_with_a_small_support_averages(self):
+        # 17 union labels, 2 of them with agreement mass: 4 bucket sets
+        x_labels = ["a", "b"] + [f"x{i}" for i in range(7)]
+        y_labels = ["a", "b"] + [f"y{i}" for i in range(8)]
+        rows = [[0] * len(y_labels) for _ in x_labels]
+        rows[0][0], rows[1][1] = 6, 5
+        for i in range(len(x_labels)):
+            rows[i][(i + 3) % len(y_labels)] += 1 + i % 2
+        total = sum(map(sum, rows))
+        j = joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
+        assert len(union_alphabet(j)) == 17
+        for m in (2, 3):
+            av = average_almost_common(j, m)
+            assert av.tables == m**17
+            assert av.collision_error == (1 - agreement_stats(j).p) / m
 
 
 def _seeded_small_joint(rng: RandomSource):
@@ -233,6 +271,30 @@ class TestAverageOverBucketContents:
             for m in (1, 2, 3):
                 assert self._sums(j, m) == average_over_tables(j, m)
         assert differing >= 5
+
+    def test_outcomes_off_the_diagonal_support(self):
+        # an X-only label, a Y-only label, and shared labels of which some
+        # carry no diagonal mass, so outcomes have 0, 1 or 2 symbols off
+        # the support L
+        rng = RandomSource("off-support")
+        off_counts = {0: 0, 1: 0, 2: 0}
+        for _ in range(20):
+            shared = [f"s{i}" for i in range(1 + rng.randrange(3))]
+            x_labels, y_labels = shared + ["a"], ["b"] + shared
+            rows = [
+                [rng.randrange(4) if x == y else rng.randrange(3) * rng.randrange(2)
+                 for y in y_labels]
+                for x in x_labels
+            ]
+            rows[-1][0] += 1  # the outcome (a, b)
+            total = sum(map(sum, rows))
+            j = joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
+            support = {u for u in shared if j.numerator_by_label(u, u)}
+            for ix, iy, _ in j.numerator_cells:
+                off_counts[(j.x_labels[ix] not in support) + (j.y_labels[iy] not in support)] += 1
+            for m in (1, 2, 3):
+                assert self._sums(j, m) == average_over_tables(j, m)
+        assert min(off_counts.values()) >= 10
 
     def test_reports_stay_inside_the_subset_limit(self):
         # reports attach the average for at most 8 labels a side, so a
@@ -298,32 +360,46 @@ class TestAnalysisKernel:
         j = joint([[Fraction(c, total) for c in row] for row in rows], labels, labels)
 
         built = []
-        analyses: list[list] = []
+        conditionals = []
+        sets: list[list] = []
+        visited = []
         raw_advance = KeyAgreeEngine._advance
         raw_lengths = KeyAgreeEngine.round_lengths
-        raw_analyze = reconciled.analyze_almost_common
+        raw_engine_for = reconciled.engine_for
+        raw_sums = reconciled._bucket_sums
 
         def advance(self):
             built.append(id(self))
             return raw_advance(self)
 
         def round_lengths(self, x, w_max):
-            analyses[-1].append((id(self), x))
+            sets[-1].append((id(self), x))
             return raw_lengths(self, x, w_max)
 
-        def analyze(*args, **kwargs):
-            analyses.append([])
-            return raw_analyze(*args, **kwargs)
+        def engine_for(p):
+            conditionals.append(p)
+            return raw_engine_for(p)
+
+        def bucket_sums(eng, cells, *args):
+            sets.append([])
+            visited.append(len(cells))
+            return raw_sums(eng, cells, *args)
 
         monkeypatch.setattr(KeyAgreeEngine, "_advance", advance)
         monkeypatch.setattr(KeyAgreeEngine, "round_lengths", round_lengths)
-        monkeypatch.setattr(reconciled, "analyze_almost_common", analyze)
+        monkeypatch.setattr(reconciled, "engine_for", engine_for)
+        monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
         average_almost_common(j, 3)
+        # first the one-bucket table's analysis, then one bucket set per
+        # D with |D| >= 2, each walking only the |D|^2 outcomes inside D
+        assert len(sets) == 1 + 2**5 - 5 - 1
+        assert visited[0] == 25 and sum(visited[1:]) == 235
         # one engine per bucket conditional, so (engine, index) names a
-        # (bucket, Bob's index) pair of the analysis
-        assert len(analyses) == 2**5 - 5 - 1
-        for calls in analyses:
+        # (bucket set, Bob's index) pair
+        for calls in sets:
             assert calls and len(calls) == len(set(calls))
+        # no point-mass conditional is built
+        assert min(sum(1 for n in p.numerators if n) for p in conditionals) >= 2
         # without shared periods every engine builds all 30 rounds
         assert 2 * len(built) <= 30 * len(set(built))
 

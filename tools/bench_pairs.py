@@ -1,10 +1,13 @@
 """Run the benchmark in interleaved parent/change pairs; write one JSON file.
 
     python3 tools/bench_pairs.py --base REV --change REV --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --base REV --change REV --bench REV --out ...
 
 Each side is a git revision of this repository, exported with ``git
 archive`` into a temporary directory, so a run sees the committed files
-only. For every workload in BENCHMARK.json (or those given with --workloads) and each pair
+only. With ``--bench REV`` both exported trees get that revision's
+``perfbench/`` in place of their own, so one benchmark runs over the two
+sides' ``src/``; without it each side runs its own. For every workload in BENCHMARK.json (or those given with --workloads) and each pair
 k, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
@@ -31,6 +34,7 @@ import glob
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -73,6 +77,13 @@ def source_tree(spec: str, work: str, name: str) -> tuple[str, dict]:
     os.remove(archive)
     tree = git("rev-parse", sha + "^{tree}")
     return path, {"spec": spec, "sha": sha, "tree": tree, "source_lines": source_lines(path)}
+
+
+def use_bench(tree: str, bench: str) -> None:
+    """Replace the ``perfbench/`` of ``tree`` with the one under ``bench``."""
+    target = os.path.join(tree, "perfbench")
+    shutil.rmtree(target, ignore_errors=True)
+    shutil.copytree(os.path.join(bench, "perfbench"), target)
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> dict:
@@ -160,6 +171,8 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision")
     parser.add_argument("--change", required=True, help="git revision")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--bench", help="git revision whose perfbench/ both sides run "
+                        "(default: each side's own)")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workloads", help="comma-separated; default: every BENCHMARK.json workload")
@@ -180,11 +193,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         base_dir, base = source_tree(args.base, work, "base")
         change_dir, change = source_tree(args.change, work, "change")
+        bench = None
+        if args.bench:
+            bench_dir, bench = source_tree(args.bench, work, "bench")
+            for tree in (base_dir, change_dir):
+                use_bench(tree, bench_dir)
         doc = {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                        f"--trace {args.trace}",
             "base": base,
             "change": change,
+            # the revision whose perfbench/ both sides ran, or null for their own
+            "bench": bench,
             "platform": platform.platform(),
             "python": platform.python_version(),
             # report_s and cli_s gain from a second usable CPU: a report

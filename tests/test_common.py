@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,8 +15,9 @@ from stopkey.common import (
     engine_for,
     exact_common_law,
 )
-from stopkey.errors import ProtocolError, ValidationError
+from stopkey.errors import InvariantError, ProtocolError, ValidationError
 from stopkey.keylaws import verify_rsbs
+from stopkey.probability import Pmf
 from stopkey.randomsource import RandomSource
 
 from conftest import (
@@ -181,15 +184,21 @@ def _literal_period(p) -> tuple[int, int]:
     raise AssertionError("no repeat within the round cap")
 
 
+def _packed(rnd) -> dict[int, int]:
+    """Every symbol's packed codeword entry in ``rnd``, for the symbols it
+    selects."""
+    return {i: c for i in range(len(rnd.pos)) if (c := rnd.packed(i)) is not None}
+
+
 def _matches_literal(p, depth: int) -> KeyAgreeEngine:
-    """A fresh engine whose rounds 1..depth, (w, order, packed), and the
-    residual after each equal the literal loop's."""
+    """A fresh engine whose rounds 1..depth, (order, packed entries), and
+    the residual after each equal the literal loop's."""
     e = KeyAgreeEngine(p)
     for w, order, codes, residual in literal_rounds(p, depth):
         e.ensure(w)
         rnd = e.round(w)
         packed = {i: (int(c, 2) if c else 0) << _LEN_BITS | len(c) for i, c in codes.items()}
-        assert (rnd.w, rnd.order, rnd.packed) == (w, order, packed), (p, w)
+        assert (len(e._rounds), tuple(rnd.order), _packed(rnd)) == (w, order, packed), (p, w)
         assert e.residual() == residual, (p, w)
     return e
 
@@ -217,10 +226,10 @@ class TestPeriodicRounds:
         s, t = _literal_period(p)
         depth = max(3 * (s + t), 40)
         e = _matches_literal(p, depth)
-        # the engine found the period and shares its rounds' tuples
+        # the engine found the period and lists the same round again
         assert e._period == t
         assert e.round(depth).order is e.round(depth - t).order
-        assert e.round(depth).packed is e.round(depth - t).packed
+        assert e.round(depth) is e.round(depth - t)
         return s, t
 
     def test_corpus_matches_the_literal_loop(self, corpus_pmf):
@@ -353,6 +362,16 @@ class TestEnumeratedLaw:
 
 
 class TestErrorPaths:
+    def test_round_lengths_refuse_a_zero_mass_symbol(self):
+        with pytest.raises(ValidationError, match="zero mass"):
+            KeyAgreeEngine(pmf("1/2", "0", "1/2")).round_lengths(1, 10)
+
+    def test_bob_outside_the_alphabet_is_unreachable(self):
+        e = KeyAgreeEngine(CORPUS["tenths"])
+        for y in (-1, len(CORPUS["tenths"])):
+            with pytest.raises(ProtocolError, match="unreachable"):
+                e.bob(y, 1)
+
     def test_bad_role(self):
         with pytest.raises(ValidationError):
             keyagree_literal("carol", CORPUS["uniform2"], 0, w=1)
@@ -408,15 +427,50 @@ class TestEngineCache:
         b = engine_for(CORPUS["sevenths"])
         assert a is b
 
-    def test_rounds_share_one_int_per_symbol_index(self):
-        # ints past 256 are not interned: each round holding a fresh one
-        # per selected symbol costs about 10 KB a round on this pmf
-        n = 1000
-        e = KeyAgreeEngine(pmf(*(Fraction(i, n * (n + 1) // 2) for i in range(1, n + 1))))
-        second = {i: i for i in e.round(2).order}
-        shared = [i for i in e.round(1).order if i >= 257 and i in second]
-        assert shared
-        assert all(second[i] is i for i in shared)
+    def test_wide_rounds_hold_a_quarter_of_a_codeword_map(self):
+        # ensure(30) on the linear pmf over 2 * 10^4 symbols held 22 351 480
+        # traced bytes with one codeword dict per round (Python 3.11.7); a
+        # round stored as its order, runs and positions holds under a quarter
+        n = 20000
+        p = Pmf(tuple(f"s{i}" for i in range(n)), tuple(range(1, n + 1)), n * (n + 1) // 2)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            e = KeyAgreeEngine(p)
+            e.ensure(30)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(e._rounds) == 30
+        assert held <= 22_351_480 // 4
+
+
+class TestTheoremGuards:
+    """Each engine guard fires on a mutant that breaks what it guards."""
+
+    def test_greedy_sum_short_of_two_to_minus_w(self):
+        # a residual that lost mass: 1/4 left where round 1 takes 1/2
+        e = KeyAgreeEngine(pmf("1/4", "3/4"))
+        e._nums = [1, 0]
+        with pytest.raises(InvariantError, match="not exactly 2\\*\\*-1"):
+            e.ensure(1)
+
+    def test_codeword_length_past_the_packed_field(self, monkeypatch):
+        # tenths' first round has one-bit codewords
+        monkeypatch.setattr(common, "_LEN_MASK", 0)
+        with pytest.raises(InvariantError, match="codeword length 1 overflows"):
+            KeyAgreeEngine(CORPUS["tenths"]).ensure(1)
+
+    def test_stopping_round_without_a_codeword(self, monkeypatch):
+        # a draw that stops symbol 2 in round 1, which selects 0 and 1 only
+        def alice(self, x, rng):
+            self.ensure(1)
+            return 1
+
+        monkeypatch.setattr(KeyAgreeEngine, "alice", alice)
+        with pytest.raises(InvariantError, match="stopping round 1 has no codeword for 2"):
+            alice_keygen(CORPUS["tenths"], 2, RandomSource("guard"))
 
 
 class TestThreadSafety:
@@ -432,7 +486,7 @@ class TestThreadSafety:
             # exactly 40 rounds built, each equal to the serial build
             assert e.residual() == ref.residual()
             for w in range(1, 41):
-                assert e.round(w).packed == ref.round(w).packed
+                assert _packed(e.round(w)) == _packed(ref.round(w))
                 assert e.round(w).order == ref.round(w).order
 
     def test_concurrent_shared_rounds(self):
@@ -446,8 +500,10 @@ class TestThreadSafety:
             assert run_threads(lambda: e.ensure(200)) == []
             assert e.residual() == ref.residual()
             for w in range(1, 201):
-                assert (e.round(w).w, e.round(w).order, e.round(w).packed) == (
-                    w, ref.round(w).order, ref.round(w).packed
+                # past the built rounds, round w - T is the same object
+                assert w <= e._built or e.round(w) is e.round(w - e._period)
+                assert (e.round(w).order, _packed(e.round(w))) == (
+                    ref.round(w).order, _packed(ref.round(w))
                 )
 
     def test_concurrent_threshold_walk(self):

@@ -122,6 +122,12 @@ class TestPmfDocuments:
         with pytest.raises(FormatError, match="missing"):
             parse_pmf({"alphabet": ["a"]})
 
+    def test_field_types_enforced(self):
+        with pytest.raises(FormatError, match="field 'alphabet' must be list"):
+            parse_pmf({"alphabet": "a", "pmf": ["1"]})
+        with pytest.raises(FormatError, match="field 'pmf' must be list"):
+            parse_pmf({"alphabet": ["a"], "pmf": "1"})
+
 
 class TestJointDocuments:
     def test_round_trip(self):

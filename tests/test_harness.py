@@ -1140,6 +1140,19 @@ class TestTrialBlocks:
         assert forks == []
         assert harness._block_count(301) == 3
 
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        def refused(pid):
+            raise OSError("affinity unavailable")
+
+        monkeypatch.setattr(os, "sched_getaffinity", refused, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert harness._usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._usable_cpus() == 3
+        # cpu_count may not know either
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert harness._usable_cpus() == 1
+
     def test_no_fork_without_os_fork(self, tmp_path, blocks, monkeypatch):
         serial = run_simulation(_block_cfg("sketch", tmp_path)).to_json()
         blocks(3)

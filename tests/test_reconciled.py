@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey.common import KeyAgreeEngine, _unpack_code, exact_common_law
+from stopkey.common import KeyAgreeEngine, _unpack_code, engine_for, exact_common_law
 from stopkey.errors import (
     InvariantError,
     ReconcilerContractError,
@@ -85,6 +86,16 @@ class TestHashFunction:
     def test_duplicate_domain_rejected(self):
         with pytest.raises(ValidationError):
             HashFunction(("a", "a"), (1, 1), 2)
+
+    def test_empty_bucket_range_rejected(self):
+        with pytest.raises(ValidationError, match="m must be >= 1"):
+            HashFunction(("a",), (1,), 0)
+
+    def test_one_value_per_label_required(self):
+        with pytest.raises(ValidationError, match="one bucket value per label"):
+            HashFunction(("a", "b"), (1,), 2)
+        with pytest.raises(ValidationError, match="one bucket value per label"):
+            HashFunction(("a",), (1, 2), 2)
 
     def test_random_tables_are_seed_deterministic(self):
         a = HashFunction.random("abc", 4, RandomSource("h"))
@@ -557,10 +568,21 @@ class TestAlmostCommonKeygen:
         stage2_keys = reconciled._stage2_keys
 
         labels = union_alphabet(j)  # the bucket conditional's alphabet
+        # each bucket engine's round -> its indices; past the period a
+        # round object repeats, with the same codewords
+        indices: dict = {}
+        for w1 in (1, 2):
+            for w, rnd in enumerate(engine_for(stage_conditional(j, h, w1)).rounds(30), 1):
+                indices.setdefault(rnd, []).append(w)
 
-        def record(rnd, xi, yi):
-            keys = stage2_keys(rnd, xi, yi)  # packed codeword entries
-            enumerated.add((labels[xi], labels[yi], rnd.w) + tuple(map(_unpack_code, keys)))
+        def record(rnd, *symbols):
+            # the analysis reads a round's keys once, for every symbol in
+            # the bucket's cells, and pairs them per outcome
+            keys = stage2_keys(rnd, *symbols)  # packed codeword entries
+            read = [(labels[i], _unpack_code(k)) for i, k in zip(symbols, keys)]
+            for (x, key_a), (y, key_b) in itertools.product(read, repeat=2):
+                for w in indices[rnd]:
+                    enumerated.add((x, y, w, key_a, key_b))
             return keys
 
         monkeypatch.setattr(reconciled, "_stage2_keys", record)
@@ -784,6 +806,10 @@ class TestReconcilers:
     def test_identity_rejects_foreign_transcripts(self):
         with pytest.raises(ValidationError):
             IdentityReconciler().conditional_joint(WORKED_JOINT, (("a", "b", 1),))
+
+    def test_constant_rejects_foreign_transcripts(self):
+        with pytest.raises(ValidationError, match="empty transcript"):
+            ConstantReconciler().conditional_joint(WORKED_JOINT, (("alice", "sketch", 1),))
 
     def test_identity_stats_match_agreement(self):
         st = reconciler_stats(CORRELATED_3, IdentityReconciler())

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -79,16 +79,16 @@ def _unpack_code(p: int) -> str:
 class _Round:
     """One round of the decomposition, stored as its selection and its runs.
 
-    ``order`` lists the selected symbols in selection order. ``runs``
-    splits that order into runs of one codeword length, each (start,
-    codeword length, first codeword value); within a run the codewords
-    count up, so the symbol at position k of ``order`` in a run starting at
-    ``start`` with first value ``acc0`` has codeword value
-    acc0 + k - start (Knuth & Yao 1976). ``pos`` holds one entry per source
-    symbol: 0 when the round does not select it, k + 1 when it sits at
-    position k. So the round keeps no per-symbol codeword, and a packed
-    entry, (codeword value << _LEN_BITS) | codeword length, is computed on
-    each read.
+    ``order`` lists the selected symbols in selection order. The order
+    splits into runs of one codeword length, and within a run the
+    codewords count up by one (Knuth & Yao 1976): the packed entries,
+    (codeword value << _LEN_BITS) | codeword length, of a run form an
+    arithmetic progression with step 1 << _LEN_BITS. So a run is its
+    start in ``starts`` and its base in ``bases``, the entry the
+    progression would give position 0, and the symbol at position k of a
+    run has entry base + (k << _LEN_BITS). ``pos`` holds one entry per
+    source symbol: 0 when the round does not select it, k + 1 when it
+    sits at position k. The round keeps no per-symbol codeword.
 
     A round does not hold its own index: past the period the engine lists
     the round one period earlier again, the same object. Codeword strings
@@ -97,18 +97,17 @@ class _Round:
     them.
     """
 
-    __slots__ = ("order", "runs", "pos")
+    __slots__ = ("order", "starts", "bases", "pos")
 
-    def __init__(self, order: array, runs: tuple[tuple[int, int, int], ...], pos: array):
+    def __init__(self, order: array, starts: tuple[int, ...], bases: tuple[int, ...], pos: array):
         self.order = order
-        self.runs = runs
+        self.starts = starts
+        self.bases = bases
         self.pos = pos
 
     def at(self, k: int) -> int:
         """The packed entry of the symbol at position k of ``order``."""
-        # the last run that starts at or before k
-        start, length, acc0 = self.runs[bisect_left(self.runs, (k + 1,)) - 1]
-        return ((acc0 + k - start) << _LEN_BITS) | length
+        return self.bases[bisect_right(self.starts, k) - 1] + (k << _LEN_BITS)
 
     def packed(self, index: int) -> int | None:
         k = self.pos[index]
@@ -116,22 +115,20 @@ class _Round:
 
     def length_of(self, index: int) -> int | None:
         k = self.pos[index]
-        return self.runs[bisect_left(self.runs, (k,)) - 1][1] if k else None
+        return self.bases[bisect_right(self.starts, k - 1) - 1] & _LEN_MASK if k else None
 
     def codeword(self, index: int) -> str | None:
-        k = self.pos[index]
-        return _unpack_code(self.at(k - 1)) if k else None
+        p = self.packed(index)
+        return None if p is None else _unpack_code(p)
 
     def segments(self) -> list[tuple[array, int]]:
         """(symbols, codeword length) per run, in selection order."""
         order = self.order
-        out = []
-        end = len(order)
-        for start, length, _ in reversed(self.runs):
-            out.append((order[start:end], length))
-            end = start
-        out.reverse()
-        return out
+        ends = self.starts[1:] + (len(order),)
+        return [
+            (order[start:end], base & _LEN_MASK)
+            for start, end, base in zip(self.starts, ends, self.bases)
+        ]
 
 
 class KeyAgreeEngine:
@@ -230,13 +227,17 @@ class KeyAgreeEngine:
         nums = self._nums
         q = self._q
         where = array("i", [0]) * len(nums)
-        spans = []
+        starts = []
+        bases = []
         for start, take, alpha, acc0 in runs:
             length = alpha - w
             # a packed entry keeps the length in _LEN_BITS bits
             if length > _LEN_MASK:
                 raise InvariantError(f"round {w} codeword length {length} overflows")
-            spans.append((start, length, acc0))
+            # position start has codeword value acc0; each earlier symbol
+            # took at least one unit, so acc0 >= start: no base is negative
+            starts.append(start)
+            bases.append(((acc0 - start) << _LEN_BITS) | length)
             chunk = q >> alpha
             for k in range(start, start + take):
                 i = live[k]
@@ -245,7 +246,7 @@ class KeyAgreeEngine:
         # _built first: a reader that finds more rounds than _built finds
         # the period too (round_lengths)
         self._built = w
-        self._rounds.append(_Round(array("i", live[:pos]), tuple(spans), where))
+        self._rounds.append(_Round(array("i", live[:pos]), tuple(starts), tuple(bases), where))
         self._ones = (2 * self._ones + 1) % self._odd
         if not self._ones:
             if not self._order:
@@ -331,6 +332,9 @@ class KeyAgreeEngine:
     def _walk(self, x: int) -> "_ThresholdWalk":
         walk = self._thresholds.get(x)
         if walk is None:
+            # a negative index would read another symbol's position
+            if not 0 <= x < len(self.pmf):
+                raise ValidationError(f"symbol {x} outside the alphabet")
             if not self.pmf.numerators[x]:
                 raise ValidationError(f"cannot key on zero-mass symbol {x}")
             # setdefault: racing first callers all get the stored walk
@@ -366,6 +370,8 @@ class KeyAgreeEngine:
         """x's stopping law in dyadic form: (w, codeword length) for the
         rounds 1..w_max that give x a chunk, where
         P(W = w | X = x) = 2**-(w + length) / p(x)."""
+        if not 0 <= x < len(self.pmf):
+            raise ValidationError(f"symbol {x} outside the alphabet")
         if not self.pmf.numerators[x]:
             raise ValidationError(f"symbol {x} has zero mass")
         self.ensure(w_max)
@@ -390,7 +396,7 @@ class KeyAgreeEngine:
     def round_conditional(self, w: int) -> Pmf:
         """Conditional pmf of X given W = w, over the full source alphabet."""
         rnd = self.round(w)
-        top = rnd.runs[-1][1]  # codeword lengths grow along the order
+        top = rnd.bases[-1] & _LEN_MASK  # codeword lengths grow along the order
         nums = [0] * len(self.pmf)
         for symbols, length in rnd.segments():
             for i in symbols:

@@ -366,6 +366,15 @@ class TestErrorPaths:
         with pytest.raises(ValidationError, match="zero mass"):
             KeyAgreeEngine(pmf("1/2", "0", "1/2")).round_lengths(1, 10)
 
+    def test_symbols_outside_the_alphabet_are_refused(self):
+        # a negative index must not read the last symbol's position
+        e = KeyAgreeEngine(CORPUS["tenths"])
+        for x in (-1, len(CORPUS["tenths"])):
+            with pytest.raises(ValidationError, match="outside the alphabet"):
+                e.alice(x, RandomSource("outside"))
+            with pytest.raises(ValidationError, match="outside the alphabet"):
+                e.round_lengths(x, 10)
+
     def test_bob_outside_the_alphabet_is_unreachable(self):
         e = KeyAgreeEngine(CORPUS["tenths"])
         for y in (-1, len(CORPUS["tenths"])):

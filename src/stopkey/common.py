@@ -118,8 +118,8 @@ class _Round:
         return self.bases[bisect_right(self.starts, k - 1) - 1] & _LEN_MASK if k else None
 
     def codeword(self, index: int) -> str | None:
-        p = self.packed(index)
-        return None if p is None else _unpack_code(p)
+        k = self.pos[index]
+        return _unpack_code(self.at(k - 1)) if k else None
 
     def segments(self) -> list[tuple[array, int]]:
         """(symbols, codeword length) per run, in selection order."""

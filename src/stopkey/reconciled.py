@@ -347,24 +347,22 @@ def _bucket_sums(
     round's keys are read once, for every symbol in the cells, with one
     ``_stage2_keys`` call; past the period a round repeats as the same
     object and is not read again. Keys are compared as packed codeword
-    entries; only the laws build key
-    strings. A same-symbol outcome agrees in every round with Bob's
-    codeword as key, so without laws it walks no round.
+    entries; only the laws build key strings. A same-symbol outcome
+    agrees in every round with Bob's codeword as key, so without laws it
+    walks no round.
     """
     col = 0
     # Bob's index -> [steps, scale, den, key bits of his own codeword, and
     # the error, key-length and unresolved numerators: over den, den, d den]
     bob: dict[int, list] = {}
     if eng is not None:
-        # each round's keys for every symbol in the cells, read once per
-        # round object: past the period a round repeats as the same one
+        # round w's keys for every symbol in the cells, in table[w - 1] at
+        # the symbol's slot, read once per round object
         symbols = tuple({i for _, xi, yi in cells for i in (xi, yi)})
         slot = {i: k for k, i in enumerate(symbols)}
-        read: dict[_Round, list[int]] = {}
-        table = [
-            read.get(rnd) or read.setdefault(rnd, _stage2_keys(rnd, *symbols))
-            for rnd in eng.rounds(max(w_max, 1))
-        ]
+        rounds = eng.rounds(max(w_max, 1))
+        read = {rnd: _stage2_keys(rnd, *symbols) for rnd in dict.fromkeys(rounds)}
+        table = [read[rnd] for rnd in rounds]
     for n, xi, yi in cells:
         same = xi == yi
         if not same:

@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from .common import _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
+from .common import _LEN_BITS, _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
 from .dyadic import KnuthYaoSampler
 from .errors import InvariantError, ReconcilerContractError, ValidationError
 from .keylaws import ErrorLengthPair, KeyLaw
@@ -215,8 +216,14 @@ def _stage2_keys(rnd: _Round, *symbols: int) -> list[int]:
     symbol has no chunk there (zero bucket mass included) falls back to
     the round's first codeword, the one at position 0.
     """
-    at, pos = rnd.at, rnd.pos
-    return [at(pos[i] - 1 if pos[i] else 0) for i in symbols]
+    # _Round.at inlined: every confirmed two-stage trial reads two keys
+    pos, starts, bases = rnd.pos, rnd.starts, rnd.bases
+    keys = []
+    for i in symbols:
+        k = pos[i]
+        k = k - 1 if k else 0
+        keys.append(bases[bisect_right(starts, k) - 1] + (k << _LEN_BITS))
+    return keys
 
 
 # A stage-two run with its keys as packed codeword entries: (transcript

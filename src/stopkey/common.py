@@ -122,13 +122,14 @@ class _Round:
         return _unpack_code(self.at(k - 1)) if k else None
 
     def segments(self) -> list[tuple[array, int]]:
-        """(symbols, codeword length) per run, in selection order."""
-        order = self.order
-        ends = self.starts[1:] + (len(order),)
-        return [
-            (order[start:end], base & _LEN_MASK)
-            for start, end, base in zip(self.starts, ends, self.bases)
-        ]
+        """(symbols, codeword length) per run, last run first."""
+        order, starts, bases = self.order, self.starts, self.bases
+        out = []
+        end = len(order)
+        for j in range(len(starts) - 1, -1, -1):
+            out.append((order[starts[j] : end], bases[j] & _LEN_MASK))
+            end = starts[j]
+        return out
 
 
 class KeyAgreeEngine:

@@ -380,9 +380,9 @@ def _bucket_sums(
             continue
         law = bob.get(yi)
         if law is None:
-            # (round, its keys, integer weight) steps, weights q over 2^top;
-            # a step adds q * n * scale / den. With no bucket mass Bob pins
-            # the round to 1.
+            # (round index, its keys, integer weight) steps, weights q
+            # over 2^top; a step adds q * n * scale / den. With no bucket
+            # mass Bob pins the round to 1.
             py = eng.pmf.numerators[yi]
             if py:
                 lengths = eng.round_lengths(yi, w_max)

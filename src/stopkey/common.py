@@ -121,6 +121,20 @@ class _Round:
         k = self.pos[index]
         return _unpack_code(self.at(k - 1)) if k else None
 
+    def keys(self, symbols) -> list[int]:
+        """The stage-two keys of parties holding ``symbols`` once this
+        round is announced, as packed entries: each party emits its
+        symbol's codeword, and a party whose symbol the round does not
+        select falls back to the codeword at position 0."""
+        # at() inlined: every confirmed two-stage trial reads two keys
+        pos, starts, bases = self.pos, self.starts, self.bases
+        keys = []
+        for i in symbols:
+            k = pos[i]
+            k = k - 1 if k else 0
+            keys.append(bases[bisect_right(starts, k) - 1] + (k << _LEN_BITS))
+        return keys
+
     def segments(self) -> list[tuple[array, int]]:
         """(symbols, codeword length) per run, last run first."""
         order, starts, bases = self.order, self.starts, self.bases

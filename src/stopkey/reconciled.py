@@ -17,14 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from .common import _LEN_BITS, _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
+from .common import _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
 from .dyadic import KnuthYaoSampler
 from .errors import InvariantError, ReconcilerContractError, ValidationError
 from .keylaws import ErrorLengthPair, KeyLaw
@@ -206,26 +205,6 @@ def decide(j: JointPmf, h: HashFunction, x: str, y: str, before: Transcript = ()
     return before + (("alice", "hash", w1),), stage, x == y
 
 
-def _stage2_keys(rnd: _Round, *symbols: int) -> list[int]:
-    """The keys of parties holding ``symbols`` once Bob announces the round
-    ``rnd`` of the bucket conditional's engine, as packed codeword entries:
-    ``_unpack_code`` gives a key string, and the low bits (``_LEN_MASK``)
-    its length. ``play`` passes (xi, yi) and gets (key_a, key_b).
-
-    Each party emits its symbol's codeword in that round; a party whose
-    symbol has no chunk there (zero bucket mass included) falls back to
-    the round's first codeword, the one at position 0.
-    """
-    # _Round.at inlined: every confirmed two-stage trial reads two keys
-    pos, starts, bases = rnd.pos, rnd.starts, rnd.bases
-    keys = []
-    for i in symbols:
-        k = pos[i]
-        k = k - 1 if k else 0
-        keys.append(bases[bisect_right(starts, k) - 1] + (k << _LEN_BITS))
-    return keys
-
-
 # A stage-two run with its keys as packed codeword entries: (transcript
 # before Bob's message, w2, key_a, key_b, ideal), 0 packing the empty key.
 # A run's record and its packed form determine each other.
@@ -242,7 +221,7 @@ def play(decision: Decision, rng: RandomSource) -> PackedRun:
         return before, None, 0, 0, 0
     eng, xi, yi = stage
     w2 = eng.alice(yi, rng) if eng.pmf.numerators[yi] else 1
-    code_a, code_b = _stage2_keys(eng.round(w2), xi, yi)
+    code_a, code_b = eng.round(w2).keys((xi, yi))
     return before, w2, code_a, code_b, code_a if same else 0
 
 
@@ -338,6 +317,23 @@ class AlmostCommonAnalysis:
         return self.error_enumerated + self.unresolved
 
 
+def _bob_law(eng: KeyAgreeEngine, yi: int, d: int, w_max: int, table: list) -> list:
+    """Bob's stopping law on symbol ``yi`` in the form ``_bucket_sums``
+    sums over: [steps, scale, den, key bits of his own codeword, and the
+    error, key-length and unresolved numerators, zero so far]. Steps are
+    (round index w, ``table[w - 1]``, integer weight q), weights over
+    2^top, and a step adds q * n * scale / den to an outcome of mass
+    n / d. With no bucket mass Bob pins the round to 1."""
+    py = eng.pmf.numerators[yi]
+    if not py:
+        return [[(1, table[0], 1)], 1, d, 0, 0, 0, 0]
+    lengths = eng.round_lengths(yi, w_max)
+    top = max((w + k for w, k in lengths), default=0)
+    steps = [(w, table[w - 1], 1 << (top - w - k)) for w, k in lengths]
+    bits = sum((1 << (top - w - k)) * k for w, k in lengths)
+    return [steps, eng.pmf.denominator, (d * py) << top, bits, 0, 0, 0]
+
+
 def _bucket_sums(
     eng: KeyAgreeEngine | None, cells: Sequence[tuple[int, int, int]], d: int, w_max: int,
     laws: defaultdict | None = None, w1: int = 1,
@@ -350,49 +346,37 @@ def _bucket_sums(
     Bob stops in round w with probability 2^-(w + n_w) / p*(y), n_w his
     codeword length there, so each outcome's masses are integers over
     d p*(y) 2^top, top the largest w + n_w: read once per Bob's symbol
-    with his steps, summed per symbol, and made ``Fraction``s once. Each
-    round's keys are read once, for every symbol in the cells, with one
-    ``_stage2_keys`` call; past the period a round repeats as the same
-    object and is not read again. Keys are compared as packed codeword
-    entries; only the laws build key strings. A same-symbol outcome
-    agrees in every round with Bob's codeword as key, so without laws it
-    walks no round.
+    with his steps (``_bob_law``), summed per symbol, and made
+    ``Fraction``s once. A same-symbol outcome agrees in every round with
+    Bob's codeword as key, so without laws it walks no round, and when no
+    outcome walks no key is read. Otherwise each round's keys are read
+    once, for every symbol in the cells, with one ``_Round.keys`` call;
+    past the period a round repeats as the same object and is not read
+    again. Keys are compared as packed codeword entries; only the laws
+    build key strings.
     """
-    col = 0
-    # Bob's index -> [steps, scale, den, key bits of his own codeword, and
-    # the error, key-length and unresolved numerators: over den, den, d den]
-    bob: dict[int, list] = {}
-    if eng is not None:
+    col = sum(n for n, xi, yi in cells if xi != yi)
+    if eng is None:
+        if laws is not None:
+            for n, _, _ in cells:
+                laws[w1, None][""] += Fraction(n, d)
+        return Fraction(col, d), ZERO, ZERO, ZERO
+    slot: dict[int, int] = {}
+    if laws is not None or any(xi != yi for _, xi, yi in cells):
         # round w's keys for every symbol in the cells, in table[w - 1] at
         # the symbol's slot, read once per round object
         symbols = tuple({i for _, xi, yi in cells for i in (xi, yi)})
         slot = {i: k for k, i in enumerate(symbols)}
         rounds = eng.rounds(max(w_max, 1))
-        read = {rnd: _stage2_keys(rnd, *symbols) for rnd in dict.fromkeys(rounds)}
+        read = {rnd: rnd.keys(symbols) for rnd in dict.fromkeys(rounds)}
         table = [read[rnd] for rnd in rounds]
+    else:
+        table = [None] * max(w_max, 1)  # no outcome walks a round
+    # Bob's index -> his law, the numerators summed over his outcomes
+    bob = {yi: _bob_law(eng, yi, d, w_max, table) for yi in dict.fromkeys(yi for _, _, yi in cells)}
     for n, xi, yi in cells:
         same = xi == yi
-        if not same:
-            col += n
-        if eng is None:
-            if laws is not None:
-                laws[w1, None][""] += Fraction(n, d)
-            continue
-        law = bob.get(yi)
-        if law is None:
-            # (round index, its keys, integer weight) steps, weights q
-            # over 2^top; a step adds q * n * scale / den. With no bucket
-            # mass Bob pins the round to 1.
-            py = eng.pmf.numerators[yi]
-            if py:
-                lengths = eng.round_lengths(yi, w_max)
-                top = max((w + k for w, k in lengths), default=0)
-                steps = [(w, table[w - 1], 1 << (top - w - k)) for w, k in lengths]
-                bits = sum((1 << (top - w - k)) * k for w, k in lengths)
-                law = [steps, eng.pmf.denominator, (d * py) << top, bits, 0, 0, 0]
-            else:
-                law = [[(1, table[0], 1)], 1, d, 0, 0, 0, 0]
-            bob[yi] = law
+        law = bob[yi]
         steps, scale, den, bits = law[:4]
         num = n * scale
         if same and laws is None:

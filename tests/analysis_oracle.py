@@ -13,7 +13,7 @@ from fractions import Fraction
 from stopkey.common import _unpack_code
 from stopkey.keylaws import KeyLaw
 from stopkey.probability import JointPmf
-from stopkey.reconciled import HashFunction, _bucket_check, _stage2_keys
+from stopkey.reconciled import HashFunction, _bucket_check
 
 
 def analyze(j: JointPmf, h: HashFunction, w_max: int = 30):
@@ -50,7 +50,7 @@ def analyze(j: JointPmf, h: HashFunction, w_max: int = 30):
         seen = Fraction(0)
         for w2, q in rounds:
             seen += q
-            key_a, key_b = map(_unpack_code, _stage2_keys(eng.round(w2), xi, yi))
+            key_a, key_b = map(_unpack_code, eng.round(w2).keys((xi, yi)))
             ideal = key_a if same else ""
             law_add((w1, w2), ideal, mass * q)
             if key_a == key_b == ideal:

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -13,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey.common import KeyAgreeEngine, _unpack_code, engine_for, exact_common_law
+from stopkey.common import KeyAgreeEngine, _Round, _unpack_code, exact_common_law
 from stopkey.errors import (
     InvariantError,
     ReconcilerContractError,
@@ -564,30 +563,41 @@ class TestAlmostCommonKeygen:
             "abcd",
         )
         h = HashFunction(("a", "b", "c", "d"), (1, 1, 1, 2), 2)
-        enumerated = set()
-        stage2_keys = reconciled._stage2_keys
-
         labels = union_alphabet(j)  # the bucket conditional's alphabet
-        # each bucket engine's round -> its indices; past the period a
-        # round object repeats, with the same codewords
-        indices: dict = {}
-        for w1 in (1, 2):
-            for w, rnd in enumerate(engine_for(stage_conditional(j, h, w1)).rounds(30), 1):
-                indices.setdefault(rnd, []).append(w)
+        walked = []  # (engine, cells) of each bucket the analysis walks
+        steps = {}  # (engine, Bob's index) -> (round, its keys) per step he walks
+        read = {}  # id of each key list read -> (the list, {symbol: packed key})
+        raw_sums, raw_law, raw_keys = reconciled._bucket_sums, reconciled._bob_law, _Round.keys
 
-        def record(rnd, *symbols):
-            # the analysis reads a round's keys once, for every symbol in
-            # the bucket's cells, and pairs them per outcome
-            keys = stage2_keys(rnd, *symbols)  # packed codeword entries
-            read = [(labels[i], _unpack_code(k)) for i, k in zip(symbols, keys)]
-            for (x, key_a), (y, key_b) in itertools.product(read, repeat=2):
-                for w in indices[rnd]:
-                    enumerated.add((x, y, w, key_a, key_b))
-            return keys
+        def bucket_sums(eng, cells, *args):
+            walked.append((eng, cells))
+            return raw_sums(eng, cells, *args)
 
-        monkeypatch.setattr(reconciled, "_stage2_keys", record)
+        def bob_law(eng, yi, *args):
+            law = raw_law(eng, yi, *args)
+            steps[eng, yi] = [(w, code) for w, code, _ in law[0]]
+            return law
+
+        def keys(rnd, symbols):
+            out = raw_keys(rnd, symbols)
+            read[id(out)] = out, dict(zip(symbols, out))
+            return out
+
+        monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
+        monkeypatch.setattr(reconciled, "_bob_law", bob_law)
+        monkeypatch.setattr(_Round, "keys", keys)
         analysis = analyze_almost_common(j, h, w_max=30)
         monkeypatch.undo()
+        # the (x, y, w) cells the analysis walks, with the keys it read
+        enumerated = set()
+        for eng, cells in walked:
+            if eng is None:
+                continue  # no agreement mass: Bob aborts
+            for _, xi, yi in cells:
+                for w, code in steps[eng, yi]:
+                    key = read[id(code)][1]
+                    codes = (_unpack_code(key[xi]), _unpack_code(key[yi]))
+                    enumerated.add((labels[xi], labels[yi], w) + codes)
         rng = RandomSource("stage2-paths")
         fallbacks = set()
         for ix, iy, _ in j.atoms():

@@ -1,19 +1,19 @@
-"""Time ``KeyAgreeEngine.ensure(w)`` and measure the memory its rounds hold.
+"""Time ``KeyAgreeEngine.ensure(DEPTH)`` and measure the memory its rounds hold.
 
-    python3 tools/engine_memory.py [--sizes 1000,20000,100000] [--depth 30]
+    python3 tools/engine_memory.py
 
-For each alphabet size n it builds the linear pmf p(k) = k / (n (n + 1) / 2),
-k = 1..n, and prints one line: the wall time of ``ensure(depth)`` on a
-fresh engine, untraced (best of ``--repeat`` runs), and the bytes a fresh
-engine holds after ``ensure(depth)``, read with ``tracemalloc`` in a
-separate run (the engine's allocations, measured from before it is made).
-Timing is never taken under ``tracemalloc``, which slows the build about
-tenfold. Stdlib only; run it from anywhere inside the repository.
+For each alphabet size n in ``SIZES`` it builds the linear pmf
+p(k) = k / (n (n + 1) / 2), k = 1..n, and prints one line: the wall time of
+``ensure(DEPTH)`` on a fresh engine, untraced (best of ``REPEAT`` runs), and
+the bytes a fresh engine holds after ``ensure(DEPTH)``, read with
+``tracemalloc`` in a separate run (the engine's allocations, measured from
+before it is made). Timing is never taken under ``tracemalloc``, which slows
+the build about tenfold. Stdlib only; run it from anywhere inside the
+repository.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -25,29 +25,33 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from stopkey.common import KeyAgreeEngine  # noqa: E402
 from stopkey.probability import Pmf  # noqa: E402
 
+SIZES = (1000, 20000, 100000)
+DEPTH = 30
+REPEAT = 3
+
 
 def linear_pmf(n: int) -> Pmf:
     return Pmf(tuple(f"s{i}" for i in range(n)), tuple(range(1, n + 1)), n * (n + 1) // 2)
 
 
-def ensure_seconds(p: Pmf, depth: int, repeat: int) -> float:
+def ensure_seconds(p: Pmf) -> float:
     best = float("inf")
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         gc.collect()
         start = time.perf_counter()
-        KeyAgreeEngine(p).ensure(depth)
+        KeyAgreeEngine(p).ensure(DEPTH)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def held_bytes(p: Pmf, depth: int) -> int:
-    """Bytes still allocated, with the engine alive, after ``ensure(depth)``."""
+def held_bytes(p: Pmf) -> int:
+    """Bytes still allocated, with the engine alive, after ``ensure(DEPTH)``."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         engine = KeyAgreeEngine(p)
-        engine.ensure(depth)
+        engine.ensure(DEPTH)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -55,18 +59,12 @@ def held_bytes(p: Pmf, depth: int) -> int:
     return held
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--sizes", default="1000,20000,100000",
-                        help="comma-separated alphabet sizes (default: %(default)s)")
-    parser.add_argument("--depth", type=int, default=30, help="rounds to build (default: %(default)s)")
-    parser.add_argument("--repeat", type=int, default=3, help="timed runs per size, best kept (default: %(default)s)")
-    args = parser.parse_args(argv)
-    print(f"python {sys.version.split()[0]}, ensure({args.depth}) on linear pmfs")
-    for n in (int(s) for s in args.sizes.split(",")):
+def main() -> int:
+    print(f"python {sys.version.split()[0]}, ensure({DEPTH}) on linear pmfs")
+    for n in SIZES:
         p = linear_pmf(n)
-        seconds = ensure_seconds(p, args.depth, args.repeat)
-        held = held_bytes(p, args.depth)
+        seconds = ensure_seconds(p)
+        held = held_bytes(p)
         print(f"|X| = {n:>6}: ensure {seconds:8.3f} s, held {held / 1e6:8.2f} MB ({held} B)")
     return 0
 

@@ -215,7 +215,8 @@ def play(decision: Decision, rng: RandomSource) -> PackedRun:
     """A decided run played to its end, in packed form. On confirmation
     Bob draws his round on ``rng`` with the common scheme's draw,
     ``KeyAgreeEngine.alice``, pinned to round 1 when his symbol has no
-    bucket mass; an abort draws nothing."""
+    bucket mass, and both keys are read with ``_Round.keys``, the read
+    the analysis kernel makes; an abort draws nothing."""
     before, stage, same = decision
     if stage is None:
         return before, None, 0, 0, 0

@@ -19,6 +19,7 @@ from . import formats
 from .common import alice_keygen, bob_keygen, engine_for
 from .errors import StopkeyError
 from .harness import (
+    PLANS,
     ExperimentConfig,
     agreed,
     bound_line_text,
@@ -111,7 +112,7 @@ def _run_args(sp: argparse.ArgumentParser, trials: int) -> None:
     sp.add_argument("--dist")
     sp.add_argument("--joint")
     sp.add_argument(
-        "--protocol", choices=("common", "almost", "correlated"),
+        "--protocol", choices=tuple(PLANS),
         help="default: common for --dist, almost or correlated for --joint",
     )
     sp.add_argument("--m", type=int, default=1)

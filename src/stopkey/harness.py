@@ -8,11 +8,13 @@ lies on the wrong side of the line. Exact sections enumerate in rational
 arithmetic; truncation tails are reported and charged against the
 protocol, never in its favor.
 
-Trials draw their randomness from per-trial substreams derived from the
-master seed by trial index, so reports are byte-identical for a given
-config and seed under any execution order or worker count. A report's
-trials run in contiguous blocks, up to one per usable CPU, the first in
-this process and the rest in forked children, and merge in trial order.
+Each protocol is one plan class (``PLANS``): its source check, its
+trials and its exact section. Trials draw their randomness from
+per-trial substreams derived from the master seed by trial index, so
+reports are byte-identical for a given config and seed under any
+execution order or worker count. A report's trials run in contiguous
+blocks, up to one per usable CPU, the first in this process and the rest
+in forked children, and merge in trial order.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import os
 import signal
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
@@ -352,9 +354,6 @@ def eavesdropper_view(runs: Iterable[_RunRecord]) -> dict:
 # Experiment configuration and report.
 
 
-_PROTOCOLS = ("common", "almost", "correlated")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run depends on; the seed fixes all randomness."""
@@ -370,7 +369,7 @@ class ExperimentConfig:
     hash_spec: str | None = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in _PROTOCOLS:
+        if self.protocol not in PLANS:
             raise ValidationError(f"unknown protocol {self.protocol!r}")
         if (self.source_path is None) == (self.source_doc is None):
             raise ValidationError("exactly one of source_path/source_doc required")
@@ -390,25 +389,19 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "source_path": self.source_path,
-            "source_doc": None if self.source_doc is None else dict(self.source_doc),
-            "m": self.m,
-            "w_max": self.w_max,
-            "trials": self.trials,
-            "seed": self.seed,
-            "reconciler": self.reconciler,
-            "hash_spec": self.hash_spec,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.source_doc is not None:
+            doc["source_doc"] = dict(self.source_doc)
+        return doc
 
     def plan(self) -> ProtocolPlan:
-        """Load the source, by path or by document, and build its plan."""
+        """Load the source, by path or by document, and build the
+        protocol's plan (``PLANS``)."""
         if self.source_path is not None:
             source = formats.load_source(self.source_path)
         else:
             source = formats.parse_source(self.source_doc)  # type: ignore[arg-type]
-        return ProtocolPlan(self, source)
+        return PLANS[self.protocol](self, source)
 
 
 METHODOLOGY = (
@@ -525,16 +518,12 @@ def _fmt(value: Any) -> str:
 
 
 def _fmt_iv(iv: Any) -> str:
-    if iv is None:
-        return "n/a"
-    if isinstance(iv, (list, tuple)) and len(iv) == 2:
-        return f"[{_fmt(iv[0])}, {_fmt(iv[1])}]"
-    return _fmt(iv)
+    return f"[{_fmt(iv[0])}, {_fmt(iv[1])}]"
 
 
 def _check(
     label: str,
-    observed: tuple[float, float] | None,
+    observed: tuple[float, float],
     bound: float | None,
     direction: str,
     *,
@@ -543,11 +532,11 @@ def _check(
     """Interval-logic comparison: fail only if fully on the wrong side."""
     entry: dict[str, Any] = {
         "label": label,
-        "observed": None if observed is None else [observed[0], observed[1]],
+        "observed": list(observed),
         "bound": bound,
         "direction": direction,
     }
-    if vacuous or bound is None or observed is None:
+    if vacuous or bound is None:
         entry["status"] = "vacuous"
         return entry
     lo, hi = observed
@@ -602,71 +591,102 @@ def resolve_hash(
 class ProtocolPlan:
     """A configured protocol on its loaded source, ready to play seeded trials.
 
-    The config checked every option; the plan checks the source kind,
-    resolves the spec and holds the header a report or run log prints.
-    ``runs`` is the only place a trial's substreams are derived, so reports
-    and run logs for the same seed play the same trials.
+    One subclass per protocol, named in ``PLANS``. The config checked every
+    option; the plan checks the source kind, resolves the spec and holds
+    the header a report or run log prints. Each subclass plays trial i on
+    its substream in ``_trial(i, sub)``; ``runs`` is the only place a
+    trial's substreams are derived, so reports and run logs for the same
+    seed play the same trials.
 
-    A trial pays for its draws and little else. A two-stage trial draws a
-    source cell with the sampler ``sample_joint`` uses, and Bob's round;
-    everything else about the cell is decided once per plan, on the cell's
-    first draw (``_decision``). A common trial's record depends only on
-    (x, W), and a two-stage trial's only on its packed run
-    (``reconciled.play``), so each record is built on its first draw
+    A trial pays for its draws and little else. A common trial's record
+    depends only on (x, W), and a two-stage trial's only on its packed
+    run (``reconciled.play``), so each record is built on its first draw
     and shared after: ``_records`` holds one entry per distinct record.
     """
 
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
-        if cfg.protocol == "common":
-            if not isinstance(source, Pmf):
-                raise ValidationError("common protocol takes a single distribution")
-        elif not isinstance(source, JointPmf):
-            raise ValidationError(f"{cfg.protocol} protocol takes a joint distribution")
         self.cfg = cfg
         self.source = source
         self.header: dict[str, Any] = {}
         # (x, w) or a packed run -> its record, the object every trial with
         # that outcome yields
         self._records: dict[tuple, _RunRecord] = {}
-        # _trial is the class's function, called with the plan: a method
-        # bound to the plan and stored on it would hold it in a cycle
-        if cfg.protocol == "common":
-            self._engine = engine_for(source)
-            self._sampler = KnuthYaoSampler(source)
-            self._trial = ProtocolPlan._common_trial
-        elif cfg.protocol == "almost":
-            mode, self.table, hash_seed = resolve_hash(cfg.hash_spec, source, cfg.m)
-            self.header["hash_mode"] = mode
-            if self.table is not None:
-                self.header["hash_table"] = formats.hash_function_document(self.table)
-            else:
-                self._tables = RandomSource(hash_seed)
-                self._alphabet = union_alphabet(source)
-            self._trial = ProtocolPlan._almost_trial
-        else:
-            spec = "identity" if cfg.reconciler is None else cfg.reconciler
-            self.reconciler = parse_reconciler(spec, cfg.seed)
-            self.header["reconciler"] = spec
-            self._trial = ProtocolPlan._correlated_trial
 
     def runs(self, start: int = 0, stop: int | None = None) -> Iterator[_RunRecord]:
         """Trials start..stop-1 (by default all the config's trials) as
         (transcript, key_a, key_b, ideal), in order."""
         rng = RandomSource(self.cfg.seed)
+        trial = self._trial
         for i in range(start, self.cfg.trials if stop is None else stop):
-            yield self._trial(self, i, rng.substream("trial", i))
+            yield trial(i, rng.substream("trial", i))
 
-    def _common_trial(self, i: int, sub: RandomSource) -> _RunRecord:
+    def exact(
+        self, small: bool, data: dict, exact: dict, checks: list
+    ) -> tuple[tuple[str, float], tuple[str, float | None]]:
+        """The report's exact section: the exact fields into ``exact`` and
+        their checks into ``checks``, only when ``small`` (at most 8 labels
+        a side), and extra report fields into ``data``. Returns the
+        (label, bound) lines the measured error and length are held to."""
+        raise NotImplementedError
+
+
+class _CommonPlan(ProtocolPlan):
+    """The zero-error scheme on a common source."""
+
+    def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
+        if not isinstance(source, Pmf):
+            raise ValidationError("common protocol takes a single distribution")
+        super().__init__(cfg, source)
+        self._engine = engine_for(source)
+        self._sampler = KnuthYaoSampler(source)
+
+    def _trial(self, i: int, sub: RandomSource) -> _RunRecord:
         x = self._sampler.sample(sub.substream("source"))[0]
         w = self._engine.alice(x, sub.substream("alice"))
-        return self._records.get((x, w)) or self._common_record(x, w)
+        return self._records.get((x, w)) or self._record(x, w)
 
-    def _common_record(self, x: int, w: int) -> _RunRecord:
+    def _record(self, x: int, w: int) -> _RunRecord:
         """Alice's key is x's round-w codeword, and Bob replays round w."""
         key_a = self._engine.round(w).codeword(x)
         run = ((("alice", "round", w),), key_a, self._engine.bob(x, w), key_a)
         # setdefault: racing first builders all get the stored record
         return self._records.setdefault((x, w), run)
+
+    def exact(self, small, data, exact, checks):
+        cfg, source = self.cfg, self.source
+        h_x = entropy(source)
+        if small:
+            formats.check_printable_depth(cfg.w_max)  # the law's tail is 2**-w_max
+            law = exact_common_law(source, cfg.w_max)
+            exact["expected_length"] = formats.format_rational(law.expected_length)
+            exact["expected_length_float"] = float(law.expected_length)
+            exact["tail"] = formats.format_rational(law.tail)
+            per_w = {w: law.conditional_key_law(w) for w in range(1, min(cfg.w_max, 16) + 1)}
+            exact.update(_law_section(per_w))
+            slack = (cfg.w_max + 2) * 2.0 ** -cfg.w_max
+            checks.append(
+                _check(
+                    "enumerated E|K| >= H(X) - 2 (within truncation slack)",
+                    (float(law.expected_length) + slack,) * 2,
+                    h_x - 2.0,
+                    "ge",
+                    vacuous=h_x - 2.0 <= 0,
+                )
+            )
+            exact["huffman_baseline"] = float(huffman_expected_length(source))
+        return ("measured error = 0", 0.0), ("measured length >= H(X) - 2", h_x - 2.0)
+
+
+class _TwoStagePlan(ProtocolPlan):
+    """A joint source's stage two: a trial draws a source cell with the
+    sampler ``sample_joint`` uses, and Bob's round. Everything else about
+    the cell is decided once per plan, on the cell's first draw
+    (``_decision``, through the subclass's ``_decide``)."""
+
+    def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
+        if not isinstance(source, JointPmf):
+            raise ValidationError(f"{cfg.protocol} protocol takes a joint distribution")
+        super().__init__(cfg, source)
 
     def _play(self, decision: Decision, rng: RandomSource) -> _RunRecord:
         """A stage-two run from a decided outcome: Bob's draw on ``rng``,
@@ -692,18 +712,28 @@ class ProtocolPlan:
         cells) cells. Racing threads decide a cell alike."""
         got = self._decided[cell]
         if got is None:
-            x, y = self._cells[1][cell]
-            if self.cfg.protocol == "almost":
-                got = decide(self.source, self.table, x, y)
-            else:
-                r, j = self.reconciler, self.source
-                res = r.outcome(j, x, y)
-                cj, h = r.stage_two_source(j, res.transcript_a, self.cfg.m)
-                got = decide(cj, h, res.m_a, res.m_b, res.transcript_a)
-            self._decided[cell] = got
+            got = self._decided[cell] = self._decide(*self._cells[1][cell])
         return got
 
-    def _almost_trial(self, i: int, sub: RandomSource) -> _RunRecord:
+
+class _AlmostPlan(_TwoStagePlan):
+    """The hash check on an almost-common source, with a derandomized,
+    fixed or per-trial random table."""
+
+    def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
+        super().__init__(cfg, source)
+        mode, self.table, hash_seed = resolve_hash(cfg.hash_spec, source, cfg.m)
+        self.header["hash_mode"] = mode
+        if self.table is not None:
+            self.header["hash_table"] = formats.hash_function_document(self.table)
+        else:
+            self._tables = RandomSource(hash_seed)
+            self._alphabet = union_alphabet(source)
+
+    def _decide(self, x: str, y: str) -> Decision:
+        return decide(self.source, self.table, x, y)
+
+    def _trial(self, i: int, sub: RandomSource) -> _RunRecord:
         sampler, cells = self._cells
         cell = sampler.sample(sub.substream("source"))[0]
         if self.table is None:
@@ -713,9 +743,92 @@ class ProtocolPlan:
             decision = self._decision(cell)
         return self._play(decision, sub.substream("keys"))
 
-    def _correlated_trial(self, i: int, sub: RandomSource) -> _RunRecord:
+    def exact(self, small, data, exact, checks):
+        cfg, source = self.cfg, self.source
+        pair = almost_common_bounds(source, cfg.m)
+        data["guarantee"] = {"epsilon": formats.format_rational(pair.epsilon), "ell": pair.ell}
+        if small and self.table is not None:
+            analysis = analyze_almost_common(source, self.table, w_max=min(cfg.w_max, 30))
+            exact["collision_error"] = formats.format_rational(analysis.collision_error)
+            exact["error_enumerated"] = formats.format_rational(analysis.error_enumerated)
+            exact["error_upper_float"] = float(analysis.error_upper)
+            exact["agreed_length"] = formats.format_rational(analysis.agreed_length)
+            exact["agreed_length_float"] = float(analysis.agreed_length)
+            exact.update(_law_section(analysis.transcript_laws or {}))
+            checks.append(
+                _check(
+                    "exact error of this table <= (1 - p)/m",
+                    (float(analysis.error_upper),) * 2,
+                    float(analysis.epsilon_bound),
+                    "le",
+                )
+            )
+            checks.append(
+                _check(
+                    "exact agreed length >= p (H(X|X=Y) - log2 m - 2)",
+                    (float(analysis.agreed_length),) * 2,
+                    pair.ell,
+                    "ge",
+                    vacuous=pair.ell <= 0,
+                )
+            )
+        elif small:
+            avg = average_almost_common(source, cfg.m, w_max=min(cfg.w_max, 30))
+            exact["tables"] = formats.check_printable_int(avg.tables)  # m^|X|
+            exact["mean_collision_error"] = formats.format_rational(avg.collision_error)
+            exact["mean_agreed_length_float"] = float(avg.agreed_length)
+        return (
+            ("measured error <= (1 - p)/m", float(pair.epsilon)),
+            ("measured length >= p (H(X|X=Y) - log2 m - 2)", pair.ell),
+        )
+
+
+class _CorrelatedPlan(_TwoStagePlan):
+    """The two-stage pipeline: a reconciler, then the hash check on its
+    stage-two source."""
+
+    def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
+        super().__init__(cfg, source)
+        spec = "identity" if cfg.reconciler is None else cfg.reconciler
+        self.reconciler = parse_reconciler(spec, cfg.seed)
+        self.header["reconciler"] = spec
+
+    def _decide(self, x: str, y: str) -> Decision:
+        r, j = self.reconciler, self.source
+        res = r.outcome(j, x, y)
+        cj, h = r.stage_two_source(j, res.transcript_a, self.cfg.m)
+        return decide(cj, h, res.m_a, res.m_b, res.transcript_a)
+
+    def _trial(self, i: int, sub: RandomSource) -> _RunRecord:
         cell = self._cells[0].sample(sub.substream("source"))[0]
         return self._play(self._decision(cell), sub.substream("stage2"))
+
+    def exact(self, small, data, exact, checks):
+        cfg, source = self.cfg, self.source
+        floor = None
+        if small:
+            stats = reconciler_stats(source, self.reconciler)
+            floor = stats.floor(cfg.m)
+            exact["reconciler_p_agree"] = formats.format_rational(stats.p_agree)
+            exact["reconciler_conditional_entropy"] = stats.conditional_entropy
+            exact["composition_floor"] = floor
+            laws = correlated_transcript_laws(
+                source, self.reconciler, cfg.m, w_max=min(cfg.w_max, 20)
+            )
+            exact.update(_law_section(laws))
+            data["composition_floor"] = floor
+        return (
+            ("measured error <= 1/m", 1.0 / cfg.m),
+            ("measured length >= measured-reconciler composition floor", floor),
+        )
+
+
+# protocol name -> its plan, in the order the CLI lists them
+PLANS: dict[str, type[ProtocolPlan]] = {
+    "common": _CommonPlan,
+    "almost": _AlmostPlan,
+    "correlated": _CorrelatedPlan,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -862,129 +975,37 @@ def _estimates_section(errors: int, lengths: Counter[float]) -> dict:
 
 
 def _law_section(laws: Mapping[Any, KeyLaw]) -> dict:
-    bad = []
-    for key in laws:
-        verdict = verify_rsbs(laws[key])
-        if not verdict.valid:
-            bad.append(str(key))
+    bad = sorted(str(key) for key, law in laws.items() if not verify_rsbs(law).valid)
     return {
         "transcript_laws": len(laws),
         "rsbs_valid": len(laws) - len(bad),
-        "rsbs_violations": sorted(bad),
+        "rsbs_violations": bad,
     }
 
 
 def run_simulation(cfg: ExperimentConfig) -> Report:
     """Execute one configured experiment end to end.
 
-    trials = 0 produces a bounds-only report. Exact enumeration sections
-    are attached whenever the alphabet is small enough (at most 8
-    symbols a side); Monte Carlo estimates always carry their intervals
-    and are compared to every applicable bound line.
+    The phases run in order: the config and the plan's header, the bound
+    dashboard, the plan's exact section (``ProtocolPlan.exact``), the
+    trials and their checks, the eavesdropper view, the status. trials = 0
+    produces a bounds-only report. Exact enumeration sections are attached
+    whenever the alphabet is small enough (at most 8 symbols a side);
+    Monte Carlo estimates always carry their intervals and are compared to
+    every applicable bound line.
     """
     plan = cfg.plan()
     source = plan.source
-    data: dict[str, Any] = {
-        "config": cfg.to_dict(),
-        "methodology": METHODOLOGY,
-        **plan.header,
-    }
+    data: dict[str, Any] = {"config": cfg.to_dict(), "methodology": METHODOLOGY, **plan.header}
     data["bounds"] = bounds_dashboard(source, cfg.m)
-    conv = next(
-        line["value"]
-        for line in data["bounds"]["lines"]
-        if line["kind"] == "converse"
-    )
+    conv = next(ln["value"] for ln in data["bounds"]["lines"] if ln["kind"] == "converse")
     sides = (source,) if isinstance(source, Pmf) else (source.x_labels, source.y_labels)
     small = all(len(side) <= 8 for side in sides)
     exact: dict[str, Any] = {}
     checks: list[dict] = []
-
-    # each branch: its exact section and checks, then the bounds its
-    # measured error and measured length are held to
-    if cfg.protocol == "common":
-        h_x = entropy(source)
-        if small:
-            formats.check_printable_depth(cfg.w_max)  # the law's tail is 2**-w_max
-            law = exact_common_law(source, cfg.w_max)
-            exact["expected_length"] = formats.format_rational(law.expected_length)
-            exact["expected_length_float"] = float(law.expected_length)
-            exact["tail"] = formats.format_rational(law.tail)
-            per_w = {
-                w: law.conditional_key_law(w)
-                for w in range(1, min(cfg.w_max, 16) + 1)
-            }
-            exact.update(_law_section(per_w))
-            slack = (cfg.w_max + 2) * 2.0 ** -cfg.w_max
-            checks.append(
-                _check(
-                    "enumerated E|K| >= H(X) - 2 (within truncation slack)",
-                    (float(law.expected_length) + slack,) * 2,
-                    h_x - 2.0,
-                    "ge",
-                    vacuous=h_x - 2.0 <= 0,
-                )
-            )
-            exact["huffman_baseline"] = float(huffman_expected_length(source))
-        error_label, error_bound = "measured error = 0", 0.0
-        length_label, length_bound = "measured length >= H(X) - 2", h_x - 2.0
-
-    elif cfg.protocol == "almost":
-        pair = almost_common_bounds(source, cfg.m)
-        data["guarantee"] = {
-            "epsilon": formats.format_rational(pair.epsilon),
-            "ell": pair.ell,
-        }
-        if small and plan.table is not None:
-            analysis = analyze_almost_common(source, plan.table, w_max=min(cfg.w_max, 30))
-            exact["collision_error"] = formats.format_rational(analysis.collision_error)
-            exact["error_enumerated"] = formats.format_rational(analysis.error_enumerated)
-            exact["error_upper_float"] = float(analysis.error_upper)
-            exact["agreed_length"] = formats.format_rational(analysis.agreed_length)
-            exact["agreed_length_float"] = float(analysis.agreed_length)
-            exact.update(_law_section(analysis.transcript_laws or {}))
-            checks.append(
-                _check(
-                    "exact error of this table <= (1 - p)/m",
-                    (float(analysis.error_upper),) * 2,
-                    float(analysis.epsilon_bound),
-                    "le",
-                )
-            )
-            checks.append(
-                _check(
-                    "exact agreed length >= p (H(X|X=Y) - log2 m - 2)",
-                    (float(analysis.agreed_length),) * 2,
-                    pair.ell,
-                    "ge",
-                    vacuous=pair.ell <= 0,
-                )
-            )
-        elif small:
-            avg = average_almost_common(source, cfg.m, w_max=min(cfg.w_max, 30))
-            exact["tables"] = formats.check_printable_int(avg.tables)  # m^|X|
-            exact["mean_collision_error"] = formats.format_rational(avg.collision_error)
-            exact["mean_agreed_length_float"] = float(avg.agreed_length)
-        error_label, error_bound = "measured error <= (1 - p)/m", float(pair.epsilon)
-        length_label = "measured length >= p (H(X|X=Y) - log2 m - 2)"
-        length_bound = pair.ell
-
-    else:  # correlated
-        floor = None
-        if small:
-            stats = reconciler_stats(source, plan.reconciler)
-            floor = stats.floor(cfg.m)
-            exact["reconciler_p_agree"] = formats.format_rational(stats.p_agree)
-            exact["reconciler_conditional_entropy"] = stats.conditional_entropy
-            exact["composition_floor"] = floor
-            laws = correlated_transcript_laws(
-                source, plan.reconciler, cfg.m, w_max=min(cfg.w_max, 20)
-            )
-            exact.update(_law_section(laws))
-            data["composition_floor"] = floor
-        error_label, error_bound = "measured error <= 1/m", 1.0 / cfg.m
-        length_label = "measured length >= measured-reconciler composition floor"
-        length_bound = floor
+    (error_label, error_bound), (length_label, length_bound) = plan.exact(
+        small, data, exact, checks
+    )
 
     if cfg.trials > 0:
         # counted run records: memory grows with distinct records, not trials
@@ -999,18 +1020,9 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
         eps_iv = tuple(data["estimates"]["epsilon"]["interval"])
         ell_iv = tuple(data["estimates"]["ell"]["interval"])
         checks.append(_check(error_label, eps_iv, error_bound, "le"))
-        checks.append(
-            _check(
-                length_label,
-                ell_iv,
-                length_bound,
-                "ge",
-                vacuous=length_bound is None or length_bound <= 0,
-            )
-        )
-        checks.append(
-            _check("measured length <= I(X;Y) + log2 3 + 1", ell_iv, conv, "le")
-        )
+        vacuous = length_bound is None or length_bound <= 0
+        checks.append(_check(length_label, ell_iv, length_bound, "ge", vacuous=vacuous))
+        checks.append(_check("measured length <= I(X;Y) + log2 3 + 1", ell_iv, conv, "le"))
         # the view runs the fairness tests on these same (transcript, ideal) samples
         view = eavesdropper_view(runs)
         data["fairness"] = view["fairness"]
@@ -1019,7 +1031,5 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
     if exact:
         data["exact"] = exact
     data["checks"] = checks
-    data["status"] = (
-        "bound-violated" if any(c["status"] == "fail" for c in checks) else "ok"
-    )
+    data["status"] = "bound-violated" if any(c["status"] == "fail" for c in checks) else "ok"
     return Report(data)

@@ -94,7 +94,6 @@ class KeyLaw:
             )
         if self.atoms != _canonical_atoms(dict(self.atoms)):
             raise ValidationError("atoms must be in canonical order; use from_dict")
-        object.__setattr__(self, "_lookup", dict(self.atoms))
 
     @classmethod
     def from_dict(cls, masses: Mapping[str, object], tail=ZERO) -> "KeyLaw":
@@ -107,15 +106,8 @@ class KeyLaw:
                 cleaned[check_bitstring(k)] = fm
         return cls(_canonical_atoms(cleaned), as_fraction(tail))
 
-    def mass(self, key: str) -> Fraction:
-        return self._lookup.get(key, ZERO)  # type: ignore[attr-defined]
-
     def max_length(self) -> int:
         return max((len(k) for k, _ in self.atoms), default=0)
-
-    def expected_length(self) -> Fraction:
-        """E[|K|] over the enumerated atoms (the tail contributes nothing)."""
-        return sum((Fraction(len(k)) * m for k, m in self.atoms), ZERO)
 
 
 @dataclass(frozen=True)

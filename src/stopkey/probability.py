@@ -349,11 +349,12 @@ def entropy(p: Pmf) -> float:
     """Shannon entropy in bits of a Pmf, double precision.
 
     The masses are read from the pmf's integers: ``n / d`` rounds as
-    ``float(Fraction(n, d))`` does. Terms are summed with math.fsum; the
-    result is accurate to a few ulp (at least 15 significant digits).
+    ``float(Fraction(n, d))`` does, and a mass that rounds to 0.0 adds
+    nothing. Terms are summed with math.fsum; the result is accurate to a
+    few ulp (at least 15 significant digits).
     """
     masses = [n / p.denominator for n in p.numerators if n]
-    return math.fsum(-m * math.log2(m) for m in masses)
+    return math.fsum(-m * math.log2(m) for m in masses if m)
 
 
 def mutual_information(j: JointPmf | Pmf) -> float:
@@ -362,7 +363,8 @@ def mutual_information(j: JointPmf | Pmf) -> float:
     Each term takes one log of the exact rational ratio
     p(x,y) / (p(x) p(y)), so a factorizing joint returns exactly 0.0
     instead of the float residue an H(X) + H(Y) - H(X,Y) rearrangement
-    would leave.
+    would leave. A mass that rounds to 0.0 adds nothing, and a ratio past
+    the float range is logged from its numerator and denominator.
     """
     if isinstance(j, Pmf):  # the atoms of Y = X lie on the diagonal
         px = py = j.masses
@@ -372,7 +374,12 @@ def mutual_information(j: JointPmf | Pmf) -> float:
         atoms = j.atoms()
     total = 0.0
     for ix, iy, m in atoms:
-        total += float(m) * math.log2(m / (px[ix] * py[iy]))
+        if mass := float(m):
+            r = m / (px[ix] * py[iy])
+            try:
+                total += mass * math.log2(r)
+            except OverflowError:  # r >= m: only past the top of the range
+                total += mass * (math.log2(r.numerator) - math.log2(r.denominator))
     return total
 
 

@@ -1,8 +1,10 @@
-"""The verdicts of tools/bench_pairs.py, on synthetic pairs (no runs)."""
+"""The verdicts of tools/bench_pairs.py, on synthetic pairs, and its
+cleanup when stopped, on stubbed runs (no benchmark runs)."""
 
 import importlib.util
 import json
 import os
+import signal
 
 import pytest
 
@@ -124,3 +126,39 @@ def test_source_lines_counts_the_non_blank_lines_of_the_package_modules(tmp_path
     (tmp_path / "tests" / "t.py").write_text("Z = 3\n")
     assert bench_pairs.source_lines(str(tmp_path)) == 3 + 2
     assert bench_pairs.source_lines(str(tmp_path / "empty")) == 0
+
+
+def test_a_stopped_run_removes_its_exported_trees(tmp_path, monkeypatch):
+    made = []
+
+    def source_tree(spec, work, name):
+        path = os.path.join(work, name)
+        os.makedirs(path)
+        made.append(path)
+        return path, {"spec": spec}
+
+    def run_once(tree, workload, seed, trace):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return {}
+
+    class Stopped(Exception):
+        pass
+
+    def outer(signum, frame):
+        raise Stopped
+
+    monkeypatch.setattr(bench_pairs, "source_tree", source_tree)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    # a SIGTERM the script does not take over raises Stopped, not SystemExit
+    previous = signal.signal(signal.SIGTERM, outer)
+    try:
+        with pytest.raises(SystemExit) as info:
+            bench_pairs.main(["--base", "HEAD", "--change", "HEAD", "--workloads", "common-mc",
+                              "--out", str(tmp_path / "out.json")])
+        assert signal.getsignal(signal.SIGTERM) is outer
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert info.value.code == 128 + signal.SIGTERM
+    assert [os.path.basename(p) for p in made] == ["base", "change"]
+    assert not os.path.exists(os.path.dirname(made[0]))
+    assert not (tmp_path / "out.json").exists()

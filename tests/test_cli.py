@@ -1,7 +1,9 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -487,6 +489,66 @@ class TestBounds:
             ["bounds", "--dist", dist_file, "--joint", joint_file]
         ) == 3
         assert "exactly one" in capsys.readouterr().err
+
+
+    def test_a_probability_past_the_digit_limit_is_an_input_error(self, tmp_path, capsys):
+        # each cell lies over two of four pairwise coprime ~5000-bit
+        # factors, and the last numerator is solved so the cells sum to 1:
+        # no number in the document passes 4300 digits, but P(X = Y) =
+        # a/pq + d/rs lies over pqrs, about 6000 digits
+        n = 2**5000 + 3
+        p, q, r, s = n, n + 1, n + 2, n + 4
+        assert all(math.gcd(u, v) == 1 for u, v in itertools.combinations((p, q, r, s), 2))
+        a = p * q // 3
+        b = -a * r * s * pow(q * s, -1, p) % p + r // 4 * p
+        c = -a * r * s * pow(p * r, -1, q) % q + s // 4 * q
+        d, rest = divmod(p * q * r * s - a * r * s - b * q * s - c * p * r, p * q)
+        assert rest == 0 and d > 0
+        doc = {
+            "x_labels": ["0", "1"],
+            "y_labels": ["0", "1"],
+            "joint": [[f"{a}/{p * q}", f"{b}/{p * r}"], [f"{c}/{q * s}", f"{d}/{r * s}"]],
+        }
+        path = str(tmp_path / "wide.json")
+        write_document(doc, path)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["bounds", "--joint", path]) == 3
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert capsys.readouterr().err == (
+            "error: a rational has more than 4300 digits, the int-to-str limit\n"
+        )
+
+
+def _tiny_mass(d: int) -> dict:
+    return {"alphabet": ["a", "b"], "pmf": [f"1/{d}", f"{d - 1}/{d}"]}
+
+
+# masses below the float range: 1/10^400 and 2^-1080 round to 0.0, and
+# 2^-1050 is subnormal with a ratio 2^1050 past the float range
+TINY_SOURCES = {
+    "pmf-10^-400": ("--dist", _tiny_mass(10**400)),
+    "pmf-2^-1080": ("--dist", _tiny_mass(2**1080)),
+    "pmf-2^-1050": ("--dist", _tiny_mass(2**1050)),
+    "joint-10^-400": ("--joint", {
+        "x_labels": ["0", "1"],
+        "y_labels": ["0", "1"],
+        "joint": [[f"{10**400 - 1}/{2 * 10**400}", f"1/{2 * 10**400}"], ["0", "1/2"]],
+    }),
+}
+
+
+@pytest.mark.parametrize("verb", ["bounds", "report"])
+@pytest.mark.parametrize("name", TINY_SOURCES)
+def test_a_mass_below_the_float_range_is_reported(name, verb, tmp_path, capsys):
+    flag, doc = TINY_SOURCES[name]
+    path = str(tmp_path / "tiny.json")
+    write_document(doc, path)
+    assert main([verb, flag, path]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and "(converse) length converse" in out
 
 
 class TestSimulateAndReport:

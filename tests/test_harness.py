@@ -14,9 +14,9 @@ from stopkey import formats, harness
 from stopkey.errors import InvariantError, ValidationError
 from stopkey.harness import (
     METHODOLOGY,
+    PLANS,
     Z99,
     ExperimentConfig,
-    ProtocolPlan,
     Report,
     _check,
     bounds_dashboard,
@@ -32,7 +32,7 @@ from stopkey.harness import (
     wilson_interval,
 )
 from stopkey.common import KeyAgreeEngine, _unpack_code, exact_common_law
-from stopkey.keylaws import law_from_codebook, simulate_stopped_key, stopping_rule_of
+from stopkey.keylaws import KeyLaw, law_from_codebook, simulate_stopped_key, stopping_rule_of
 from stopkey.probability import JointPmf, Pmf
 from stopkey.randomsource import RandomSource
 from stopkey.reconciled import (
@@ -413,6 +413,26 @@ class TestConfig:
         with pytest.raises(ValidationError, match="applies only"):
             ExperimentConfig(protocol=protocol, source_path="x", **option)
 
+    def test_to_dict_lists_every_field_and_copies_the_document(self):
+        doc = pmf_document(CORPUS["tenths"])
+        cfg = ExperimentConfig(protocol="almost", source_doc=doc, m=3, hash_spec="random:2")
+        out = cfg.to_dict()
+        assert out == {
+            "protocol": "almost", "source_path": None, "source_doc": doc, "m": 3,
+            "w_max": 30, "trials": 0, "seed": 0, "reconciler": None, "hash_spec": "random:2",
+        }
+        assert out["source_doc"] is not doc
+        assert ExperimentConfig(protocol="common", source_path="x").to_dict()["source_doc"] is None
+
+    def test_the_config_builds_the_plan_its_protocol_names(self):
+        # in the order the CLI lists its --protocol choices
+        assert list(PLANS) == ["common", "almost", "correlated"]
+        joint = joint_document(WORKED_JOINT)
+        docs = {"common": pmf_document(CORPUS["tenths"]), "almost": joint, "correlated": joint}
+        for protocol, doc in docs.items():
+            plan = ExperimentConfig(protocol=protocol, source_doc=doc).plan()
+            assert type(plan) is PLANS[protocol]
+
 
 class TestPlan:
     @pytest.mark.parametrize(
@@ -431,7 +451,7 @@ class TestPlan:
         )
         cfg = ExperimentConfig(protocol=protocol, source_doc=doc)
         with pytest.raises(ValidationError, match=f"^{protocol} protocol takes"):
-            ProtocolPlan(cfg, source)
+            PLANS[protocol](cfg, source)
         with pytest.raises(ValidationError, match=f"^{protocol} protocol takes"):
             cfg.plan()
 
@@ -667,12 +687,22 @@ class TestCheckLogic:
 
     def test_vacuous_paths(self):
         assert _check("l", (0.0, 1.0), 1.0, "ge", vacuous=True)["status"] == "vacuous"
-        assert _check("l", None, 1.0, "ge")["status"] == "vacuous"
         assert _check("l", (0.0, 1.0), None, "ge")["status"] == "vacuous"
 
     def test_unknown_direction(self):
         with pytest.raises(ValidationError):
             _check("l", (0.0, 1.0), 0.5, "eq")
+
+
+def test_law_section_names_the_laws_that_are_not_randomly_stopped():
+    fair = KeyLaw.from_dict({"0": Fraction(1, 2), "1": Fraction(1, 2)})
+    # P(first bit = 0) = 3/4: not a randomly stopped fair bit sequence
+    biased = KeyLaw.from_dict({"0": Fraction(3, 4), "1": Fraction(1, 4)})
+    assert harness._law_section({10: biased, 2: fair, 3: biased}) == {
+        "transcript_laws": 3,
+        "rsbs_valid": 1,
+        "rsbs_violations": ["10", "3"],
+    }
 
 
 class TestSpecs:
@@ -1079,14 +1109,14 @@ class TestTrialBlocks:
     @pytest.mark.parametrize("failing", [{150}, {220}, {150, 220}, {40, 220}], ids=str)
     def test_a_failing_trial_raises_the_serial_error(self, failing, tmp_path, blocks, forks, monkeypatch):
         # three blocks: trials 0-99 here, 100-199 and 200-300 in children
-        raw = ProtocolPlan._common_trial
+        raw = harness._CommonPlan._trial
 
         def trial(self, i, sub):
             if i in failing:
                 raise InvariantError(f"trial {i} broke")
             return raw(self, i, sub)
 
-        monkeypatch.setattr(ProtocolPlan, "_common_trial", trial)
+        monkeypatch.setattr(harness._CommonPlan, "_trial", trial)
         cfg = _block_cfg("common", tmp_path)
         raised = []
         for k in (1, 3):
@@ -1103,14 +1133,14 @@ class TestTrialBlocks:
     def test_a_block_whose_child_dies_plays_here(self, code, tmp_path, blocks, forks, monkeypatch):
         serial = run_simulation(_block_cfg("common", tmp_path)).to_json()
         parent = os.getpid()
-        raw = ProtocolPlan._common_trial
+        raw = harness._CommonPlan._trial
 
         def trial(self, i, sub):
             if os.getpid() != parent:
                 os._exit(code)
             return raw(self, i, sub)
 
-        monkeypatch.setattr(ProtocolPlan, "_common_trial", trial)
+        monkeypatch.setattr(harness._CommonPlan, "_trial", trial)
         blocks(3)
         assert run_simulation(_block_cfg("common", tmp_path)).to_json() == serial
         assert len(forks) == 2

@@ -441,6 +441,21 @@ class TestEntropy:
             j = product_joint(random_rational_pmf(rng, 4), random_rational_pmf(rng, 4))
             assert mutual_information(j) == 0.0
 
+    def test_a_mass_that_rounds_to_zero_adds_nothing(self):
+        # 1/10^400 and 2^-1080 round to 0.0, whose log2 raises
+        for d in (10**400, 2**1080):
+            p = Pmf(("a", "b"), (1, d - 1), d)
+            assert entropy(p) == mutual_information(p) == 0.0
+        d = 2 * 10**400
+        j = JointPmf.from_rows(((Fraction(d // 2 - 1, d), Fraction(1, d)), (0, Fraction(1, 2))))
+        assert mutual_information(j) == 1.0
+
+    def test_a_ratio_past_the_float_range_is_logged_from_its_integers(self):
+        # 2^-1050 is a subnormal float, and its ratio 2^1050 overflows one
+        d = 2**1050
+        p = Pmf(("a", "b"), (1, d - 1), d)
+        assert entropy(p) == mutual_information(p) == 1050 * 2.0**-1050 > 0
+
     def test_mutual_information_positive_when_correlated(self):
         p = CORPUS["uniform2"]
         assert mutual_information(diag_joint(p)) == pytest.approx(1.0)

@@ -27,10 +27,12 @@ it from anywhere inside the repository.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -155,6 +157,23 @@ def summarize(pairs: list[dict], declared: dict[str, dict]) -> dict:
     return out
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
+@contextlib.contextmanager
+def sigterm_exits():
+    """SIGTERM raises SystemExit while the block runs, so the ``with``
+    blocks inside it clean up (the exported trees are removed) and a
+    running ``subprocess.run`` kills its child; the old handler is back
+    after."""
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--base", required=True, help="git revision")
@@ -177,7 +196,7 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads {unknown}")
 
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
+    with sigterm_exits(), tempfile.TemporaryDirectory(prefix="bench-pairs-") as work:
         base_dir, base = source_tree(args.base, work, "base")
         change_dir, change = source_tree(args.change, work, "change")
         doc = {

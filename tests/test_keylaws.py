@@ -159,10 +159,7 @@ class TestConcat:
     def test_expected_length_adds(self):
         a = law_from_codebook(("0", "10", "11"))
         c = concat_laws(a, a)
-        def expected_length(law):
-            return sum(len(k) * m for k, m in law.atoms)
-
-        assert expected_length(c) == 2 * expected_length(a)
+        assert sum(len(k) * m for k, m in c.atoms) == 2 * sum(len(k) * m for k, m in a.atoms)
 
 
 class TestStoppingRules:

@@ -32,8 +32,9 @@ from .randomsource import RandomSource
 
 
 def _seed_value(text: str) -> int | str:
+    # isdecimal, not isdigit: int() refuses digits such as "²"
     stripped = text.lstrip("-")
-    return int(text) if stripped.isdigit() and stripped else text
+    return int(text) if stripped.isdecimal() and stripped else text
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -124,17 +125,22 @@ def _run_args(sp: argparse.ArgumentParser, trials: int) -> None:
 
 
 def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser. Every verb is registered, so the top-level help,
-    usage and choice errors never change; only ``only``'s options are
-    added when it is given (None adds every verb's)."""
+    """The CLI parser: every verb's subparser, or only ``only``'s.
+
+    A one-verb parser names every verb in its usage line, so the usage
+    printed with an unrecognized-argument error is the full parser's; its
+    top-level help and choice errors are not, so ``main`` builds it only
+    when the verb is the leading argument.
+    """
     parser = _Parser(
         prog="stopkey",
         description="secret key agreement via randomly stopped bit sequences",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
+    metavar = None if only is None else "{" + ",".join(_VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
     for verb, (help_text, add_args, _) in _VERBS.items():
-        sp = sub.add_parser(verb, help=help_text)
         if only is None or verb == only:
+            sp = sub.add_parser(verb, help=help_text)
             add_args(sp)
             _add_output_args(sp)
     return parser
@@ -305,7 +311,7 @@ _VERBS = {
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a leading verb name is the subcommand argparse dispatches to, so only
-    # its options are built; anything else builds them all
+    # its subparser is built; anything else builds them all
     verb = argv[0] if argv and argv[0] in _VERBS else None
     args = _build_parser(verb).parse_args(argv)
     try:

@@ -93,16 +93,23 @@ def _ratio(value: Any) -> tuple[int, int]:
         return value, 1
     if type(value) is str and value.isascii():
         num, _, den = value.partition("/")
-        if num.isdigit() and den.isdigit():  # den is "" when there is no "/"
-            try:
-                n, d = int(num), int(den)
-            except ValueError:
-                pass
-            else:
-                if d:
-                    return n, d
+        d = _digits(den)  # None when there is no "/"
+        n = _digits(num) if d else None
+        if n is not None:
+            return n, d
     f = parse_rational(value)
     return f.numerator, f.denominator
+
+
+def _digits(text: str) -> int | None:
+    """The int an ASCII string of digits spells, or None for any other
+    string and for one past the int-to-str digit limit."""
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
 
 
 def format_rational(value: Fraction) -> str:
@@ -144,12 +151,39 @@ def parse_pmf(doc: Mapping) -> Pmf:
         raise FormatError(
             f"{len(alphabet)} labels but {len(raw)} masses"
         )
-    nums, dens = [], []
+    # one pass: an ASCII "n/d" entry is read here, each distinct "d" once,
+    # and any other entry by _ratio. While every nonzero mass has one
+    # denominator, nums is the only per-entry list; a zero mass fits any
+    seen: dict[str, int] = {}
+    nums = []
+    den = 0
+    dens = None  # per-entry denominators, once two nonzero masses differ in one
     for value in raw:
-        n, d = _ratio(value)
+        n = None
+        if type(value) is str and value.isascii():
+            num, _, text = value.partition("/")
+            d = seen.get(text)
+            if d is None:  # 0 marks a denominator only _ratio may read
+                d = seen[text] = _digits(text) or 0
+            if d and num.isdigit():
+                try:
+                    n = int(num)
+                except ValueError:  # past the digit limit: _ratio refuses it
+                    pass
+        if n is None:
+            n, d = _ratio(value)
+        if dens is not None:
+            dens.append(d)
+        elif n and d != den:
+            if den:
+                dens = [den] * len(nums)
+                dens.append(d)
+            else:
+                den = d
         nums.append(n)
-        dens.append(d)
     try:
+        if dens is None:
+            return Pmf(alphabet, nums, den or 1)
         return Pmf.from_ratios(nums, dens, alphabet)
     except Exception as exc:  # normalization and label errors, deficit included
         raise FormatError(str(exc)) from None

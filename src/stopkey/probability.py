@@ -124,7 +124,8 @@ class Pmf:
             raise ValidationError(f"mass {Fraction(bad, den)} outside [0, 1]")
         _check_total(sum(nums), den, "pmf")
         labels = tuple(self.labels)
-        _check_labels(labels, len(nums))
+        if len(labels) != len(nums):
+            raise ValidationError(f"{len(nums)} masses but {len(labels)} labels")
         g = math.gcd(*nums)  # divides den, the numerators' sum
         if g > 1:
             nums, den = tuple(n // g for n in nums), den // g
@@ -132,6 +133,8 @@ class Pmf:
         object.__setattr__(self, "numerators", nums)
         object.__setattr__(self, "denominator", den)
         self._build_index()
+        if len(self._index) != len(labels):  # a repeated label keeps one entry
+            raise ValidationError("alphabet labels must be distinct")
 
     def _build_index(self) -> None:
         index = dict(zip(self.labels, range(len(self.labels))))

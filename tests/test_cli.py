@@ -1,5 +1,5 @@
+import argparse
 import contextlib
-import hashlib
 import io
 import itertools
 import json
@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,54 +14,13 @@ import pytest
 import stopkey
 from stopkey import cli
 from stopkey.cli import main
-from stopkey.common import KeyAgreeEngine
-from stopkey.probability import Pmf
+from stopkey.common import KeyAgreeEngine, alice_keygen
 from stopkey.randomsource import RandomSource
 
-from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, random_rational_pmf
+import pins
+from conftest import CORPUS, CORRELATED_3, WORKED_JOINT
 from documents import joint_document, pmf_document, write_document
-
-# sha256 of the concatenated decompose dumps in TestDecompose.test_dump_bytes_are_pinned
-DUMP_PIN = {
-    "text": "af63daf6a417addb2e4d015f69789801f105b69bd5cd711133f24acd0c8bac46",
-    "structured": "7ffc81a3587932c00ea8fee2427159d9eba7ea0e8d59a51829e1b158288bb43c",
-}
-
-# sha256 of each output in TestTrialOutputPins, at 300 trials on CORRELATED_3
-# (m = 2) or tenths and seed 5; every 0-error interval there already reads 0.0
-TRIAL_PINS = {
-    "keygen-almost derandomized": "3f4c0edc6c77f4e0d37ca7cf825b9b3b0df22a0a1858c1472f086ff665af75a5",
-    "keygen-almost random": "8e295d2a1041a116585a664be28f34fc78b5d8ef601e286f34c4ffc66abe1c63",
-    "keygen-correlated hashmap": "3b0f3633e2b3400992c6a9c3c24bc52e2c66f98784232d8875c3354228ddb11b",
-    "keygen-correlated constant": "b53d2f2a45d3ae62f0011855282e813bbf12defbf8b0da6fa9306db9bdd90acd",
-    "simulate common structured": "3dc3caf3cfed185666e03983dfbf3418f5eed5b2621b668b680329c46f330e27",
-    "simulate common text": "fc920328d93fd35c618bc3082f1bde5bd452a3c0ab37263896ba44f06c836d80",
-    "simulate almost structured": "f9c54dd2eafefd38c39179035b7c92f73f87497e3d37532aa9497be059f962fe",
-    "simulate almost text": "9c850378ea528489d3e417a55ec0b44e5d38d1362769ddfc5ccd5977115bd08a",
-    "simulate correlated structured": "15a3adf477030690b3a75273126ab6167ccc9280d57113b87e54953a277695cb",
-    "simulate correlated text": "2dbf57ebeafd90081f18c3172087c473da5940a6dc328458189e85b24b854503",
-}
-
-# sha256 of each text run log in TestTrialOutputPins.test_text_run_logs_are_pinned,
-# same runs as the structured keygen pins above
-RUN_LOG_TEXT_PINS = {
-    "keygen-almost derandomized": "9fcb3397d27587273f89da08dc66eef2aa2be791a971b4e480d60f8009e959d0",
-    "keygen-almost random": "4dd26cb6c38ee05440f94c0385a416dfadaa68cff5bda103e38331541b9b9c40",
-    "keygen-correlated hashmap": "068824df327d07995d620a1a68fca1806df579082883f30ad20880addcaf123a",
-    "keygen-correlated constant": "8b4c0e94a14d9fb1dd49fe7e8960c77ce1e1a72cb89d0aa2c5976fcc4df3afe9",
-}
-
-# sha256 of each output in TestDistSourcePins: bound lines of tenths and of a
-# seeded 12-symbol pmf, and a 300-trial report on the 12-symbol pmf (seed 5),
-# where the dashboard is the only section a single distribution feeds
-DIST_PINS = {
-    "bounds tenths structured": "21bc356ecdb0725ffbd87a8e775664faf9cc9f0d9d26a9eaf9b5870c4d000fd0",
-    "bounds p12 structured": "add8ea400bab3d38efe14f7a947f9ec212db1a12bad9eea2de05acdc783b58c6",
-    "simulate p12 structured": "884139f2bcec6106d79f84769bd4e9fe9ca58ea715c0911594102f0670846196",
-    "bounds tenths text": "55ebf56f3e82c24c4b99b4b86f6ba67e5b4b54df1e53de7cfcd4d27fe6427669",
-    "bounds p12 text": "4b2772e28e129241cbbb1c98c00f34ba849bf199ce8815fe717589f5bb64b62c",
-    "simulate p12 text": "7bfe7b4884955bbdcd82f601ad4ae73177736ccc0e6ded735bfece062d5839aa",
-}
+from pins import PARSER_CASES, TOP_LEVEL_ARGVS, exits
 
 
 @pytest.fixture()
@@ -128,21 +86,16 @@ class TestDecompose:
         assert capsys.readouterr().out == ""
         assert "tail:" in Path(dest).read_text()
 
-    def test_dump_bytes_are_pinned(self, tmp_path, capsys):
+    def test_dump_bytes_are_pinned(self, tmp_path, monkeypatch, capsys):
         """Both dump forms, to depth 24, for the corpus and 300 random
         pmfs, hash to digests frozen from the original implementation."""
-        rng = RandomSource("decompose-pin")
-        sources = [CORPUS[name] for name in sorted(CORPUS)]
-        sources += [random_rational_pmf(rng.substream(i)) for i in range(300)]
-        digests = {"text": hashlib.sha256(), "structured": hashlib.sha256()}
-        path = str(tmp_path / "source.json")
-        for p in sources:
-            write_document(pmf_document(p), path)
-            for form, digest in digests.items():
-                argv = ["decompose", "--dist", path, "--w-max", "24", "--format", form]
-                assert main(argv) == 0
-                digest.update(capsys.readouterr().out.encode())
-        assert {form: d.hexdigest() for form, d in digests.items()} == DUMP_PIN
+        monkeypatch.chdir(tmp_path)
+
+        def run(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert pins.dump_digests(run) == pins.DUMP_PIN
 
     def test_unprintable_depth_fails_before_building(self, dist_file, monkeypatch, capsys):
         # 2**15000 has 4516 digits, past the default 4300-digit limit
@@ -204,6 +157,21 @@ class TestKeygenCommon:
         assert capsys.readouterr().out == first
         doc = json.loads(first)
         assert set(doc) == {"key", "w"}
+
+    def test_a_non_decimal_seed_is_a_string_seed(self, dist_file, capsys):
+        # "²" is a digit but no decimal, and int() refuses it; decimal digits
+        # of any script still seed as the int they spell
+        assert cli._seed_value("²") == "²"
+        assert cli._seed_value("٣") == 3 and cli._seed_value("-12") == -12
+        assert cli._seed_value("-") == "-" and cli._seed_value("7a") == "7a"
+        base = ["keygen-common", "--dist", dist_file, "--role", "alice", "--x", "0"]
+        outputs = {}
+        for seed in ("²", "٣", "3"):
+            assert main([*base, "--seed", seed]) == 0
+            outputs[seed] = capsys.readouterr().out
+        assert outputs["٣"] == outputs["3"]
+        key, w = alice_keygen(CORPUS["tenths"], 0, RandomSource("²").substream("keygen-common"))
+        assert outputs["²"] == f"key={key} w={w}\n"
 
     def test_unknown_label(self, dist_file, capsys):
         assert main(
@@ -314,58 +282,12 @@ class TestTrialOutputPins:
     def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
         # reports echo the source path, so it must not depend on tmp_path
         monkeypatch.chdir(tmp_path)
-        write_document(pmf_document(CORPUS["tenths"]), "tenths.json")
-        write_document(joint_document(CORRELATED_3), "corr3.json")
-        dist_file = "tenths.json"
-        base = ["--trials", "300", "--seed", "5"]
-        structured = ["--format", "structured"]
-        joint = ["--joint", "corr3.json", "--m", "2"]
-        argvs = {
-            "keygen-almost derandomized": ["keygen-almost", *joint, *base, *structured],
-            "keygen-almost random": [
-                "keygen-almost", *joint, "--hash", "random:S", *base, *structured
-            ],
-            "keygen-correlated hashmap": [
-                "keygen-correlated", *joint, "--reconciler", "hashmap:1", *base, *structured
-            ],
-            "keygen-correlated constant": [
-                "keygen-correlated", *joint, "--reconciler", "constant", *base, *structured
-            ],
-        }
-        for form in ("structured", "text"):
-            tail = [*base, "--format", form]
-            argvs[f"simulate common {form}"] = ["simulate", "--dist", dist_file, *tail]
-            argvs[f"simulate almost {form}"] = [
-                "simulate", *joint, "--protocol", "almost", "--hash", "random:S", *tail
-            ]
-            argvs[f"simulate correlated {form}"] = [
-                "simulate", *joint, "--reconciler", "hashmap:1", *tail
-            ]
-        got = {
-            name: hashlib.sha256(_output(argv, capsys).encode()).hexdigest()
-            for name, argv in argvs.items()
-        }
-        assert got == TRIAL_PINS
+        assert pins.trial_digests(lambda argv: _output(argv, capsys)) == pins.TRIAL_PINS
 
     def test_text_run_logs_are_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        write_document(joint_document(CORRELATED_3), "corr3.json")
-        common = ["--joint", "corr3.json", "--m", "2", "--trials", "300", "--seed", "5"]
-        argvs = {
-            "keygen-almost derandomized": ["keygen-almost", *common],
-            "keygen-almost random": ["keygen-almost", *common, "--hash", "random:S"],
-            "keygen-correlated hashmap": [
-                "keygen-correlated", *common, "--reconciler", "hashmap:1"
-            ],
-            "keygen-correlated constant": [
-                "keygen-correlated", *common, "--reconciler", "constant"
-            ],
-        }
-        got = {
-            name: hashlib.sha256(_output(argv, capsys).encode()).hexdigest()
-            for name, argv in argvs.items()
-        }
-        assert got == RUN_LOG_TEXT_PINS
+        got = pins.run_log_digests(lambda argv: _output(argv, capsys))
+        assert got == pins.RUN_LOG_TEXT_PINS
 
     @pytest.mark.parametrize(
         "verb, options, protocol",
@@ -388,36 +310,12 @@ class TestTrialOutputPins:
             assert log["errors"] > 0
 
 
-def _seeded_pmf(n: int, seed: str) -> Pmf:
-    rng = RandomSource(seed)
-    weights = [1 + rng.randrange(12) for _ in range(n)]
-    return Pmf.from_masses(Fraction(w, sum(weights)) for w in weights)
-
-
 class TestDistSourcePins:
     """Outputs computed from a single distribution, frozen byte for byte."""
 
     def test_outputs_are_pinned(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        write_document(pmf_document(CORPUS["tenths"]), "tenths.json")
-        write_document(pmf_document(_seeded_pmf(12, "dist-pin")), "p12.json")
-        argvs = {}
-        for form in ("structured", "text"):
-            argvs[f"bounds tenths {form}"] = [
-                "bounds", "--dist", "tenths.json", "--m", "2", "--format", form
-            ]
-            argvs[f"bounds p12 {form}"] = [
-                "bounds", "--dist", "p12.json", "--m", "3", "--format", form
-            ]
-            argvs[f"simulate p12 {form}"] = [
-                "simulate", "--dist", "p12.json", "--trials", "300", "--seed", "5",
-                "--format", form,
-            ]
-        got = {
-            name: hashlib.sha256(_output(argv, capsys).encode()).hexdigest()
-            for name, argv in argvs.items()
-        }
-        assert got == DIST_PINS
+        assert pins.dist_digests(lambda argv: _output(argv, capsys)) == pins.DIST_PINS
 
 
 class TestVerifyRsbs:
@@ -699,19 +597,6 @@ class TestHostileDocuments:
         assert "Traceback" not in proc.stderr
 
 
-# per verb: a bad int value and an unknown option after its required ones
-PARSER_CASES = {
-    "decompose": (["--w-max", "x"], ["--dist", "d.json", "--bogus"]),
-    "keygen-common": (["--w", "x"], ["--dist", "d.json", "--role", "bob", "--x", "a", "--bogus"]),
-    "keygen-almost": (["--m", "x"], ["--joint", "j.json", "--m", "2", "--bogus"]),
-    "keygen-correlated": (["--m", "x"], ["--joint", "j.json", "--m", "2", "--bogus"]),
-    "verify-rsbs": (["--max-depth", "x"], ["--law", "l.json", "--bogus"]),
-    "bounds": (["--m", "x"], ["--bogus"]),
-    "simulate": (["--m", "x"], ["--bogus"]),
-    "report": (["--trials", "x"], ["--bogus"]),
-}
-
-
 def _parse(only, argv) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of parsing argv with _build_parser(only)."""
     out, err = io.StringIO(), io.StringIO()
@@ -741,15 +626,38 @@ class TestPerVerbParser:
         assert "invalid int value: 'x'" in _parse(verb, [verb, *bad_int])[2]
         assert "unrecognized arguments: --bogus" in _parse(verb, [verb, *unknown])[2]
 
-    @pytest.mark.parametrize(
-        "argv, code", [(["--help"], 0), ([], 3), (["bogus"], 3)], ids=["help", "empty", "bogus"]
-    )
-    def test_top_level_output_is_the_same_for_every_build(self, argv, code):
+    @pytest.mark.parametrize("name", TOP_LEVEL_ARGVS)
+    def test_main_answers_top_level_argv_with_the_full_parser(self, name, monkeypatch):
+        """An argv that names no verb gets the full parser, so its help,
+        usage and choice errors list every verb; a one-verb parser's would not."""
+        argv, code = TOP_LEVEL_ARGVS[name]
         full = _parse(None, argv)
+        built = []
+        raw = cli._build_parser
+
+        def spy(only=None):
+            built.append(only)
+            return raw(only)
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        assert exits(main, argv) == full
+        assert built == [None]
         assert full[0] == code
-        for verb in cli._VERBS:
-            assert _parse(verb, argv) == full, verb
         assert "{decompose,keygen-common,keygen-almost," in full[1] + full[2]
+
+    def test_a_verb_call_constructs_two_parsers(self, dist_file, monkeypatch, capsys):
+        # the top-level parser and the verb's: not one per verb
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
+                     "--x", "0", "--w", "1"]) == 0
+        assert [p.prog for p in made] == ["stopkey", "stopkey keygen-common"]
 
     def test_main_builds_only_the_leading_verb(self, dist_file, monkeypatch, capsys):
         built = []

@@ -1,4 +1,5 @@
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -296,6 +297,149 @@ class TestIntegerParsePath:
         assert calls == []
         assert p.masses == tuple(Fraction(w, total) for w in range(1, n + 1))
         assert p.denominator == total
+
+
+def _two_pass_parse_pmf(doc):
+    """parse_pmf as it was before the one-pass read: every entry through
+    _ratio, then Pmf.from_ratios over all of them."""
+    alphabet = formats._labels(formats._require(doc, "alphabet", list))
+    raw = formats._require(doc, "pmf", list)
+    if len(raw) != len(alphabet):
+        raise FormatError(f"{len(alphabet)} labels but {len(raw)} masses")
+    ratios = [formats._ratio(value) for value in raw]
+    try:
+        return Pmf.from_ratios([n for n, _ in ratios], [d for _, d in ratios], alphabet)
+    except Exception as exc:
+        raise FormatError(str(exc)) from None
+
+
+def _lowest_terms(p):
+    return p if isinstance(p, str) else (p.labels, p.numerators, p.denominator)
+
+
+HUGE = "1" * 5000
+# pmf entries -> the stored (numerators, denominator), or the refusal
+PMF_TABLE = {
+    "zero denominator": (["1/0", "1/2"], "not a rational: '1/0' (Fraction(1, 0))"),
+    "negative": (["-1/2", "3/2"], "mass -1/2 outside [0, 1]"),
+    "decimal string": (["0.5", "1/2"], ((1, 1), 2)),
+    "JSON float": (
+        [0.5, "1/2"], "float 0.5 rejected: write rationals as strings ('1/3', '0.25')"
+    ),
+    "true": ([True, 0], "not a rational: True"),
+    "null": ([None, "1"], "not a rational: None"),
+    "Arabic-Indic digits": ([ARABIC_HALF, "1/2"], ((1, 1), 2)),
+    "superscript digit": (
+        ["\u00b2/4", "1/2"], "not a rational: '\u00b2/4' (Invalid literal for Fraction: '\u00b2/4')"
+    ),
+    "two slashes": (
+        ["1/2/3", "1/2"], "not a rational: '1/2/3' (Invalid literal for Fraction: '1/2/3')"
+    ),
+    "empty": (["", "1"], "not a rational: '' (Invalid literal for Fraction: '')"),
+    "leading space": ([" 1/2", "1/2"], ((1, 1), 2)),
+    "plus sign": (["+1/2", "1/2"], ((1, 1), 2)),
+    "hex": (["0x1/2", "1/2"], "not a rational: '0x1/2' (Invalid literal for Fraction: '0x1/2')"),
+    "underscore": (["1_0/20", "1/2"], ((1, 1), 2)),
+    "decimal exponent": (
+        ["1e-99999999", "1"], "a decimal has more than 4300 digits or an exponent past 4300"
+    ),
+    "shared denominator": (["2/8", "0", "2/8", "4/8"], ((1, 0, 1, 2), 4)),
+    "mixed denominators": (["1/2", "1/3", "0/7", "1/6"], ((3, 2, 0, 1), 6)),
+    "mixed after zeros": (["0", "0/5", "1/4", "3/4", "0/9"], ((0, 0, 1, 3, 0), 4)),
+    "ints": ([0, 1, "0"], ((0, 1, 0), 1)),
+    "deficit": (["1/4", "1/4"], "pmf masses sum to 1/2, not 1 (deficit 1/2)"),
+    "mixed deficit": (["1/4", "1/3"], "pmf masses sum to 7/12, not 1 (deficit 5/12)"),
+    "all zero": (["0", "0/5"], "pmf masses sum to 0, not 1 (deficit 1)"),
+    "above one": (["3/2", "-1/2"], "mass 3/2 outside [0, 1]"),
+}
+# whole documents, for the label and length checks
+DOC_TABLE = {
+    "duplicate labels": (
+        {"alphabet": ["a", "b", "a"], "pmf": ["1/4", "1/4", "1/2"]},
+        "alphabet labels must be distinct",
+    ),
+    "non-str label": ({"alphabet": ["a", 1], "pmf": ["1/2", "1/2"]}, "label 1 must be a string"),
+    "length mismatch": (
+        {"alphabet": ["a", "b", "c"], "pmf": ["1/2", "1/2"]}, "3 labels but 2 masses"
+    ),
+}
+
+
+class TestOnePassPmfParse:
+    """parse_pmf reads its masses in one pass and returns what the two-pass
+    read did, refusals and their messages included."""
+
+    @pytest.mark.parametrize("name", PMF_TABLE)
+    def test_entry_table(self, name, digit_limit):
+        entries, expected = PMF_TABLE[name]
+        doc = {"alphabet": [f"s{i}" for i in range(len(entries))], "pmf": entries}
+        got = _outcome(parse_pmf, doc)
+        assert _lowest_terms(got) == _lowest_terms(_outcome(_two_pass_parse_pmf, doc))
+        if isinstance(expected, str):
+            assert got == f"FormatError: {expected}"
+        else:
+            assert (got.numerators, got.denominator) == expected
+
+    @pytest.mark.parametrize("name", DOC_TABLE)
+    def test_document_table(self, name):
+        doc, message = DOC_TABLE[name]
+        assert _outcome(parse_pmf, doc) == _outcome(_two_pass_parse_pmf, doc)
+        assert _outcome(parse_pmf, doc) == f"FormatError: {message}"
+
+    @pytest.mark.parametrize("where", ["numerator", "denominator"])
+    def test_a_part_past_the_digit_limit(self, where, digit_limit):
+        entry = HUGE + "/2" if where == "numerator" else "1/" + HUGE
+        for entries in ([entry, "1/2"], ["1/2", entry]):
+            doc = {"alphabet": ["a", "b"], "pmf": entries}
+            got = _outcome(parse_pmf, doc)
+            assert got == _outcome(_two_pass_parse_pmf, doc)
+            assert got.startswith(f"FormatError: not a rational: '{entry}' (Exceeds the limit")
+
+    def test_seeded_documents_match_the_two_pass_read(self, digit_limit):
+        rng = random.Random("one-pass-pmf")
+        spellings = [
+            lambda w, t: f"{w}/{t}",
+            lambda w, t: str(Fraction(w, t)),
+            lambda w, t: f"{w * 3}/{t * 3}",
+            lambda w, t: f"{w / t:.6f}" if t in (1, 2, 4, 5, 8, 10) else f"{w}/{t}",
+            lambda w, t: w if t == 1 else f"{w}/{t}",
+        ]
+        refused = 0
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            weights = [rng.choice([0, 0, 1, 2, 3, 5, 8]) for _ in range(n)]
+            total = sum(weights) + rng.choice([0, 0, 0, 0, 1])  # sometimes a deficit
+            if total == 0:
+                weights[0] = total = 1
+            shared = rng.random() < 0.5
+            pmf = []
+            for w in weights:
+                if w == 0 and rng.random() < 0.5:
+                    pmf.append("0")
+                    continue
+                spell = spellings[0] if shared else rng.choice(spellings)
+                pmf.append(spell(w, total))
+            if rng.random() < 0.1:
+                pmf[rng.randrange(n)] = rng.choice(["1/0", "-1/3", "x", "\u00b2/3", None])
+            doc = {"alphabet": [f"s{i}" for i in range(n)], "pmf": pmf}
+            got, want = _outcome(parse_pmf, doc), _outcome(_two_pass_parse_pmf, doc)
+            assert _lowest_terms(got) == _lowest_terms(want), doc
+            if isinstance(got, str):
+                refused += 1
+            else:
+                assert hash(got) == hash(want) and got.masses == want.masses
+        assert 0 < refused < 100
+
+    def test_a_shared_denominator_skips_the_ratio_merge(self, monkeypatch):
+        calls = []
+        merge = Pmf.from_ratios.__func__
+        monkeypatch.setattr(
+            Pmf, "from_ratios", classmethod(lambda cls, *a: calls.append(a) or merge(cls, *a))
+        )
+        p = parse_pmf({"alphabet": ["a", "b", "c"], "pmf": ["1/6", "0", "5/6"]})
+        assert (p.numerators, p.denominator) == ((1, 0, 5), 6) and calls == []
+        parse_pmf({"alphabet": ["a", "b"], "pmf": ["1/2", "2/4"]})
+        assert len(calls) == 1
 
 
 class TestFileIO:

@@ -79,6 +79,28 @@ class TestKeyLaw:
         law = KeyLaw.from_dict({"": Fraction(1), "0": Fraction(0)})
         assert law.atoms == (("", Fraction(1)),)
 
+    @pytest.mark.parametrize(
+        "atoms, tail, message",
+        [
+            ((("0", HALF), ("0", HALF)), 0, "duplicate key '0' in law"),
+            ((("0", Fraction(0)), ("1", Fraction(1))), 0, "atom mass for '0' must be a positive"),
+            ((("0", HALF), ("1", -HALF)), 1, "atom mass for '1' must be a positive"),
+            ((("0", 1),), 0, "atom mass for '0' must be a positive Fraction"),
+            ((("", Fraction(3, 2)),), -HALF, "tail must be nonnegative"),
+            ((("1", HALF), ("0", HALF)), 0, "canonical order"),
+            ((("00", HALF), ("1", HALF)), 0, "canonical order"),
+        ],
+        ids=["duplicate", "zero-mass", "negative-mass", "int-mass", "negative-tail",
+             "value-order", "length-order"],
+    )
+    def test_constructor_refusals(self, atoms, tail, message):
+        with pytest.raises(ValidationError, match=message):
+            KeyLaw(atoms, Fraction(tail))
+
+    def test_from_dict_refuses_a_negative_mass(self):
+        with pytest.raises(ValidationError, match="negative mass for key '1'"):
+            KeyLaw.from_dict({"0": Fraction(3, 2), "1": -HALF})
+
 
 class TestVerifyRsbs:
     def test_codeword_law_passes(self):
@@ -124,6 +146,10 @@ class TestCodebooks:
     def test_non_full_rejected_with_deficit(self):
         with pytest.raises(ValidationError, match="deficit 1/4"):
             law_from_codebook(("0", "10"))
+
+    def test_duplicate_codewords_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate codewords"):
+            PrefixCodebook(("0", "1", "0"))
 
     def test_prefix_violation_rejected(self):
         with pytest.raises(ValidationError, match="prefix"):
@@ -176,6 +202,17 @@ class TestStoppingRules:
         assert rule.rho("") == 0
         with pytest.raises(ValidationError, match="reachable"):
             rule.rho("0")
+
+    @pytest.mark.parametrize("rho", [Fraction(-1, 2), Fraction(3, 2), 1], ids=str)
+    def test_rho_outside_the_unit_interval_refused(self, rho):
+        with pytest.raises(ValidationError, match=r"rho\('0'\) = .* outside \[0, 1\]"):
+            StoppingRule((("", HALF), ("0", rho)))
+
+    def test_rule_table_order_enforced(self):
+        with pytest.raises(ValidationError, match="canonical order"):
+            StoppingRule((("0", HALF), ("", HALF)))
+        rule = StoppingRule.from_dict({"0": HALF, "": HALF})
+        assert rule.table == (("", HALF), ("0", HALF))
 
     def test_truncation_requires_exact_law(self):
         law = KeyLaw.from_dict({"0": HALF}, tail=HALF)

@@ -13,6 +13,7 @@ import hashlib
 import io
 from fractions import Fraction
 
+from stopkey import cli
 from stopkey.probability import Pmf
 from stopkey.randomsource import RandomSource
 
@@ -87,6 +88,11 @@ def exits(call, argv) -> tuple:
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def parsed(only, argv) -> tuple:
+    """exits() of parsing argv with the parser ``cli._build_parser(only)``."""
+    return exits(lambda a: cli._build_parser(only).parse_args(a), argv)
 
 
 def _digests(run, argvs: dict) -> dict:

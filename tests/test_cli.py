@@ -1,6 +1,4 @@
 import argparse
-import contextlib
-import io
 import itertools
 import json
 import math
@@ -20,7 +18,7 @@ from stopkey.randomsource import RandomSource
 import pins
 from conftest import CORPUS, CORRELATED_3, WORKED_JOINT
 from documents import joint_document, pmf_document, write_document
-from pins import PARSER_CASES, TOP_LEVEL_ARGVS, exits
+from pins import PARSER_CASES, TOP_LEVEL_ARGVS, exits, parsed
 
 
 @pytest.fixture()
@@ -597,13 +595,18 @@ class TestHostileDocuments:
         assert "Traceback" not in proc.stderr
 
 
-def _parse(only, argv) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of parsing argv with _build_parser(only)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        with pytest.raises(SystemExit) as exc:
-            cli._build_parser(only).parse_args(argv)
-    return exc.value.code, out.getvalue(), err.getvalue()
+@pytest.fixture()
+def builds(monkeypatch) -> list:
+    """The ``only`` argument of every cli._build_parser call from now on."""
+    built = []
+    raw = cli._build_parser
+
+    def spy(only=None):
+        built.append(only)
+        return raw(only)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    return built
 
 
 class TestPerVerbParser:
@@ -620,28 +623,21 @@ class TestPerVerbParser:
             ([verb, *bad_int], 3),
             ([verb, *unknown], 3),
         ):
-            full = _parse(None, argv)
+            full = parsed(None, argv)
             assert full[0] == code, argv
-            assert _parse(verb, argv) == full, argv
-        assert "invalid int value: 'x'" in _parse(verb, [verb, *bad_int])[2]
-        assert "unrecognized arguments: --bogus" in _parse(verb, [verb, *unknown])[2]
+            assert parsed(verb, argv) == full, argv
+        assert "invalid int value: 'x'" in parsed(verb, [verb, *bad_int])[2]
+        assert "unrecognized arguments: --bogus" in parsed(verb, [verb, *unknown])[2]
 
     @pytest.mark.parametrize("name", TOP_LEVEL_ARGVS)
-    def test_main_answers_top_level_argv_with_the_full_parser(self, name, monkeypatch):
+    def test_main_answers_top_level_argv_with_the_full_parser(self, name, builds):
         """An argv that names no verb gets the full parser, so its help,
         usage and choice errors list every verb; a one-verb parser's would not."""
         argv, code = TOP_LEVEL_ARGVS[name]
-        full = _parse(None, argv)
-        built = []
-        raw = cli._build_parser
-
-        def spy(only=None):
-            built.append(only)
-            return raw(only)
-
-        monkeypatch.setattr(cli, "_build_parser", spy)
+        full = parsed(None, argv)
+        builds.clear()
         assert exits(main, argv) == full
-        assert built == [None]
+        assert builds == [None]
         assert full[0] == code
         assert "{decompose,keygen-common,keygen-almost," in full[1] + full[2]
 
@@ -659,20 +655,12 @@ class TestPerVerbParser:
                      "--x", "0", "--w", "1"]) == 0
         assert [p.prog for p in made] == ["stopkey", "stopkey keygen-common"]
 
-    def test_main_builds_only_the_leading_verb(self, dist_file, monkeypatch, capsys):
-        built = []
-        raw = cli._build_parser
-
-        def spy(only=None):
-            built.append(only)
-            return raw(only)
-
-        monkeypatch.setattr(cli, "_build_parser", spy)
+    def test_main_builds_only_the_leading_verb(self, dist_file, builds, capsys):
         assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
                      "--x", "0", "--w", "1"]) == 0
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert built == ["keygen-common", None]
+        assert builds == ["keygen-common", None]
 
 
 # run in a fresh interpreter: the stopkey modules an import leaves loaded

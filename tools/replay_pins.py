@@ -40,20 +40,16 @@ def _run(argv: list[str]) -> str:
     return out
 
 
-def _parse(only: str | None, argv: list[str]) -> tuple:
-    return pins.exits(lambda a: cli._build_parser(only).parse_args(a), argv)
-
-
 def parser_parity() -> list[str]:
     """The argvs whose output differs between parser builds."""
     bad = []
     for verb, (bad_int, unknown) in pins.PARSER_CASES.items():
         for argv, code in (([verb, "--help"], 0), ([verb, *bad_int], 3), ([verb, *unknown], 3)):
-            full = _parse(None, argv)
-            if full[0] != code or _parse(verb, argv) != full:
+            full = pins.parsed(None, argv)
+            if full[0] != code or pins.parsed(verb, argv) != full:
                 bad.append(" ".join(argv))
     for argv, code in pins.TOP_LEVEL_ARGVS.values():
-        full = _parse(None, argv)
+        full = pins.parsed(None, argv)
         if full[0] != code or pins.exits(cli.main, argv) != full:
             bad.append(" ".join(argv) or "(no arguments)")
     return bad

@@ -180,6 +180,9 @@ class KeyAgreeEngine:
         # residual is held as it stood after round _built
         self._period = 0
         self._built = 0
+        # the residual at the last period test, (numerators, trailing zeros
+        # of their denominator): before the first test, the pmf's own
+        self._kept = (p.numerators, self._tz)
         self._thresholds: dict[int, _ThresholdWalk] = {}
         # reentrant: a threshold walk builds rounds while holding it
         self._lock = threading.RLock()
@@ -259,14 +262,14 @@ class KeyAgreeEngine:
                 where[i] = k + 1
                 nums[i] -= chunk
         # _built first: a reader that finds more rounds than _built finds
-        # the period too (round_lengths)
+        # the period too (_built_through)
         self._built = w
         self._rounds.append(_Round(array("i", live[:pos]), tuple(starts), tuple(bases), where))
         self._ones = (2 * self._ones + 1) % self._odd
         if not self._ones:
             if not self._order:
                 self._order = w
-            if self._repeats(w, self._order):
+            if self._repeats(self._order):
                 self._period = self._order
 
     def _removed(self, first: int, last: int) -> list[int]:
@@ -281,13 +284,18 @@ class KeyAgreeEngine:
                     taken[i] += chunk
         return taken
 
-    def _repeats(self, w: int, t: int) -> bool:
-        """Whether the residual after round w is the one after round w - t
-        halved t times: (2**t - 1) r_w(i) is then exactly the mass rounds
-        w - t + 1 .. w took from i, for every i. Run only where 2**w = 1
-        modulo the odd part of D, every order-th round."""
-        f = (1 << t) - 1
-        return all(v * f == c for v, c in zip(self._nums, self._removed(w - t + 1, w)))
+    def _repeats(self, t: int) -> bool:
+        """Whether the residual after the round just built, w, is the one
+        after round w - t halved t times. Run only where 2**w = 1 modulo
+        the odd part of D, every t-th round, so round w - t is the previous
+        test, or round 0, and its residual is the one kept then, or the
+        pmf's own. Both are over the odd part shifted by their trailing
+        zeros; a failed test keeps a copy of the residual for the next."""
+        kept, tz = self._kept
+        same = all(v << (tz + t) == c << self._tz for v, c in zip(self._nums, kept))
+        if not same:
+            self._kept = (self._nums[:], self._tz)
+        return same
 
     def ensure(self, w: int) -> None:
         if w > _MAX_ROUNDS:
@@ -389,15 +397,35 @@ class KeyAgreeEngine:
             raise ValidationError(f"symbol {x} outside the alphabet")
         if not self.pmf.numerators[x]:
             raise ValidationError(f"symbol {x} has zero mass")
-        self.ensure(w_max)
-        # only the built rounds are read: past the period, round w is
-        # round w - T, so its entry repeats one from the list
-        built = max(min(self._built, w_max), 0)
+        built = self._built_through(w_max)
         lengths = [
             (w, length)
             for w, rnd in enumerate(self._rounds[:built], 1)
             if (length := rnd.length_of(x)) is not None
         ]
+        return self._extend(lengths, built, w_max)
+
+    def symbol_lengths(self, w_max: int) -> list[list[tuple[int, int]]]:
+        """``round_lengths`` of every symbol, a zero-mass one's empty, read
+        in one pass over each built round's runs."""
+        built = self._built_through(w_max)
+        lengths: list[list[tuple[int, int]]] = [[] for _ in range(len(self.pmf))]
+        for w, rnd in enumerate(self._rounds[:built], 1):
+            for symbols, length in rnd.segments():
+                for i in symbols:
+                    lengths[i].append((w, length))
+        return [self._extend(steps, built, w_max) for steps in lengths]
+
+    def _built_through(self, w_max: int) -> int:
+        """Ensure rounds 1..w_max and give how many of them were built, not
+        shared: past the period, round w is round w - T, so only the built
+        rounds are read."""
+        self.ensure(w_max)
+        return max(min(self._built, w_max), 0)
+
+    def _extend(self, lengths: list[tuple[int, int]], built: int, w_max: int) -> list[tuple[int, int]]:
+        """(w, length) entries read off rounds 1..built, extended in place
+        through w_max by the period."""
         if built < w_max:
             # the loop also reads the entries it appends
             t = self._period

@@ -55,15 +55,6 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def _check_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
-    labels = tuple(map(str, labels))
-    if len(labels) != n:
-        raise ValidationError(f"{n} masses but {len(labels)} labels")
-    if len(set(labels)) != n:
-        raise ValidationError("alphabet labels must be distinct")
-    return labels
-
-
 def _over_one_denominator(nums: list[int], dens: list[int]) -> tuple[list[int], int]:
     """The rationals nums[i] / dens[i], ints with dens positive, as
     numerators over their least common denominator."""
@@ -213,8 +204,8 @@ class JointPmf:
         nx, ny = len(x_labels), len(y_labels)
         if nx == 0 or ny == 0:
             raise ValidationError("joint alphabets must be nonempty")
-        _check_labels(x_labels, nx)
-        _check_labels(y_labels, ny)
+        if len(set(x_labels)) != nx or len(set(y_labels)) != ny:
+            raise ValidationError("alphabet labels must be distinct")
         nums = []
         last = -1  # row-major position of the previous cell
         for ix, iy, n in cells:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
-from .common import _LEN_MASK, KeyAgreeEngine, _Round, _unpack_code, engine_for
+from .common import KeyAgreeEngine, _unpack_code, engine_for
 from .dyadic import KnuthYaoSampler
 from .errors import InvariantError, ReconcilerContractError, ValidationError
 from .keylaws import ErrorLengthPair, KeyLaw
@@ -216,7 +216,7 @@ def play(decision: Decision, rng: RandomSource) -> PackedRun:
     Bob draws his round on ``rng`` with the common scheme's draw,
     ``KeyAgreeEngine.alice``, pinned to round 1 when his symbol has no
     bucket mass, and both keys are read with ``_Round.keys``, the read
-    the analysis kernel makes; an abort draws nothing."""
+    the analysis kernel's laws make; an abort draws nothing."""
     before, stage, same = decision
     if stage is None:
         return before, None, 0, 0, 0
@@ -318,52 +318,79 @@ class AlmostCommonAnalysis:
         return self.error_enumerated + self.unresolved
 
 
-def _bob_law(eng: KeyAgreeEngine, yi: int, d: int, w_max: int, table: list) -> list:
-    """Bob's stopping law on symbol ``yi`` in the form ``_bucket_sums``
-    sums over: [steps, scale, den, key bits of his own codeword, and the
-    error, key-length and unresolved numerators, zero so far]. Steps are
-    (round index w, ``table[w - 1]``, integer weight q), weights over
-    2^top, and a step adds q * n * scale / den to an outcome of mass
-    n / d. With no bucket mass Bob pins the round to 1."""
-    py = eng.pmf.numerators[yi]
-    if not py:
-        return [[(1, table[0], 1)], 1, d, 0, 0, 0, 0]
-    lengths = eng.round_lengths(yi, w_max)
+def _bob_law(eng: KeyAgreeEngine, yi: int, d: int, lengths: list, table: list) -> tuple:
+    """Bob's stopping law on symbol ``yi``, with his ``lengths`` of
+    ``KeyAgreeEngine.symbol_lengths``, in the form the laws walk of
+    ``_bucket_sums`` reads: (steps, scale, den). Steps are (round index w,
+    ``table[w - 1]``, integer weight q), and a step adds q * n * scale /
+    den to an outcome of mass n / d. With no bucket mass Bob pins the
+    round to 1."""
+    if not eng.pmf.numerators[yi]:
+        return [(1, table[0], 1)], 1, d
     top = max((w + k for w, k in lengths), default=0)
     steps = [(w, table[w - 1], 1 << (top - w - k)) for w, k in lengths]
-    bits = sum((1 << (top - w - k)) * k for w, k in lengths)
-    return [steps, eng.pmf.denominator, (d * py) << top, bits, 0, 0, 0]
+    return steps, eng.pmf.denominator, (d * eng.pmf.numerators[yi]) << top
 
 
 def _bucket_sums(
     eng: KeyAgreeEngine | None, cells: Sequence[tuple[int, int, int]], d: int, w_max: int,
     laws: defaultdict | None = None, w1: int = 1,
-) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+) -> tuple[int, int, int, int, int]:
     """(collision, error, unresolved, agreed length) of the outcomes in one
-    bucket, each (n, x index, y index) of ``cells`` of mass n / d. ``eng``
-    is the bucket conditional's engine, None when it has no agreement mass
-    and Bob aborts; ``laws`` collects each (w1, w2) transcript's key mass.
+    bucket, as integer numerators, followed by their one denominator. Each
+    (n, x index, y index) of ``cells`` has mass n / d. ``eng`` is the
+    bucket conditional's engine, None when it has no agreement mass and
+    Bob aborts; ``laws`` collects each (w1, w2) transcript's key mass.
 
     Bob stops in round w with probability 2^-(w + n_w) / p*(y), n_w his
-    codeword length there, so each outcome's masses are integers over
-    d p*(y) 2^top, top the largest w + n_w: read once per Bob's symbol
-    with his steps (``_bob_law``), summed per symbol, and made
-    ``Fraction``s once. A same-symbol outcome agrees in every round with
-    Bob's codeword as key, so without laws it walks no round, and when no
-    outcome walks no key is read. Otherwise each round's keys are read
-    once, for every symbol in the cells, with one ``_Round.keys`` call;
-    past the period a round repeats as the same object and is not read
-    again. Keys are compared as packed codeword entries; only the laws
-    build key strings.
+    codeword length there, and the engine's rounds are read once, for
+    every symbol (``KeyAgreeEngine.symbol_lengths``). No sum walks a key:
+    a same-symbol outcome agrees in every round with Bob's codeword as
+    key, and an outcome with x != y agrees, on empty keys, exactly in the
+    rounds that select Bob's symbol alone, the rounds where his codeword
+    is empty (a round selecting two symbols gives every symbol a nonempty
+    codeword). So its error is Bob's stopping weight over the rounds where
+    his codeword is not empty, its unresolved mass his weight past w_max,
+    and every sum is a per-Bob-symbol integer over d * lcm(p*(y)) * 2^top,
+    top the largest w + n_w. Only the laws read keys: each round's once,
+    for every symbol in the cells, with one ``_Round.keys`` call; past the
+    period a round repeats as the same object and is not read again.
     """
     col = sum(n for n, xi, yi in cells if xi != yi)
     if eng is None:
         if laws is not None:
             for n, _, _ in cells:
                 laws[w1, None][""] += Fraction(n, d)
-        return Fraction(col, d), ZERO, ZERO, ZERO
-    slot: dict[int, int] = {}
-    if laws is not None or any(xi != yi for _, xi, yi in cells):
+        return col, 0, 0, 0, d
+    # Bob's index -> the numerators of his outcomes with x = y and x != y
+    bob: dict[int, list[int]] = {}
+    for n, xi, yi in cells:
+        bob.setdefault(yi, [0, 0])[xi != yi] += n
+    lengths = eng.symbol_lengths(w_max)
+    nums = eng.pmf.numerators
+    held = [yi for yi in bob if nums[yi]]
+    top = max((w + k for yi in held for w, k in lengths[yi]), default=0)
+    lcm = math.lcm(*(nums[yi] for yi in held))
+    one = lcm << top  # a certain event
+    err = length = unresolved = 0
+    for yi, (same, other) in bob.items():
+        if not nums[yi]:
+            # Bob pins round 1 and reads its first codeword, empty only
+            # when the round selects one symbol; x != y here
+            err += other * one * (len(eng.round(1).order) > 1)
+            continue
+        seen = erred = bits = 0
+        for w, k in lengths[yi]:
+            q = 1 << (top - w - k)
+            seen += q
+            if k:
+                erred += q
+                bits += q * k
+        f = lcm // nums[yi] * eng.pmf.denominator
+        err += other * erred * f
+        length += same * bits * f
+        unresolved += other * (one - seen * f)
+    if laws is not None:
         # round w's keys for every symbol in the cells, in table[w - 1] at
         # the symbol's slot, read once per round object
         symbols = tuple({i for _, xi, yi in cells for i in (xi, yi)})
@@ -371,44 +398,26 @@ def _bucket_sums(
         rounds = eng.rounds(max(w_max, 1))
         read = {rnd: rnd.keys(symbols) for rnd in dict.fromkeys(rounds)}
         table = [read[rnd] for rnd in rounds]
-    else:
-        table = [None] * max(w_max, 1)  # no outcome walks a round
-    # Bob's index -> his law, the numerators summed over his outcomes
-    bob = {yi: _bob_law(eng, yi, d, w_max, table) for yi in dict.fromkeys(yi for _, _, yi in cells)}
-    for n, xi, yi in cells:
-        same = xi == yi
-        law = bob[yi]
-        steps, scale, den, bits = law[:4]
-        num = n * scale
-        if same and laws is None:
-            law[5] += num * bits
-            continue
-        seen = erred = key_bits = 0
-        a, b = slot[xi], slot[yi]
-        for w, code, q in steps:
-            seen += q
-            code_a, code_b = code[a], code[b]
-            if laws is not None:
-                laws[w1, w][_unpack_code(code_a) if same else ""] += Fraction(num * q, den)
-            # all three keys agree: the ideal key is key_a when x = y, and
-            # empty (length 0) otherwise
-            if code_a == code_b and (same or not code_a & _LEN_MASK):
-                key_bits += q * (code_a & _LEN_MASK)
-            else:
-                erred += q
-        law[4] += num * erred
-        law[5] += num * key_bits
-        if not same:
-            # Same-symbol outcomes agree in every round, so only the
-            # collision tail stays unresolved by the truncation: the
-            # mass n / d less the seen part num * seen / den.
-            law[6] += n * den - d * num * seen
-    err = length = unresolved = ZERO
-    for _, _, den, _, e, k, u in bob.values():
-        err += Fraction(e, den)
-        length += Fraction(k, den)
-        unresolved += Fraction(u, d * den)
-    return Fraction(col, d), err, unresolved, length
+        steps = {yi: _bob_law(eng, yi, d, lengths[yi], table) for yi in bob}
+        for n, xi, yi in cells:
+            walk, scale, den = steps[yi]
+            num, a = n * scale, slot[xi]
+            for w, code, q in walk:
+                # the ideal key: key_a when x = y, and empty otherwise
+                laws[w1, w][_unpack_code(code[a]) if xi == yi else ""] += Fraction(num * q, den)
+    return col * one, err, unresolved, length, d * one
+
+
+def _gather(total: list[int], den: int, nums: Sequence[int], over: int) -> int:
+    """Add nums[i] / over to total[i] / den in place, over the least common
+    denominator, which is returned."""
+    common = math.lcm(den, over)
+    if common != den:
+        total[:] = [t * (common // den) for t in total]
+    f = common // over
+    for i, v in enumerate(nums):
+        total[i] += v * f
+    return common
 
 
 def analyze_almost_common(
@@ -429,18 +438,20 @@ def analyze_almost_common(
             buckets.setdefault(w1, []).append((n, index[xl], index[yl]))
         elif acc is not None:
             acc[w1, None][""] += Fraction(n, d)
-    sums = [ZERO] * 4
+    sums, den = [0] * 4, 1
     for w1, cells in buckets.items():
         p_star = stage_conditional(j, h, w1)
         eng = None if p_star is None else engine_for(p_star)
-        sums = [s + v for s, v in zip(sums, _bucket_sums(eng, cells, d, w_max, acc, w1))]
+        *nums, over = _bucket_sums(eng, cells, d, w_max, acc, w1)
+        den = _gather(sums, den, nums, over)
     laws = None
     if acc is not None:
         laws = {}
         for t in sorted(acc, key=lambda t: (t[0], t[1] is not None, t[1] or 0)):
             total = sum(acc[t].values(), ZERO)
             laws[t] = KeyLaw.from_dict({k: v / total for k, v in acc[t].items()})
-    return AlmostCommonAnalysis(h.m, stats.p, (1 - stats.p) / h.m, *sums, w_max, laws)
+    fields = (Fraction(v, den) for v in sums)
+    return AlmostCommonAnalysis(h.m, stats.p, (1 - stats.p) / h.m, *fields, w_max, laws)
 
 
 # bucket sets averaged over, at most: every subset of 16 labels
@@ -479,20 +490,23 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
         for ix, iy, c in j.numerator_cells:
             x, y = index[j.x_labels[ix]], index[j.y_labels[iy]]
             rows[x].append((y, c * m ** ((diag[x] > 0) + (diag[y] > 0))))
-        total = [ZERO] * 4
+        # bucket set D weighs (m - 1)^(|L| - |D|) over the m^(|L| + 1) that
+        # divides the total once
+        total, den = [0] * 4, 1
         for size in range(max(0, 2 - len(off)), len(support) + 1):
-            sums = [ZERO] * 4
+            weight = (m - 1) ** (len(support) - size)
             for members in itertools.combinations(support, size):
                 inside = members + off
                 within = set(inside)
                 cells = [(c, x, y) for x in inside for y, c in rows[x] if y in within]
                 nums = [diag[i] if i in within else 0 for i in range(n)]
                 eng = engine_for(Pmf(labels, nums, sum(nums))) if members else None
-                sums = [s + v for s, v in zip(sums, _bucket_sums(eng, cells, j.denominator, w_max))]
-            weight = (1 - Fraction(1, m)) ** (len(support) - size) / m ** (size + 1)
-            total = [t + weight * s for t, s in zip(total, sums)]
+                *sums, over = _bucket_sums(eng, cells, j.denominator, w_max)
+                den = _gather(total, den, [weight * v for v in sums], over)
+        den *= m ** (len(support) + 1)
         p = Fraction(sum(diag), j.denominator)
-        avg = AlmostCommonAnalysis(m, p, (1 - p) / m, *total, w_max, tables=m**n)
+        fields = (Fraction(v, den) for v in total)
+        avg = AlmostCommonAnalysis(m, p, (1 - p) / m, *fields, w_max, tables=m**n)
     if avg.collision_error != avg.epsilon_bound:
         raise InvariantError(
             f"averaged collision error {avg.collision_error} is not (1 - p)/m = {avg.epsilon_bound}"

@@ -16,7 +16,7 @@ from stopkey.common import KeyAgreeEngine, alice_keygen
 from stopkey.randomsource import RandomSource
 
 import pins
-from conftest import CORPUS, CORRELATED_3, WORKED_JOINT
+from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, joint
 from documents import joint_document, pmf_document, write_document
 from pins import PARSER_CASES, TOP_LEVEL_ARGVS, exits, parsed
 
@@ -511,6 +511,14 @@ class TestSimulateAndReport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "applies only" in captured.err
+
+    def test_a_joint_that_never_agrees_prints_no_conditional_entropy(self, tmp_path, capsys):
+        # P(X = Y) = 0 leaves H(X | X = Y) undefined
+        path = str(tmp_path / "disjoint.json")
+        write_document(joint_document(joint([["0", "1/2"], ["1/2", "0"]], "ab", "ab")), path)
+        out = _output(["report", "--joint", path, "--protocol", "correlated", "--format", "text"], capsys)
+        assert "  p = 0   I(X;Y) = 1   H(X|X=Y) = n/a\n" in out
+        assert out.endswith("status: ok\n")
 
     def test_report_defaults_to_bounds_only(self, dist_file, capsys):
         assert main(

@@ -255,6 +255,20 @@ class TestPeriodicRounds:
         assert e._period == 0
         assert len({id(e.round(w).order) for w in range(1, 41)}) == 40
 
+    def test_a_residual_is_copied_only_after_a_failed_period_test(self):
+        # 2 has order 82 modulo 83: no test in 40 rounds, nothing copied
+        e = KeyAgreeEngine(pmf("1/83", "82/83"))
+        e.ensure(40)
+        assert e._kept[0] is e.pmf.numerators
+        # dyadic3, (2, 1, 1) / 4, is tested after every round: the tests
+        # after rounds 1 and 2 fail and keep their residuals, and round
+        # 3's residual, (0, 0, 1) / 8, is the kept (0, 0, 1) / 4 halved
+        e = KeyAgreeEngine(CORPUS["dyadic3"])
+        e.ensure(2)
+        assert e._period == 0 and e._kept == ([0, 0, 1], 2)
+        e.ensure(3)
+        assert (e._period, e._built, e._kept) == (1, 3, ([0, 0, 1], 2))
+
     def test_tenths_builds_at_most_s_plus_two_periods(self, monkeypatch):
         s, t = _literal_period(CORPUS["tenths"])
         built = _counting(monkeypatch, "_advance")

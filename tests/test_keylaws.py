@@ -4,6 +4,7 @@ import pytest
 
 from stopkey.errors import ValidationError
 from stopkey.keylaws import (
+    _SIMULATION_DEPTH,
     ErrorLengthPair,
     KeyLaw,
     PrefixCodebook,
@@ -213,6 +214,28 @@ class TestStoppingRules:
             StoppingRule((("0", HALF), ("", HALF)))
         rule = StoppingRule.from_dict({"0": HALF, "": HALF})
         assert rule.table == (("", HALF), ("0", HALF))
+
+    def test_mass_alive_at_the_depth_cap_goes_to_the_tail(self):
+        rule = StoppingRule.from_dict({"": HALF, "0": HALF, "1": HALF})
+        law = law_from_stopping_rule(rule, max_depth=1)
+        assert dict(law.atoms) == {"": HALF, "0": Fraction(1, 8), "1": Fraction(1, 8)}
+        assert law.tail == QUARTER
+
+    def test_a_walk_that_never_stops_is_refused_at_the_depth_cap(self):
+        # rho = 1 along the all-zero path, the one a source of zero bits walks
+        class ZeroBits:
+            def __init__(self):
+                self.uniforms = RandomSource("never-stops")
+
+            def lazy_uniform(self):
+                return self.uniforms.lazy_uniform()
+
+            def fair_bit(self):
+                return 0
+
+        rule = StoppingRule.from_dict({"0" * k: Fraction(1) for k in range(_SIMULATION_DEPTH + 1)})
+        with pytest.raises(ValidationError, match=f"exceeded depth {_SIMULATION_DEPTH}"):
+            simulate_stopped_key(rule, ZeroBits())
 
     def test_truncation_requires_exact_law(self):
         law = KeyLaw.from_dict({"0": HALF}, tail=HALF)

@@ -273,6 +273,24 @@ class TestJointCells:
             assert doc["joint"] == [[str(m) for m in row] for row in rows]
             assert parse_joint(doc) == dense
 
+    def test_repeated_labels_are_refused_on_either_side(self):
+        for x_labels, y_labels in (("aa", "ab"), ("ab", "bb")):
+            with pytest.raises(ValidationError, match="alphabet labels must be distinct"):
+                JointPmf(x_labels, y_labels, ((0, 0, 1),), 1)
+
+    def test_the_label_check_formats_no_label(self):
+        # the check runs on the labels themselves, with no str copy of them
+        formatted = []
+
+        class Label(str):
+            def __str__(self):
+                formatted.append(self)
+                return str.__str__(self)
+
+        labels = tuple(Label(f"s{i}") for i in range(1000))
+        j = JointPmf(labels, labels, ((0, 0, 1),), 1)
+        assert formatted == [] and j.x_labels == labels
+
     def test_zero_masses_are_not_stored(self):
         j = JointPmf.from_atoms([("a", "a", 1), ("a", "b", 0)], "ab", "ab")
         assert (j.numerator_cells, j.denominator) == (((0, 0, 1),), 1)

@@ -271,6 +271,35 @@ def _seeded_small_joint(rng: RandomSource):
     return joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
 
 
+def _five_by_five(prefix: str) -> JointPmf:
+    """The exact-report benchmark's shape: a 5 x 5 joint with a full
+    diagonal, under labels of its own, so that no engine or bucket
+    conditional comes from a cache."""
+    labels = tuple(f"{prefix}-{c}" for c in "abcde")
+    diag = iter([10, 8, 12, 9, 11])
+    off = iter([1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1])
+    rows = [[next(diag) if i == k else next(off) for k in range(5)] for i in range(5)]
+    total = sum(map(sum, rows))
+    return joint([[Fraction(c, total) for c in row] for row in rows], labels, labels)
+
+
+def _seeded_off_support_joint(rng: RandomSource) -> JointPmf:
+    # 1 to 3 shared labels, some without diagonal mass, and an X-only, a
+    # Y-only label or both: at most 5 union labels, some of them off L
+    shared = [f"s{i}" for i in range(1 + rng.randrange(3))]
+    side = rng.randrange(3)
+    x_labels = shared + (["a"] if side != 1 else [])
+    y_labels = (["b"] if side != 0 else []) + shared
+    rows = [
+        [rng.randrange(2) * (1 + rng.randrange(6)) if x == y else rng.randrange(3) * rng.randrange(2)
+         for y in y_labels]
+        for x in x_labels
+    ]
+    rows[-1][0] += 1  # a cell with at least one symbol off L
+    total = sum(map(sum, rows))
+    return joint([[Fraction(c, total) for c in row] for row in rows], x_labels, y_labels)
+
+
 class TestAverageOverBucketContents:
     """The sum over bucket contents equals the literal m^|X|-table average."""
 
@@ -318,6 +347,19 @@ class TestAverageOverBucketContents:
                 assert self._sums(j, m) == average_over_tables(j, m)
         assert min(off_counts.values()) >= 10
 
+    def test_seeded_joints_off_the_support_at_both_depths(self):
+        rng = RandomSource("off-support-depths")
+        off = 0
+        for _ in range(20):
+            j = _seeded_off_support_joint(rng)
+            off += any(not j.numerator_by_label(u, u) for u in union_alphabet(j))
+            for m in (1, 2, 3):
+                for w_max in (1, 30):
+                    a = average_almost_common(j, m, w_max)
+                    got = a.collision_error, a.error_enumerated, a.unresolved, a.agreed_length
+                    assert got == average_over_tables(j, m, w_max)
+        assert off == 20
+
     def test_reports_stay_inside_the_subset_limit(self):
         # reports attach the average for at most 8 labels a side, so a
         # union of at most 16 labels must fit at any m
@@ -347,6 +389,20 @@ class TestAnalysisKernel:
                     assert b.transcript_laws is None and replace(b, transcript_laws=a.transcript_laws) == a
         assert differing >= 5
 
+    def test_matches_the_oracle_off_the_support_at_both_depths(self):
+        rng = RandomSource("analysis-off-support")
+        for _ in range(12):
+            j = _seeded_off_support_joint(rng)
+            for m in (1, 2, 3):
+                for h in all_hash_tables(union_alphabet(j), m):
+                    for w_max in (1, 30):
+                        a = analyze_almost_common(j, h, w_max=w_max)
+                        got = (a.collision_error, a.error_enumerated, a.unresolved,
+                               a.agreed_length, a.transcript_laws)
+                        assert got == analysis_oracle.analyze(j, h, w_max=w_max)
+                        b = analyze_almost_common(j, h, w_max=w_max, collect_laws=False)
+                        assert replace(b, transcript_laws=a.transcript_laws) == a
+
     def test_laws_off_gives_the_same_sums_on_corpus_tables(self):
         # every corpus joint with its derandomized table and the tables a
         # random:S report draws for its first trials
@@ -374,19 +430,15 @@ class TestAnalysisKernel:
         # the exact-report benchmark's shape: a 5 x 5 joint with a full
         # diagonal at m = 3, under labels of its own so no engine or
         # bucket conditional comes from a cache
-        labels = tuple(f"bob-once-{c}" for c in "abcde")
-        diag = iter([10, 8, 12, 9, 11])
-        off = iter([1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1, 1, 2, 1, 1, 2, 1])
-        rows = [[next(diag) if i == k else next(off) for k in range(5)] for i in range(5)]
-        total = sum(map(sum, rows))
-        j = joint([[Fraction(c, total) for c in row] for row in rows], labels, labels)
-
+        j = _five_by_five("bob-once")
         built = []
         conditionals = []
-        sets: list[list] = []
+        engines: list[list] = []  # per bucket set, the engines it reads
+        sets: list[list] = []  # per bucket set, the rounds whose runs it reads
         visited = []
         raw_advance = KeyAgreeEngine._advance
-        raw_lengths = KeyAgreeEngine.round_lengths
+        raw_lengths = KeyAgreeEngine.symbol_lengths
+        raw_segments = _Round.segments
         raw_engine_for = reconciled.engine_for
         raw_sums = reconciled._bucket_sums
 
@@ -394,21 +446,31 @@ class TestAnalysisKernel:
             built.append(id(self))
             return raw_advance(self)
 
+        def symbol_lengths(self, w_max):
+            engines[-1].append(id(self))
+            return raw_lengths(self, w_max)
+
         def round_lengths(self, x, w_max):
-            sets[-1].append((id(self), x))
-            return raw_lengths(self, x, w_max)
+            raise AssertionError("Bob's law is read per symbol")
+
+        def segments_of(rnd):
+            sets[-1].append(rnd)
+            return raw_segments(rnd)
 
         def engine_for(p):
             conditionals.append(p)
             return raw_engine_for(p)
 
         def bucket_sums(eng, cells, *args):
+            engines.append([])
             sets.append([])
             visited.append(len(cells))
             return raw_sums(eng, cells, *args)
 
         monkeypatch.setattr(KeyAgreeEngine, "_advance", advance)
+        monkeypatch.setattr(KeyAgreeEngine, "symbol_lengths", symbol_lengths)
         monkeypatch.setattr(KeyAgreeEngine, "round_lengths", round_lengths)
+        monkeypatch.setattr(_Round, "segments", segments_of)
         monkeypatch.setattr(reconciled, "engine_for", engine_for)
         monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
         average_almost_common(j, 3)
@@ -416,14 +478,42 @@ class TestAnalysisKernel:
         # D with |D| >= 2, each walking only the |D|^2 outcomes inside D
         assert len(sets) == 1 + 2**5 - 5 - 1
         assert visited[0] == 25 and sum(visited[1:]) == 235
-        # one engine per bucket conditional, so (engine, index) names a
-        # (bucket set, Bob's index) pair
-        for calls in sets:
-            assert calls and len(calls) == len(set(calls))
+        # each bucket set reads its engine once, for every Bob's symbol,
+        # and so each of its rounds' runs once; the bucket sets D have one
+        # engine each (the one-bucket table's is the last D's)
+        assert all(len(ids) == 1 for ids in engines)
+        assert len({ids[0] for ids in engines[1:]}) == len(sets) - 1
+        for rounds in sets:
+            assert 0 < len(rounds) == len(set(map(id, rounds))) <= 30
         # no point-mass conditional is built
         assert min(sum(1 for n in p.numerators if n) for p in conditionals) >= 2
         # without shared periods every engine builds all 30 rounds
         assert 2 * len(built) <= 30 * len(set(built))
+
+    def test_the_average_reads_no_key_and_sums_in_integers(self, monkeypatch):
+        # the parent built 669 Fractions here, one per Bob's symbol and
+        # field in every bucket set and one per weighted sum, and read
+        # every round's keys to walk the outcomes with x != y
+        j = _five_by_five("integer-sums")
+        original = Fraction.__dict__["__new__"]
+        built = 0
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return original.__func__(cls, *args, **kwargs)
+
+        def keys(rnd, symbols):
+            raise AssertionError("no key is read without laws")
+
+        monkeypatch.setattr(_Round, "keys", keys)
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            av = average_almost_common(j, 3)
+        finally:
+            Fraction.__new__ = original
+        assert built <= 60
+        assert av.collision_error == (1 - agreement_stats(j).p) / 3
 
     def test_fraction_count_does_not_grow_with_w_max(self):
         # the bucket conditionals are not dyadic, so Bob's rounds run past

@@ -491,9 +491,9 @@ class TestAnalysisKernel:
         assert 2 * len(built) <= 30 * len(set(built))
 
     def test_the_average_reads_no_key_and_sums_in_integers(self, monkeypatch):
-        # the parent built 669 Fractions here, one per Bob's symbol and
-        # field in every bucket set and one per weighted sum, and read
-        # every round's keys to walk the outcomes with x != y
+        # a kernel summing Fractions builds 669 here, one per Bob's symbol
+        # and field in every bucket set and one per weighted sum, and one
+        # walking the outcomes with x != y reads every round's keys
         j = _five_by_five("integer-sums")
         original = Fraction.__dict__["__new__"]
         built = 0

@@ -171,6 +171,8 @@ class KeyAgreeEngine:
         self._tz = _trailing_zeros(p.denominator)
         self._nums = list(p.numerators)
         self._rounds: list[_Round] = []
+        # a zeroed position index over the alphabet, copied per round
+        self._blank = array("i", bytes(array("i").itemsize * len(p)))
         # 2**w - 1 mod the odd part of D after w built rounds: the residual
         # can repeat, halved, only where it is 0 (see _repeats)
         self._odd = p.denominator >> self._tz
@@ -189,14 +191,6 @@ class KeyAgreeEngine:
 
     # -- round materialization ------------------------------------------------
 
-    def _rescale(self, upto: int) -> None:
-        if self._tz >= upto:
-            return
-        shift = upto - self._tz
-        self._q <<= shift
-        self._nums = [v << shift for v in self._nums]
-        self._tz = upto
-
     def _advance(self) -> None:
         w = len(self._rounds) + 1
         nums = self._nums
@@ -209,15 +203,18 @@ class KeyAgreeEngine:
         alpha = w
         # pass 1, arithmetic only: with masses sorted, the per-symbol
         # alpha = max(ceil(log2(q / num)), w) is nondecreasing, so each
-        # exponent owns a contiguous run found by one ceil division and
-        # one bisect; runs are (start, take, alpha, acc_at_start)
-        neg = [-nums[i] for i in live]
+        # exponent owns a contiguous run found by one division and one
+        # bisect over the descending masses; runs are (start, take, alpha,
+        # acc_at_start)
+        def descending(i: int) -> int:
+            return -nums[i]
+
         runs: list[tuple[int, int, int, int]] = []
         pos = 0
         n_live = len(live)
         while pos < n_live:
-            c = -(-q // nums[live[pos]])
-            a = (c - 1).bit_length()
+            # ceil(log2(q / v)) is the bit length of ceil(q / v) - 1
+            a = ((q - 1) // nums[live[pos]]).bit_length()
             if a > alpha:
                 alpha = a
             if alpha > amax:
@@ -226,9 +223,11 @@ class KeyAgreeEngine:
             capacity = (1 << (alpha - w)) - acc
             if capacity <= 0:
                 break
-            threshold = (q + (1 << alpha) - 1) >> alpha
-            end = bisect_right(neg, -threshold, pos)
-            take = min(end - pos, capacity)
+            # the run ends at the first mass under ceil(q / 2**alpha),
+            # which is -((-q) >> alpha)
+            take = bisect_right(live, (-q) >> alpha, pos, key=descending) - pos
+            if take > capacity:
+                take = capacity
             runs.append((pos, take, alpha, acc))
             acc += take
             pos += take
@@ -238,13 +237,16 @@ class KeyAgreeEngine:
             raise InvariantError(
                 f"round {w} greedy removed {acc}/2**{amax}, not exactly 2**-{w}"
             )
-        # pass 2, with the final scale known: remove each run's chunk and
-        # record where its symbols sit; a run's codewords count up from
-        # acc0, so the round stores the run and not the codewords
-        self._rescale(amax)
-        nums = self._nums
-        q = self._q
-        where = array("i", [0]) * len(nums)
+        # pass 2, with the final scale known: give every chunk 2**-amax of
+        # headroom, remove each run's chunk and record where its symbols
+        # sit; a run's codewords count up from acc0, so the round stores
+        # the run and not the codewords
+        if self._tz < amax:
+            shift = amax - self._tz
+            q <<= shift
+            nums = [v << shift for v in nums]
+            self._q, self._nums, self._tz = q, nums, amax
+        where = self._blank[:]
         starts = []
         bases = []
         for start, take, alpha, acc0 in runs:

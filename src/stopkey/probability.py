@@ -355,25 +355,34 @@ def mutual_information(j: JointPmf | Pmf) -> float:
     """I(X;Y) in bits, double precision; a Pmf stands for the source Y = X.
 
     Each term takes one log of the exact rational ratio
-    p(x,y) / (p(x) p(y)), so a factorizing joint returns exactly 0.0
-    instead of the float residue an H(X) + H(Y) - H(X,Y) rearrangement
-    would leave. A mass that rounds to 0.0 adds nothing, and a ratio past
-    the float range is logged from its numerator and denominator.
+    p(x,y) / (p(x) p(y)) = n d / (a b), read from the integers: n the
+    cell's numerator, a and b its row's and column's numerator sums, d the
+    denominator. An int true division rounds correctly, so the ratio's
+    float is the one its ``Fraction`` gives, and a factorizing joint
+    returns exactly 0.0 instead of the float residue an
+    H(X) + H(Y) - H(X,Y) rearrangement would leave. A mass that rounds to
+    0.0 adds nothing, and a ratio past the float range is logged from its
+    numerator and denominator in lowest terms.
     """
+    d = j.denominator
     if isinstance(j, Pmf):  # the atoms of Y = X lie on the diagonal
-        px = py = j.masses
-        atoms = ((i, i, m) for i, m in enumerate(px) if m > 0)
+        rows = cols = j.numerators
+        cells = ((i, i, n) for i, n in enumerate(rows) if n)
     else:
-        px, py = j.marginal_x().masses, j.marginal_y().masses
-        atoms = j.atoms()
+        rows, cols = [0] * len(j.x_labels), [0] * len(j.y_labels)
+        for ix, iy, n in j.numerator_cells:
+            rows[ix] += n
+            cols[iy] += n
+        cells = j.numerator_cells
     total = 0.0
-    for ix, iy, m in atoms:
-        if mass := float(m):
-            r = m / (px[ix] * py[iy])
+    for ix, iy, n in cells:
+        if mass := n / d:
+            num, den = n * d, rows[ix] * cols[iy]
             try:
-                total += mass * math.log2(r)
-            except OverflowError:  # r >= m: only past the top of the range
-                total += mass * (math.log2(r.numerator) - math.log2(r.denominator))
+                total += mass * math.log2(num / den)
+            except OverflowError:  # num / den >= n / d: only past the top of the range
+                g = math.gcd(num, den)
+                total += mass * (math.log2(num // g) - math.log2(den // g))
     return total
 
 

@@ -458,6 +458,19 @@ def analyze_almost_common(
 SUBSET_LIMIT = 65536
 
 
+def _set_engine(labels: tuple[str, ...], nums: list[int], full: bool) -> KeyAgreeEngine | None:
+    """The engine of a bucket set's agreement conditional, None when the
+    set is empty. Each set's conditional is read once, so its engine is
+    built here, kept out of ``engine_for`` and freed when the set's sums
+    are done; only the full support's comes from ``engine_for``, which the
+    one-bucket table's analysis has filled with that same conditional."""
+    total = sum(nums)
+    if not total:
+        return None
+    p = Pmf(labels, nums, total)
+    return engine_for(p) if full else KeyAgreeEngine(p)
+
+
 def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonAnalysis:
     """Exact analysis averaged over every hash table (a uniform pick).
 
@@ -500,8 +513,10 @@ def average_almost_common(j: JointPmf, m: int, w_max: int = 30) -> AlmostCommonA
                 within = set(inside)
                 cells = [(c, x, y) for x in inside for y, c in rows[x] if y in within]
                 nums = [diag[i] if i in within else 0 for i in range(n)]
-                eng = engine_for(Pmf(labels, nums, sum(nums))) if members else None
+                # the set's engine lives only for its own sums
+                eng = _set_engine(labels, nums, size == len(support))
                 *sums, over = _bucket_sums(eng, cells, j.denominator, w_max)
+                del eng
                 den = _gather(total, den, [weight * v for v in sums], over)
         den *= m ** (len(support) + 1)
         p = Fraction(sum(diag), j.denominator)

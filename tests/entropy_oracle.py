@@ -5,13 +5,16 @@ Kept as the reference the double-precision ``entropy`` is tested against:
 the float must lie inside the bracket, which directed integer rounding
 makes certain without trusting floating point. ``ceil_neg_log2`` also
 serves the literal agreement loop in ``literal_oracle``.
+``mutual_information_fractions`` is the ``Fraction`` form of
+``mutual_information``, which the integer form must match bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from stopkey.probability import Pmf
+from stopkey.probability import JointPmf, Pmf
 
 FRAC_BITS = 40  # the brackets are about 2**-FRAC_BITS wide
 
@@ -94,3 +97,24 @@ def entropy_interval(p: Pmf) -> tuple[Fraction, Fraction]:
             lo += -m * lhi
             hi += -m * llo
     return lo, hi
+
+
+def mutual_information_fractions(j: JointPmf | Pmf) -> float:
+    """I(X;Y) in bits with every mass and ratio a ``Fraction``: each term
+    logs p(x,y) / (p(x) p(y)) as ``math.log2`` of the ``Fraction``, and a
+    ratio past the float range from its numerator and denominator."""
+    if isinstance(j, Pmf):
+        px = py = j.masses
+        atoms = ((i, i, m) for i, m in enumerate(px) if m > 0)
+    else:
+        px, py = j.marginal_x().masses, j.marginal_y().masses
+        atoms = j.atoms()
+    total = 0.0
+    for ix, iy, m in atoms:
+        if mass := float(m):
+            r = m / (px[ix] * py[iy])
+            try:
+                total += mass * math.log2(r)
+            except OverflowError:
+                total += mass * (math.log2(r.numerator) - math.log2(r.denominator))
+    return total

@@ -10,6 +10,9 @@ import pytest
 
 from conftest import (
     CORPUS,
+    CORRELATED_3,
+    FOUR_SYMBOL,
+    WORKED_JOINT,
     diag_joint,
     dyadic_exponent,
     joint,
@@ -18,7 +21,13 @@ from conftest import (
     random_rational_pmf,
 )
 from documents import joint_document
-from entropy_oracle import ceil_neg_log2, entropy_interval, floor_log2, log2_interval
+from entropy_oracle import (
+    ceil_neg_log2,
+    entropy_interval,
+    floor_log2,
+    log2_interval,
+    mutual_information_fractions,
+)
 from stopkey.common import engine_for
 from stopkey.errors import ValidationError
 from stopkey.formats import parse_joint
@@ -473,6 +482,24 @@ class TestEntropy:
         d = 2**1050
         p = Pmf(("a", "b"), (1, d - 1), d)
         assert entropy(p) == mutual_information(p) == 1050 * 2.0**-1050 > 0
+
+    def test_mutual_information_from_integers_matches_the_fraction_form_bit_for_bit(self):
+        # every corpus source, as a pmf and as its X = Y joint, the corpus
+        # joints, 200 seeded joints, and the tiny-mass and 2^1050-ratio cases
+        sources = [*CORPUS.values(), *map(diag_joint, CORPUS.values())]
+        sources += [WORKED_JOINT, CORRELATED_3, FOUR_SYMBOL]
+        rng = RandomSource("mi-integers")
+        for _ in range(200):
+            sources.append(joint(*_seeded_dense_rows(rng)))
+        for d in (10**400, 2**1080, 2**1050):
+            sources.append(Pmf(("a", "b"), (1, d - 1), d))
+        d = 2 * 10**400
+        sources.append(JointPmf.from_rows(((Fraction(d // 2 - 1, d), Fraction(1, d)), (0, Fraction(1, 2)))))
+        d = 2**1050
+        sources.append(diag_joint(Pmf(("a", "b"), (1, d - 1), d)))
+        for source in sources:
+            got, want = mutual_information(source), mutual_information_fractions(source)
+            assert got.hex() == want.hex(), source
 
     def test_mutual_information_positive_when_correlated(self):
         p = CORPUS["uniform2"]

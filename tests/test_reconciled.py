@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -431,23 +432,23 @@ class TestAnalysisKernel:
         # diagonal at m = 3, under labels of its own so no engine or
         # bucket conditional comes from a cache
         j = _five_by_five("bob-once")
+        # every spy holds the engines it sees: an average frees each bucket
+        # set's engine after its sums, and a freed engine's id can be reused
         built = []
-        conditionals = []
         engines: list[list] = []  # per bucket set, the engines it reads
         sets: list[list] = []  # per bucket set, the rounds whose runs it reads
         visited = []
         raw_advance = KeyAgreeEngine._advance
         raw_lengths = KeyAgreeEngine.symbol_lengths
         raw_segments = _Round.segments
-        raw_engine_for = reconciled.engine_for
         raw_sums = reconciled._bucket_sums
 
         def advance(self):
-            built.append(id(self))
+            built.append(self)
             return raw_advance(self)
 
         def symbol_lengths(self, w_max):
-            engines[-1].append(id(self))
+            engines[-1].append(self)
             return raw_lengths(self, w_max)
 
         def round_lengths(self, x, w_max):
@@ -456,10 +457,6 @@ class TestAnalysisKernel:
         def segments_of(rnd):
             sets[-1].append(rnd)
             return raw_segments(rnd)
-
-        def engine_for(p):
-            conditionals.append(p)
-            return raw_engine_for(p)
 
         def bucket_sums(eng, cells, *args):
             engines.append([])
@@ -471,7 +468,6 @@ class TestAnalysisKernel:
         monkeypatch.setattr(KeyAgreeEngine, "symbol_lengths", symbol_lengths)
         monkeypatch.setattr(KeyAgreeEngine, "round_lengths", round_lengths)
         monkeypatch.setattr(_Round, "segments", segments_of)
-        monkeypatch.setattr(reconciled, "engine_for", engine_for)
         monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
         average_almost_common(j, 3)
         # first the one-bucket table's analysis, then one bucket set per
@@ -480,15 +476,16 @@ class TestAnalysisKernel:
         assert visited[0] == 25 and sum(visited[1:]) == 235
         # each bucket set reads its engine once, for every Bob's symbol,
         # and so each of its rounds' runs once; the bucket sets D have one
-        # engine each (the one-bucket table's is the last D's)
-        assert all(len(ids) == 1 for ids in engines)
-        assert len({ids[0] for ids in engines[1:]}) == len(sets) - 1
+        # engine each, and the one-bucket table's is the last D's, D = L
+        assert all(len(seen) == 1 for seen in engines)
+        assert len({id(seen[0]) for seen in engines[1:]}) == len(sets) - 1
+        assert engines[0][0] is engines[-1][0]
         for rounds in sets:
             assert 0 < len(rounds) == len(set(map(id, rounds))) <= 30
         # no point-mass conditional is built
-        assert min(sum(1 for n in p.numerators if n) for p in conditionals) >= 2
+        assert min(sum(1 for n in seen[0].pmf.numerators if n) for seen in engines) >= 2
         # without shared periods every engine builds all 30 rounds
-        assert 2 * len(built) <= 30 * len(set(built))
+        assert 2 * len(built) <= 30 * len(set(map(id, built)))
 
     def test_the_average_reads_no_key_and_sums_in_integers(self, monkeypatch):
         # a kernel summing Fractions builds 669 here, one per Bob's symbol
@@ -541,6 +538,68 @@ class TestAnalysisKernel:
                 counts.append(built)
             assert results[0].unresolved > results[1].unresolved > 0
             assert counts[0] == counts[1] > 0
+
+
+def _six_labels(prefix: str) -> JointPmf:
+    """A 6 x 6 joint with a full diagonal and some empty cells off it,
+    under labels of its own."""
+    labels = tuple(f"{prefix}-{c}" for c in "abcdef")
+    rows = [[7 + i if i == k else (i + 2 * k) % 3 for k in range(6)] for i in range(6)]
+    total = sum(map(sum, rows))
+    return joint([[Fraction(c, total) for c in row] for row in rows], labels, labels)
+
+
+class TestAverageEngines:
+    """An average builds each bucket set's engine itself and lets it go
+    after the set's sums, so it holds at most two engines at a time and
+    leaves the shared ``engine_for`` cache to the calls that read it
+    again."""
+
+    def test_one_average_caches_one_engine(self):
+        common.engine_for.cache_clear()
+        average_almost_common(_five_by_five("cache-one"), 3)
+        # the one-bucket table's engine, read again for the set D = L
+        info = common.engine_for.cache_info()
+        assert info.currsize == info.misses == info.hits == 1
+
+    def test_averages_leave_a_keygen_engine_cached(self):
+        # a keygen reads its pmf every 10 averages; 10 averages that cached
+        # every bucket set's engine would insert 260, past the cache's 256
+        p = Pmf(("keygen-a", "keygen-b", "keygen-c"), (1, 2, 4), 7)
+        kept = common.engine_for(p)
+        assert common.engine_for.cache_info().maxsize < 10 * 26
+        for k in range(300):
+            average_almost_common(_five_by_five(f"cache-{k}"), 3)
+            if k % 10 == 9:
+                common.bob_keygen(p, 2, 1)
+        assert common.engine_for(p) is kept
+
+    @pytest.mark.parametrize(
+        "j, m, sets", [(_five_by_five("alive"), 3, 2**5 - 5 - 1), (_six_labels("alive"), 2, 2**6 - 6 - 1)]
+    )
+    def test_at_most_two_bucket_engines_are_alive(self, monkeypatch, j, m, sets):
+        made = []
+        alive = []
+        raw_init = KeyAgreeEngine.__init__
+        raw_sums = reconciled._bucket_sums
+
+        def init(self, p):
+            made.append(weakref.ref(self))
+            raw_init(self, p)
+
+        def bucket_sums(eng, *args):
+            alive.append(sum(ref() is not None for ref in made))
+            return raw_sums(eng, *args)
+
+        monkeypatch.setattr(KeyAgreeEngine, "__init__", init)
+        monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
+        average_almost_common(j, m)
+        # the one-bucket table, then each set D with |D| >= 2: one engine
+        # per set, D = L reading the one-bucket table's
+        assert len(alive) == 1 + sets and len(made) == sets
+        assert max(alive) == 2
+        # afterwards only the cached one-bucket engine is left
+        assert sum(ref() is not None for ref in made) == 1
 
 
 class TestStageConditional:

@@ -64,6 +64,8 @@ __all__ = [
 ]
 
 _MAX_ROUNDS = 20000
+# one zero position entry; a round's position index is this times |X|
+_NO_POS = array("i", [0])
 
 
 # packed per-selection entry: (codeword value << _LEN_BITS) | codeword length
@@ -171,8 +173,6 @@ class KeyAgreeEngine:
         self._tz = _trailing_zeros(p.denominator)
         self._nums = list(p.numerators)
         self._rounds: list[_Round] = []
-        # a zeroed position index over the alphabet, copied per round
-        self._blank = array("i", bytes(array("i").itemsize * len(p)))
         # 2**w - 1 mod the odd part of D after w built rounds: the residual
         # can repeat, halved, only where it is 0 (see _repeats)
         self._odd = p.denominator >> self._tz
@@ -237,16 +237,16 @@ class KeyAgreeEngine:
             raise InvariantError(
                 f"round {w} greedy removed {acc}/2**{amax}, not exactly 2**-{w}"
             )
-        # pass 2, with the final scale known: give every chunk 2**-amax of
-        # headroom, remove each run's chunk and record where its symbols
-        # sit; a run's codewords count up from acc0, so the round stores
-        # the run and not the codewords
+        # pass 2, with the final scale known: rescale so 2**amax divides q
+        # and every chunk q >> alpha is exact, remove each run's chunk and
+        # record where its symbols sit; a run's codewords count up from
+        # acc0, so the round stores the run and not the codewords
         if self._tz < amax:
             shift = amax - self._tz
             q <<= shift
             nums = [v << shift for v in nums]
             self._q, self._nums, self._tz = q, nums, amax
-        where = self._blank[:]
+        where = _NO_POS * len(nums)
         starts = []
         bases = []
         for start, take, alpha, acc0 in runs:

@@ -434,14 +434,20 @@ class TestAnalysisKernel:
         j = _five_by_five("bob-once")
         # every spy holds the engines it sees: an average frees each bucket
         # set's engine after its sums, and a freed engine's id can be reused
+        made = []  # every engine the average constructs
         built = []
         engines: list[list] = []  # per bucket set, the engines it reads
         sets: list[list] = []  # per bucket set, the rounds whose runs it reads
         visited = []
+        raw_init = KeyAgreeEngine.__init__
         raw_advance = KeyAgreeEngine._advance
         raw_lengths = KeyAgreeEngine.symbol_lengths
         raw_segments = _Round.segments
         raw_sums = reconciled._bucket_sums
+
+        def init(self, p):
+            made.append(self)
+            raw_init(self, p)
 
         def advance(self):
             built.append(self)
@@ -464,6 +470,7 @@ class TestAnalysisKernel:
             visited.append(len(cells))
             return raw_sums(eng, cells, *args)
 
+        monkeypatch.setattr(KeyAgreeEngine, "__init__", init)
         monkeypatch.setattr(KeyAgreeEngine, "_advance", advance)
         monkeypatch.setattr(KeyAgreeEngine, "symbol_lengths", symbol_lengths)
         monkeypatch.setattr(KeyAgreeEngine, "round_lengths", round_lengths)
@@ -480,10 +487,13 @@ class TestAnalysisKernel:
         assert all(len(seen) == 1 for seen in engines)
         assert len({id(seen[0]) for seen in engines[1:]}) == len(sets) - 1
         assert engines[0][0] is engines[-1][0]
+        # and the average constructs exactly the engines it reads
+        assert {id(e) for e in made} == {id(seen[0]) for seen in engines}
+        assert len(made) == len(sets) - 1
         for rounds in sets:
             assert 0 < len(rounds) == len(set(map(id, rounds))) <= 30
         # no point-mass conditional is built
-        assert min(sum(1 for n in seen[0].pmf.numerators if n) for seen in engines) >= 2
+        assert min(sum(1 for n in e.pmf.numerators if n) for e in made) >= 2
         # without shared periods every engine builds all 30 rounds
         assert 2 * len(built) <= 30 * len(set(map(id, built)))
 

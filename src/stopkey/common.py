@@ -264,7 +264,7 @@ class KeyAgreeEngine:
                 where[i] = k + 1
                 nums[i] -= chunk
         # _built first: a reader that finds more rounds than _built finds
-        # the period too (_built_through)
+        # the period too (symbol_lengths)
         self._built = w
         self._rounds.append(_Round(array("i", live[:pos]), tuple(starts), tuple(bases), where))
         self._ones = (2 * self._ones + 1) % self._odd
@@ -273,18 +273,6 @@ class KeyAgreeEngine:
                 self._order = w
             if self._repeats(self._order):
                 self._period = self._order
-
-    def _removed(self, first: int, last: int) -> list[int]:
-        """Per symbol, the mass rounds first..last took, over the current
-        denominator."""
-        q = self._q
-        taken = [0] * len(self._nums)
-        for v, rnd in enumerate(self._rounds[first - 1 : last], first):
-            for symbols, length in rnd.segments():
-                chunk = q >> (v + length)
-                for i in symbols:
-                    taken[i] += chunk
-        return taken
 
     def _repeats(self, t: int) -> bool:
         """Whether the residual after the round just built, w, is the one
@@ -321,23 +309,21 @@ class KeyAgreeEngine:
         return self._rounds[w - 1]
 
     def residual(self) -> tuple[Fraction, ...]:
-        """Exact residual masses after the rounds built so far; after w
-        rounds they total 2**-w."""
+        """Exact residual masses after the rounds listed so far: the pmf's
+        masses less every listed round's chunks, shared rounds included;
+        after w rounds they total 2**-w."""
         with self._lock:
-            nums, q = self._nums, self._q
-            shared = len(self._rounds) - self._built
-            if shared:
-                # after round _built + a T + b the residual is the one after
-                # round _built + b halved a T times, and rounds _built + 1 ..
-                # _built + b take half T times what rounds _built - T + 1 ..
-                # _built - T + b took
-                t = self._period
-                a, b = divmod(shared, t)
-                first = self._built - t + 1
-                taken = self._removed(first, first + b - 1)
-                nums = [(v << t) - c for v, c in zip(nums, taken)]
-                q <<= t * (a + 1)
-            return tuple(Fraction(v, q) for v in nums)
+            rounds = self._rounds
+            # codeword lengths grow along a round's order: bases[-1] is its longest
+            top = max((w + (rnd.bases[-1] & _LEN_MASK) for w, rnd in enumerate(rounds, 1)), default=0)
+            d = self.pmf.denominator
+            nums = [v << top for v in self.pmf.numerators]
+            for w, rnd in enumerate(rounds, 1):
+                for symbols, length in rnd.segments():
+                    chunk = d << (top - w - length)
+                    for i in symbols:
+                        nums[i] -= chunk
+            return tuple(Fraction(v, d << top) for v in nums)
 
     # -- protocol -------------------------------------------------------------
 
@@ -386,11 +372,6 @@ class KeyAgreeEngine:
                 return walk.rounds[pos]
             pos += 1
 
-    def rounds(self, w_max: int) -> list[_Round]:
-        """Rounds 1..w_max, built once here so readers index them directly."""
-        self.ensure(w_max)
-        return self._rounds[: max(w_max, 0)]
-
     def round_lengths(self, x: int, w_max: int) -> list[tuple[int, int]]:
         """x's stopping law in dyadic form: (w, codeword length) for the
         rounds 1..w_max that give x a chunk, where
@@ -399,43 +380,28 @@ class KeyAgreeEngine:
             raise ValidationError(f"symbol {x} outside the alphabet")
         if not self.pmf.numerators[x]:
             raise ValidationError(f"symbol {x} has zero mass")
-        built = self._built_through(w_max)
-        lengths = [
-            (w, length)
-            for w, rnd in enumerate(self._rounds[:built], 1)
-            if (length := rnd.length_of(x)) is not None
-        ]
-        return self._extend(lengths, built, w_max)
+        return self.symbol_lengths(w_max)[x]
 
     def symbol_lengths(self, w_max: int) -> list[list[tuple[int, int]]]:
         """``round_lengths`` of every symbol, a zero-mass one's empty, read
-        in one pass over each built round's runs."""
-        built = self._built_through(w_max)
+        in one pass over each built round's runs: past the period, round w
+        is round w - T, so the built rounds' entries are extended by T."""
+        self.ensure(w_max)
+        built = max(min(self._built, w_max), 0)
+        t = self._period
         lengths: list[list[tuple[int, int]]] = [[] for _ in range(len(self.pmf))]
         for w, rnd in enumerate(self._rounds[:built], 1):
             for symbols, length in rnd.segments():
                 for i in symbols:
                     lengths[i].append((w, length))
-        return [self._extend(steps, built, w_max) for steps in lengths]
-
-    def _built_through(self, w_max: int) -> int:
-        """Ensure rounds 1..w_max and give how many of them were built, not
-        shared: past the period, round w is round w - T, so only the built
-        rounds are read."""
-        self.ensure(w_max)
-        return max(min(self._built, w_max), 0)
-
-    def _extend(self, lengths: list[tuple[int, int]], built: int, w_max: int) -> list[tuple[int, int]]:
-        """(w, length) entries read off rounds 1..built, extended in place
-        through w_max by the period."""
         if built < w_max:
-            # the loop also reads the entries it appends
-            t = self._period
-            for w, length in lengths:
-                if w + t > w_max:
-                    break
-                if w + t > built:
-                    lengths.append((w + t, length))
+            for steps in lengths:
+                # the loop also reads the entries it appends
+                for w, length in steps:
+                    if w + t > w_max:
+                        break
+                    if w + t > built:
+                        steps.append((w + t, length))
         return lengths
 
     def round_conditional(self, w: int) -> Pmf:
@@ -563,10 +529,10 @@ def exact_common_law(p: Pmf, w_max: int) -> CommonLaw:
     for w in range(1, w_max + 1):
         rnd = engine.round(w)
         for i in rnd.order:
-            p = rnd.packed(i)
-            length = p & _LEN_MASK
+            code = rnd.packed(i)
+            length = code & _LEN_MASK
             prob = Fraction(1, 1 << (w + length))
-            atoms.append((i, w, _unpack_code(p), prob))
+            atoms.append((i, w, _unpack_code(code), prob))
             expected += prob * length
     return CommonLaw(
         source=p,

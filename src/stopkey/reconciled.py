@@ -215,8 +215,9 @@ def play(decision: Decision, rng: RandomSource) -> PackedRun:
     """A decided run played to its end, in packed form. On confirmation
     Bob draws his round on ``rng`` with the common scheme's draw,
     ``KeyAgreeEngine.alice``, pinned to round 1 when his symbol has no
-    bucket mass, and both keys are read with ``_Round.keys``, the read
-    the analysis kernel's laws make; an abort draws nothing."""
+    bucket mass, and both keys are read with ``_Round.keys``, a party
+    whose symbol the round does not select taking its first codeword;
+    an abort draws nothing."""
     before, stage, same = decision
     if stage is None:
         return before, None, 0, 0, 0
@@ -318,20 +319,6 @@ class AlmostCommonAnalysis:
         return self.error_enumerated + self.unresolved
 
 
-def _bob_law(eng: KeyAgreeEngine, yi: int, d: int, lengths: list, table: list) -> tuple:
-    """Bob's stopping law on symbol ``yi``, with his ``lengths`` of
-    ``KeyAgreeEngine.symbol_lengths``, in the form the laws walk of
-    ``_bucket_sums`` reads: (steps, scale, den). Steps are (round index w,
-    ``table[w - 1]``, integer weight q), and a step adds q * n * scale /
-    den to an outcome of mass n / d. With no bucket mass Bob pins the
-    round to 1."""
-    if not eng.pmf.numerators[yi]:
-        return [(1, table[0], 1)], 1, d
-    top = max((w + k for w, k in lengths), default=0)
-    steps = [(w, table[w - 1], 1 << (top - w - k)) for w, k in lengths]
-    return steps, eng.pmf.denominator, (d * eng.pmf.numerators[yi]) << top
-
-
 def _bucket_sums(
     eng: KeyAgreeEngine | None, cells: Sequence[tuple[int, int, int]], d: int, w_max: int,
     laws: defaultdict | None = None, w1: int = 1,
@@ -340,7 +327,9 @@ def _bucket_sums(
     bucket, as integer numerators, followed by their one denominator. Each
     (n, x index, y index) of ``cells`` has mass n / d. ``eng`` is the
     bucket conditional's engine, None when it has no agreement mass and
-    Bob aborts; ``laws`` collects each (w1, w2) transcript's key mass.
+    Bob aborts; ``laws`` collects each (w1, w2) transcript's ideal-key
+    mass, as integer numerators over that same denominator (over d for an
+    abort).
 
     Bob stops in round w with probability 2^-(w + n_w) / p*(y), n_w his
     codeword length there, and the engine's rounds are read once, for
@@ -352,15 +341,15 @@ def _bucket_sums(
     codeword). So its error is Bob's stopping weight over the rounds where
     his codeword is not empty, its unresolved mass his weight past w_max,
     and every sum is a per-Bob-symbol integer over d * lcm(p*(y)) * 2^top,
-    top the largest w + n_w. Only the laws read keys: each round's once,
-    for every symbol in the cells, with one ``_Round.keys`` call; past the
-    period a round repeats as the same object and is not read again.
+    top the largest w + n_w. The laws take the same integer weights: a
+    step adds the x = y mass to Bob's codeword in that round and the
+    x != y mass to the empty key, so only they format a codeword, once
+    per Bob's symbol and round.
     """
     col = sum(n for n, xi, yi in cells if xi != yi)
     if eng is None:
         if laws is not None:
-            for n, _, _ in cells:
-                laws[w1, None][""] += Fraction(n, d)
+            laws[w1, None][""] += sum(n for n, _, _ in cells)
         return col, 0, 0, 0, d
     # Bob's index -> the numerators of his outcomes with x = y and x != y
     bob: dict[int, list[int]] = {}
@@ -378,6 +367,8 @@ def _bucket_sums(
             # Bob pins round 1 and reads its first codeword, empty only
             # when the round selects one symbol; x != y here
             err += other * one * (len(eng.round(1).order) > 1)
+            if laws is not None:
+                laws[w1, 1][""] += other * one
             continue
         seen = erred = bits = 0
         for w, k in lengths[yi]:
@@ -390,21 +381,14 @@ def _bucket_sums(
         err += other * erred * f
         length += same * bits * f
         unresolved += other * (one - seen * f)
-    if laws is not None:
-        # round w's keys for every symbol in the cells, in table[w - 1] at
-        # the symbol's slot, read once per round object
-        symbols = tuple({i for _, xi, yi in cells for i in (xi, yi)})
-        slot = {i: k for k, i in enumerate(symbols)}
-        rounds = eng.rounds(max(w_max, 1))
-        read = {rnd: rnd.keys(symbols) for rnd in dict.fromkeys(rounds)}
-        table = [read[rnd] for rnd in rounds]
-        steps = {yi: _bob_law(eng, yi, d, lengths[yi], table) for yi in bob}
-        for n, xi, yi in cells:
-            walk, scale, den = steps[yi]
-            num, a = n * scale, slot[xi]
-            for w, code, q in walk:
-                # the ideal key: key_a when x = y, and empty otherwise
-                laws[w1, w][_unpack_code(code[a]) if xi == yi else ""] += Fraction(num * q, den)
+        if laws is not None:
+            for w, k in lengths[yi]:
+                q = f << (top - w - k)
+                law = laws[w1, w]
+                if same:
+                    law[eng.round(w).codeword(yi)] += same * q
+                if other:
+                    law[""] += other * q
     return col * one, err, unresolved, length, d * one
 
 
@@ -429,7 +413,7 @@ def analyze_almost_common(
     stats = agreement_stats(j)
     d = j.denominator
     index = {u: i for i, u in enumerate(union_alphabet(j))}
-    acc = defaultdict(lambda: defaultdict(Fraction)) if collect_laws else None
+    acc = defaultdict(lambda: defaultdict(int)) if collect_laws else None
     buckets: dict[int, list[tuple[int, int, int]]] = {}
     for ix, iy, n in j.numerator_cells:
         xl, yl = j.x_labels[ix], j.y_labels[iy]
@@ -437,7 +421,7 @@ def analyze_almost_common(
         if h(yl) == w1:
             buckets.setdefault(w1, []).append((n, index[xl], index[yl]))
         elif acc is not None:
-            acc[w1, None][""] += Fraction(n, d)
+            acc[w1, None][""] += n
     sums, den = [0] * 4, 1
     for w1, cells in buckets.items():
         p_star = stage_conditional(j, h, w1)
@@ -448,8 +432,9 @@ def analyze_almost_common(
     if acc is not None:
         laws = {}
         for t in sorted(acc, key=lambda t: (t[0], t[1] is not None, t[1] or 0)):
-            total = sum(acc[t].values(), ZERO)
-            laws[t] = KeyLaw.from_dict({k: v / total for k, v in acc[t].items()})
+            # a transcript's mass comes from one bucket, over one denominator
+            total = sum(acc[t].values())
+            laws[t] = KeyLaw.from_dict({k: Fraction(v, total) for k, v in acc[t].items()})
     fields = (Fraction(v, den) for v in sums)
     return AlmostCommonAnalysis(h.m, stats.p, (1 - stats.p) / h.m, *fields, w_max, laws)
 

@@ -299,6 +299,11 @@ class TestEnumeratedLaw:
         for w in range(1, 13):
             assert by_round[w] == Fraction(1, 1 << w)
 
+    def test_law_keeps_its_source_pmf(self, corpus_pmf):
+        law = exact_common_law(corpus_pmf, 6)
+        assert law.source is corpus_pmf
+        assert law.w_max == 6
+
     def test_total_mass_and_tail_are_complementary(self, corpus_pmf):
         law = exact_common_law(corpus_pmf, 10)
         total = sum(prob for _, _, _, prob in law.atoms)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey.common import KeyAgreeEngine, _Round, _unpack_code, exact_common_law
+from stopkey.common import KeyAgreeEngine, _Round, exact_common_law
 from stopkey.errors import (
     InvariantError,
     ReconcilerContractError,
@@ -522,6 +522,36 @@ class TestAnalysisKernel:
         assert built <= 60
         assert av.collision_error == (1 - agreement_stats(j).p) / 3
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_laws_read_no_key_and_build_a_few_fractions_per_atom(self, monkeypatch, m):
+        # the laws take the kernel's integer weights: one Fraction per law
+        # atom, and KeyLaw's own check adds each atom and the tail; a walk
+        # reading every round's keys with one Fraction per (cell, step)
+        # built 1231 at m = 1 and 804 at m = 3
+        j = _five_by_five(f"laws-{m}")
+        labels = union_alphabet(j)
+        h = HashFunction(labels, tuple(1 + i % m for i in range(len(labels))), m)
+        original = Fraction.__dict__["__new__"]
+        built = 0
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return original.__func__(cls, *args, **kwargs)
+
+        def keys(rnd, symbols):
+            raise AssertionError("the laws read Bob's codewords, not keys")
+
+        monkeypatch.setattr(_Round, "keys", keys)
+        Fraction.__new__ = staticmethod(counted)
+        try:
+            a = analyze_almost_common(j, h, w_max=30, collect_laws=True)
+        finally:
+            Fraction.__new__ = original
+        atoms = sum(len(law.atoms) for law in a.transcript_laws.values())
+        assert atoms >= 90
+        assert built <= 3 * atoms + 10
+
     def test_fraction_count_does_not_grow_with_w_max(self):
         # the bucket conditionals are not dyadic, so Bob's rounds run past
         # 30; the parent built one Fraction per round of every outcome
@@ -724,39 +754,38 @@ class TestAlmostCommonKeygen:
         h = HashFunction(("a", "b", "c", "d"), (1, 1, 1, 2), 2)
         labels = union_alphabet(j)  # the bucket conditional's alphabet
         walked = []  # (engine, cells) of each bucket the analysis walks
-        steps = {}  # (engine, Bob's index) -> (round, its keys) per step he walks
-        read = {}  # id of each key list read -> (the list, {symbol: packed key})
-        raw_sums, raw_law, raw_keys = reconciled._bucket_sums, reconciled._bob_law, _Round.keys
+        read = {}  # engine -> the per-symbol (round, codeword length) lists it read
+        raw_sums, raw_lengths = reconciled._bucket_sums, KeyAgreeEngine.symbol_lengths
 
         def bucket_sums(eng, cells, *args):
             walked.append((eng, cells))
             return raw_sums(eng, cells, *args)
 
-        def bob_law(eng, yi, *args):
-            law = raw_law(eng, yi, *args)
-            steps[eng, yi] = [(w, code) for w, code, _ in law[0]]
-            return law
-
-        def keys(rnd, symbols):
-            out = raw_keys(rnd, symbols)
-            read[id(out)] = out, dict(zip(symbols, out))
-            return out
+        def symbol_lengths(eng, w_max):
+            read[eng] = raw_lengths(eng, w_max)
+            return read[eng]
 
         monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
-        monkeypatch.setattr(reconciled, "_bob_law", bob_law)
-        monkeypatch.setattr(_Round, "keys", keys)
+        monkeypatch.setattr(KeyAgreeEngine, "symbol_lengths", symbol_lengths)
         analysis = analyze_almost_common(j, h, w_max=30)
         monkeypatch.undo()
-        # the (x, y, w) cells the analysis walks, with the keys it read
+
+        def key(rnd, i):
+            # a symbol the round does not select falls back to position 0
+            code = rnd.codeword(i)
+            return rnd.codeword(rnd.order[0]) if code is None else code
+
+        # the (x, y, w) cells the analysis walks, with the keys of that round
         enumerated = set()
         for eng, cells in walked:
             if eng is None:
                 continue  # no agreement mass: Bob aborts
             for _, xi, yi in cells:
-                for w, code in steps[eng, yi]:
-                    key = read[id(code)][1]
-                    codes = (_unpack_code(key[xi]), _unpack_code(key[yi]))
-                    enumerated.add((labels[xi], labels[yi], w) + codes)
+                # Bob pins round 1 when his symbol has no bucket mass
+                steps = [w for w, _ in read[eng][yi]] if eng.pmf.numerators[yi] else [1]
+                for w in steps:
+                    rnd = eng.round(w)
+                    enumerated.add((labels[xi], labels[yi], w, key(rnd, xi), key(rnd, yi)))
         rng = RandomSource("stage2-paths")
         fallbacks = set()
         for ix, iy, _ in j.atoms():

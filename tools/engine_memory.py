@@ -72,7 +72,8 @@ def ensure_seconds(*pmfs: Pmf, repeat: int = REPEAT) -> float:
 
 def built_rounds(p: Pmf) -> int:
     """Rounds ``ensure(DEPTH)`` builds: the distinct round objects."""
-    return len({id(rnd) for rnd in KeyAgreeEngine(p).rounds(DEPTH)})
+    engine = KeyAgreeEngine(p)
+    return len({id(engine.round(w)) for w in range(1, DEPTH + 1)})
 
 
 def held_bytes(p: Pmf) -> int:

@@ -7,6 +7,12 @@ human-readable text or the structured document on stdout/--out.
 
 Exit codes: 0 when every checked bound holds (or the verb checks none),
 2 when a checked bound is violated, 3 on input errors.
+
+An argv that starts with a verb is read by that verb's parser alone. The
+full parser, every verb's subparser under the top-level one, is built
+only for an argv that names no verb or that the verb's parser leaves
+arguments unrecognized in, so top-level help, usage and errors name
+every verb.
 """
 
 from __future__ import annotations
@@ -32,9 +38,9 @@ from .randomsource import RandomSource
 
 
 def _seed_value(text: str) -> int | str:
-    # isdecimal, not isdigit: int() refuses digits such as "²"
-    stripped = text.lstrip("-")
-    return int(text) if stripped.isdecimal() and stripped else text
+    # isdecimal, not isdigit: int() refuses digits such as "²"; int() takes
+    # one sign, so "--5" is a string seed
+    return int(text) if text.removeprefix("-").isdecimal() else text
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -43,14 +49,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _add_output_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", help="write output to this file instead of stdout")
-    sp.add_argument(
-        "--format", choices=("text", "structured"), default="text",
-        help="human-readable text or the structured document format",
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,25 +122,30 @@ def _run_args(sp: argparse.ArgumentParser, trials: int) -> None:
     sp.add_argument("--hash", dest="hash_spec")
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: every verb's subparser, or only ``only``'s.
+def _add_verb_args(sp: argparse.ArgumentParser, verb: str) -> None:
+    """A verb's own options, then the output options every verb takes."""
+    _VERBS[verb][1](sp)
+    sp.add_argument("--out", help="write output to this file instead of stdout")
+    sp.add_argument(
+        "--format", choices=("text", "structured"), default="text",
+        help="human-readable text or the structured document format",
+    )
 
-    A one-verb parser names every verb in its usage line, so the usage
-    printed with an unrecognized-argument error is the full parser's; its
-    top-level help and choice errors are not, so ``main`` builds it only
-    when the verb is the leading argument.
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser: every verb's subparser under the top-level one.
+
+    ``main`` builds it only for an argv that names no verb or that the
+    verb's own parser leaves arguments unrecognized in: its help, usage
+    line and errors then name every verb.
     """
     parser = _Parser(
         prog="stopkey",
         description="secret key agreement via randomly stopped bit sequences",
     )
-    metavar = None if only is None else "{" + ",".join(_VERBS) + "}"
-    sub = parser.add_subparsers(dest="verb", required=True, metavar=metavar)
-    for verb, (help_text, add_args, _) in _VERBS.items():
-        if only is None or verb == only:
-            sp = sub.add_parser(verb, help=help_text)
-            add_args(sp)
-            _add_output_args(sp)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for verb, (help_text, _, _) in _VERBS.items():
+        _add_verb_args(sub.add_parser(verb, help=help_text), verb)
     return parser
 
 
@@ -309,11 +312,22 @@ _VERBS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one CLI call and return its exit code.
+
+    An argv that starts with a verb is read by that verb's parser alone,
+    the parser the full one hands the verb's arguments to, so its help
+    and errors are the full parser's. Only an argv that names no verb, or
+    that leaves arguments unrecognized, builds the full parser
+    (``_build_parser``), which prints the top-level usage line.
+    """
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a leading verb name is the subcommand argparse dispatches to, so only
-    # its subparser is built; anything else builds them all
     verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = _build_parser(verb).parse_args(argv)
+    if verb is not None:
+        parser = _Parser(prog=f"stopkey {verb}")
+        _add_verb_args(parser, verb)
+        args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
+    if verb is None or rest:
+        args = _build_parser().parse_args(argv)
     try:
         return _VERBS[args.verb][2](args)
     except (StopkeyError, OSError) as exc:

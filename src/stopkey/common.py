@@ -391,9 +391,12 @@ class KeyAgreeEngine:
         t = self._period
         lengths: list[list[tuple[int, int]]] = [[] for _ in range(len(self.pmf))]
         for w, rnd in enumerate(self._rounds[:built], 1):
-            for symbols, length in rnd.segments():
-                for i in symbols:
-                    lengths[i].append((w, length))
+            order, starts = rnd.order, rnd.starts
+            # one (w, length) tuple per run, shared by the run's symbols
+            for start, end, base in zip(starts, (*starts[1:], len(order)), rnd.bases):
+                step = (w, base & _LEN_MASK)
+                for i in order[start:end]:
+                    lengths[i].append(step)
         if built < w_max:
             for steps in lengths:
                 # the loop also reads the entries it appends

@@ -29,6 +29,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain, repeat
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -102,7 +103,10 @@ def mean_interval(samples: Iterable[float]) -> tuple[float, float]:
     mean = math.fsum(samples.elements()) / n
     if n == 1:
         return mean, mean
-    var = math.fsum((v - mean) ** 2 for v in samples.elements()) / (n - 1)
+    # one square per distinct value, repeated as often as it was drawn:
+    # fsum sees the element-wise terms, so the sum is bit-identical
+    terms = [(v - mean) ** 2 for v in samples]
+    var = math.fsum(chain.from_iterable(map(repeat, terms, samples.values()))) / (n - 1)
     half = Z99 * math.sqrt(var / n)
     return mean - half, mean + half
 

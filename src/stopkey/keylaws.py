@@ -15,6 +15,7 @@ are implemented (``verify_rsbs``, ``stopping_rule_of``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -76,7 +77,6 @@ class KeyLaw:
     tail: Fraction = ZERO
 
     def __post_init__(self) -> None:
-        total = ZERO
         seen = set()
         for k, m in self.atoms:
             check_bitstring(k)
@@ -85,12 +85,16 @@ class KeyLaw:
             seen.add(k)
             if not isinstance(m, Fraction) or m <= 0:
                 raise ValidationError(f"atom mass for {k!r} must be a positive Fraction")
-            total += m
-        if self.tail < 0:
+        tail = self.tail
+        if tail < 0:
             raise ValidationError("tail must be nonnegative")
-        if total + self.tail != 1:
+        # total / den + tail == 1 in integers, den the atoms' common
+        # denominator: a law built over one denominator builds no Fraction
+        den = math.lcm(*(m.denominator for _, m in self.atoms))
+        total = sum(m.numerator * (den // m.denominator) for _, m in self.atoms)
+        if total * tail.denominator + tail.numerator * den != den * tail.denominator:
             raise ValidationError(
-                f"law masses ({total}) plus tail ({self.tail}) must equal 1"
+                f"law masses ({Fraction(total, den)}) plus tail ({tail}) must equal 1"
             )
         if self.atoms != _canonical_atoms(dict(self.atoms)):
             raise ValidationError("atoms must be in canonical order; use from_dict")

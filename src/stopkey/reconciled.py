@@ -358,7 +358,9 @@ def _bucket_sums(
     lengths = eng.symbol_lengths(w_max)
     nums = eng.pmf.numerators
     held = [yi for yi in bob if nums[yi]]
-    top = max((w + k for yi in held for w, k in lengths[yi]), default=0)
+    # a symbol's chunks shrink from round to round, so w + k grows along
+    # its steps, past the period too: its last step is its largest
+    top = max((w + k for yi in held for w, k in lengths[yi][-1:]), default=0)
     lcm = math.lcm(*(nums[yi] for yi in held))
     one = lcm << top  # a certain event
     err = length = unresolved = 0

@@ -8,6 +8,7 @@ of one ``stopkey`` call per pinned output, and returns the sha256 digests
 keyed as its pin table is.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -62,7 +63,8 @@ DIST_PINS = {
     "simulate p12 text": "7bfe7b4884955bbdcd82f601ad4ae73177736ccc0e6ded735bfece062d5839aa",
 }
 
-# per verb: a bad int value and an unknown option after its required ones
+# per verb: a bad int value and an unknown option after its required ones,
+# so the unknown option less its last item is a well-formed call
 PARSER_CASES = {
     "decompose": (["--w-max", "x"], ["--dist", "d.json", "--bogus"]),
     "keygen-common": (["--w", "x"], ["--dist", "d.json", "--role", "bob", "--x", "a", "--bogus"]),
@@ -74,8 +76,35 @@ PARSER_CASES = {
     "report": (["--trials", "x"], ["--bogus"]),
 }
 
+# tails every verb is also read with, and the exit code each gives: help
+# wins over an unknown option, and a tail the verb's parser leaves
+# unrecognized is answered by the full parser
+PARSER_TAILS = {
+    ("--bogus",): 3,
+    ("--", "x"): 3,
+    ("--help", "--bogus"): 0,
+    ("--format=text", "--bogus"): 3,
+    ("--form", "text", "--bogus"): 3,
+    ("stray",): 3,
+    ("--out",): 3,
+    ("-h",): 0,
+}
+
 # argvs that name no verb, with the exit code the full parser gives them
 TOP_LEVEL_ARGVS = {"help": (["--help"], 0), "empty": ([], 3), "bogus": (["bogus"], 3)}
+
+
+def verb_argvs(verb: str) -> list[tuple[list[str], int]]:
+    """(argv, exit code) of every parser parity case of one verb."""
+    bad_int, unknown = PARSER_CASES[verb]
+    cases = [([verb, "--help"], 0), ([verb, *bad_int], 3), ([verb, *unknown], 3)]
+    cases += [([verb, *tail], code) for tail, code in PARSER_TAILS.items()]
+    return cases
+
+
+def well_formed(verb: str) -> list[str]:
+    """An argv that calls the verb with every option it requires."""
+    return [verb, *PARSER_CASES[verb][1][:-1], "--format", "structured", "--out", "o.txt"]
 
 
 def exits(call, argv) -> tuple:
@@ -90,9 +119,25 @@ def exits(call, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def parsed(only, argv) -> tuple:
-    """exits() of parsing argv with the parser ``cli._build_parser(only)``."""
-    return exits(lambda a: cli._build_parser(only).parse_args(a), argv)
+def parsed(argv) -> tuple:
+    """exits() of parsing argv with the full parser, ``cli._build_parser()``."""
+    return exits(lambda a: cli._build_parser().parse_args(a), argv)
+
+
+def main_namespace(argv) -> argparse.Namespace:
+    """The Namespace ``cli.main`` hands the handler of the verb argv calls;
+    the handler itself does not run."""
+    verb = argv[0]
+    saved = cli._VERBS[verb]
+    seen = []
+    cli._VERBS[verb] = (*saved[:2], lambda args: seen.append(args) or 0)
+    try:
+        code = cli.main(argv)
+    finally:
+        cli._VERBS[verb] = saved
+    if code != 0 or len(seen) != 1:
+        raise RuntimeError(f"stopkey {' '.join(argv)} did not call its handler once")
+    return seen[0]
 
 
 def _digests(run, argvs: dict) -> dict:

@@ -18,7 +18,16 @@ from stopkey.randomsource import RandomSource
 import pins
 from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, joint
 from documents import joint_document, pmf_document, write_document
-from pins import PARSER_CASES, TOP_LEVEL_ARGVS, exits, parsed
+from pins import (
+    PARSER_CASES,
+    PARSER_TAILS,
+    TOP_LEVEL_ARGVS,
+    exits,
+    main_namespace,
+    parsed,
+    verb_argvs,
+    well_formed,
+)
 
 
 @pytest.fixture()
@@ -162,6 +171,8 @@ class TestKeygenCommon:
         assert cli._seed_value("²") == "²"
         assert cli._seed_value("٣") == 3 and cli._seed_value("-12") == -12
         assert cli._seed_value("-") == "-" and cli._seed_value("7a") == "7a"
+        # int() takes one sign: a second makes a string seed, not an error
+        assert cli._seed_value("--5") == "--5" and cli._seed_value("--") == "--"
         base = ["keygen-common", "--dist", dist_file, "--role", "alice", "--x", "0"]
         outputs = {}
         for seed in ("²", "٣", "3"):
@@ -170,6 +181,9 @@ class TestKeygenCommon:
         assert outputs["٣"] == outputs["3"]
         key, w = alice_keygen(CORPUS["tenths"], 0, RandomSource("²").substream("keygen-common"))
         assert outputs["²"] == f"key={key} w={w}\n"
+        assert main([*base, "--seed=--5"]) == 0
+        key, w = alice_keygen(CORPUS["tenths"], 0, RandomSource("--5").substream("keygen-common"))
+        assert capsys.readouterr() == (f"key={key} w={w}\n", "")
 
     def test_unknown_label(self, dist_file, capsys):
         assert main(
@@ -605,52 +619,63 @@ class TestHostileDocuments:
 
 @pytest.fixture()
 def builds(monkeypatch) -> list:
-    """The ``only`` argument of every cli._build_parser call from now on."""
+    """Every parser cli._build_parser returns from now on."""
     built = []
     raw = cli._build_parser
 
-    def spy(only=None):
-        built.append(only)
-        return raw(only)
+    def spy():
+        built.append(raw())
+        return built[-1]
 
     monkeypatch.setattr(cli, "_build_parser", spy)
     return built
 
 
 class TestPerVerbParser:
-    """A parser built for one verb prints what the full parser prints."""
+    """main reads a verb's argv with the verb's own parser and prints what
+    the full parser prints."""
 
     def test_cases_cover_every_verb(self):
         assert list(PARSER_CASES) == list(cli._VERBS)
+        # every verb is also read with each tail: 64 argvs
+        assert len(PARSER_CASES) * len(PARSER_TAILS) == 64
 
     @pytest.mark.parametrize("verb", PARSER_CASES)
-    def test_verb_help_and_errors_match_the_full_parser(self, verb):
-        bad_int, unknown = PARSER_CASES[verb]
-        for argv, code in (
-            ([verb, "--help"], 0),
-            ([verb, *bad_int], 3),
-            ([verb, *unknown], 3),
-        ):
-            full = parsed(None, argv)
+    def test_verb_help_and_errors_match_the_full_parser(self, verb, builds):
+        for argv, code in verb_argvs(verb):
+            full = parsed(argv)
             assert full[0] == code, argv
-            assert parsed(verb, argv) == full, argv
-        assert "invalid int value: 'x'" in parsed(verb, [verb, *bad_int])[2]
-        assert "unrecognized arguments: --bogus" in parsed(verb, [verb, *unknown])[2]
+            builds.clear()
+            assert exits(main, argv) == full, argv
+            # only a tail the verb's parser leaves unrecognized builds the
+            # full parser, whose usage line names every verb
+            assert len(builds) == ("{decompose," in full[2]), argv
+        bad_int, unknown = PARSER_CASES[verb]
+        assert "invalid int value: 'x'" in exits(main, [verb, *bad_int])[2]
+        assert "unrecognized arguments: --bogus" in exits(main, [verb, *unknown])[2]
+
+    @pytest.mark.parametrize("verb", PARSER_CASES)
+    def test_a_well_formed_call_reads_the_full_parsers_namespace(self, verb, builds):
+        argv = well_formed(verb)
+        args = main_namespace(argv)
+        assert builds == []
+        full = cli._build_parser().parse_args(argv)
+        assert args == full and repr(args) == repr(full)
 
     @pytest.mark.parametrize("name", TOP_LEVEL_ARGVS)
     def test_main_answers_top_level_argv_with_the_full_parser(self, name, builds):
         """An argv that names no verb gets the full parser, so its help,
         usage and choice errors list every verb; a one-verb parser's would not."""
         argv, code = TOP_LEVEL_ARGVS[name]
-        full = parsed(None, argv)
+        full = parsed(argv)
         builds.clear()
         assert exits(main, argv) == full
-        assert builds == [None]
+        assert len(builds) == 1
         assert full[0] == code
         assert "{decompose,keygen-common,keygen-almost," in full[1] + full[2]
 
-    def test_a_verb_call_constructs_two_parsers(self, dist_file, monkeypatch, capsys):
-        # the top-level parser and the verb's: not one per verb
+    def test_a_verb_call_constructs_one_parser(self, dist_file, monkeypatch, capsys):
+        # the verb's own: not the top-level one, nor one per verb
         made = []
         init = argparse.ArgumentParser.__init__
 
@@ -661,14 +686,17 @@ class TestPerVerbParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
                      "--x", "0", "--w", "1"]) == 0
-        assert [p.prog for p in made] == ["stopkey", "stopkey keygen-common"]
+        assert [p.prog for p in made] == ["stopkey keygen-common"]
 
-    def test_main_builds_only_the_leading_verb(self, dist_file, builds, capsys):
+    def test_main_builds_the_full_parser_only_for_top_level_argv(
+        self, dist_file, builds, capsys
+    ):
         assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
                      "--x", "0", "--w", "1"]) == 0
+        assert builds == []
         with pytest.raises(SystemExit):
             main(["--help"])
-        assert builds == ["keygen-common", None]
+        assert len(builds) == 1 and builds[0].prog == "stopkey"
 
 
 # run in a fresh interpreter: the stopkey modules an import leaves loaded

@@ -379,6 +379,24 @@ class TestEnumeratedLaw:
             covered = sum((Fraction(1, 1 << (w + n)) for w, n in lengths), Fraction(0))
             assert 0 <= p.masses[x] - covered <= Fraction(1, 1 << w_max)
 
+    @pytest.mark.parametrize("w_max", [30, 120])
+    def test_a_symbols_steps_grow_strictly_in_w_plus_length(self, w_max):
+        # a symbol's chunks 2**-(w + length) shrink from round to round,
+        # past the period too, so its last step has its largest w + length;
+        # the steps are the rounds that select it, with its codeword length
+        rng = RandomSource("step-tops")
+        sources = [CORPUS[name] for name in sorted(CORPUS)]
+        sources += [random_rational_pmf(rng.substream("pmf", k)) for k in range(300)]
+        for p in sources:
+            e = KeyAgreeEngine(p)
+            rounds = [e.round(w) for w in range(1, w_max + 1)]
+            for x, steps in enumerate(e.symbol_lengths(w_max)):
+                tops = [w + k for w, k in steps]
+                assert all(a < b for a, b in zip(tops, tops[1:])), (p, x)
+                assert steps == [
+                    (w, rnd.length_of(x)) for w, rnd in enumerate(rounds, 1) if rnd.pos[x]
+                ]
+
 
 class TestErrorPaths:
     def test_round_lengths_refuse_a_zero_mass_symbol(self):

@@ -125,6 +125,33 @@ class TestIntervals:
         assert mean_interval(Counter(samples)) == mean_interval(samples)
         assert mean_interval(Counter([0.3])) == mean_interval([0.3]) == (0.3, 0.3)
 
+    @staticmethod
+    def _elementwise_interval(samples) -> tuple[float, float]:
+        """mean_interval with one squared deviation per sample."""
+        counted = Counter(samples)
+        n = counted.total()
+        mean = math.fsum(counted.elements()) / n
+        if n == 1:
+            return mean, mean
+        var = math.fsum((v - mean) ** 2 for v in counted.elements()) / (n - 1)
+        half = Z99 * math.sqrt(var / n)
+        return mean - half, mean + half
+
+    def test_mean_interval_squares_each_distinct_value_once(self):
+        rng = RandomSource("mean-terms").generator()
+        cases = [[0.3], Counter([0.3]), [1e300], Counter({-2.5: 1})]
+        for _ in range(50):
+            values = [rng.uniform(-1e3, 1e3) for _ in range(1 + rng.randrange(8))]
+            samples = [rng.choice(values) for _ in range(1 + rng.randrange(2000))]
+            cases += [samples, Counter(samples)]
+        for _ in range(3):
+            values = [rng.uniform(0, 60) for _ in range(4)]
+            cases.append(Counter({v: 1 + rng.randrange(10**6) for v in values}))
+        cases.append(Counter({0.1: 10**6, 1 / 3: 1, 7.0: 10**6}))
+        for samples in cases:
+            got = tuple(map(float.hex, mean_interval(samples)))
+            assert got == tuple(map(float.hex, self._elementwise_interval(samples)))
+
     def test_chi_square_reference_points(self):
         assert chi_square_pvalue(0.0) == 1.0
         assert chi_square_pvalue(3.841458820694124) == pytest.approx(0.05)

@@ -442,7 +442,7 @@ class TestAnalysisKernel:
         raw_init = KeyAgreeEngine.__init__
         raw_advance = KeyAgreeEngine._advance
         raw_lengths = KeyAgreeEngine.symbol_lengths
-        raw_segments = _Round.segments
+        raw_starts = _Round.__dict__["starts"]  # the slot, read once per round's runs
         raw_sums = reconciled._bucket_sums
 
         def init(self, p):
@@ -460,9 +460,9 @@ class TestAnalysisKernel:
         def round_lengths(self, x, w_max):
             raise AssertionError("Bob's law is read per symbol")
 
-        def segments_of(rnd):
+        def starts_of(rnd):
             sets[-1].append(rnd)
-            return raw_segments(rnd)
+            return raw_starts.__get__(rnd)
 
         def bucket_sums(eng, cells, *args):
             engines.append([])
@@ -474,7 +474,7 @@ class TestAnalysisKernel:
         monkeypatch.setattr(KeyAgreeEngine, "_advance", advance)
         monkeypatch.setattr(KeyAgreeEngine, "symbol_lengths", symbol_lengths)
         monkeypatch.setattr(KeyAgreeEngine, "round_lengths", round_lengths)
-        monkeypatch.setattr(_Round, "segments", segments_of)
+        monkeypatch.setattr(_Round, "starts", property(starts_of, raw_starts.__set__))
         monkeypatch.setattr(reconciled, "_bucket_sums", bucket_sums)
         average_almost_common(j, 3)
         # first the one-bucket table's analysis, then one bucket set per
@@ -525,9 +525,10 @@ class TestAnalysisKernel:
     @pytest.mark.parametrize("m", [1, 3])
     def test_laws_read_no_key_and_build_a_few_fractions_per_atom(self, monkeypatch, m):
         # the laws take the kernel's integer weights: one Fraction per law
-        # atom, and KeyLaw's own check adds each atom and the tail; a walk
-        # reading every round's keys with one Fraction per (cell, step)
-        # built 1231 at m = 1 and 804 at m = 3
+        # atom, and KeyLaw checks its sum in integers (113 and 100 built
+        # here); adding each atom and the tail as Fractions built 249 and
+        # 286, and a walk reading every round's keys with one Fraction per
+        # (cell, step) 1231 and 804, at m = 1 and m = 3
         j = _five_by_five(f"laws-{m}")
         labels = union_alphabet(j)
         h = HashFunction(labels, tuple(1 + i % m for i in range(len(labels))), m)
@@ -550,7 +551,7 @@ class TestAnalysisKernel:
             Fraction.__new__ = original
         atoms = sum(len(law.atoms) for law in a.transcript_laws.values())
         assert atoms >= 90
-        assert built <= 3 * atoms + 10
+        assert built <= atoms + 10
 
     def test_fraction_count_does_not_grow_with_w_max(self):
         # the bucket conditionals are not dyadic, so Bob's rounds run past

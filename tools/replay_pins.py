@@ -5,10 +5,11 @@
 pytest is not needed, so this runs on every interpreter ``pyproject.toml``
 allows, including those with no pytest installed. It checks:
 
-- parser parity: for every verb, ``--help``, a bad int value and an
-  unknown option print through the verb's own parser exactly what they
-  print through the full parser, and ``main`` answers an argv that names
-  no verb with the full parser's output;
+- parser parity: for every verb, ``main`` prints for ``--help``, a bad
+  int value, an unknown option and each tail of ``PARSER_TAILS`` exactly
+  what the full parser prints, hands a well-formed call's handler the
+  full parser's Namespace, and answers an argv that names no verb with
+  the full parser's output;
 - the CLI pins of ``tests/pins.py``: ``DUMP_PIN``, ``TRIAL_PINS``,
   ``RUN_LOG_TEXT_PINS`` and ``DIST_PINS``;
 - the benchmark's ``PINS``: each workload's rep-0 report at full size.
@@ -41,17 +42,17 @@ def _run(argv: list[str]) -> str:
 
 
 def parser_parity() -> list[str]:
-    """The argvs whose output differs between parser builds."""
+    """The argvs ``main`` answers otherwise than the full parser."""
     bad = []
-    for verb, (bad_int, unknown) in pins.PARSER_CASES.items():
-        for argv, code in (([verb, "--help"], 0), ([verb, *bad_int], 3), ([verb, *unknown], 3)):
-            full = pins.parsed(None, argv)
-            if full[0] != code or pins.parsed(verb, argv) != full:
-                bad.append(" ".join(argv))
-    for argv, code in pins.TOP_LEVEL_ARGVS.values():
-        full = pins.parsed(None, argv)
+    cases = [case for verb in pins.PARSER_CASES for case in pins.verb_argvs(verb)]
+    for argv, code in [*cases, *pins.TOP_LEVEL_ARGVS.values()]:
+        full = pins.parsed(argv)
         if full[0] != code or pins.exits(cli.main, argv) != full:
             bad.append(" ".join(argv) or "(no arguments)")
+    for verb in pins.PARSER_CASES:
+        argv = pins.well_formed(verb)
+        if pins.main_namespace(argv) != cli._build_parser().parse_args(argv):
+            bad.append(" ".join(argv))
     return bad
 
 

@@ -311,23 +311,27 @@ _VERBS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Run one CLI call and return its exit code.
-
-    An argv that starts with a verb is read by that verb's parser alone,
-    the parser the full one hands the verb's arguments to, so its help
-    and errors are the full parser's. Only an argv that names no verb, or
-    that leaves arguments unrecognized, builds the full parser
-    (``_build_parser``), which prints the top-level usage line.
-    """
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _read_argv(argv: list[str]) -> argparse.Namespace:
+    """The Namespace of one CLI call's argv. An argv that starts with a
+    verb is read by that verb's parser alone, the parser the full one
+    hands the verb's arguments to, so its help and errors are the full
+    parser's. Only an argv that names no verb, or that leaves arguments
+    unrecognized, builds the full parser (``_build_parser``), which prints
+    the top-level usage line. No parser outlives the call: only the
+    Namespace is returned, so none is held while the verb runs."""
     verb = argv[0] if argv and argv[0] in _VERBS else None
     if verb is not None:
         parser = _Parser(prog=f"stopkey {verb}")
         _add_verb_args(parser, verb)
         args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
-    if verb is None or rest:
-        args = _build_parser().parse_args(argv)
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one CLI call and return its exit code (see ``_read_argv``)."""
+    args = _read_argv(sys.argv[1:] if argv is None else list(argv))
     try:
         return _VERBS[args.verb][2](args)
     except (StopkeyError, OSError) as exc:

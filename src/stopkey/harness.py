@@ -10,7 +10,7 @@ protocol, never in its favor.
 
 Each protocol is one plan class (``PLANS``): its source check, its
 trials and its exact section. Trials draw their randomness from
-per-trial substreams derived from the master seed by trial index, so
+per-trial streams keyed by the master seed and the trial index, so
 reports are byte-identical for a given config and seed under any
 execution order or worker count. A report's trials run in contiguous
 blocks, up to one per usable CPU, the first in this process and the rest
@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, repeat
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from . import formats
 from .common import engine_for, exact_common_law
@@ -46,7 +46,7 @@ from .probability import (
     entropy,
     mutual_information,
 )
-from .randomsource import RandomSource
+from .randomsource import RandomSource, StreamTemplate
 from .reconciled import (
     ConstantReconciler,
     Decision,
@@ -73,6 +73,8 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _ALPHA = 0.01  # family-wise level of the next-bit fairness tests
 
 _RunRecord = tuple[Transcript, str, str, str]  # transcript, key_a, key_b, ideal
+# trial index -> that trial's stream of one leaf (``StreamTemplate.stream``)
+_TrialStream = Callable[[int], RandomSource]
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -597,10 +599,12 @@ class ProtocolPlan:
 
     One subclass per protocol, named in ``PLANS``. The config checked every
     option; the plan checks the source kind, resolves the spec and holds
-    the header a report or run log prints. Each subclass plays trial i on
-    its substream in ``_trial(i, sub)``; ``runs`` is the only place a
-    trial's substreams are derived, so reports and run logs for the same
-    seed play the same trials.
+    the header a report or run log prints. Each subclass names the streams
+    a trial draws from in ``_LEAVES`` and plays trial i in
+    ``_trial(i, streams)``, one ``StreamTemplate.stream`` per leaf, which
+    makes trial i's ``substream("trial", i).substream(leaf)``. ``runs`` is
+    the only place those templates are built, so reports and run logs for
+    the same seed play the same trials.
 
     A trial pays for its draws and little else. A common trial's record
     depends only on (x, W), and a two-stage trial's only on its packed
@@ -616,13 +620,25 @@ class ProtocolPlan:
         # that outcome yields
         self._records: dict[tuple, _RunRecord] = {}
 
+    # the leaf of each trial stream ``_trial`` reads, in its unpacking order
+    _LEAVES: tuple[str, ...] = ()
+
     def runs(self, start: int = 0, stop: int | None = None) -> Iterator[_RunRecord]:
         """Trials start..stop-1 (by default all the config's trials) as
-        (transcript, key_a, key_b, ideal), in order."""
-        rng = RandomSource(self.cfg.seed)
+        (transcript, key_a, key_b, ideal), in order. The stream templates
+        are built on the first trial, so a run of no trials builds none."""
+        indices = range(start, self.cfg.trials if stop is None else stop)
+        if not indices:
+            return
+        streams = self._streams()
         trial = self._trial
-        for i in range(start, self.cfg.trials if stop is None else stop):
-            yield trial(i, rng.substream("trial", i))
+        for i in indices:
+            yield trial(i, streams)
+
+    def _streams(self) -> list[_TrialStream | None]:
+        """The makers of trial i's streams ``_trial`` reads, one per leaf."""
+        root = RandomSource(self.cfg.seed)
+        return [StreamTemplate(root, "trial", leaf).stream for leaf in self._LEAVES]
 
     def exact(
         self, small: bool, data: dict, exact: dict, checks: list
@@ -637,6 +653,8 @@ class ProtocolPlan:
 class _CommonPlan(ProtocolPlan):
     """The zero-error scheme on a common source."""
 
+    _LEAVES = ("source", "alice")
+
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
         if not isinstance(source, Pmf):
             raise ValidationError("common protocol takes a single distribution")
@@ -644,9 +662,10 @@ class _CommonPlan(ProtocolPlan):
         self._engine = engine_for(source)
         self._sampler = KnuthYaoSampler(source)
 
-    def _trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        x = self._sampler.sample(sub.substream("source"))[0]
-        w = self._engine.alice(x, sub.substream("alice"))
+    def _trial(self, i: int, streams: list[_TrialStream]) -> _RunRecord:
+        source, alice = streams
+        x = self._sampler.sample(source(i))[0]
+        w = self._engine.alice(x, alice(i))
         return self._records.get((x, w)) or self._record(x, w)
 
     def _record(self, x: int, w: int) -> _RunRecord:
@@ -724,6 +743,8 @@ class _AlmostPlan(_TwoStagePlan):
     """The hash check on an almost-common source, with a derandomized,
     fixed or per-trial random table."""
 
+    _LEAVES = ("source", "keys")
+
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
         super().__init__(cfg, source)
         mode, self.table, hash_seed = resolve_hash(cfg.hash_spec, source, cfg.m)
@@ -737,15 +758,23 @@ class _AlmostPlan(_TwoStagePlan):
     def _decide(self, x: str, y: str) -> Decision:
         return decide(self.source, self.table, x, y)
 
-    def _trial(self, i: int, sub: RandomSource) -> _RunRecord:
+    def _streams(self) -> list[_TrialStream | None]:
+        streams = super()._streams()
+        # then a random table's per-trial stream, on the table seed
+        random = self.table is None
+        streams.append(StreamTemplate(self._tables, "table").stream if random else None)
+        return streams
+
+    def _trial(self, i: int, streams: list[_TrialStream | None]) -> _RunRecord:
+        source, keys, table = streams
         sampler, cells = self._cells
-        cell = sampler.sample(sub.substream("source"))[0]
-        if self.table is None:
-            h = HashFunction.random(self._alphabet, self.cfg.m, self._tables.substream("table", i))
+        cell = sampler.sample(source(i))[0]
+        if table is not None:
+            h = HashFunction.random(self._alphabet, self.cfg.m, table(i))
             decision = decide(self.source, h, *cells[cell])
         else:
             decision = self._decision(cell)
-        return self._play(decision, sub.substream("keys"))
+        return self._play(decision, keys(i))
 
     def exact(self, small, data, exact, checks):
         cfg, source = self.cfg, self.source
@@ -791,6 +820,8 @@ class _CorrelatedPlan(_TwoStagePlan):
     """The two-stage pipeline: a reconciler, then the hash check on its
     stage-two source."""
 
+    _LEAVES = ("source", "stage2")
+
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
         super().__init__(cfg, source)
         spec = "identity" if cfg.reconciler is None else cfg.reconciler
@@ -803,9 +834,10 @@ class _CorrelatedPlan(_TwoStagePlan):
         cj, h = r.stage_two_source(j, res.transcript_a, self.cfg.m)
         return decide(cj, h, res.m_a, res.m_b, res.transcript_a)
 
-    def _trial(self, i: int, sub: RandomSource) -> _RunRecord:
-        cell = self._cells[0].sample(sub.substream("source"))[0]
-        return self._play(self._decision(cell), sub.substream("stage2"))
+    def _trial(self, i: int, streams: list[_TrialStream]) -> _RunRecord:
+        source, stage2 = streams
+        cell = self._cells[0].sample(source(i))[0]
+        return self._play(self._decision(cell), stage2(i))
 
     def exact(self, small, data, exact, checks):
         cfg, source = self.cfg, self.source

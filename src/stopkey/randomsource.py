@@ -12,9 +12,17 @@ average per query.
 
 A source is seeded on its first draw, not when it is derived: deriving a
 substream only records its path, so a stream nothing reads costs no
-sha256 and no Mersenne Twister seeding. A common trial thus seeds 2
-generators (its ``source`` and ``alice`` streams), never the trial's own
-parent stream. The bytes of every stream are those of eager seeding.
+sha256 and no Mersenne Twister seeding. The bytes of every stream are
+those of eager seeding.
+
+A run of trials makes its streams from a ``StreamTemplate``: the seed
+material ``repr((seed, path))`` is spelled once with a mark for the trial
+index and split there into a bytes format, so trial i's stream is made by
+one formatting, with the bytes of
+``substream("trial", i).substream(leaf)``, and with no path tuple,
+``repr`` or ``substream`` call per trial. A common trial thus seeds 2
+generators (its ``source`` and ``alice`` streams) and derives nothing
+else.
 
 A generator is allocated and seeded in C alone (``_generator``): it holds
 the state ``random.Random(n)`` would, without that class's Python
@@ -31,7 +39,7 @@ from fractions import Fraction
 
 from .errors import StopkeyError, ValidationError
 
-__all__ = ["RandomSource", "LazyUniform"]
+__all__ = ["RandomSource", "LazyUniform", "StreamTemplate"]
 
 # Hard cap on expansion length: a rational threshold comparison that fails
 # to resolve in this many bits has probability < 2**-4096 per query and
@@ -110,6 +118,12 @@ _SEEDING = threading.Lock()
 _new_source = object.__new__
 
 
+def _spell(seed: int | str, path: tuple[str, ...]) -> bytes:
+    """The seed material of the stream at ``path`` under ``seed``: the
+    bytes ``_generator`` hashes. The one place the format is written."""
+    return repr((seed, path)).encode()
+
+
 class RandomSource:
     """Deterministic stream of fair bits and exact uniform draws.
 
@@ -136,8 +150,11 @@ class RandomSource:
         with _SEEDING:
             rng = self._rng
             if rng is None:
-                rng = self._rng = _generator(repr((self.seed, self.path)).encode())
+                rng = self._rng = _generator(self._material())
         return rng
+
+    def _material(self) -> bytes:
+        return _spell(self.seed, self.path)
 
     def substream(self, *labels: int | str) -> "RandomSource":
         # built past __init__: the seed was checked when the root was made
@@ -165,3 +182,51 @@ class RandomSource:
         """Uniform integer in [0, n), from the underlying stream."""
         return (self._rng or self._seeded()).randrange(n)
 
+
+class _Stream(RandomSource):
+    """A template's stream: made with its seed material, which its first
+    draw hashes. It is only drawn from: it holds no seed or path, so it
+    derives no substreams."""
+
+    __slots__ = ("_bytes",)
+
+    def _material(self) -> bytes:
+        return self._bytes
+
+
+# the index label a template spells its material with and splits it at: an
+# index's own spelling, so its repr is quoted as every index's is
+_MARK = "0"
+_MARK_REPR = repr(_MARK).encode()
+
+
+class StreamTemplate:
+    """The streams ``root.substream(label, i, *leaf)`` of every index i,
+    each made from one formatting of seed material.
+
+    The material of such a stream is ``repr((seed, path))`` with ``str(i)``
+    at one place in ``path``. The template spells it once with ``_MARK``
+    there, through ``_spell``, and puts ``%d`` in place of the mark's
+    digits; ``stream(i)`` formats i into it. A stream is seeded on its
+    first draw, under the lock and through ``_generator``, as every source
+    is.
+    """
+
+    __slots__ = ("_format",)
+
+    def __init__(self, root: RandomSource, label: int | str, *leaf: int | str):
+        after = tuple(map(str, leaf))
+        # the split takes the last mark, so no leaf may spell one
+        if _MARK_REPR in _spell(0, after):
+            raise ValidationError(f"leaf {leaf!r} spells the index mark")
+        material = _spell(root.seed, root.path + (str(label), _MARK) + after)
+        head, tail = material.rsplit(_MARK_REPR, 1)
+        # the quotes stay: an int's digits need no escape
+        self._format = b"'%d'".join(part.replace(b"%", b"%%") for part in (head, tail))
+
+    def stream(self, i: int) -> RandomSource:
+        """The stream at index ``i``, an int, unseeded."""
+        src = _new_source(_Stream)
+        src._bytes = self._format % i
+        src._rng = None
+        return src

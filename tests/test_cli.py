@@ -1,10 +1,12 @@
 import argparse
+import gc
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -687,6 +689,29 @@ class TestPerVerbParser:
         assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
                      "--x", "0", "--w", "1"]) == 0
         assert [p.prog for p in made] == ["stopkey keygen-common"]
+
+    def test_no_parser_is_alive_while_the_verb_runs(self, dist_file, monkeypatch, capsys):
+        made = []
+
+        class Tracked(cli._Parser):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(cli, "_Parser", Tracked)
+        verb = cli._VERBS["keygen-common"]
+        alive = []
+        handler = lambda args: alive.append([ref() is not None for ref in made]) or verb[2](args)
+        monkeypatch.setitem(cli._VERBS, "keygen-common", (*verb[:2], handler))
+        argv = ["keygen-common", "--dist", dist_file, "--role", "bob", "--x", "0", "--w", "1"]
+        gc.disable()  # freed by reference counts alone: a parser is no cycle
+        try:
+            assert main(argv) == 0
+            full = weakref.ref(cli._build_parser())
+        finally:
+            gc.enable()
+        assert alive == [[False]]
+        assert full() is None
 
     def test_main_builds_the_full_parser_only_for_top_level_argv(
         self, dist_file, builds, capsys

@@ -495,15 +495,23 @@ class TestPlan:
         assert len(list(plan.runs())) == 7
         assert list(plan.runs()) == list(cfg.plan().runs())
 
-    def test_a_two_stage_trial_derives_three_substreams(self, monkeypatch):
-        cfg = ExperimentConfig(
-            protocol="correlated",
-            source_doc=joint_document(CORRELATED_3),
-            m=2,
-            trials=20,
-            reconciler="hashmap:1",
-        )
-        plan = cfg.plan()
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"protocol": "common", "source_doc": pmf_document(CORPUS["tenths"])},
+            {"protocol": "almost"},
+            {"protocol": "almost", "hash_spec": "random:5"},
+            {"protocol": "correlated"},
+            {"protocol": "correlated", "reconciler": "hashmap:1"},
+        ],
+        ids=["common", "almost", "almost-random", "identity", "sketch"],
+    )
+    def test_trials_derive_no_substreams(self, options, monkeypatch):
+        # a trial's streams come from the run's templates, one formatting
+        # each; deriving them through substream took 3 calls a trial, 4 with
+        # a random table
+        options = {"source_doc": joint_document(CORRELATED_3), "m": 2, **options}
+        plan = ExperimentConfig(trials=1000, **options).plan()
         warm = list(plan.runs())  # builds the sketch table and the stage caches
         derived = []
         raw = RandomSource.substream
@@ -514,8 +522,42 @@ class TestPlan:
 
         monkeypatch.setattr(RandomSource, "substream", counting)
         assert list(plan.runs()) == warm
-        # the trial stream, then "source" and "stage2" within it
-        assert len(derived) == 3 * 20
+        assert derived == []
+
+    def test_a_run_of_no_trials_builds_no_template(self, monkeypatch):
+        built = []
+        raw = harness.StreamTemplate
+
+        def counting(*args):
+            built.append(args[1:])
+            return raw(*args)
+
+        monkeypatch.setattr(harness, "StreamTemplate", counting)
+        plan = _common_cfg(trials=3).plan()
+        assert list(plan.runs(2, 2)) == [] and built == []
+        assert len(list(plan.runs())) == 3
+        # one template a leaf, for the run's three trials
+        assert built == [("trial", "source"), ("trial", "alice")]
+
+    def test_an_aborted_trial_seeds_only_its_source_stream(self, monkeypatch):
+        cfg = ExperimentConfig(
+            protocol="correlated",
+            source_doc=joint_document(CORRELATED_3),
+            m=2,
+            trials=300,
+            reconciler="hashmap:1",
+        )
+        runs = list(cfg.plan().runs())
+        aborted = {i for i, run in enumerate(runs) if run[0][-1][1] == "error"}
+        assert 0 < len(aborted) < len(runs)
+        built = count_seeding(monkeypatch)
+        run_simulation(cfg)  # 300 trials play in one block, in this process
+        seeded = Counter(material for (material,) in built)
+        for i in range(cfg.trials):
+            assert seeded[repr((cfg.seed, ("trial", str(i), "source"))).encode()] == 1
+            assert seeded[repr((cfg.seed, ("trial", str(i), "stage2"))).encode()] == (i not in aborted)
+        # and the sketch table's one stream per x label
+        assert sum(seeded.values()) == 2 * cfg.trials - len(aborted) + len(CORRELATED_3.x_labels)
 
     @pytest.mark.parametrize(
         "protocol, doc, options",

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from stopkey.errors import ValidationError
-from stopkey.randomsource import RandomSource
+from stopkey.randomsource import RandomSource, StreamTemplate
 
 from conftest import count_seeding, run_threads
 from literal_oracle import uniform_below
@@ -206,4 +206,72 @@ class TestSeedOnFirstDraw:
 
             assert run_threads(draw, n_threads=8) == []
             fresh = RandomSource("race").substream(round_)
+            assert sorted(got) == sorted(fresh.generator().getrandbits(64) for _ in range(8))
+
+
+def _template_seed(pick: random.Random, kind: int) -> int | str:
+    """A seed of one of the kinds repr spells differently: 0, an int of
+    either sign; 1, an int above 2**64; 2, the empty string; 3, a string
+    that may hold quotes, a backslash, a percent sign or a non-ASCII
+    letter."""
+    if kind == 0:
+        return pick.randrange(-(1 << 80), 1 << 80)
+    if kind == 1:
+        return pick.randrange(1 << 64, 1 << 200)
+    if kind == 2:
+        return ""
+    return "".join(pick.choice("ab0 -'\"\\%é") for _ in range(pick.randrange(1, 9)))
+
+
+class TestStreamTemplate:
+    LEAVES = ("source", "alice", "keys", "stage2")
+
+    def test_streams_are_the_substreams_of_the_trial(self):
+        pick = random.Random(35)
+        for k in range(300):
+            seed, leaf = _template_seed(pick, k % 4), pick.choice(self.LEAVES)
+            i = pick.choice((0, 1, 9, 10, pick.randrange(10**9)))
+            got = StreamTemplate(RandomSource(seed), "trial", leaf).stream(i)
+            want = RandomSource(seed).substream("trial", i).substream(leaf)
+            assert got._material() == want._material()
+            assert got.generator().getstate() == want.generator().getstate()
+            # a random table's stream: no leaf past the index
+            got = StreamTemplate(RandomSource(seed), "table").stream(i)
+            want = RandomSource(seed).substream("table", i)
+            assert got.generator().getstate() == want.generator().getstate()
+
+    def test_a_root_below_the_root_keeps_its_path(self):
+        root = RandomSource("r").substream("block", 2)
+        got = StreamTemplate(root, "trial", "source").stream(5)
+        want = root.substream("trial", 5).substream("source")
+        assert got.generator().getstate() == want.generator().getstate()
+
+    def test_a_leaf_that_spells_the_index_mark_is_refused(self):
+        for leaf in ("0", "x'0'y"):
+            with pytest.raises(ValidationError, match="index mark"):
+                StreamTemplate(RandomSource(1), "trial", leaf)
+
+    def test_a_stream_is_seeded_on_its_first_draw_only(self, monkeypatch):
+        built = count_seeding(monkeypatch)
+        source = StreamTemplate(RandomSource(4), "trial", "source").stream
+        subs = [source(i) for i in range(50)]
+        assert built == []
+        subs[7].fair_bit()
+        subs[7].generator().getrandbits(8)
+        subs[7].lazy_uniform().at_least(Fraction(1, 3))
+        assert built == [(RandomSource(4).substream("trial", 7, "source")._material(),)]
+
+    def test_threads_racing_on_a_fresh_stream_share_one_generator(self):
+        source = StreamTemplate(RandomSource("race"), "trial", "source").stream
+        for i in range(5):
+            src = source(i)
+            barrier = threading.Barrier(8)
+            got = []
+
+            def draw():
+                barrier.wait(timeout=4)
+                got.append(src.generator().getrandbits(64))
+
+            assert run_threads(draw, n_threads=8) == []
+            fresh = source(i)
             assert sorted(got) == sorted(fresh.generator().getrandbits(64) for _ in range(8))

@@ -863,12 +863,7 @@ class TestDerandomize:
     def test_greedy_handles_large_alphabets(self):
         # 13 labels at m = 2 is past the exhaustive cutoff; the greedy
         # must still separate the one colliding pair
-        labels = tuple(f"s{i}" for i in range(13))
-        rows = [["0"] * 13 for _ in range(13)]
-        for i in range(13):
-            rows[i][i] = "1/14"
-        rows[0][1] = "1/14"
-        j = joint(rows, labels, labels)
+        j = self._wide_joint(13)
         h, err = derandomize_hash(j, 2)
         assert err == 0
         assert h("s0") != h("s1")
@@ -877,6 +872,32 @@ class TestDerandomize:
     def test_bucket_count_validated(self):
         with pytest.raises(ValidationError):
             derandomize_hash(WORKED_JOINT, 0)
+
+    @staticmethod
+    def _wide_joint(n: int) -> JointPmf:
+        """n labels, each with its diagonal cell, and s0 -> s1 the one
+        colliding pair; every cell 1/(n + 1)."""
+        labels = tuple(f"s{i}" for i in range(n))
+        rows = [["0"] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = f"1/{n + 1}"
+        rows[0][1] = f"1/{n + 1}"
+        return joint(rows, labels, labels)
+
+    @pytest.mark.parametrize(
+        "n, guard",
+        [(3, "exhaustive minimum .* exceeds the average"), (13, "greedy table error .* exceeds")],
+        ids=["exhaustive", "greedy"],
+    )
+    def test_a_table_past_the_average_bound_is_refused(self, n, guard, monkeypatch):
+        # a collision error the averaging theorem rules out: both searches
+        # must raise, not return the table. 2**3 tables are searched
+        # exhaustively; 2**13 pass the 4096 cutoff to the greedy pass.
+        j = self._wide_joint(n)
+        bound = (1 - agreement_stats(j).p) / 2
+        monkeypatch.setattr(reconciled, "collision_error", lambda j, h: bound + Fraction(1, 2**40))
+        with pytest.raises(InvariantError, match=guard):
+            derandomize_hash(j, 2)
 
     @staticmethod
     def _greedy_reference(j, m):

@@ -231,20 +231,16 @@ class TestStreamTemplate:
         for k in range(300):
             seed, leaf = _template_seed(pick, k % 4), pick.choice(self.LEAVES)
             i = pick.choice((0, 1, 9, 10, pick.randrange(10**9)))
-            got = StreamTemplate(RandomSource(seed), "trial", leaf).stream(i)
-            want = RandomSource(seed).substream("trial", i).substream(leaf)
+            # every third root is itself a substream, with a path of its own
+            root = RandomSource(seed) if k % 3 else RandomSource(seed).substream("block", k)
+            got = StreamTemplate(root, "trial", leaf).stream(i)
+            want = root.substream("trial", i).substream(leaf)
             assert got._material() == want._material()
             assert got.generator().getstate() == want.generator().getstate()
             # a random table's stream: no leaf past the index
-            got = StreamTemplate(RandomSource(seed), "table").stream(i)
-            want = RandomSource(seed).substream("table", i)
+            got = StreamTemplate(root, "table").stream(i)
+            want = root.substream("table", i)
             assert got.generator().getstate() == want.generator().getstate()
-
-    def test_a_root_below_the_root_keeps_its_path(self):
-        root = RandomSource("r").substream("block", 2)
-        got = StreamTemplate(root, "trial", "source").stream(5)
-        want = root.substream("trial", 5).substream("source")
-        assert got.generator().getstate() == want.generator().getstate()
 
     def test_a_leaf_that_spells_the_index_mark_is_refused(self):
         for leaf in ("0", "x'0'y"):

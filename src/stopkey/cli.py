@@ -8,9 +8,10 @@ human-readable text or the structured document on stdout/--out.
 Exit codes: 0 when every checked bound holds (or the verb checks none),
 2 when a checked bound is violated, 3 on input errors.
 
-An argv that starts with a verb is read by that verb's parser alone. The
-full parser, every verb's subparser under the top-level one, is built
-only for an argv that names no verb or that the verb's parser leaves
+An argv that starts with a verb is read by that verb's parser alone,
+built on the verb's first call and kept for the process. The full
+parser, every verb's subparser under the top-level one, is built per call
+and only for an argv that names no verb or that the verb's parser leaves
 arguments unrecognized in, so top-level help, usage and errors name
 every verb.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import threading
 
 from . import formats
 from .common import alice_keygen, bob_keygen, engine_for
@@ -311,18 +313,31 @@ _VERBS = {
 }
 
 
+# taken to look up a verb's parser, so racing first calls build it once
+_BUILDING = threading.Lock()
+
+
+@functools.lru_cache(maxsize=len(_VERBS))
+def _verb_parser(verb: str) -> _Parser:
+    """The parser the full one hands a verb's arguments to, with the same
+    prog, options and errors. Parsing leaves a parser as it was, so one is
+    built per verb and process, and a call after the first makes no
+    parser and leaves no argparse garbage for the cyclic collector."""
+    parser = _Parser(prog=f"stopkey {verb}")
+    _add_verb_args(parser, verb)
+    return parser
+
+
 def _read_argv(argv: list[str]) -> argparse.Namespace:
     """The Namespace of one CLI call's argv. An argv that starts with a
-    verb is read by that verb's parser alone, the parser the full one
-    hands the verb's arguments to, so its help and errors are the full
-    parser's. Only an argv that names no verb, or that leaves arguments
-    unrecognized, builds the full parser (``_build_parser``), which prints
-    the top-level usage line. No parser outlives the call: only the
-    Namespace is returned, so none is held while the verb runs."""
+    verb is read by that verb's parser alone (``_verb_parser``), so its
+    help and errors are the full parser's. Only an argv that names no
+    verb, or that leaves arguments unrecognized, builds the full parser
+    (``_build_parser``), which prints the top-level usage line."""
     verb = argv[0] if argv and argv[0] in _VERBS else None
     if verb is not None:
-        parser = _Parser(prog=f"stopkey {verb}")
-        _add_verb_args(parser, verb)
+        with _BUILDING:
+            parser = _verb_parser(verb)
         args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(verb=verb))
         if not rest:
             return args

@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ from stopkey.common import KeyAgreeEngine, alice_keygen
 from stopkey.randomsource import RandomSource
 
 import pins
-from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, joint
+from conftest import CORPUS, CORRELATED_3, WORKED_JOINT, joint, run_threads
 from documents import joint_document, pmf_document, write_document
 from pins import (
     PARSER_CASES,
@@ -676,8 +675,11 @@ class TestPerVerbParser:
         assert full[0] == code
         assert "{decompose,keygen-common,keygen-almost," in full[1] + full[2]
 
-    def test_a_verb_call_constructs_one_parser(self, dist_file, monkeypatch, capsys):
-        # the verb's own: not the top-level one, nor one per verb
+    @staticmethod
+    def constructed(monkeypatch) -> list:
+        """Every ArgumentParser constructed from now on, after emptying the
+        verb parser cache."""
+        cli._verb_parser.cache_clear()
         made = []
         init = argparse.ArgumentParser.__init__
 
@@ -686,32 +688,65 @@ class TestPerVerbParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-        assert main(["keygen-common", "--dist", dist_file, "--role", "bob",
-                     "--x", "0", "--w", "1"]) == 0
-        assert [p.prog for p in made] == ["stopkey keygen-common"]
+        return made
 
-    def test_no_parser_is_alive_while_the_verb_runs(self, dist_file, monkeypatch, capsys):
-        made = []
-
-        class Tracked(cli._Parser):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(cli, "_Parser", Tracked)
-        verb = cli._VERBS["keygen-common"]
-        alive = []
-        handler = lambda args: alive.append([ref() is not None for ref in made]) or verb[2](args)
-        monkeypatch.setitem(cli._VERBS, "keygen-common", (*verb[:2], handler))
+    def test_a_verb_parser_is_built_once_per_process(self, dist_file, monkeypatch, capsys):
+        made = self.constructed(monkeypatch)
         argv = ["keygen-common", "--dist", dist_file, "--role", "bob", "--x", "0", "--w", "1"]
-        gc.disable()  # freed by reference counts alone: a parser is no cycle
+        # the first call builds the verb's own parser: not the top-level
+        # one, nor one per verb
+        assert main(argv) == 0
+        assert [p.prog for p in made] == ["stopkey keygen-common"]
+        first = capsys.readouterr()
+        # a repeated call, and one with other options, construct none
+        assert main(argv) == 0
+        assert capsys.readouterr() == first
+        assert main([*argv, "--format", "structured"]) == 0
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("verb", ["keygen-common", "report", "simulate"])
+    def test_a_repeated_call_leaves_no_argparse_garbage(self, verb, dist_file, capsys):
+        argv = {
+            "keygen-common": ["--role", "bob", "--x", "0", "--w", "1"],
+            "report": [],
+            "simulate": ["--trials", "20"],
+        }[verb]
+        argv = [verb, "--dist", dist_file, *argv]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)  # the collector keeps what it finds
         try:
             assert main(argv) == 0
-            full = weakref.ref(cli._build_parser())
+            gc.collect()
+            left = [o for o in gc.garbage if type(o).__module__ == "argparse"
+                    or isinstance(o, argparse.ArgumentParser)]
         finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
             gc.enable()
-        assert alive == [[False]]
-        assert full() is None
+        # building a parser leaves cycles (each add_argument makes a
+        # HelpFormatter and its root section), which only the collector frees
+        assert left == []
+
+    def test_racing_first_calls_build_one_parser(self, dist_file, tmp_path, monkeypatch):
+        made = self.constructed(monkeypatch)
+        seeds = itertools.count()
+        codes = []
+
+        def call():
+            seed = next(seeds)
+            out = str(tmp_path / f"key{seed}.txt")
+            codes.append(main(["keygen-common", "--dist", dist_file, "--role", "alice",
+                               "--x", "0", "--seed", str(seed), "--out", out]))
+
+        assert run_threads(call) == []
+        assert codes == [0] * 8
+        assert [p.prog for p in made] == ["stopkey keygen-common"]
+        for seed in range(8):
+            rng = RandomSource(seed).substream("keygen-common")
+            key, w = alice_keygen(CORPUS["tenths"], 0, rng)
+            assert (tmp_path / f"key{seed}.txt").read_text() == f"key={key} w={w}\n"
 
     def test_main_builds_the_full_parser_only_for_top_level_argv(
         self, dist_file, builds, capsys
@@ -754,6 +789,23 @@ class TestImports:
         assert "stopkey.formats" in modules
         for heavy in ("stopkey.harness", "stopkey.reconciled", "stopkey.dyadic"):
             assert heavy not in modules
+
+    def test_an_in_process_call_loads_no_further_module(self, dist_file, tmp_path):
+        # so a caller timing or tracing a call after ``import stopkey.cli``
+        # sees the call alone, no import inside it
+        out = str(tmp_path / "out.txt")
+        calls = [
+            ["report", "--dist", dist_file, "--out", out],
+            ["simulate", "--dist", dist_file, "--trials", "20", "--out", out],
+            ["keygen-common", "--dist", dist_file, "--role", "alice", "--x", "0",
+             "--out", out],
+        ]
+        imported = self.loaded("import stopkey.cli")
+        assert "stopkey.harness" in imported
+        for argv in calls:
+            assert self.loaded(
+                f"import stopkey.cli\nassert stopkey.cli.main({argv!r}) == 0"
+            ) == imported, argv[0]
 
     def test_lazy_package_names(self):
         assert set(stopkey.__all__) <= set(dir(stopkey))

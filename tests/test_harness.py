@@ -16,6 +16,7 @@ from stopkey.harness import (
     METHODOLOGY,
     PLANS,
     Z99,
+    ProtocolPlan,
     ExperimentConfig,
     Report,
     _check,
@@ -462,6 +463,13 @@ class TestConfig:
 
 
 class TestPlan:
+    def test_every_plan_writes_its_own_exact_section(self):
+        cfg = ExperimentConfig(protocol="common", source_doc=pmf_document(CORPUS["tenths"]))
+        for cls in PLANS.values():
+            assert cls.exact is not ProtocolPlan.exact, cls
+        with pytest.raises(NotImplementedError):
+            ProtocolPlan(cfg, CORPUS["tenths"]).exact(True, {}, {}, [])
+
     @pytest.mark.parametrize(
         "protocol, source",
         [

@@ -60,6 +60,11 @@ class TestPmf:
         with pytest.raises(ValidationError, match="float"):
             as_fraction(0.5)
 
+    @pytest.mark.parametrize("value", ["abc", "1/0", None, object()])
+    def test_an_inexact_value_is_refused(self, value):
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            as_fraction(value)
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
             Pmf(("x", "x"), (1, 1), 2)
@@ -110,6 +115,7 @@ class TestPmf:
             (lambda: Pmf(("a", "b"), (0.5, 1.5), 2), "ints"),
             (lambda: Pmf(("a", "b"), (3, -1), 2), "mass 3/2 outside"),
             (lambda: Pmf(("a", "b"), (1, 2), 4), "sum to 3/4"),
+            (lambda: Pmf(("a",), (1, 1), 2), "2 masses but 1 labels"),
             (lambda: Pmf.from_ratios([1, 1], [2, 0]), "positive denominators"),
             (lambda: Pmf.from_ratios([], []), "nonempty"),
         ],
@@ -223,6 +229,11 @@ class TestJointPmf:
         j = joint([["1/2", "0"], ["1/4", "1/4"]], "01", "01")
         assert all(m > 0 for _, _, m in j.atoms())
         assert len(list(j.atoms())) == 3
+
+    @pytest.mark.parametrize("x_labels, y_labels", [((), ("a",)), (("a",), ())])
+    def test_empty_alphabets_rejected(self, x_labels, y_labels):
+        with pytest.raises(ValidationError, match="joint alphabets must be nonempty"):
+            JointPmf(x_labels, y_labels, (), 1)
 
     def test_mass_by_label_unknown_is_zero(self):
         j = joint([["1"]], "a", "a")

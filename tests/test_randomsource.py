@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from stopkey.errors import ValidationError
-from stopkey.randomsource import RandomSource, StreamTemplate
+from stopkey.errors import StopkeyError, ValidationError
+from stopkey.randomsource import _MAX_BITS, LazyUniform, RandomSource, StreamTemplate
 
 from conftest import count_seeding, run_threads
 from literal_oracle import uniform_below
@@ -60,6 +60,12 @@ def test_fair_bit_is_binary_and_roughly_fair():
     assert 1800 < sum(draws) < 2200
 
 
+@pytest.mark.parametrize("seed", [1.5, None, b"seed", ("seed",)])
+def test_a_seed_is_an_int_or_str(seed):
+    with pytest.raises(ValidationError, match="seed must be an int or str"):
+        RandomSource(seed)
+
+
 def test_randrange_bounds():
     rng = RandomSource(5)
     seen = {rng.randrange(7) for _ in range(500)}
@@ -100,6 +106,25 @@ class TestLazyUniform:
         t = Fraction(1, 3)
         hits = sum(not rng.lazy_uniform().at_least(t) for _ in range(3000))
         assert 850 < hits < 1150
+
+    def test_an_unresolvable_comparison_stops_at_the_bit_cap(self):
+        class Thirds:
+            """A generator whose bits spell 1/3 = 0.010101... forever."""
+
+            calls = 0
+
+            def getrandbits(self, k):
+                assert k == 8
+                self.calls += 1
+                return 0b01010101
+
+        rng = Thirds()
+        u = LazyUniform(rng)
+        # every prefix of 1/3's expansion brackets 1/3 itself
+        with pytest.raises(StopkeyError, match="failed to resolve in 4096 bits"):
+            u.at_least(Fraction(1, 3))
+        assert u.nbits == _MAX_BITS == 4096 and rng.calls == _MAX_BITS // 8
+        assert u.value_bits == ((1 << _MAX_BITS) - 1) // 3
 
     def test_uniform_below_scales(self):
         rng = RandomSource("scaled")

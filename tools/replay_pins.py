@@ -9,7 +9,9 @@ allows, including those with no pytest installed. It checks:
   int value, an unknown option and each tail of ``PARSER_TAILS`` exactly
   what the full parser prints, hands a well-formed call's handler the
   full parser's Namespace, and answers an argv that names no verb with
-  the full parser's output;
+  the full parser's output. The pass runs twice: the first builds each
+  verb's parser, the second reuses it and must answer every argv byte for
+  byte as the first did;
 - the CLI pins of ``tests/pins.py``: ``DUMP_PIN``, ``TRIAL_PINS``,
   ``RUN_LOG_TEXT_PINS`` and ``DIST_PINS``;
 - the benchmark's ``PINS``: each workload's rep-0 report at full size.
@@ -41,13 +43,16 @@ def _run(argv: list[str]) -> str:
     return out
 
 
-def parser_parity() -> list[str]:
-    """The argvs ``main`` answers otherwise than the full parser."""
+def parser_parity(answers: dict) -> list[str]:
+    """The argvs ``main`` answers otherwise than the full parser, or than
+    it did in an earlier pass: ``answers`` maps each argv to its first
+    (exit code, stdout, stderr), and takes this pass's where it has none."""
     bad = []
     cases = [case for verb in pins.PARSER_CASES for case in pins.verb_argvs(verb)]
     for argv, code in [*cases, *pins.TOP_LEVEL_ARGVS.values()]:
         full = pins.parsed(argv)
-        if full[0] != code or pins.exits(cli.main, argv) != full:
+        got = pins.exits(cli.main, argv)
+        if full[0] != code or got != full or answers.setdefault(tuple(argv), got) != got:
             bad.append(" ".join(argv) or "(no arguments)")
     for verb in pins.PARSER_CASES:
         argv = pins.well_formed(verb)
@@ -94,9 +99,11 @@ def _replay() -> int:
 def main() -> int:
     print(f"python {sys.version.split()[0]}")
     failed = 0
-    differ = parser_parity()
-    failed += bool(differ)
-    print(f"parser parity: {'FAIL ' + '; '.join(differ) if differ else 'ok'}")
+    answers = {}
+    for name in ("parser parity", "parser parity, reused parsers"):
+        differ = parser_parity(answers)
+        failed += bool(differ)
+        print(f"{name}: {'FAIL ' + '; '.join(differ) if differ else 'ok'}")
     here = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="replay-pins-") as tmp:
         os.chdir(tmp)  # reports echo source paths, so they must be relative

@@ -212,7 +212,7 @@ def _cmd_keygen_trials(args) -> int:
     """keygen-almost and keygen-correlated: the trials simulate plays."""
     cfg = _config(args, args.verb[len("keygen-"):], args.joint)
     plan = cfg.plan()
-    runs = list(plan.runs())
+    runs = list(map(plan.record, plan.runs()))
     errors = sum(not agreed(run) for run in runs)
     if args.format == "structured":
         doc = {

@@ -53,6 +53,7 @@ from .reconciled import (
     HashFunction,
     IdentityReconciler,
     OneWayHashReconciler,
+    PackedRun,
     Reconciler,
     Transcript,
     _atom_sampler,
@@ -606,27 +607,26 @@ class ProtocolPlan:
     the only place those templates are built, so reports and run logs for
     the same seed play the same trials.
 
-    A trial pays for its draws and little else. A common trial's record
-    depends only on (x, W), and a two-stage trial's only on its packed
-    run (``reconciled.play``), so each record is built on its first draw
-    and shared after: ``_records`` holds one entry per distinct record.
+    A trial pays for its draws and little else: it yields its outcome,
+    (x, W) for a common trial and the packed run (``reconciled.play``) for
+    a two-stage one, and ``record(outcome)`` formats that outcome as its
+    (transcript, key_a, key_b, ideal) record. Distinct outcomes have
+    distinct records, so a report counts outcomes and formats each
+    distinct one once.
     """
 
     def __init__(self, cfg: ExperimentConfig, source: Pmf | JointPmf):
         self.cfg = cfg
         self.source = source
         self.header: dict[str, Any] = {}
-        # (x, w) or a packed run -> its record, the object every trial with
-        # that outcome yields
-        self._records: dict[tuple, _RunRecord] = {}
 
     # the leaf of each trial stream ``_trial`` reads, in its unpacking order
     _LEAVES: tuple[str, ...] = ()
 
-    def runs(self, start: int = 0, stop: int | None = None) -> Iterator[_RunRecord]:
-        """Trials start..stop-1 (by default all the config's trials) as
-        (transcript, key_a, key_b, ideal), in order. The stream templates
-        are built on the first trial, so a run of no trials builds none."""
+    def runs(self, start: int = 0, stop: int | None = None) -> Iterator[tuple]:
+        """The outcomes of trials start..stop-1 (by default all the config's
+        trials), in order. The stream templates are built on the first
+        trial, so a run of no trials builds none."""
         indices = range(start, self.cfg.trials if stop is None else stop)
         if not indices:
             return
@@ -662,18 +662,16 @@ class _CommonPlan(ProtocolPlan):
         self._engine = engine_for(source)
         self._sampler = KnuthYaoSampler(source)
 
-    def _trial(self, i: int, streams: list[_TrialStream]) -> _RunRecord:
+    def _trial(self, i: int, streams: list[_TrialStream]) -> tuple[int, int]:
         source, alice = streams
         x = self._sampler.sample(source(i))[0]
-        w = self._engine.alice(x, alice(i))
-        return self._records.get((x, w)) or self._record(x, w)
+        return x, self._engine.alice(x, alice(i))
 
-    def _record(self, x: int, w: int) -> _RunRecord:
-        """Alice's key is x's round-w codeword, and Bob replays round w."""
+    def record(self, outcome: tuple[int, int]) -> _RunRecord:
+        """Alice's key is x's round-W codeword, and Bob replays round W."""
+        x, w = outcome
         key_a = self._engine.round(w).codeword(x)
-        run = ((("alice", "round", w),), key_a, self._engine.bob(x, w), key_a)
-        # setdefault: racing first builders all get the stored record
-        return self._records.setdefault((x, w), run)
+        return (("alice", "round", w),), key_a, self._engine.bob(x, w), key_a
 
     def exact(self, small, data, exact, checks):
         cfg, source = self.cfg, self.source
@@ -711,11 +709,9 @@ class _TwoStagePlan(ProtocolPlan):
             raise ValidationError(f"{cfg.protocol} protocol takes a joint distribution")
         super().__init__(cfg, source)
 
-    def _play(self, decision: Decision, rng: RandomSource) -> _RunRecord:
-        """A stage-two run from a decided outcome: Bob's draw on ``rng``,
-        then the record of the packed run."""
-        packed = play(decision, rng)
-        return self._records.get(packed) or self._records.setdefault(packed, unpack_run(*packed))
+    def record(self, outcome: PackedRun) -> _RunRecord:
+        """The record of a packed run (``reconciled.unpack_run``)."""
+        return unpack_run(*outcome)
 
     @cached_property
     def _cells(self) -> tuple[KnuthYaoSampler, tuple[tuple[str, str], ...]]:
@@ -765,7 +761,7 @@ class _AlmostPlan(_TwoStagePlan):
         streams.append(StreamTemplate(self._tables, "table").stream if random else None)
         return streams
 
-    def _trial(self, i: int, streams: list[_TrialStream | None]) -> _RunRecord:
+    def _trial(self, i: int, streams: list[_TrialStream | None]) -> PackedRun:
         source, keys, table = streams
         sampler, cells = self._cells
         cell = sampler.sample(source(i))[0]
@@ -774,7 +770,7 @@ class _AlmostPlan(_TwoStagePlan):
             decision = decide(self.source, h, *cells[cell])
         else:
             decision = self._decision(cell)
-        return self._play(decision, keys(i))
+        return play(decision, keys(i))
 
     def exact(self, small, data, exact, checks):
         cfg, source = self.cfg, self.source
@@ -834,10 +830,10 @@ class _CorrelatedPlan(_TwoStagePlan):
         cj, h = r.stage_two_source(j, res.transcript_a, self.cfg.m)
         return decide(cj, h, res.m_a, res.m_b, res.transcript_a)
 
-    def _trial(self, i: int, streams: list[_TrialStream]) -> _RunRecord:
+    def _trial(self, i: int, streams: list[_TrialStream]) -> PackedRun:
         source, stage2 = streams
         cell = self._cells[0].sample(source(i))[0]
-        return self._play(self._decision(cell), stage2(i))
+        return play(self._decision(cell), stage2(i))
 
     def exact(self, small, data, exact, checks):
         cfg, source = self.cfg, self.source
@@ -899,9 +895,9 @@ def _block_count(trials: int) -> int:
 
 def _fork_block(plan: ProtocolPlan, start: int, stop: int) -> tuple[int, int] | None:
     """Play trials start..stop-1 in a forked child: (pid, read end of its
-    pipe), or None if the fork failed. The child sends its counted records
-    as one length-prefixed marshal payload, ([marshal of each record],
-    [its count]) in first-insertion order, then exits without cleanup."""
+    pipe), or None if the fork failed. The child sends its counted outcomes
+    as one length-prefixed marshal payload, a dict in first-insertion
+    order, then exits without cleanup."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -916,10 +912,7 @@ def _fork_block(plan: ProtocolPlan, start: int, stop: int) -> tuple[int, int] | 
             # here, so no finalizer of theirs runs twice
             gc.freeze()
             os.close(read_fd)
-            counts = Counter(plan.runs(start, stop))
-            payload = marshal.dumps(
-                ([marshal.dumps(run) for run in counts], list(counts.values()))
-            )
+            payload = marshal.dumps(dict(Counter(plan.runs(start, stop))))
             with open(write_fd, "wb") as pipe:
                 pipe.write(len(payload).to_bytes(8, "big") + payload)
             code = 0
@@ -929,7 +922,7 @@ def _fork_block(plan: ProtocolPlan, start: int, stop: int) -> tuple[int, int] | 
     return pid, read_fd
 
 
-def _read_block(read_fd: int) -> tuple[list[bytes], list[int]] | None:
+def _read_block(read_fd: int) -> dict[tuple, int] | None:
     """A child's payload, or None if the pipe closed before all of it came."""
     with open(read_fd, "rb") as pipe:
         head = pipe.read(8)
@@ -940,15 +933,15 @@ def _read_block(read_fd: int) -> tuple[list[bytes], list[int]] | None:
     return marshal.loads(payload)
 
 
-def count_runs(plan: ProtocolPlan) -> Counter[_RunRecord]:
-    """Every trial's record, counted, in the serial first-insertion order.
+def count_runs(plan: ProtocolPlan) -> Counter[tuple]:
+    """Every trial's outcome, counted, in the serial first-insertion order.
 
     The trials split into ``_block_count`` contiguous blocks. Block 0 plays
     here; each later block plays in a forked child, and the parent merges
-    the blocks in order, so a record first seen in block b was absent from
-    blocks 0..b-1 and the Counter's order is the serial one. A trial is a
-    pure function of (seed, index): a block whose child fails, or that
-    could not fork, plays here, raising what the serial run raises.
+    the blocks in order, so an outcome first seen in block b was absent
+    from blocks 0..b-1 and the Counter's order is the serial one. A trial
+    is a pure function of (seed, index): a block whose child fails, or
+    that could not fork, plays here, raising what the serial run raises.
     """
     trials = plan.cfg.trials
     k = _block_count(trials)
@@ -968,13 +961,7 @@ def count_runs(plan: ProtocolPlan) -> Counter[_RunRecord]:
                 if os.waitpid(pids[b], 0)[1] != 0:
                     block = None
                 del pids[b]
-            if block is None:
-                total.update(plan.runs(bounds[b], bounds[b + 1]))
-                continue
-            # a record already counted keeps its first object: the dict
-            # keeps the key it holds, and the loaded copy is dropped
-            for blob, n in zip(*block):
-                total[marshal.loads(blob)] += n
+            total.update(plan.runs(bounds[b], bounds[b + 1]) if block is None else block)
         return total
     finally:
         for read_fd in pipes.values():
@@ -1044,11 +1031,14 @@ def run_simulation(cfg: ExperimentConfig) -> Report:
     )
 
     if cfg.trials > 0:
-        # counted run records: memory grows with distinct records, not trials
-        runs = count_runs(plan)
+        # counted outcomes, each formatted once: memory grows with distinct
+        # outcomes, not trials, and distinct outcomes have distinct records
+        runs: Counter[_RunRecord] = Counter()
         errors = 0
         lengths: Counter[float] = Counter()
-        for run, n in runs.items():
+        for outcome, n in count_runs(plan).items():
+            run = plan.record(outcome)
+            runs[run] = n
             ok = agreed(run)
             errors += 0 if ok else n
             lengths[float(len(run[3])) if ok else 0.0] += n

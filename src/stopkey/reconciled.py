@@ -157,7 +157,7 @@ def _bob_record(w2: int | None) -> Record:
 
 class KeygenRun(NamedTuple):
     """One key agreement. The first four fields are the (transcript, key_a,
-    key_b, ideal) record a plan's trial yields (``ProtocolPlan.runs``);
+    key_b, ideal) record of a plan's trial outcome (``ProtocolPlan.record``);
     ``m_a`` and ``m_b`` are the values stage two ran on. The ideal key
     equals the common key when those values are equal and is empty
     otherwise; an abort emits empty keys on all three slots."""

@@ -1,4 +1,5 @@
 import gc
+import io
 import math
 import os
 import sys
@@ -380,7 +381,8 @@ class TestEavesdropper:
         ids=["common", "correlated"],
     )
     def test_each_distinct_transcript_is_labelled_once(self, cfg, monkeypatch):
-        runs = Counter(cfg.plan().runs())
+        plan = cfg.plan()
+        runs = Counter(map(plan.record, plan.runs()))
         transcripts = {t for t, _, _, _ in runs}
         assert len(transcripts) > 1
         want = eavesdropper_view(runs)
@@ -555,7 +557,8 @@ class TestPlan:
             trials=300,
             reconciler="hashmap:1",
         )
-        runs = list(cfg.plan().runs())
+        plan = cfg.plan()
+        runs = list(map(plan.record, plan.runs()))
         aborted = {i for i, run in enumerate(runs) if run[0][-1][1] == "error"}
         assert 0 < len(aborted) < len(runs)
         built = count_seeding(monkeypatch)
@@ -623,7 +626,7 @@ class TestPlan:
                 x, y = sample_joint(plan.source, sub.substream("source"))
                 run = almost_common_keygen(plan.source, x, y, 2, h, sub.substream("keys"))
             want.append((run.transcript, run.key_a, run.key_b, run.ideal_key))
-        assert list(plan.runs()) == want
+        assert list(map(plan.record, plan.runs())) == want
         assert len({run[0] for run in want}) > 3
 
     def test_reports_seed_two_generators_per_trial_at_most(self, monkeypatch):
@@ -672,14 +675,21 @@ class TestPlan:
 
         monkeypatch.setattr("stopkey.common._unpack_code", counting)
         monkeypatch.setattr("stopkey.reconciled._unpack_code", counting)
-        plan = cfg.plan()
-        counts = harness.count_runs(plan)
+        counts = harness.count_runs(cfg.plan())
         assert counts.total() == 5000
-        # at most two key strings per distinct record, however many trials
-        # share it, and one cached record each
-        assert len(formatted) <= 2 * len(counts) < 5000
-        assert len(plan._records) <= len(counts)
-        assert all(plan._records[key] is run for key, run in zip(plan._records, counts))
+        # counting formats no key: a trial yields its outcome
+        assert formatted == []
+        raw = harness.count_runs
+
+        def counted(plan):
+            formatted.clear()  # the exact section formats keys of its own
+            return raw(plan)
+
+        monkeypatch.setattr(harness, "count_runs", counted)
+        assert run_simulation(cfg).data["estimates"]["trials"] == 5000
+        # a report formats at most two key strings per distinct outcome,
+        # however many trials share it
+        assert 0 < len(formatted) <= 2 * len(counts) < 5000
 
     def test_a_report_runs_stage_one_once_per_cell(self, monkeypatch):
         # one block: a forked block decides its cells in its own process
@@ -1154,8 +1164,8 @@ def _block_cfg(name: str, tmp_path, trials: int = 301) -> ExperimentConfig:
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CONFIGS))
 def test_a_played_plan_is_freed_without_the_cycle_collector(name, tmp_path):
-    # a plan in a reference cycle would hold its records, decided cells and
-    # samplers until the cyclic collector next runs
+    # a plan in a reference cycle would hold its decided cells and samplers
+    # until the cyclic collector next runs
     gc.disable()
     try:
         plan = _block_cfg(name, tmp_path, trials=60).plan()
@@ -1221,6 +1231,35 @@ class TestTrialBlocks:
         blocks(3)
         assert run_simulation(_block_cfg("common", tmp_path)).to_json() == serial
         assert len(forks) == 2
+        _no_child_left()
+
+    def test_a_block_cut_short_plays_here(self, tmp_path, blocks, forks, monkeypatch):
+        # each child writes its full header and half the payload it
+        # announces, then exits 0: only the payload's length tells
+        serial = run_simulation(_block_cfg("common", tmp_path)).to_json()
+        parent = os.getpid()
+
+        class CutPipe(io.FileIO):
+            def write(self, data):
+                size = int.from_bytes(data[:8], "big")
+                return super().write(data[: 8 + size // 2])
+
+        def opening(fd, mode):
+            return (CutPipe if os.getpid() != parent else open)(fd, mode)
+
+        read = []
+        raw = harness._read_block
+
+        def reading(fd):
+            read.append(raw(fd))
+            return read[-1]
+
+        monkeypatch.setattr(harness, "open", opening, raising=False)
+        monkeypatch.setattr(harness, "_read_block", reading)
+        blocks(3)
+        assert run_simulation(_block_cfg("common", tmp_path)).to_json() == serial
+        assert len(forks) == 2
+        assert read == [None, None]
         _no_child_left()
 
     def test_no_fork_below_the_threshold(self, tmp_path, forks, monkeypatch):
